@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DivergenceError
+from .errors import DivergenceError, DomainError
 
 TAIL_MASS = 1e-12
 ABS_TOL = 1e-10
@@ -60,7 +60,10 @@ def survival_power_quad(dist, p, lower=0.0):
     start = max(t, lo_sup)
     upper = truncation_point(dist)
     if upper <= start:
-        return head, 0.0
+        raise DomainError(
+            f"quadrature undefined beyond the 1 - {TAIL_MASS:g} quantile {upper:g}: "
+            f"lower limit {t:g}; use the closed route"
+        )
     value, err = _quad(lambda x: dist.survival(x) ** p, start, upper)
     tail = 0.0
     if not math.isfinite(hi_sup):

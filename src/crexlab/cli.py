@@ -28,6 +28,7 @@ from . import __version__
 from .discrimination import d_designs, d_min_vs_parent
 from .distributions import parse_distribution
 from .errors import (
+    CrexlabError,
     DivergenceError,
     DomainError,
     ParameterError,
@@ -118,6 +119,8 @@ def _load_estimate_data(args, spec):
             raise SpecParseError(f"bad --values list: {args.values!r}") from None
         if vals.size == 0:
             raise SpecParseError("--values is empty")
+        if not np.all(np.isfinite(vals)):
+            raise SpecParseError(f"non-finite entry in --values: {args.values!r}")
         sample = MinRssuSample(m=1, l=vals.size, values=vals.reshape(-1, 1))
     else:
         dist = parse_distribution(args.draw)
@@ -146,46 +149,46 @@ def _parse_int_list(text, label):
         raise SpecParseError(f"bad {label} list: {text!r}") from None
 
 
+# JSON config key -> SimulationConfig field; absent keys keep the field default
+_CONFIG_FIELDS = {
+    "distribution": "distribution",
+    "m": "m_values",
+    "l": "l_values",
+    "estimators": "estimators",
+    "w": "w_lists",
+    "psi_family": "psi_family",
+    "replications": "replications",
+    "seed": "base_seed",
+    "bias_convention": "bias_convention",
+}
+
+
 def _config_from_json(path):
     with open(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SpecParseError(f"bad JSON config: {exc}") from None
-    known = {
-        "distribution",
-        "m",
-        "l",
-        "estimators",
-        "w",
-        "psi_family",
-        "replications",
-        "seed",
-        "bias_convention",
-    }
-    unknown = set(raw) - known
+    if not isinstance(raw, dict):
+        raise SpecParseError("JSON config must be an object")
+    unknown = set(raw) - set(_CONFIG_FIELDS)
     if unknown:
         raise SpecParseError(f"unknown config keys: {sorted(unknown)}")
-    w_lists = {}
-    for kind, entry in (raw.get("w") or {}).items():
-        if isinstance(entry, dict):
-            w_lists[kind] = {int(m): tuple(v) for m, v in entry.items()}
-        else:
-            w_lists[kind] = tuple(entry)
+    if "distribution" not in raw:
+        raise SpecParseError("config missing key: 'distribution'")
+    fields = {_CONFIG_FIELDS[key]: value for key, value in raw.items()}
     try:
-        return SimulationConfig(
-            distribution=raw["distribution"],
-            m_values=tuple(raw.get("m", (2, 3, 4, 5))),
-            l_values=tuple(raw.get("l", (2, 3))),
-            estimators=tuple(raw.get("estimators", ("rn", "rmn"))),
-            w_lists=w_lists,
-            psi_family=raw.get("psi_family"),
-            replications=int(raw.get("replications", 5000)),
-            base_seed=int(raw.get("seed", DEFAULT_SEED)),
-            bias_convention=raw.get("bias_convention", "truth-minus-estimate"),
-        )
-    except KeyError as exc:
-        raise SpecParseError(f"config missing key: {exc}") from None
+        if "w" in raw:
+            # JSON object keys are strings; per-m w lists are keyed by int m
+            fields["w_lists"] = {
+                kind: {int(m): v for m, v in entry.items()} if isinstance(entry, dict) else entry
+                for kind, entry in dict(raw["w"] or {}).items()
+            }
+        return SimulationConfig(**fields)
+    except CrexlabError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise SpecParseError(f"bad config: {exc}") from None
 
 
 def _config_from_flags(args):

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._quadrature import _quad, survival_power_quad, truncation_point
+# survival_power_quad is unused here; the benchmark tracer wraps this binding
+from ._quadrature import _quad, survival_power_quad, truncation_point  # noqa: F401
 from .errors import DomainError
-from .measures import Method, _coerce_method
+from .measures import Method, _check_design_size, _coerce_method, _power_product
 
 __all__ = ["DiscriminationValue", "d_min_vs_parent", "d_designs"]
 
@@ -70,20 +71,9 @@ def d_designs(dist, m, method="closed"):
 
     ``-(1/2) [prod_{i=1..m} E(min of 2i) - prod_{i=1..m} E(min of i+1)]``
     """
-    if m < 1:
-        raise DomainError(f"design size must be >= 1, got {m}")
+    _check_design_size(m)
     method = _coerce_method(method)
-    prod_min = 1.0
-    prod_srs = 1.0
-    for i in range(1, m + 1):
-        if method is Method.CLOSED_FORM:
-            e_2i = dist.min_order_stat_mean(2 * i)
-            e_i1 = dist.min_order_stat_mean(i + 1)
-        else:
-            e_2i, _ = survival_power_quad(dist, 2.0 * i)
-            e_i1, _ = survival_power_quad(dist, i + 1.0)
-        prod_min *= e_2i
-        prod_srs *= e_i1
-    return DiscriminationValue(
-        value=-0.5 * (prod_min - prod_srs), i_or_m=int(m), method=method
-    )
+    sets = range(1, m + 1)
+    min_value, _ = _power_product(dist, [2.0 * i for i in sets], 0.0, method)
+    srs_value, _ = _power_product(dist, [i + 1.0 for i in sets], 0.0, method)
+    return DiscriminationValue(value=min_value - srs_value, i_or_m=int(m), method=method)

@@ -17,8 +17,8 @@ by config files).  The grammar is::
                 | "finite"    with params a, b  (a > 0, b > 0)
                 | "powerbeta" with param  alpha (alpha > 0)
 
-Examples: ``exp:rate=1``, ``unif:a=0,b=1``, ``finite:a=2,b=3``,
-``powerbeta:alpha=2``.
+Every parameter must be finite.  Examples: ``exp:rate=1``,
+``unif:a=0,b=1``, ``finite:a=2,b=3``, ``powerbeta:alpha=2``.
 """
 
 from __future__ import annotations
@@ -53,6 +53,12 @@ def _vectorized(func):
     wrapper.__name__ = func.__name__
     wrapper.__doc__ = func.__doc__
     return wrapper
+
+
+def _require_finite(family, **params):
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{family} parameter {name} must be finite, got {value}")
 
 
 class Distribution:
@@ -225,6 +231,7 @@ class Exponential(Distribution):
     family = "exp"
 
     def __init__(self, rate):
+        _require_finite("exponential", rate=rate)
         if rate <= 0:
             raise DomainError(f"exponential rate must be > 0, got {rate}")
         self.rate = float(rate)
@@ -269,6 +276,7 @@ class Uniform(Distribution):
     family = "unif"
 
     def __init__(self, a, b):
+        _require_finite("uniform", a=a, b=b)
         if not b > a:
             raise DomainError(f"uniform requires b > a, got a={a}, b={b}")
         self.a = float(a)
@@ -311,6 +319,7 @@ class FiniteRange(Distribution):
     family = "finite"
 
     def __init__(self, a, b):
+        _require_finite("finite-range", a=a, b=b)
         if a <= 0 or b <= 0:
             raise DomainError(f"finite-range requires a > 0 and b > 0, got a={a}, b={b}")
         self.a = float(a)
@@ -354,6 +363,7 @@ class PowerBeta(Distribution):
     family = "powerbeta"
 
     def __init__(self, alpha):
+        _require_finite("powerbeta", alpha=alpha)
         if alpha <= 0:
             raise DomainError(f"powerbeta requires alpha > 0, got {alpha}")
         self.alpha = float(alpha)

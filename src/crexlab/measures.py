@@ -5,18 +5,25 @@ closed form (the default for the four built-in families) and through
 adaptive quadrature; results carry which route produced them plus an
 absolute error bound, so the two routes can be cross-checked.
 
-Design-level measures treat a sample plan of size ``m``: the independent
-draw plan (SRS) raises the single-observation integral to the m-th power,
-while the unequal-minima plan (MinRSSU) multiplies the survival-power
-integrals of the set minima for set sizes ``1..m``.  Products with many
-factors are accumulated in log space to avoid intermediate under- and
-overflow.
+CREX and all its residual and design variants are one product of
+survival-power integrals,
+
+    ``-(1/2) prod_p int_t [S(x)/S(t)]**p dx``,
+
+evaluated by the single kernel ``_power_product``; the public functions
+only choose the powers and the age ``t``.  CREX is the product with one
+power 2.  The independent draw plan (SRS) of size ``m`` uses m powers 2;
+the unequal-minima plan (MinRSSU) uses the powers ``2, 4, ..., 2m`` of
+its set minima.  Products of more than ``_LOG_SPACE_THRESHOLD`` factors
+are accumulated in log space, and a product that still over- or
+underflows raises DivergenceError rather than returning inf, nan or -0.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from . import _quadrature as nq
@@ -37,6 +44,8 @@ __all__ = [
 
 # switch products of this many factors to log-space accumulation
 _LOG_SPACE_THRESHOLD = 20
+# smallest normal float: products and scales below it have lost digits
+_TINY = sys.float_info.min
 
 
 class Method(enum.Enum):
@@ -74,13 +83,6 @@ def _coerce_method(method):
     raise DomainError(f"unknown evaluation method {method!r}")
 
 
-def _survival_power(dist, p, lower, method):
-    """(value, error bound) for ``int_t S**p`` on the chosen route."""
-    if method is Method.CLOSED_FORM:
-        return dist.survival_power_integral(p, lower=lower), 0.0
-    return nq.survival_power_quad(dist, p, lower=lower)
-
-
 def extropy(dist, method="closed"):
     """``-(1/2) int f(x)**2 dx``; always <= 0."""
     method = _coerce_method(method)
@@ -99,11 +101,58 @@ def cumulative_extropy(dist, method="closed"):
     return -0.5 * value
 
 
+def _power_product(dist, powers, t, method):
+    """(value, error bound) of ``-(1/2) prod_p int_t [S(x)/S(t)]**p dx``.
+
+    Each distinct power is integrated once.  Products of more than
+    ``_LOG_SPACE_THRESHOLD`` factors are accumulated in log space.  A
+    scale ``S(t)**p`` or a product of nonzero factors outside the normal
+    float range raises DivergenceError.  The error bound is
+    ``|value| * sum_p err_p / I_p`` over the factors.
+    """
+    t = float(t)
+    if not t >= 0.0:
+        raise DomainError(f"age must be >= 0, got {t}")
+    # age 0 is the unconditioned measure
+    s_t = dist.survival(t) if t > 0.0 else 1.0
+    if s_t <= 0.0:
+        raise DomainError(f"measure undefined: survival({t}) = 0")
+    factor_of, rel_err_of = {}, {}
+    for p in powers:
+        if p in factor_of:
+            continue
+        if method is Method.CLOSED_FORM:
+            integral, err = dist.survival_power_integral(p, lower=t), 0.0
+        else:
+            integral, err = nq.survival_power_quad(dist, p, lower=t)
+        scale = s_t**p
+        if scale < _TINY:
+            raise DivergenceError(f"survival({t})**{p:g} underflows")
+        factor_of[p] = integral / scale
+        rel_err_of[p] = err / integral if integral > 0.0 else 0.0
+    factors = [factor_of[p] for p in powers]
+    if 0.0 in factors:
+        # a zero factor makes the product exactly zero, not an underflow
+        return 0.0, 0.0
+    if len(factors) <= _LOG_SPACE_THRESHOLD:
+        prod = math.prod(factors)
+    else:
+        try:
+            prod = math.exp(sum(map(math.log, factors)))
+        except OverflowError:
+            prod = math.inf
+    if not _TINY <= prod < math.inf:
+        what = "overflows" if prod > 1.0 else "underflows"
+        raise DivergenceError(f"product of {len(factors)} survival-power integrals {what}")
+    value = -0.5 * prod
+    return value, -value * sum(map(rel_err_of.__getitem__, powers))
+
+
 def crex(dist, method="closed"):
     """Cumulative residual extropy ``-(1/2) int_0^inf S(x)**2 dx``."""
     method = _coerce_method(method)
-    integral, err = _survival_power(dist, 2.0, 0.0, method)
-    return CrexValue(-0.5 * integral, method, 0.5 * err)
+    value, err = _power_product(dist, [2.0], 0.0, method)
+    return CrexValue(value, method, err)
 
 
 def dynamic_crex(dist, t, method="closed"):
@@ -112,15 +161,8 @@ def dynamic_crex(dist, t, method="closed"):
     Requires ``S(t) > 0``.  Bounded below by ``-mrl(t) / (2 S(t))``.
     """
     method = _coerce_method(method)
-    t = float(t)
-    if t < 0:
-        raise DomainError(f"age must be >= 0, got {t}")
-    if dist.survival(t) <= 0.0:
-        raise DomainError(f"residual measure undefined: survival({t}) = 0")
-    s_t = dist.survival(t) if t > 0.0 else 1.0
-    integral, err = _survival_power(dist, 2.0, t, method)
-    scale = s_t**2
-    return CrexValue(-0.5 * integral / scale, method, 0.5 * err / scale)
+    value, err = _power_product(dist, [2.0], t, method)
+    return CrexValue(value, method, err)
 
 
 def crex_min_order_stat(dist, i, method="closed"):
@@ -128,43 +170,13 @@ def crex_min_order_stat(dist, i, method="closed"):
     if i < 1:
         raise DomainError(f"set size must be >= 1, got {i}")
     method = _coerce_method(method)
-    integral, err = _survival_power(dist, 2.0 * i, 0.0, method)
-    return CrexValue(-0.5 * integral, method, 0.5 * err)
+    value, err = _power_product(dist, [2.0 * i], 0.0, method)
+    return CrexValue(value, method, err)
 
 
-def _design_product(factors):
-    """-(1/2) * prod(factors) with log-space accumulation for long products."""
-    if len(factors) <= _LOG_SPACE_THRESHOLD:
-        prod = 1.0
-        for c in factors:
-            prod *= c
-        if math.isinf(prod):
-            raise DivergenceError("design product overflows")
-        return -0.5 * prod
-    if any(c <= 0.0 for c in factors):
-        return 0.0
-    log_sum = sum(math.log(c) for c in factors)
-    try:
-        prod = math.exp(log_sum)
-    except OverflowError:
-        raise DivergenceError("design product overflows") from None
-    return -0.5 * prod
-
-
-def _minrssu_value(dist, m, t, method):
-    s_t = dist.survival(t) if t > 0.0 else 1.0
-    if s_t <= 0.0:
-        raise DomainError(f"design measure undefined: survival({t}) = 0")
-    factors = []
-    err_rel = 0.0
-    for i in range(1, m + 1):
-        integral, err = _survival_power(dist, 2.0 * i, t, method)
-        c = integral / s_t ** (2.0 * i)
-        factors.append(c)
-        if c > 0.0:
-            err_rel += err / s_t ** (2.0 * i) / c
-    value = _design_product(factors)
-    return value, abs(value) * err_rel
+def _check_design_size(m):
+    if m < 1:
+        raise DomainError(f"design size must be >= 1, got {m}")
 
 
 def crex_minrssu_design(dist, m, method="closed"):
@@ -172,10 +184,9 @@ def crex_minrssu_design(dist, m, method="closed"):
 
     ``-(1/2) prod_{i=1..m} int_0^inf S(x)**(2i) dx``
     """
-    if m < 1:
-        raise DomainError(f"design size must be >= 1, got {m}")
+    _check_design_size(m)
     method = _coerce_method(method)
-    value, err = _minrssu_value(dist, m, 0.0, method)
+    value, err = _power_product(dist, [2.0 * i for i in range(1, m + 1)], 0.0, method)
     return CrexValue(value, method, err)
 
 
@@ -184,13 +195,10 @@ def crex_srs_design(dist, m, method="closed"):
 
     ``-(1/2) [int_0^inf S(x)**2 dx]**m``
     """
-    if m < 1:
-        raise DomainError(f"design size must be >= 1, got {m}")
+    _check_design_size(m)
     method = _coerce_method(method)
-    integral, err = _survival_power(dist, 2.0, 0.0, method)
-    value = _design_product([integral] * m)
-    err_bound = abs(value) * (m * err / integral if integral > 0.0 else 0.0)
-    return CrexValue(value, method, err_bound)
+    value, err = _power_product(dist, [2.0] * m, 0.0, method)
+    return CrexValue(value, method, err)
 
 
 def dynamic_crex_designs(dist, m, t, method="closed"):
@@ -201,21 +209,8 @@ def dynamic_crex_designs(dist, m, t, method="closed"):
         minrssu = -(1/2) prod_{i=1..m} int_t [S(x)/S(t)]**(2i) dx
         srs     = -(1/2) [int_t [S(x)/S(t)]**2 dx]**m
     """
-    if m < 1:
-        raise DomainError(f"design size must be >= 1, got {m}")
-    t = float(t)
-    if t < 0:
-        raise DomainError(f"age must be >= 0, got {t}")
+    _check_design_size(m)
     method = _coerce_method(method)
-    if dist.survival(t) <= 0.0:
-        raise DomainError(f"design measure undefined: survival({t}) = 0")
-    s_t = dist.survival(t) if t > 0.0 else 1.0
-    min_value, min_err = _minrssu_value(dist, m, t, method)
-    integral, err = _survival_power(dist, 2.0, t, method)
-    c1 = integral / s_t**2
-    srs_value = _design_product([c1] * m)
-    srs_err = abs(srs_value) * (m * err / integral if integral > 0.0 else 0.0)
-    return (
-        CrexValue(min_value, method, min_err),
-        CrexValue(srs_value, method, srs_err),
-    )
+    min_value, min_err = _power_product(dist, [2.0 * i for i in range(1, m + 1)], t, method)
+    srs_value, srs_err = _power_product(dist, [2.0] * m, t, method)
+    return CrexValue(min_value, method, min_err), CrexValue(srs_value, method, srs_err)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,6 +134,8 @@ def sample_from_csv(file):
             j, i, value = int(row[0]), int(row[1]), float(row[2])
         except ValueError:
             raise SpecParseError(f"malformed sample row: {row}") from None
+        if not math.isfinite(value):
+            raise SpecParseError(f"non-finite value in sample row: {row}")
         if j < 1 or i < 1:
             raise SpecParseError(f"cycle and set_size must be >= 1, got ({j}, {i})")
         if (j, i) in entries:

@@ -129,13 +129,15 @@ class SimulationConfig:
     bias_convention: BiasConvention = BiasConvention.TRUTH_MINUS_ESTIMATE
 
     def __post_init__(self):
-        if isinstance(self.distribution, str):
+        if not isinstance(self.distribution, Distribution):
             self.distribution = parse_distribution(self.distribution)
         if isinstance(self.bias_convention, str):
             self.bias_convention = BiasConvention(self.bias_convention)
+        self.replications = int(self.replications)
+        self.base_seed = int(self.base_seed)
         if self.replications < 1:
             raise SpecParseError(f"replications must be >= 1, got {self.replications}")
-        if int(self.base_seed) < 0:
+        if self.base_seed < 0:
             raise SpecParseError(f"base seed must be >= 0, got {self.base_seed}")
         self.m_values = tuple(int(m) for m in self.m_values)
         self.l_values = tuple(int(l) for l in self.l_values)

@@ -60,12 +60,20 @@ class TestMeasure:
         assert code == 2
 
     def test_divergence_exits_3(self, capsys):
-        code, _, err = run(
-            capsys,
+        for argv in (
             ["measure", "--dist", "exp:rate=1e-300", "--design", "srs", "--m", "5"],
-        )
-        assert code == 3
-        assert "divergence" in err
+            ["discriminate", "--dist", "exp:rate=1e-300", "--mode", "designs", "--m", "5"],
+            ["discriminate", "--dist", "exp:rate=1e-300", "--mode", "designs", "--m", "50"],
+            ["measure", "--dist", "exp:rate=1", "--design", "srs", "--m", "100000"],
+            ["measure", "--dist", "exp:rate=1", "--design", "dynamic", "--m", "400", "--t", "5"],
+            # survival(t)**2 is subnormal: the factor would lose its digits
+            ["measure", "--dist", "exp:rate=1", "--t", "370"],
+            ["measure", "--dist", "exp:rate=1", "--t", "372.5"],
+        ):
+            code, out, err = run(capsys, argv)
+            assert code == 3, argv
+            assert "divergence" in err
+            assert out == ""
 
     def test_quadrature_method_reports_bound(self, capsys):
         code, out, _ = run(
@@ -84,6 +92,23 @@ class TestMeasure:
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(capsys, ["measure", "--dist", "exp:rate=1", "--frobnicate"])
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--dist", "exp:rate=nan"],
+        ["measure", "--dist", "unif:a=0,b=inf"],
+        ["estimate", "--estimator", "vn", "--values", "1,nan,3"],
+        ["measure", "--dist", "exp:rate=1", "--t", "nan"],
+    ],
+    ids=["exp-rate-nan", "unif-b-inf", "values-nan", "age-nan"],
+)
+def test_non_finite_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("crexlab:") and re.search(r"nan|inf", err)
+    assert out == ""
 
 
 class TestEstimate:
@@ -206,6 +231,10 @@ class TestSimulate:
         path.write_text(json.dumps({"distribution": "exp:rate=1", "bogus_key": 1}))
         code, _, _ = run(capsys, ["simulate", "--config", str(path)])
         assert code == 2
+        path.write_text(json.dumps({"distribution": "exp:rate=1", "m": ["x"]}))
+        code, _, err = run(capsys, ["simulate", "--config", str(path)])
+        assert code == 2
+        assert err.startswith("crexlab:")
 
     def test_missing_inputs_exit_2(self, capsys):
         code, _, _ = run(capsys, ["simulate"])

@@ -19,6 +19,7 @@ from crexlab import (
     crex_minrssu_design,
     crex_srs_design,
     cumulative_extropy,
+    d_designs,
     dynamic_crex,
     dynamic_crex_designs,
     extropy,
@@ -136,6 +137,12 @@ class TestDynamicCrex:
     def test_domain_error_at_dead_state(self):
         with pytest.raises(DomainError):
             dynamic_crex(Uniform(0.0, 1.0), 1.0)
+
+    def test_quadrature_past_truncation_point(self):
+        # t = 30 lies beyond the 1 - 1e-12 quantile of Exp(1), about 27.6
+        assert float(dynamic_crex(Exponential(1.0), 30.0)) == -0.25
+        with pytest.raises(DomainError, match="quantile"):
+            dynamic_crex(Exponential(1.0), 30.0, method="quadrature")
 
     @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
     def test_mean_residual_life_bound(self, dist):
@@ -260,6 +267,11 @@ class TestDesignMeasures:
                 assert float(crex_minrssu_design(dist, m)) == pytest.approx(
                     direct, rel=1e-12
                 )
+                direct_d = -0.5 * (
+                    math.prod(dist.min_order_stat_mean(2 * i) for i in range(1, m + 1))
+                    - math.prod(dist.min_order_stat_mean(i + 1) for i in range(1, m + 1))
+                )
+                assert float(d_designs(dist, m)) == pytest.approx(direct_d, rel=1e-12)
 
     def test_design_scale_rule(self):
         """Scaling x by a > 0 scales the m-plan values by a**m.
