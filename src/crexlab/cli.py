@@ -11,8 +11,9 @@ discriminate  evaluate the design discrimination measures
 calibrate     scan candidate distributions against a target (bias, RMSE)
 
 Exit codes: 0 ok, 2 usage/config error, 3 numeric divergence,
-4 partial grid failure.  The environment variable ``CREXLAB_THREADS``
-caps the simulation worker count.
+4 partial grid failure.  ``simulate --threads`` and the environment
+variable ``CREXLAB_THREADS`` are accepted and ignored (cells run one
+after another); a non-integer ``CREXLAB_THREADS`` exits 2.
 """
 
 from __future__ import annotations
@@ -382,7 +383,7 @@ def build_parser():
         choices=("truth-minus-estimate", "estimate-minus-truth"),
         default="truth-minus-estimate",
     )
-    p.add_argument("--threads", type=int, default=None, help="worker count")
+    p.add_argument("--threads", type=int, default=None, help="ignored; cells run serially")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.add_argument("--input", help="reprint a previously emitted results CSV")
     p.set_defaults(handler=cmd_simulate)

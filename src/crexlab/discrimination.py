@@ -18,7 +18,7 @@ from dataclasses import dataclass
 # survival_power_quad is unused here; the benchmark tracer wraps this binding
 from ._quadrature import _quad, survival_power_quad, truncation_point  # noqa: F401
 from .errors import DomainError
-from .measures import Method, _check_design_size, _coerce_method, _power_product
+from .measures import Method, _check_design_size, _coerce_method, _power_products
 
 __all__ = ["DiscriminationValue", "d_min_vs_parent", "d_designs"]
 
@@ -74,6 +74,7 @@ def d_designs(dist, m, method="closed"):
     _check_design_size(m)
     method = _coerce_method(method)
     sets = range(1, m + 1)
-    min_value, _ = _power_product(dist, [2.0 * i for i in sets], 0.0, method)
-    srs_value, _ = _power_product(dist, [i + 1.0 for i in sets], 0.0, method)
+    (min_value, _), (srs_value, _) = _power_products(
+        dist, [[2.0 * i for i in sets], [i + 1.0 for i in sets]], 0.0, method
+    )
     return DiscriminationValue(value=min_value - srs_value, i_or_m=int(m), method=method)

@@ -13,7 +13,7 @@ by config files).  The grammar is::
     spec       := family ":" param ("," param)*
     param      := name "=" float
     family     := "exp"       with param  rate  (rate > 0)
-                | "unif"      with params a, b  (b > a)
+                | "unif"      with params a, b  (0 <= a < b)
                 | "finite"    with params a, b  (a > 0, b > 0)
                 | "powerbeta" with param  alpha (alpha > 0)
 
@@ -279,6 +279,8 @@ class Uniform(Distribution):
         _require_finite("uniform", a=a, b=b)
         if not b > a:
             raise DomainError(f"uniform requires b > a, got a={a}, b={b}")
+        if a < 0:
+            raise DomainError(f"uniform lifetime support must start at a >= 0, got a={a}")
         self.a = float(a)
         self.b = float(b)
         self.support = (self.a, self.b)
@@ -304,10 +306,8 @@ class Uniform(Distribution):
         return 1.0 / (self.b - self.a)
 
     def cdf_square_integral(self):
-        width = self.b - self.a
-        lo = max(self.a, 0.0)
-        # int_lo^b ((x - a)/width)^2 dx
-        return width / 3.0 * (1.0 - ((lo - self.a) / width) ** 3)
+        # int_a^b ((x - a)/width)^2 dx
+        return (self.b - self.a) / 3.0
 
     def param_items(self):
         return (("a", self.a), ("b", self.b))

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -41,6 +43,7 @@ __all__ = [
     "psi",
     "lstat_adjusted",
     "estimate",
+    "row_estimator",
     "asymptotic_variance_srs",
     "asymptotic_variance_minrssu",
 ]
@@ -65,6 +68,22 @@ class EstimatorKind(enum.Enum):
 _NEEDS_W = {EstimatorKind.RMN, EstimatorKind.LSTAT_ADJUSTED}
 
 
+def _estimator_kind(token):
+    try:
+        return EstimatorKind(token)
+    except ValueError:
+        known = ", ".join(k.value for k in EstimatorKind)
+        raise SpecParseError(f"unknown estimator {token!r} (known: {known})") from None
+
+
+def _psi_family(token):
+    try:
+        return PsiFamily(token)
+    except ValueError:
+        known = ", ".join(f.value for f in PsiFamily)
+        raise SpecParseError(f"unknown psi family {token!r} (known: {known})") from None
+
+
 @dataclass(frozen=True)
 class EstimatorSpec:
     """Which estimator to run, its tuning offset w, and its psi family."""
@@ -74,6 +93,8 @@ class EstimatorSpec:
     psi_family: PsiFamily | None = None
 
     def __post_init__(self):
+        if isinstance(self.psi_family, str):
+            object.__setattr__(self, "psi_family", _psi_family(self.psi_family))
         if (self.w is not None) != (self.kind in _NEEDS_W):
             need = "requires" if self.kind in _NEEDS_W else "does not take"
             raise SpecParseError(f"estimator {self.kind.value!r} {need} a w value")
@@ -101,13 +122,7 @@ class EstimatorSpec:
         if not isinstance(text, str):
             raise SpecParseError(f"estimator spec must be a string, got {text!r}")
         head, _, tail = text.strip().partition(":")
-        try:
-            kind = EstimatorKind(head.strip().lower())
-        except ValueError:
-            known = ", ".join(k.value for k in EstimatorKind)
-            raise SpecParseError(
-                f"unknown estimator {head.strip()!r} (known: {known})"
-            ) from None
+        kind = _estimator_kind(head.strip().lower())
         w = None
         family = None
         if tail.strip():
@@ -122,13 +137,7 @@ class EstimatorSpec:
                     except ValueError:
                         raise SpecParseError(f"w must be an integer, got {val!r}") from None
                 elif key == "family":
-                    try:
-                        family = PsiFamily(val.lower())
-                    except ValueError:
-                        known = ", ".join(f.value for f in PsiFamily)
-                        raise SpecParseError(
-                            f"unknown psi family {val!r} (known: {known})"
-                        ) from None
+                    family = _psi_family(val.lower())
                 else:
                     raise SpecParseError(f"unknown estimator option {key!r}")
         return cls(kind=kind, w=w, psi_family=family)
@@ -161,18 +170,68 @@ class EmpiricalSurvival:
         return 1.0 - s
 
 
-def _sorted_sample(sample, minimum, label):
-    arr = np.sort(np.asarray(sample, dtype=float).ravel())
-    if arr.size < minimum:
-        raise SizeError(f"{label} needs at least {minimum} values, got {arr.size}")
-    return arr
+def _sorted_values(data):
+    """Ascending values of a MinRSSU sample (pooled) or of a value array."""
+    if hasattr(data, "values"):
+        return pooled_order_statistics(data)
+    return np.sort(np.asarray(data, dtype=float).ravel())
 
 
-def _spacing_sum(sorted_vals, denom):
-    n = sorted_vals.size
+def _spacing_rows(rows, weights):
+    diffs = np.diff(rows, axis=1)
+    # one 1-D dot per row: a matrix-vector product sums in another order
+    return -0.5 * np.fromiter(map(np.dot, diffs, repeat(weights)), float, len(diffs))
+
+
+def _order_stat_rows(rows, weights):
+    if rows[:, 0].min() < 0:
+        raise DomainError("order-statistic estimator requires nonnegative values")
+    dots = np.fromiter(map(np.dot, repeat(weights), rows), float, len(rows))
+    return -dots / rows.shape[1]
+
+
+def row_estimator(spec, m, n):
+    """The estimator ``spec`` on pooled samples of ``n`` values at design size ``m``.
+
+    Returns a function that maps an array of ascending samples, one per
+    row, to their estimates; each equals :func:`estimate` on that row's
+    sample bit for bit.  Every error that does not depend on the values
+    (sample too small, a weight denominator that makes weights
+    nonpositive, a psi family undefined at ``m``) is raised here, before
+    any sample exists.  Spacing weights are ``(1 - k/D)**2`` for
+    k = 1..n-1, order-statistic weights ``1 - i/D`` for i = 1..n.
+    """
+    kind = spec.kind
+    if kind in (EstimatorKind.LSTAT, EstimatorKind.LSTAT_ADJUSTED):
+        if n < 1:
+            raise SizeError(f"order-statistic estimator needs n >= 1, got n={n}")
+        denom = n
+        if kind is EstimatorKind.LSTAT_ADJUSTED:
+            offset = psi(spec.psi_family, m, spec.w)
+            denom = n + offset
+            if denom <= 0:
+                raise ParameterError(
+                    f"psi(m={m}, w={spec.w}) = {offset} gives denominator n+psi={denom} <= 0"
+                )
+        i = np.arange(1, n + 1)
+        return partial(_order_stat_rows, weights=1.0 - i / denom)
+    if n < 2:
+        raise SizeError(f"spacing estimator needs n >= 2, got n={n}")
+    denom = n
+    if kind is EstimatorKind.RMN:
+        denom = n + int(m) + int(spec.w)
+        if denom <= n - 1:
+            raise ParameterError(
+                f"w={spec.w} gives denominator n+m+w={denom} <= n-1={n - 1}; "
+                "weights would be nonpositive"
+            )
     k = np.arange(1, n)
-    weights = (1.0 - k / denom) ** 2
-    return -0.5 * float(np.dot(np.diff(sorted_vals), weights))
+    return partial(_spacing_rows, weights=(1.0 - k / denom) ** 2)
+
+
+def _estimate_one(spec, m, data):
+    values = _sorted_values(data)
+    return float(row_estimator(spec, m, values.size)(values[np.newaxis])[0])
 
 
 def vn(sample):
@@ -180,15 +239,12 @@ def vn(sample):
 
     Equals ``-(1/2) int Shat(x)**2 dx`` for the empirical survival Shat.
     """
-    arr = _sorted_sample(sample, 2, "spacing estimator")
-    return _spacing_sum(arr, arr.size)
+    return _estimate_one(EstimatorSpec(EstimatorKind.VN), 1, sample)
 
 
 def rn(sample):
     """Spacing estimator on the pooled order statistics of a MinRSSU sample."""
-    if sample.n < 2:
-        raise SizeError(f"spacing estimator needs n >= 2, got n={sample.n}")
-    return _spacing_sum(pooled_order_statistics(sample), sample.n)
+    return _estimate_one(EstimatorSpec(EstimatorKind.RN), sample.m, sample)
 
 
 def rmn(sample, w, m=None):
@@ -200,29 +256,10 @@ def rmn(sample, w, m=None):
     i.e. ``n + m + w > n - 1``.
     """
     if hasattr(sample, "values"):
-        pooled = pooled_order_statistics(sample)
         m = sample.m
-    else:
-        if m is None:
-            raise ParameterError("rmn on a plain array needs an explicit m")
-        pooled = _sorted_sample(sample, 2, "spacing estimator")
-    n = pooled.size
-    if n < 2:
-        raise SizeError(f"spacing estimator needs n >= 2, got n={n}")
-    denom = n + int(m) + int(w)
-    if denom <= n - 1:
-        raise ParameterError(
-            f"w={w} gives denominator n+m+w={denom} <= n-1={n - 1}; "
-            "weights would be nonpositive"
-        )
-    return _spacing_sum(pooled, denom)
-
-
-def _order_stat_sum(sorted_vals, denom):
-    n = sorted_vals.size
-    i = np.arange(1, n + 1)
-    weights = 1.0 - i / denom
-    return -float(np.dot(weights, sorted_vals)) / n
+    elif m is None:
+        raise ParameterError("rmn on a plain array needs an explicit m")
+    return _estimate_one(EstimatorSpec(EstimatorKind.RMN, w=int(w)), m, sample)
 
 
 def lstat(sample):
@@ -230,10 +267,7 @@ def lstat(sample):
 
     Plug-in of the identity ``-int x S(x) dF(x)``; nonnegative inputs only.
     """
-    arr = _sorted_sample(sample, 1, "order-statistic estimator")
-    if arr[0] < 0:
-        raise DomainError("order-statistic estimator requires nonnegative values")
-    return _order_stat_sum(arr, arr.size)
+    return _estimate_one(EstimatorSpec(EstimatorKind.LSTAT), 1, sample)
 
 
 _K_EXPONENTIAL = {2: 3, 3: 2, 4: 1, 5: 0}
@@ -263,17 +297,8 @@ def psi(family, m, w):
 
 def lstat_adjusted(sample, family, w):
     """Adjusted order-statistic estimator ``-(1/n) sum (1 - i/(n+psi)) Y_(i)``."""
-    n = sample.n
-    offset = psi(family, sample.m, w)
-    denom = n + offset
-    if denom <= 0:
-        raise ParameterError(
-            f"psi(m={sample.m}, w={w}) = {offset} gives denominator n+psi={denom} <= 0"
-        )
-    pooled = pooled_order_statistics(sample)
-    if pooled[0] < 0:
-        raise DomainError("order-statistic estimator requires nonnegative values")
-    return _order_stat_sum(pooled, denom)
+    spec = EstimatorSpec(EstimatorKind.LSTAT_ADJUSTED, w=int(w), psi_family=PsiFamily(family))
+    return _estimate_one(spec, sample.m, sample)
 
 
 def estimate(spec, data):
@@ -286,8 +311,7 @@ def estimate(spec, data):
     if kind is EstimatorKind.RMN:
         return rmn(data, spec.w)
     if kind is EstimatorKind.LSTAT:
-        values = data if not hasattr(data, "values") else pooled_order_statistics(data)
-        return lstat(values)
+        return lstat(data)
     return lstat_adjusted(data, spec.psi_family, spec.w)
 
 

@@ -10,7 +10,7 @@ survival-power integrals,
 
     ``-(1/2) prod_p int_t [S(x)/S(t)]**p dx``,
 
-evaluated by the single kernel ``_power_product``; the public functions
+evaluated by the single kernel ``_power_products``; the public functions
 only choose the powers and the age ``t``.  CREX is the product with one
 power 2.  The independent draw plan (SRS) of size ``m`` uses m powers 2;
 the unequal-minima plan (MinRSSU) uses the powers ``2, 4, ..., 2m`` of
@@ -101,13 +101,13 @@ def cumulative_extropy(dist, method="closed"):
     return -0.5 * value
 
 
-def _power_product(dist, powers, t, method):
-    """(value, error bound) of ``-(1/2) prod_p int_t [S(x)/S(t)]**p dx``.
+def _power_products(dist, power_lists, t, method):
+    """(value, error bound) of ``-(1/2) prod_p int_t [S(x)/S(t)]**p dx`` per power list.
 
-    Each distinct power is integrated once.  Products of more than
-    ``_LOG_SPACE_THRESHOLD`` factors are accumulated in log space.  A
-    scale ``S(t)**p`` or a product of nonzero factors outside the normal
-    float range raises DivergenceError.  The error bound is
+    Each distinct power is integrated once across all lists.  Products of
+    more than ``_LOG_SPACE_THRESHOLD`` factors are accumulated in log
+    space.  A scale ``S(t)**p`` or a product of nonzero factors outside
+    the normal float range raises DivergenceError.  The error bound is
     ``|value| * sum_p err_p / I_p`` over the factors.
     """
     t = float(t)
@@ -118,7 +118,7 @@ def _power_product(dist, powers, t, method):
     if s_t <= 0.0:
         raise DomainError(f"measure undefined: survival({t}) = 0")
     factor_of, rel_err_of = {}, {}
-    for p in powers:
+    for p in (p for powers in power_lists for p in powers):
         if p in factor_of:
             continue
         if method is Method.CLOSED_FORM:
@@ -130,6 +130,10 @@ def _power_product(dist, powers, t, method):
             raise DivergenceError(f"survival({t})**{p:g} underflows")
         factor_of[p] = integral / scale
         rel_err_of[p] = err / integral if integral > 0.0 else 0.0
+    return [_product(powers, factor_of, rel_err_of) for powers in power_lists]
+
+
+def _product(powers, factor_of, rel_err_of):
     factors = [factor_of[p] for p in powers]
     if 0.0 in factors:
         # a zero factor makes the product exactly zero, not an underflow
@@ -146,6 +150,11 @@ def _power_product(dist, powers, t, method):
         raise DivergenceError(f"product of {len(factors)} survival-power integrals {what}")
     value = -0.5 * prod
     return value, -value * sum(map(rel_err_of.__getitem__, powers))
+
+
+def _power_product(dist, powers, t, method):
+    """:func:`_power_products` for one power list."""
+    return _power_products(dist, [powers], t, method)[0]
 
 
 def crex(dist, method="closed"):
@@ -211,6 +220,7 @@ def dynamic_crex_designs(dist, m, t, method="closed"):
     """
     _check_design_size(m)
     method = _coerce_method(method)
-    min_value, min_err = _power_product(dist, [2.0 * i for i in range(1, m + 1)], t, method)
-    srs_value, srs_err = _power_product(dist, [2.0] * m, t, method)
+    (min_value, min_err), (srs_value, srs_err) = _power_products(
+        dist, [[2.0 * i for i in range(1, m + 1)], [2.0] * m], t, method
+    )
     return CrexValue(min_value, method, min_err), CrexValue(srs_value, method, srs_err)

@@ -50,8 +50,7 @@ class MinRssuSample:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.m < 1 or self.l < 1:
-            raise DomainError(f"need m >= 1 and l >= 1, got m={self.m}, l={self.l}")
+        _check_design(self.m, self.l)
         arr = np.asarray(self.values, dtype=float)
         if arr.shape != (self.l, self.m):
             raise DomainError(
@@ -77,20 +76,34 @@ def draw_srs(dist, n, rng):
     return dist.sample(rng, n)
 
 
+def _check_design(m, l):
+    """Raise DomainError unless ``m >= 1`` and ``l >= 1``."""
+    if m < 1 or l < 1:
+        raise DomainError(f"need m >= 1 and l >= 1, got m={m}, l={l}")
+
+
+def _minrssu_values(dist, m, u):
+    """Recorded values of MinRSSU cycles from their uniforms.
+
+    ``u[..., j, :]`` holds the ``m * (m + 1) / 2`` uniforms of cycle ``j``
+    in stream order; the result has shape ``u.shape[:-1] + (m,)``.  The
+    quantile transform is monotone, so the minimum of each set is taken on
+    the uniforms and transformed once.
+    """
+    offsets = np.concatenate([[0], np.cumsum(np.arange(1, m + 1))])[:-1]
+    return dist.quantile(np.minimum.reduceat(u, offsets, axis=-1))
+
+
 def draw_minrssu(dist, m, l, rng):
     """Draw an l-cycle unequal-minima sample of total size ``m * l``.
 
     Consumes exactly ``l * m * (m + 1) / 2`` uniforms from ``rng`` in the
-    documented order.  The quantile transform is monotone, so the minimum
-    of each set is taken on the uniforms and transformed once.
+    documented order.
     """
-    if m < 1 or l < 1:
-        raise DomainError(f"need m >= 1 and l >= 1, got m={m}, l={l}")
+    _check_design(m, l)
     per_cycle = m * (m + 1) // 2
     u = rng.random(l * per_cycle).reshape(l, per_cycle)
-    offsets = np.concatenate([[0], np.cumsum(np.arange(1, m + 1))])[:-1]
-    u_min = np.minimum.reduceat(u, offsets, axis=1)
-    return MinRssuSample(m=m, l=l, values=dist.quantile(u_min))
+    return MinRssuSample(m=m, l=l, values=_minrssu_values(dist, m, u))
 
 
 def pooled_order_statistics(sample):

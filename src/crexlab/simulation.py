@@ -7,10 +7,13 @@ a counter-based random stream derived from
     (base seed, cell digest, r)
 
 via ``numpy``'s Philox generator, so results are bit-identical across
-reruns, across execution order, and across worker counts.  Sample sizes
-follow ``n = m * l``; the spacing and order-statistic estimators run on a
-fresh unequal-minima (MinRSSU) sample per repetition, while the ``vn``
-estimator runs on a plain SRS sample of the same size.
+reruns and across execution order.  A cell derives the keys of all its
+streams at once and reads them into the rows of one uniform matrix per
+chunk of repetitions; :func:`replication_rng` rebuilds any one stream.
+Sample sizes follow ``n = m * l``; the spacing and order-statistic
+estimators run on a fresh unequal-minima (MinRSSU) sample per
+repetition, while the ``vn`` estimator runs on a plain SRS sample of the
+same size.
 
 Reported cells use the configured bias convention (default: truth minus
 mean estimate); RMSE and |bias| do not depend on the convention.  Squared
@@ -28,16 +31,23 @@ import enum
 import hashlib
 import io
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .distributions import Distribution, parse_distribution
 from .errors import CellError, CrexlabError, DomainError, SpecParseError
-from .estimators import EstimatorKind, EstimatorSpec, PsiFamily, estimate
+# estimate and draw_minrssu are unused here; the benchmark tracer wraps these bindings
+from .estimators import (  # noqa: F401
+    EstimatorKind,
+    EstimatorSpec,
+    _estimator_kind,
+    _sorted_values,
+    estimate,
+    row_estimator,
+)
 from .measures import crex
-from .sampling import draw_minrssu
+from .sampling import _check_design, _minrssu_values, draw_minrssu  # noqa: F401
 
 __all__ = [
     "BiasConvention",
@@ -79,6 +89,16 @@ LSTAT_ADJ_W_GRID = {
     "unif": {2: (-4, -3, -2, -1), 3: (-2, -1, 0, 1), 4: (0, 1, 2, 3), 5: (2, 3, 4, 5)},
     "beta": {m: (-3, -2, -1, 0) for m in (2, 3, 4, 5)},
 }
+# uniforms drawn per chunk of replications: bounds a cell's working memory
+_CHUNK_UNIFORMS = 2**14
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
 PROTOCOL_DISTRIBUTIONS = {
     "exp": "exp:rate=1",
     "unif": "unif:a=0,b=1",
@@ -162,27 +182,12 @@ class SimulationConfig:
         return tuple(int(w) for w in values)
 
     def cell_specs(self, m):
-        """(EstimatorSpec, w) pairs for one m, in deterministic order."""
+        """EstimatorSpecs for one m, in deterministic order."""
         out = []
-        for kind_token in self.estimators:
-            try:
-                kind = EstimatorKind(kind_token)
-            except ValueError:
-                known = ", ".join(k.value for k in EstimatorKind)
-                raise SpecParseError(
-                    f"unknown estimator {kind_token!r} (known: {known})"
-                ) from None
-            needs_w = kind in (EstimatorKind.RMN, EstimatorKind.LSTAT_ADJUSTED)
-            family = None
-            if kind is EstimatorKind.LSTAT_ADJUSTED:
-                if self.psi_family is None:
-                    raise SpecParseError("estimator 'lstat_adj' needs psi_family")
-                family = PsiFamily(self.psi_family)
-            for w in self.w_values(kind_token, m):
-                if needs_w and w is None:
-                    raise SpecParseError(f"estimator {kind_token!r} needs a w list")
-                if not needs_w and w is not None:
-                    raise SpecParseError(f"estimator {kind_token!r} does not take w")
+        for token in self.estimators:
+            kind = _estimator_kind(token)
+            family = self.psi_family if kind is EstimatorKind.LSTAT_ADJUSTED else None
+            for w in self.w_values(token, m):
                 out.append(EstimatorSpec(kind=kind, w=w, psi_family=family))
         return out
 
@@ -208,6 +213,105 @@ def replication_rng(base_seed, cell_digest, rep_index):
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _uint32_words(value):
+    """Little-endian 32-bit words of a nonnegative int, as SeedSequence splits it."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _wrap(x):
+    # uint32 arrays wrap by themselves; Python ints are masked
+    return x & _MASK32 if isinstance(x, int) else x
+
+
+def _xorshift(x):
+    return x ^ (x >> 16)
+
+
+def _replication_keys(base_seed, cell_digest, replications):
+    """Philox keys of replications ``0..replications-1`` of one cell.
+
+    Row ``r`` equals ``SeedSequence([base_seed, cell_digest, r])
+    .generate_state(2, np.uint64)``, the key of the stream
+    :func:`replication_rng` builds.  This is numpy's SeedSequence hash
+    spelt out: words that do not depend on ``r`` stay Python ints, and
+    words mixed with ``r`` are uint32 arrays over all replications.
+    """
+    base_seed, cell_digest = int(base_seed), int(cell_digest)
+    if base_seed < 0:
+        raise DomainError(f"base seed must be >= 0, got {base_seed}")
+    entropy = _uint32_words(base_seed) + _uint32_words(cell_digest)
+    entropy.append(np.arange(replications, dtype=np.uint32))
+    const = _INIT_A
+
+    def hashmix(x):
+        nonlocal const
+        x = x ^ const
+        const = const * _MULT_A & _MASK32
+        return _xorshift(_wrap(x * const))
+
+    def mix(x, y):
+        return _xorshift(_wrap(_wrap(_MIX_MULT_L * x) - _wrap(_MIX_MULT_R * y)))
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # every pool word has been mixed with r: a (4, replications) uint32 array
+    pre = np.array([_INIT_B * _MULT_B**i & _MASK32 for i in range(_POOL_SIZE)], np.uint32)
+    post = pre * np.uint32(_MULT_B)
+    words = _xorshift((np.stack(pool) ^ pre[:, None]) * post[:, None])
+    # two little-endian word pairs per key, as generate_state(2, np.uint64) packs them
+    return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _cell_samples(dist, kind, m, l, keys):
+    """Ascending pooled samples of the replications keyed by ``keys``.
+
+    Yields arrays of one sample per row, in chunks of at most
+    ``_CHUNK_UNIFORMS`` uniforms.  Row ``r`` reads the Philox stream with
+    key ``keys[r]`` from counter 0, the stream :func:`replication_rng`
+    builds, in the order :func:`~crexlab.sampling.draw_minrssu` (or, for
+    ``vn``, ``Distribution.sample``) reads it.
+    """
+    vn = kind is EstimatorKind.VN
+    width = m * l if vn else l * m * (m + 1) // 2
+    # the seed is a placeholder: each row sets the whole state first
+    bit_generator = np.random.Philox(0)
+    generator = np.random.Generator(bit_generator)
+    # a fresh stream: counter 0 and an empty buffer
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": keys[0]},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    chunk = max(1, _CHUNK_UNIFORMS // width)
+    for start in range(0, len(keys), chunk):
+        chunk_keys = keys[start : start + chunk]
+        u = np.empty((len(chunk_keys), width))
+        for row, key in zip(u, chunk_keys):
+            state["state"]["key"] = key
+            bit_generator.state = state
+            generator.random(out=row)
+        if vn:
+            values = dist.quantile(u)
+        else:
+            values = _minrssu_values(dist, m, u.reshape(len(u), l, -1)).reshape(len(u), -1)
+        values.sort(axis=1)
+        yield values
+
+
 def run_cell(
     dist,
     estimator,
@@ -220,8 +324,16 @@ def run_cell(
 ):
     """Run one grid cell and summarize bias / RMSE against the true measure.
 
+    Replications are drawn and estimated in chunks; every estimate equals
+    the one from the replication's own :func:`replication_rng` stream,
+    :func:`~crexlab.sampling.draw_minrssu` (``Distribution.sample`` for
+    ``vn``) and :func:`~crexlab.estimators.estimate`, bit for bit.
+    Errors that do not depend on the drawn values are raised before any
+    drawing.
+
     ``sample_factory(rng)`` is a testing seam that replaces the sampler;
-    it must return an array for ``vn`` and a MinRSSU sample otherwise.
+    it returns a value array or a MinRSSU sample, whose values feed the
+    same estimate step.
     """
     if isinstance(dist, str):
         dist = parse_distribution(dist)
@@ -231,19 +343,17 @@ def run_cell(
         bias_convention = BiasConvention(bias_convention)
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
-    n = m * l
+    _check_design(m, l)
     true_value = float(crex(dist))
     digest = _cell_digest(dist.spec_string(), estimator.text(), m, l)
-    estimates = np.empty(replications)
-    for r in range(replications):
-        rng = replication_rng(base_seed, digest, r)
-        if sample_factory is not None:
-            data = sample_factory(rng)
-        elif estimator.kind is EstimatorKind.VN:
-            data = dist.sample(rng, n)
-        else:
-            data = draw_minrssu(dist, m, l, rng)
-        estimates[r] = estimate(estimator, data)
+    estimate_rows = row_estimator(estimator, m, m * l)
+    if sample_factory is None:
+        keys = _replication_keys(base_seed, digest, replications)
+        chunks = _cell_samples(dist, estimator.kind, m, l, keys)
+    else:
+        rngs = (replication_rng(base_seed, digest, r) for r in range(replications))
+        chunks = [np.stack([_sorted_values(sample_factory(rng)) for rng in rngs])]
+    estimates = np.concatenate([estimate_rows(rows) for rows in chunks])
     mean_est = float(np.mean(estimates, dtype=np.longdouble))
     if bias_convention is BiasConvention.TRUTH_MINUS_ESTIMATE:
         bias = true_value - mean_est
@@ -271,63 +381,51 @@ def run_cell(
     )
 
 
-def _worker_count(workers):
+def _check_threads_env():
     env = os.environ.get("CREXLAB_THREADS")
-    cap = None
     if env:
         try:
-            cap = max(1, int(env))
+            int(env)
         except ValueError:
             raise SpecParseError(f"CREXLAB_THREADS must be an integer, got {env!r}") from None
-    effective = workers if workers is not None else (cap or 1)
-    if cap is not None:
-        effective = min(effective, cap)
-    return max(1, int(effective))
 
 
 def run_grid(config, workers=None):
     """Run the full Cartesian grid of a config.
 
-    Rows come back in deterministic (m, l, estimator, w) order regardless
-    of the worker count.  Failed cells are collected as
-    :class:`~crexlab.errors.CellError` and do not stop the rest.
+    Rows come back in deterministic (m, l, estimator, w) order.  Failed
+    cells are collected as :class:`~crexlab.errors.CellError` and do not
+    stop the rest.  Cells run one after another: ``workers`` and the
+    ``CREXLAB_THREADS`` environment variable are accepted for
+    compatibility and change nothing (a non-integer ``CREXLAB_THREADS``
+    is still a SpecParseError).
     """
+    _check_threads_env()
     dist = config.distribution
-    cells = []
+    rows, failures = [], []
     for m in config.m_values:
         for l in config.l_values:
             for spec in config.cell_specs(m):
-                cells.append((m, l, spec))
-
-    def one(cell):
-        m, l, spec = cell
-        try:
-            return run_cell(
-                dist,
-                spec,
-                m,
-                l,
-                config.replications,
-                base_seed=config.base_seed,
-                bias_convention=config.bias_convention,
-            )
-        except CrexlabError as exc:
-            coords = {
-                "distribution": dist.spec_string(),
-                "estimator": spec.text(),
-                "m": m,
-                "l": l,
-            }
-            return CellError(coords, exc)
-
-    count = _worker_count(workers)
-    if count == 1:
-        outcomes = [one(cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            outcomes = list(pool.map(one, cells))
-    rows = [o for o in outcomes if isinstance(o, SimulationRow)]
-    failures = [o for o in outcomes if isinstance(o, CellError)]
+                try:
+                    rows.append(
+                        run_cell(
+                            dist,
+                            spec,
+                            m,
+                            l,
+                            config.replications,
+                            base_seed=config.base_seed,
+                            bias_convention=config.bias_convention,
+                        )
+                    )
+                except CrexlabError as exc:
+                    coords = {
+                        "distribution": dist.spec_string(),
+                        "estimator": spec.text(),
+                        "m": m,
+                        "l": l,
+                    }
+                    failures.append(CellError(coords, exc))
     return GridResult(rows=rows, failures=failures)
 
 

@@ -111,6 +111,21 @@ def test_non_finite_input_exits_2(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--dist", "unif:a=-2,b=-1"],
+        ["estimate", "--estimator", "vn", "--draw", "unif:a=-1,b=1", "--m", "2", "--l", "2"],
+    ],
+    ids=["measure", "estimate-draw"],
+)
+def test_negative_uniform_support_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("crexlab:") and "a >= 0" in err
+    assert out == ""
+
+
 class TestEstimate:
     def test_inline_values(self, capsys):
         code, out, _ = run(capsys, ["estimate", "--estimator", "vn", "--values", "1,2,4"])
@@ -239,6 +254,12 @@ class TestSimulate:
     def test_missing_inputs_exit_2(self, capsys):
         code, _, _ = run(capsys, ["simulate"])
         assert code == 2
+
+    def test_non_integer_threads_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("CREXLAB_THREADS", "many")
+        code, out, err = run(capsys, self.BASE + ["--seed", "7"])
+        assert code == 2
+        assert "CREXLAB_THREADS" in err and out == ""
 
 
 class TestDiscriminate:

@@ -109,3 +109,22 @@ class TestDesigns:
         for dist in ALL_FAMILIES:
             for m in range(1, 6):
                 assert float(d_designs(dist, m)) >= -1e-12
+
+    def test_shared_powers_integrated_once(self, monkeypatch):
+        from crexlab import _quadrature
+        from crexlab.measures import dynamic_crex_designs
+
+        powers = []
+        quad = _quadrature.survival_power_quad
+
+        def counted(dist, p, lower=0.0):
+            powers.append(p)
+            return quad(dist, p, lower)
+
+        monkeypatch.setattr(_quadrature, "survival_power_quad", counted)
+        d_designs(Exponential(1.0), 10, method="quadrature")
+        # powers 2i and i+1 for i = 1..10: 15 distinct
+        assert sorted(powers) == sorted({2.0 * i for i in range(1, 11)} | set(range(2, 12)))
+        powers.clear()
+        dynamic_crex_designs(Exponential(1.0), 5, 0.3, method="quadrature")
+        assert sorted(powers) == [2.0, 4.0, 6.0, 8.0, 10.0]

@@ -249,6 +249,10 @@ class TestSpecStrings:
         with pytest.raises(DomainError):
             Uniform(1.0, 1.0)
         with pytest.raises(DomainError):
+            Uniform(-2.0, -1.0)
+        with pytest.raises(DomainError):
+            Uniform(-1.0, 1.0)
+        with pytest.raises(DomainError):
             FiniteRange(-1.0, 2.0)
         with pytest.raises(DomainError):
             PowerBeta(0.0)

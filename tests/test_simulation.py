@@ -20,8 +20,14 @@ from crexlab import (
     run_cell,
     run_grid,
 )
-from crexlab.estimators import estimate
-from crexlab.simulation import SimulationConfig, _cell_digest
+from crexlab.errors import SizeError
+from crexlab.estimators import estimate, psi, row_estimator
+from crexlab.simulation import (
+    SimulationConfig,
+    _cell_digest,
+    _cell_samples,
+    _replication_keys,
+)
 
 
 class TestRunCell:
@@ -96,6 +102,107 @@ class TestRunCell:
     def test_estimator_error_propagates(self):
         with pytest.raises(ParameterError):
             run_cell("exp:rate=1", "lstat_adj:family=exp,w=-11", 2, 2, 2)
+
+
+def _reference_estimate(spec, m, data):
+    """The per-replication formulas: one sort, weights, one 1-D dot."""
+    values = data.values if isinstance(data, MinRssuSample) else data
+    s = np.sort(np.ravel(values))
+    n = s.size
+    kind = spec.kind.value
+    if kind in ("vn", "rn", "rmn"):
+        denom = n + m + spec.w if kind == "rmn" else n
+        return -0.5 * float(np.dot(np.diff(s), (1.0 - np.arange(1, n) / denom) ** 2))
+    denom = n + psi(spec.psi_family, m, spec.w) if kind == "lstat_adj" else n
+    return -float(np.dot(1.0 - np.arange(1, n + 1) / denom, s)) / n
+
+
+class TestBatchedKernel:
+    # each shape spans several chunks of the kernel's uniform budget
+    @pytest.mark.parametrize(
+        "dist_text,m,l,reps",
+        [
+            ("exp:rate=1.5", 1, 2000, 20),
+            ("unif:a=2,b=3", 2, 1000, 12),
+            ("powerbeta:alpha=3", 5, 3, 2500),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "spec_text", ["vn", "rn", "rmn:w=1", "lstat", "lstat_adj:family=beta,w=0"]
+    )
+    def test_matches_per_replication_route(self, dist_text, m, l, reps, spec_text):
+        dist = parse_distribution(dist_text)
+        spec = EstimatorSpec.parse(spec_text)
+        seed = 31
+        digest = _cell_digest(dist.spec_string(), spec.text(), m, l)
+        loop = np.empty(reps)
+        for r in range(reps):
+            rng = replication_rng(seed, digest, r)
+            if spec_text == "vn":
+                data = dist.sample(rng, m * l)
+            else:
+                data = draw_minrssu(dist, m, l, rng)
+            loop[r] = _reference_estimate(spec, m, data)
+            if r % 97 == 0:
+                assert estimate(spec, data) == loop[r]
+        chunks = list(_cell_samples(dist, spec.kind, m, l, _replication_keys(seed, digest, reps)))
+        assert len(chunks) > 1
+        batched = np.concatenate([row_estimator(spec, m, m * l)(rows) for rows in chunks])
+        assert batched.tobytes() == loop.tobytes()
+        row = run_cell(dist, spec, m, l, reps, base_seed=seed)
+        assert row.bias == row.true_value - float(np.mean(loop, dtype=np.longdouble))
+
+    @pytest.mark.parametrize(
+        "seed", [0, 42, 2**32 - 1, 2**32, 2**63 + 11, 2**80 + 9, 2**96 + 5, 2**127 + 3]
+    )
+    @pytest.mark.parametrize("digest", [0, 7, 2**32 - 1, 2**32, 0xFEDCBA9876543210, 2**64 - 1])
+    def test_keys_match_seed_sequence(self, seed, digest):
+        # seeds of 1, 2, 3 and 4 words; digests of 1 word (high word 0) and 2
+        keys = _replication_keys(seed, digest, 70000)
+        assert keys.shape == (70000, 2) and keys.dtype == np.uint64
+        for r in (0, 1, 2, 65535, 65536, 69999):
+            expected = np.random.SeedSequence([seed, digest, r]).generate_state(2, np.uint64)
+            assert keys[r].tolist() == expected.tolist()
+        rng = replication_rng(seed, digest, 3)
+        assert rng.bit_generator.state["state"]["key"].tolist() == keys[3].tolist()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError):
+            run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=-1)
+
+    @pytest.mark.parametrize(
+        "spec_text,m,l,error",
+        [
+            ("lstat_adj:family=exp,w=-11", 2, 2, ParameterError),
+            ("rmn:w=-4", 2, 1, ParameterError),
+            ("lstat_adj:family=unif,w=0", 1, 3, DomainError),
+            ("rn", 1, 1, SizeError),
+            ("vn", 1, 1, SizeError),
+        ],
+    )
+    def test_infeasible_cell_fails_before_drawing(self, spec_text, m, l, error):
+        spec = EstimatorSpec.parse(spec_text)
+        dist = Exponential(1.0)
+        rng = replication_rng(1, 0, 0)
+        data = dist.sample(rng, m * l) if spec_text == "vn" else draw_minrssu(dist, m, l, rng)
+        with pytest.raises(error):
+            estimate(spec, data)
+        with pytest.raises(error):
+            run_cell(dist, spec, m, l, 5)
+
+        def no_draw(rng):
+            raise AssertionError("drew a sample for an infeasible cell")
+
+        with pytest.raises(error):
+            run_cell(dist, spec, m, l, 5, sample_factory=no_draw)
+
+    def test_negative_sample_fails_like_per_replication_route(self):
+        sample = MinRssuSample(m=2, l=2, values=np.array([[-1.0, 0.5], [2.0, 0.1]]))
+        spec = EstimatorSpec.parse("lstat")
+        with pytest.raises(DomainError):
+            estimate(spec, sample.values.ravel())
+        with pytest.raises(DomainError):
+            run_cell("exp:rate=1", spec, 2, 2, 3, sample_factory=lambda rng: sample)
 
 
 class TestRunGrid:
@@ -197,15 +304,14 @@ class TestRunGrid:
         threaded = rows_to_csv(run_grid(cfg, workers=4).rows)
         assert serial == threaded
 
-    def test_env_caps_workers(self, monkeypatch):
-        from crexlab.simulation import _worker_count
-
+    def test_threads_env_accepted_but_must_be_an_integer(self, monkeypatch):
+        cfg = protocol_config("unif", replications=3, sides=("spacing",))
+        expected = rows_to_csv(run_grid(cfg).rows)
         monkeypatch.setenv("CREXLAB_THREADS", "2")
-        assert _worker_count(None) == 2
-        assert _worker_count(8) == 2
-        monkeypatch.delenv("CREXLAB_THREADS")
-        assert _worker_count(None) == 1
-        assert _worker_count(8) == 8
+        assert rows_to_csv(run_grid(cfg, workers=8).rows) == expected
+        monkeypatch.setenv("CREXLAB_THREADS", "two")
+        with pytest.raises(SpecParseError):
+            run_grid(cfg)
 
 
 class TestCsv:
