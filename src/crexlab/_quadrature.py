@@ -6,6 +6,11 @@ truncated at the ``1 - 1e-12`` quantile and the tail remainder is bounded
 analytically: for ``int_U^inf S**p`` the tail is at most
 ``S(U)**(p-1) * int_U^inf S = mrl(U) * S(U)**p``.
 
+At one age, QUADPACK bisects the same interval for every power ``p``, so
+the integrations of one measure call keep landing on the same nodes.
+One measure call therefore evaluates S once per distinct node: the
+caller hands every ``survival_power_quad`` of that call one memo of S.
+
 Double integrals over covariance-style kernels are evaluated on a tensor
 Gauss-Legendre grid.  The kernels have a derivative kink along ``x == y``
 (through ``F(min(x, y))``), so the square is split into the two triangles
@@ -50,8 +55,12 @@ def _quad(fn, lo, hi):
     return value, err
 
 
-def survival_power_quad(dist, p, lower=0.0):
-    """``int_t^inf S(x)**p dx`` by quadrature; returns (value, error_bound)."""
+def survival_power_quad(dist, p, lower, survival):
+    """``int_t^inf S(x)**p dx`` by quadrature; returns (value, error_bound).
+
+    ``survival`` evaluates S at one point; callers that integrate several
+    powers pass one memo of ``dist.survival`` to all of them.
+    """
     lo_sup, hi_sup = dist.support
     t = max(float(lower), 0.0)
     if t >= hi_sup:
@@ -64,10 +73,10 @@ def survival_power_quad(dist, p, lower=0.0):
             f"quadrature undefined beyond the 1 - {TAIL_MASS:g} quantile {upper:g}: "
             f"lower limit {t:g}; use the closed route"
         )
-    value, err = _quad(lambda x: dist.survival(x) ** p, start, upper)
+    value, err = _quad(lambda x: survival(x) ** p, start, upper)
     tail = 0.0
     if not math.isfinite(hi_sup):
-        s_u = dist.survival(upper)
+        s_u = survival(upper)
         tail = dist.mean_residual_life(upper) * s_u**p
     return head + value, err + tail
 

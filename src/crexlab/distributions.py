@@ -23,6 +23,7 @@ Every parameter must be finite.  Examples: ``exp:rate=1``,
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -40,19 +41,45 @@ __all__ = [
 ]
 
 
-def _vectorized(func):
-    """Evaluate ``func`` on an array view of x, return scalar for scalar x."""
+def _on_support(below, above, ends_inside=False):
+    """Evaluate a kernel ``func(self, x)`` inside the support, constants outside.
 
-    def wrapper(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = func(self, np.atleast_1d(arr))
-        if arr.ndim == 0:
-            return float(out[0])
-        return out
+    Left of the support the method returns ``below``, right of it
+    ``above``; the support ends count as inside only when ``ends_inside``.
+    ``func`` only ever sees a 1-D array of points inside the support.  A
+    scalar argument skips the array masks and evaluates the kernel on a
+    one-element array, so it returns the same float as the array route.
+    A nan argument raises DomainError.
+    """
 
-    wrapper.__name__ = func.__name__
-    wrapper.__doc__ = func.__doc__
-    return wrapper
+    def decorate(func):
+        @functools.wraps(func)
+        def method(self, x):
+            lo, hi = self.support
+            if isinstance(x, (float, int)):
+                if x != x:
+                    raise DomainError(f"{func.__name__} argument is nan")
+                if lo < x < hi or (ends_inside and lo <= x <= hi):
+                    return float(func(self, np.array([x], dtype=float))[0])
+                return below if x <= lo else above
+            arr = np.asarray(x, dtype=float)
+            vals = np.atleast_1d(arr)
+            if np.isnan(vals).any():
+                raise DomainError(f"{func.__name__} argument contains nan: {x!r}")
+            if ends_inside:
+                inside = (vals >= lo) & (vals <= hi)
+            else:
+                inside = (vals > lo) & (vals < hi)
+            out = np.where(vals <= lo, below, above)
+            if inside.any():
+                out[inside] = func(self, vals[inside])
+            if arr.ndim == 0:
+                return float(out[0])
+            return out
+
+        return method
+
+    return decorate
 
 
 def _require_finite(family, **params):
@@ -89,39 +116,20 @@ class Distribution:
 
     # -- public evaluations ---------------------------------------------
 
-    @_vectorized
+    @_on_support(below=0.0, above=0.0, ends_inside=True)
     def pdf(self, x):
         """Density; zero outside the support."""
-        lo, hi = self.support
-        inside = (x >= lo) & (x <= hi)
-        out = np.zeros_like(x)
-        if np.any(inside):
-            out[inside] = self._pdf(x[inside])
-        return out
+        return self._pdf(x)
 
-    @_vectorized
+    @_on_support(below=0.0, above=1.0)
     def cdf(self, x):
         """Distribution function; 0 left of the support, 1 right of it."""
-        lo, hi = self.support
-        out = np.empty_like(x)
-        out[x <= lo] = 0.0
-        out[x >= hi] = 1.0
-        mid = (x > lo) & (x < hi)
-        if np.any(mid):
-            out[mid] = self._cdf(x[mid])
-        return out
+        return self._cdf(x)
 
-    @_vectorized
+    @_on_support(below=1.0, above=0.0)
     def survival(self, x):
         """Survival function 1 - cdf; 1 left of the support, 0 right of it."""
-        lo, hi = self.support
-        out = np.empty_like(x)
-        out[x <= lo] = 1.0
-        out[x >= hi] = 0.0
-        mid = (x > lo) & (x < hi)
-        if np.any(mid):
-            out[mid] = self._survival(x[mid])
-        return out
+        return self._survival(x)
 
     def quantile(self, u):
         """Generalized inverse ``inf{x : cdf(x) >= u}`` for u in [0, 1]."""

@@ -170,9 +170,14 @@ class EmpiricalSurvival:
         return 1.0 - s
 
 
+def _design_size(data):
+    """The design size m of a MinRSSU sample; None for a plain value array."""
+    return data.m if hasattr(data, "values") else None
+
+
 def _sorted_values(data):
     """Ascending values of a MinRSSU sample (pooled) or of a value array."""
-    if hasattr(data, "values"):
+    if _design_size(data) is not None:
         return pooled_order_statistics(data)
     return np.sort(np.asarray(data, dtype=float).ravel())
 
@@ -244,7 +249,10 @@ def vn(sample):
 
 def rn(sample):
     """Spacing estimator on the pooled order statistics of a MinRSSU sample."""
-    return _estimate_one(EstimatorSpec(EstimatorKind.RN), sample.m, sample)
+    m = _design_size(sample)
+    if m is None:
+        raise ParameterError("rn needs a MinRSSU sample, got a plain value array")
+    return _estimate_one(EstimatorSpec(EstimatorKind.RN), m, sample)
 
 
 def rmn(sample, w, m=None):
@@ -255,8 +263,9 @@ def rmn(sample, w, m=None):
     ``1 - k/(n + m + w)`` for ``k <= n - 1`` must stay positive,
     i.e. ``n + m + w > n - 1``.
     """
-    if hasattr(sample, "values"):
-        m = sample.m
+    sample_m = _design_size(sample)
+    if sample_m is not None:
+        m = sample_m
     elif m is None:
         raise ParameterError("rmn on a plain array needs an explicit m")
     return _estimate_one(EstimatorSpec(EstimatorKind.RMN, w=int(w)), m, sample)
@@ -298,7 +307,10 @@ def psi(family, m, w):
 def lstat_adjusted(sample, family, w):
     """Adjusted order-statistic estimator ``-(1/n) sum (1 - i/(n+psi)) Y_(i)``."""
     spec = EstimatorSpec(EstimatorKind.LSTAT_ADJUSTED, w=int(w), psi_family=PsiFamily(family))
-    return _estimate_one(spec, sample.m, sample)
+    m = _design_size(sample)
+    if m is None:
+        raise ParameterError("lstat_adj needs a MinRSSU sample, got a plain value array")
+    return _estimate_one(spec, m, sample)
 
 
 def estimate(spec, data):

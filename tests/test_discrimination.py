@@ -117,9 +117,9 @@ class TestDesigns:
         powers = []
         quad = _quadrature.survival_power_quad
 
-        def counted(dist, p, lower=0.0):
+        def counted(dist, p, lower=0.0, **kwargs):
             powers.append(p)
-            return quad(dist, p, lower)
+            return quad(dist, p, lower, **kwargs)
 
         monkeypatch.setattr(_quadrature, "survival_power_quad", counted)
         d_designs(Exponential(1.0), 10, method="quadrature")

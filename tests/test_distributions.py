@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -203,6 +205,53 @@ class TestInvariants:
             assert dist.survival(hi + 1.0) == 0.0
             assert dist.cdf(hi + 1.0) == 1.0
             assert dist.pdf(hi + 1.0) == 0.0
+
+
+def points(dist):
+    """Points inside, at the ends of and outside the support of ``dist``."""
+    lo, hi = dist.support
+    top = hi if math.isfinite(hi) else 50.0
+    return st.one_of(
+        st.floats(lo, top),
+        st.sampled_from([lo, hi, -math.inf, math.inf]),
+        st.floats(-1e3, lo, exclude_max=True),
+        st.floats(hi, 1e3, exclude_min=True) if math.isfinite(hi) else st.nothing(),
+        st.integers(-3, 3),
+    )
+
+
+class TestScalarAndArrayAgree:
+    """The scalar route of pdf/cdf/survival returns the array route's bits."""
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("name", ["pdf", "cdf", "survival"])
+    def test_bit_for_bit(self, name, data):
+        dist = data.draw(st.sampled_from(ALL_FAMILIES))
+        xs = data.draw(st.lists(points(dist), min_size=1, max_size=40))
+        method = getattr(dist, name)
+        values = [method(x) for x in xs]
+        assert all(type(v) is float for v in values)
+        scalars = np.array(values)
+        zero_d = np.array([method(np.asarray(x, dtype=float)) for x in xs])
+        array = method(np.array(xs, dtype=float))
+        assert scalars.view(np.uint64).tolist() == array.view(np.uint64).tolist()
+        assert zero_d.view(np.uint64).tolist() == array.view(np.uint64).tolist()
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("name", ["pdf", "cdf", "survival"])
+    def test_nan_raises(self, name, data):
+        dist = data.draw(st.sampled_from(ALL_FAMILIES))
+        xs = data.draw(st.lists(points(dist), max_size=10))
+        xs.insert(data.draw(st.integers(0, len(xs))), math.nan)
+        method = getattr(dist, name)
+        with pytest.raises(DomainError, match="nan"):
+            method(math.nan)
+        with pytest.raises(DomainError, match="nan"):
+            method(np.float64(math.nan))
+        with pytest.raises(DomainError, match="nan"):
+            method(np.array(xs))
 
 
 class TestSpecStrings:

@@ -384,6 +384,20 @@ class TestEstimateDispatch:
             lstat(pooled), abs=0.0
         )
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            rn,
+            lambda values: lstat_adjusted(values, "exp", 0),
+            lambda values: estimate(EstimatorSpec.parse("rn"), values),
+            lambda values: estimate(EstimatorSpec.parse("lstat_adj:family=exp,w=0"), values),
+        ],
+        ids=["rn", "lstat_adjusted", "estimate-rn", "estimate-lstat_adj"],
+    )
+    def test_plain_array_needs_a_minrssu_sample(self, call):
+        with pytest.raises(ParameterError, match="MinRSSU sample"):
+            call(np.array([1.0, 2.0, 3.0]))
+
 
 class TestNormalitySanity:
     def test_standardized_lstat_moments(self):

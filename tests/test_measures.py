@@ -23,7 +23,10 @@ from crexlab import (
     dynamic_crex,
     dynamic_crex_designs,
     extropy,
+    parse_distribution,
 )
+from crexlab._quadrature import ABS_TOL, truncation_point
+from crexlab.measures import _power_products
 
 ALL_FAMILIES = [
     Exponential(1.0),
@@ -335,6 +338,59 @@ class TestDynamicDesigns:
     def test_domain_error_past_support(self):
         with pytest.raises(DomainError):
             dynamic_crex_designs(Uniform(0.0, 1.0), 2, 1.5)
+
+
+def unshared_power_products(dist, power_lists, t):
+    """Reference for the quadrature route of ``_power_products``.
+
+    Integrates every distinct power on its own, calling ``dist.survival``
+    at each node, with ``_quad``'s settings; at most 20 factors per list,
+    so every product is direct.
+    """
+    lo, hi = dist.support
+    upper = truncation_point(dist)
+    s_t = dist.survival(t) if t > 0.0 else 1.0
+    factor_of, rel_err_of = {}, {}
+    for p in {p for powers in power_lists for p in powers}:
+        value, err = quad(lambda x: dist.survival(x) ** p, max(t, lo), upper,
+                          epsabs=ABS_TOL, epsrel=ABS_TOL, limit=200)
+        if not math.isfinite(hi):
+            err += dist.mean_residual_life(upper) * dist.survival(upper) ** p
+        integral = max(0.0, lo - t) + value
+        factor_of[p] = integral / s_t**p
+        rel_err_of[p] = err / integral
+    out = []
+    for powers in power_lists:
+        value = -0.5 * math.prod(factor_of[p] for p in powers)
+        out.append((value, -value * sum(rel_err_of[p] for p in powers)))
+    return out
+
+
+class TestQuadratureSharing:
+    def test_survival_evaluated_once_per_node(self, monkeypatch):
+        nodes = []
+        survival = Exponential.survival
+
+        def counted(self, x):
+            nodes.append(x)
+            return survival(self, x)
+
+        monkeypatch.setattr(Exponential, "survival", counted)
+        crex_minrssu_design(Exponential(1.0), 30, method="quadrature")
+        # 30 quadratures over about 315 distinct nodes: 7980 calls unshared
+        assert len(nodes) == len(set(nodes))
+        assert len(nodes) <= 320
+
+    @pytest.mark.parametrize(
+        "spec", ["exp:rate=1", "unif:a=2,b=3", "finite:a=2,b=3", "powerbeta:alpha=0.5"]
+    )
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    def test_matches_unshared_quadrature_bit_for_bit(self, spec, t):
+        dist = parse_distribution(spec)
+        sets = range(1, 11)
+        power_lists = [[2.0 * i for i in sets], [i + 1.0 for i in sets], [2.0] * 10]
+        shared = _power_products(dist, power_lists, t, Method.QUADRATURE)
+        assert shared == unshared_power_products(dist, power_lists, t)
 
 
 class TestNonpositivity:
