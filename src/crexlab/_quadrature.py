@@ -1,7 +1,8 @@
 """Numerical integration backends for the measure and variance functionals.
 
 One-dimensional integrals use adaptive Gauss-Kronrod refinement
-(scipy's QUADPACK) at absolute tolerance 1e-10.  Unbounded supports are
+(scipy's QUADPACK) at absolute tolerance 1e-10; an integral QUADPACK
+reports as not converged raises DivergenceError.  Unbounded supports are
 truncated at the ``1 - 1e-12`` quantile and the tail remainder is bounded
 analytically: for ``int_U^inf S**p`` the tail is at most
 ``S(U)**(p-1) * int_U^inf S = mrl(U) * S(U)**p``.
@@ -49,7 +50,13 @@ def truncation_point(dist):
 
 
 def _quad(fn, lo, hi):
-    value, err = quad(fn, lo, hi, epsabs=ABS_TOL, epsrel=ABS_TOL, limit=200)
+    """QUADPACK on ``[lo, hi]``; raises DivergenceError unless it converged."""
+    value, err, _, *report = quad(
+        fn, lo, hi, epsabs=ABS_TOL, epsrel=ABS_TOL, limit=200, full_output=1
+    )
+    if report:
+        reason = " ".join(report[0].split(".")[0].split())
+        raise DivergenceError(f"quadrature did not converge on [{lo}, {hi}]: {reason}")
     if not math.isfinite(value):
         raise DivergenceError(f"quadrature diverged on [{lo}, {hi}]")
     return value, err

@@ -41,12 +41,26 @@ __all__ = [
 ]
 
 
+def _all_inside(vals, lo, hi, closed=False):
+    """Whether ``vals`` is non-empty and lies in ``(lo, hi)``, or ``[lo, hi]``.
+
+    A nan fails every comparison, so an array holding one is never inside.
+    """
+    if vals.size == 0:
+        return False
+    low, high = vals.min(), vals.max()
+    if closed:
+        return lo <= low and high <= hi
+    return lo < low and high < hi
+
+
 def _on_support(below, above, ends_inside=False):
     """Evaluate a kernel ``func(self, x)`` inside the support, constants outside.
 
     Left of the support the method returns ``below``, right of it
     ``above``; the support ends count as inside only when ``ends_inside``.
-    ``func`` only ever sees a 1-D array of points inside the support.  A
+    ``func`` sees an array of points inside the support only: the whole
+    argument when every point lies inside, else the inside points.  A
     scalar argument skips the array masks and evaluates the kernel on a
     one-element array, so it returns the same float as the array route.
     A nan argument raises DomainError.
@@ -64,15 +78,18 @@ def _on_support(below, above, ends_inside=False):
                 return below if x <= lo else above
             arr = np.asarray(x, dtype=float)
             vals = np.atleast_1d(arr)
-            if np.isnan(vals).any():
-                raise DomainError(f"{func.__name__} argument contains nan: {x!r}")
-            if ends_inside:
-                inside = (vals >= lo) & (vals <= hi)
+            if _all_inside(vals, lo, hi, ends_inside):
+                out = func(self, vals)
             else:
-                inside = (vals > lo) & (vals < hi)
-            out = np.where(vals <= lo, below, above)
-            if inside.any():
-                out[inside] = func(self, vals[inside])
+                if np.isnan(vals).any():
+                    raise DomainError(f"{func.__name__} argument contains nan: {x!r}")
+                if ends_inside:
+                    inside = (vals >= lo) & (vals <= hi)
+                else:
+                    inside = (vals > lo) & (vals < hi)
+                out = np.where(vals <= lo, below, above)
+                if inside.any():
+                    out[inside] = func(self, vals[inside])
             if arr.ndim == 0:
                 return float(out[0])
             return out
@@ -134,16 +151,19 @@ class Distribution:
     def quantile(self, u):
         """Generalized inverse ``inf{x : cdf(x) >= u}`` for u in [0, 1]."""
         arr = np.asarray(u, dtype=float)
-        if np.any((arr < 0.0) | (arr > 1.0)) or np.any(np.isnan(arr)):
-            raise DomainError(f"quantile argument outside [0, 1]: {u!r}")
         vals = np.atleast_1d(arr)
-        out = np.empty_like(vals)
-        lo, hi = self.support
-        out[vals == 0.0] = lo
-        out[vals == 1.0] = hi
-        mid = (vals > 0.0) & (vals < 1.0)
-        if np.any(mid):
-            out[mid] = self._quantile(vals[mid])
+        if _all_inside(vals, 0.0, 1.0):
+            out = self._quantile(vals)
+        else:
+            if np.any((vals < 0.0) | (vals > 1.0)) or np.any(np.isnan(vals)):
+                raise DomainError(f"quantile argument outside [0, 1]: {u!r}")
+            out = np.empty_like(vals)
+            lo, hi = self.support
+            out[vals == 0.0] = lo
+            out[vals == 1.0] = hi
+            mid = (vals > 0.0) & (vals < 1.0)
+            if np.any(mid):
+                out[mid] = self._quantile(vals[mid])
         if arr.ndim == 0:
             return float(out[0])
         return out

@@ -158,10 +158,12 @@ class EmpiricalSurvival:
         self.n = arr.size
 
     def survival(self, x):
-        x = np.asarray(x, dtype=float)
-        counts = np.searchsorted(self.order_stats, np.atleast_1d(x), side="right")
+        arr = np.asarray(x, dtype=float)
+        if np.isnan(arr).any():
+            raise DomainError(f"empirical survival argument contains nan: {x!r}")
+        counts = np.searchsorted(self.order_stats, np.atleast_1d(arr), side="right")
         out = 1.0 - counts / self.n
-        if x.ndim == 0:
+        if arr.ndim == 0:
             return float(out[0])
         return out
 

@@ -17,6 +17,7 @@ Samples round-trip through CSV with header ``cycle,set_size,value``
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -82,16 +83,36 @@ def _check_design(m, l):
         raise DomainError(f"need m >= 1 and l >= 1, got m={m}, l={l}")
 
 
+@functools.lru_cache(maxsize=64)
+def _set_index(m):
+    """``(m, m)`` gather index of a cycle's sets: ``idx[k, i] = start_i + min(k, i)``.
+
+    Row ``k`` holds draw ``k`` of every set, repeating a set's last draw
+    once the set has none left, so a minimum over the rows of a gather
+    is the minimum of each set.
+    """
+    sets = np.arange(m)
+    start = sets * (sets + 1) // 2
+    idx = start[None, :] + np.minimum(sets[:, None], sets[None, :])
+    idx.flags.writeable = False
+    return idx
+
+
 def _minrssu_values(dist, m, u):
     """Recorded values of MinRSSU cycles from their uniforms.
 
     ``u[..., j, :]`` holds the ``m * (m + 1) / 2`` uniforms of cycle ``j``
     in stream order; the result has shape ``u.shape[:-1] + (m,)``.  The
     quantile transform is monotone, so the minimum of each set is taken on
-    the uniforms and transformed once.
+    the uniforms and transformed once.  Every set minimum comes from one
+    gather of the stream positions through :func:`_set_index`, into
+    ``(m, m, cycles)``, and one reduction over its first axis; the
+    quantile then runs on the contiguous ``(m, cycles)`` minima.  The
+    result is C-contiguous: a row-wise ``np.dot`` over strided rows sums
+    in another order.
     """
-    offsets = np.concatenate([[0], np.cumsum(np.arange(1, m + 1))])[:-1]
-    return dist.quantile(np.minimum.reduceat(u, offsets, axis=-1))
+    minima = u.reshape(-1, u.shape[-1]).T[_set_index(m)].min(axis=0)
+    return np.ascontiguousarray(dist.quantile(minima).T).reshape(u.shape[:-1] + (m,))
 
 
 def draw_minrssu(dist, m, l, rng):

@@ -254,6 +254,80 @@ class TestScalarAndArrayAgree:
             method(np.array(xs))
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestWholeArrayPath:
+    """An array wholly inside the support skips the masks, with the same bits.
+
+    Appending one point outside the support sends the same points down
+    the mask route, which hands the kernel only the inside points.
+    """
+
+    @staticmethod
+    def layouts(x):
+        return [x, x.T, x[:, ::3]]
+
+    @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
+    @pytest.mark.parametrize("name", ["pdf", "cdf", "survival"])
+    def test_evaluations_match_mask_route(self, dist, name):
+        method = getattr(dist, name)
+        x = dist.quantile(np.random.default_rng(5).uniform(1e-9, 1.0 - 1e-9, (7, 30)))
+        lo, hi = dist.support
+        if name == "pdf":  # pdf counts the support ends as inside
+            x[0, 0] = lo
+            if math.isfinite(hi):
+                x[-1, -1] = hi
+        for view in self.layouts(x):
+            whole = method(view)
+            assert whole.shape == view.shape
+            masked = method(np.append(view.ravel(), lo - 1.0))
+            assert _bits(whole.ravel()) == _bits(masked[:-1])
+
+    @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    def test_quantile_matches_mask_route(self, dist, end):
+        u = np.random.default_rng(6).uniform(1e-12, 1.0 - 1e-12, (9, 40))
+        for view in self.layouts(u):
+            whole = dist.quantile(view)
+            assert whole.shape == view.shape
+            masked = dist.quantile(np.append(view.ravel(), end))
+            assert _bits(whole.ravel()) == _bits(masked[:-1])
+            assert _bits(masked[-1]) == _bits(dist.support[int(end)])
+
+    @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
+    def test_empty_and_zero_d(self, dist):
+        lo = dist.support[0]
+        for name in ["pdf", "cdf", "survival", "quantile"]:
+            method = getattr(dist, name)
+            assert method(np.empty((0, 3))).shape == (0, 3)
+            point = 0.3 if name == "quantile" else float(dist.quantile(0.3))
+            outside = 0.0 if name == "quantile" else lo - 1.0
+            value = method(np.asarray(point))
+            assert type(value) is float
+            assert _bits(value) == _bits(method(np.array([point, outside]))[0])
+
+    @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
+    def test_nan_still_raises(self, dist):
+        x = dist.quantile(np.full((3, 4), 0.5))
+        x[1, 2] = math.nan
+        for name in ["pdf", "cdf", "survival"]:
+            with pytest.raises(DomainError, match="nan"):
+                getattr(dist, name)(x)
+        with pytest.raises(DomainError):
+            dist.quantile(np.array([[0.2, math.nan], [0.5, 0.7]]))
+
+    def test_kernel_sees_the_whole_array(self, monkeypatch):
+        dist = Exponential(1.0)
+        seen = []
+        kernel = dist._survival
+        monkeypatch.setattr(dist, "_survival", lambda x: seen.append(x.shape) or kernel(x))
+        dist.survival(np.full((4, 5), 0.5))
+        dist.survival(np.array([0.5, -1.0, 0.7]))
+        assert seen == [(4, 5), (2,)]
+
+
 class TestSpecStrings:
     @pytest.mark.parametrize(
         "text, expected",

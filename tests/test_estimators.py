@@ -278,6 +278,14 @@ class TestEmpiricalSurvival:
         x = np.linspace(0.0, 5.0, 101)
         np.testing.assert_allclose(es.survival(x) + es.cdf(x), 1.0, atol=1e-15)
 
+    def test_nan_raises(self):
+        es = EmpiricalSurvival([1.0, 2.0, 4.0])
+        for x in [np.nan, np.array([1.5, np.nan])]:
+            with pytest.raises(DomainError, match="nan"):
+                es.survival(x)
+            with pytest.raises(DomainError, match="nan"):
+                es.cdf(x)
+
 
 class TestAsymptoticVariances:
     def test_srs_uniform(self):

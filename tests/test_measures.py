@@ -70,6 +70,11 @@ class TestExtropy:
         with pytest.raises(DivergenceError):
             extropy(PowerBeta(0.4))
 
+    def test_quadrature_that_does_not_converge_raises(self):
+        # alpha = 1/2 diverges; QUADPACK stops at its subdivision limit
+        with pytest.raises(DivergenceError, match="did not converge"):
+            extropy(PowerBeta(0.5), method="quadrature")
+
 
 class TestCrex:
     def test_uniform(self):

@@ -15,6 +15,7 @@ from crexlab import (
     sample_from_csv,
     sample_to_csv,
 )
+from crexlab.sampling import _minrssu_values
 
 
 class TestDrawSrs:
@@ -73,6 +74,18 @@ class TestDrawMinrssu:
                 expected[j, i - 1] = d.quantile(np.min(u[j, pos : pos + i]))
                 pos += i
         np.testing.assert_allclose(s.values, expected, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 30])
+    @pytest.mark.parametrize("lead", [(1,), (6,), (1, 1), (3, 4), (2, 1)])
+    def test_set_minima_match_a_per_set_min(self, m, lead):
+        # Uniform(0, 1) has quantile u exactly, so the values are the minima
+        u = np.random.default_rng(m).random(lead + (m * (m + 1) // 2,))
+        values = _minrssu_values(Uniform(0.0, 1.0), m, u)
+        assert values.shape == lead + (m,) and values.flags.c_contiguous
+        for cycle in np.ndindex(lead):
+            draws = u[cycle].tolist()
+            expected = [min(draws[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2]) for i in range(m)]
+            assert values[cycle].tolist() == expected
 
     def test_set2_minima_mean(self):
         # min of two unit exponentials is exponential with rate 2

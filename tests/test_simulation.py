@@ -125,6 +125,7 @@ class TestBatchedKernel:
             ("exp:rate=1.5", 1, 2000, 20),
             ("unif:a=2,b=3", 2, 1000, 12),
             ("powerbeta:alpha=3", 5, 3, 2500),
+            ("exp:rate=1", 5, 1, 3500),
         ],
     )
     @pytest.mark.parametrize(
