@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DivergenceError, DomainError
 
@@ -51,6 +50,9 @@ def truncation_point(dist):
 
 def _quad(fn, lo, hi):
     """QUADPACK on ``[lo, hi]``; raises DivergenceError unless it converged."""
+    # imported on first use: scipy.integrate is most of the package's import time
+    from scipy.integrate import quad
+
     value, err, _, *report = quad(
         fn, lo, hi, epsabs=ABS_TOL, epsrel=ABS_TOL, limit=200, full_output=1
     )

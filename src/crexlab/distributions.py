@@ -27,7 +27,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, DivergenceError, SpecParseError
 
@@ -410,7 +409,10 @@ class PowerBeta(Distribution):
         return u ** (1.0 / self.alpha)
 
     def _spi_tail(self, p, t):
-        # int_t^1 (1 - x^alpha)^p dx via the incomplete beta function
+        # int_t^1 (1 - x^alpha)^p dx via the incomplete beta function;
+        # scipy.special is imported on first use, to keep the import fast
+        from scipy import special
+
         inv = 1.0 / self.alpha
         full = inv * special.beta(inv, p + 1.0)
         if t <= 0.0:

@@ -184,13 +184,15 @@ def _sorted_values(data):
     return np.sort(np.asarray(data, dtype=float).ravel())
 
 
+# one 1-D dot per row: a matrix-vector product, or a dot over a strided
+# row, sums in another order, so both kernels take C-contiguous rows
 def _spacing_rows(rows, weights):
-    diffs = np.diff(rows, axis=1)
-    # one 1-D dot per row: a matrix-vector product sums in another order
+    diffs = np.diff(np.ascontiguousarray(rows), axis=1)
     return -0.5 * np.fromiter(map(np.dot, diffs, repeat(weights)), float, len(diffs))
 
 
 def _order_stat_rows(rows, weights):
+    rows = np.ascontiguousarray(rows)
     if rows[:, 0].min() < 0:
         raise DomainError("order-statistic estimator requires nonnegative values")
     dots = np.fromiter(map(np.dot, repeat(weights), rows), float, len(rows))

@@ -7,13 +7,22 @@ a counter-based random stream derived from
     (base seed, cell digest, r)
 
 via ``numpy``'s Philox generator, so results are bit-identical across
-reruns and across execution order.  A cell derives the keys of all its
-streams at once and reads them into the rows of one uniform matrix per
-chunk of repetitions; :func:`replication_rng` rebuilds any one stream.
-Sample sizes follow ``n = m * l``; the spacing and order-statistic
-estimators run on a fresh unequal-minima (MinRSSU) sample per
-repetition, while the ``vn`` estimator runs on a plain SRS sample of the
-same size.
+reruns and across execution order; :func:`replication_rng` rebuilds any
+one stream.  Sample sizes follow ``n = m * l``; the spacing and
+order-statistic estimators run on a fresh unequal-minima (MinRSSU) sample
+per repetition, while the ``vn`` estimator runs on a plain SRS sample of
+the same size.
+
+A grid draws for all its cells at once.  The keys of every stream of
+every cell come from one vectorised SeedSequence hash.  Cells that draw
+the same shape, the same ``(m, l)`` and ``vn`` or not, form a group, and
+the streams of all a group's cells fill the rows of one uniform matrix
+per chunk, which is transformed and sorted once; each cell's estimator
+then runs on its own rows.  Rows of at most ``_NUMPY_PHILOX_MAX_WIDTH``
+uniforms come from Philox4x64-10 written in numpy, many streams per
+array operation; wider rows reset numpy's C generator to each stream in
+turn, which is faster once a row spans more than a few blocks.  Both
+give exactly the stream :func:`replication_rng` builds.
 
 Reported cells use the configured bias convention (default: truth minus
 mean estimate); RMSE and |bias| do not depend on the convention.  Squared
@@ -30,6 +39,7 @@ import csv
 import enum
 import hashlib
 import io
+import operator
 import os
 from dataclasses import dataclass, field, replace
 
@@ -89,8 +99,12 @@ LSTAT_ADJ_W_GRID = {
     "unif": {2: (-4, -3, -2, -1), 3: (-2, -1, 0, 1), 4: (0, 1, 2, 3), 5: (2, 3, 4, 5)},
     "beta": {m: (-3, -2, -1, 0) for m in (2, 3, 4, 5)},
 }
-# uniforms drawn per chunk of replications: bounds a cell's working memory
+# uniforms drawn per chunk of a group's replications: bounds a group's working memory
 _CHUNK_UNIFORMS = 2**14
+# the widest row the numpy Philox draws; wider rows reset numpy's C generator.
+# On 2 shared vCPUs the numpy Philox costs about 0.25 us per block of four
+# uniforms and a reset 2.5-5 us per row: they break even at 48-60 uniforms
+_NUMPY_PHILOX_MAX_WIDTH = 48
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
@@ -98,6 +112,11 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# Philox4x64-10 constants (numpy/random/src/philox/philox.h)
+_PHILOX_MULT = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
 
 PROTOCOL_DISTRIBUTIONS = {
     "exp": "exp:rate=1",
@@ -129,6 +148,26 @@ class SimulationRow:
     mc_se: float
 
 
+def _integer(value, label):
+    """``value`` as an int; a bool, float or string raises SpecParseError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise SpecParseError(f"{label} must be an integer, got {value!r}")
+
+
+def _sequence(value, label):
+    """``value`` as a tuple; a bare string or a non-iterable raises SpecParseError."""
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise SpecParseError(f"{label} must be a list, got {value!r}")
+
+
 @dataclass
 class SimulationConfig:
     """Grid coordinates plus execution settings.
@@ -153,17 +192,17 @@ class SimulationConfig:
             self.distribution = parse_distribution(self.distribution)
         if isinstance(self.bias_convention, str):
             self.bias_convention = BiasConvention(self.bias_convention)
-        self.replications = int(self.replications)
-        self.base_seed = int(self.base_seed)
+        self.replications = _integer(self.replications, "replications")
+        self.base_seed = _integer(self.base_seed, "base seed")
         if self.replications < 1:
             raise SpecParseError(f"replications must be >= 1, got {self.replications}")
         if self.base_seed < 0:
             raise SpecParseError(f"base seed must be >= 0, got {self.base_seed}")
-        self.m_values = tuple(int(m) for m in self.m_values)
-        self.l_values = tuple(int(l) for l in self.l_values)
+        self.m_values = tuple(_integer(m, "m value") for m in _sequence(self.m_values, "m"))
+        self.l_values = tuple(_integer(l, "l value") for l in _sequence(self.l_values, "l"))
         if any(m < 1 for m in self.m_values) or any(l < 1 for l in self.l_values):
             raise SpecParseError("m and l values must be >= 1")
-        self.estimators = tuple(self.estimators)
+        self.estimators = _sequence(self.estimators, "estimators")
         # validate every (estimator, w) pair eagerly
         for m in self.m_values:
             for _ in self.cell_specs(m):
@@ -179,7 +218,7 @@ class SimulationConfig:
                 raise SpecParseError(f"no w list for estimator {kind!r} at m={m}")
         else:
             values = entry
-        return tuple(int(w) for w in values)
+        return tuple(_integer(w, "w value") for w in _sequence(values, f"w list of {kind!r}"))
 
     def cell_specs(self, m):
         """EstimatorSpecs for one m, in deterministic order."""
@@ -232,20 +271,14 @@ def _xorshift(x):
     return x ^ (x >> 16)
 
 
-def _replication_keys(base_seed, cell_digest, replications):
-    """Philox keys of replications ``0..replications-1`` of one cell.
+def _seed_sequence_keys(entropy):
+    """``SeedSequence(entropy).generate_state(2, np.uint64)``, broadcast over arrays.
 
-    Row ``r`` equals ``SeedSequence([base_seed, cell_digest, r])
-    .generate_state(2, np.uint64)``, the key of the stream
-    :func:`replication_rng` builds.  This is numpy's SeedSequence hash
-    spelt out: words that do not depend on ``r`` stay Python ints, and
-    words mixed with ``r`` are uint32 arrays over all replications.
+    This is numpy's SeedSequence hash spelt out.  Entropy words that are
+    the same for every key stay Python ints; the others are uint32 arrays
+    that broadcast together, and the keys take their shape plus a last
+    axis of two words.
     """
-    base_seed, cell_digest = int(base_seed), int(cell_digest)
-    if base_seed < 0:
-        raise DomainError(f"base seed must be >= 0, got {base_seed}")
-    entropy = _uint32_words(base_seed) + _uint32_words(cell_digest)
-    entropy.append(np.arange(replications, dtype=np.uint32))
     const = _INIT_A
 
     def hashmix(x):
@@ -265,51 +298,187 @@ def _replication_keys(base_seed, cell_digest, replications):
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
-    # every pool word has been mixed with r: a (4, replications) uint32 array
+    pool = np.stack(np.broadcast_arrays(*pool), axis=-1)
     pre = np.array([_INIT_B * _MULT_B**i & _MASK32 for i in range(_POOL_SIZE)], np.uint32)
-    post = pre * np.uint32(_MULT_B)
-    words = _xorshift((np.stack(pool) ^ pre[:, None]) * post[:, None])
+    words = _xorshift((pool ^ pre) * (pre * np.uint32(_MULT_B)))
     # two little-endian word pairs per key, as generate_state(2, np.uint64) packs them
-    return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
+    return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-def _cell_samples(dist, kind, m, l, keys):
-    """Ascending pooled samples of the replications keyed by ``keys``.
+def _replication_keys(base_seed, cell_digests, replications):
+    """Philox keys of replications ``0..replications-1`` of each cell.
 
-    Yields arrays of one sample per row, in chunks of at most
-    ``_CHUNK_UNIFORMS`` uniforms.  Row ``r`` reads the Philox stream with
-    key ``keys[r]`` from counter 0, the stream :func:`replication_rng`
-    builds, in the order :func:`~crexlab.sampling.draw_minrssu` (or, for
-    ``vn``, ``Distribution.sample``) reads it.
+    ``keys[c, r]`` equals ``SeedSequence([base_seed, cell_digests[c], r])
+    .generate_state(2, np.uint64)``, the key of the stream
+    :func:`replication_rng` builds.  The digest words are ``(cells, 1)``
+    arrays and ``r`` a ``(1, replications)`` array, so one hash serves a
+    whole grid.  SeedSequence drops a digest's zero high word, so digests
+    below 2**32 hash as one word and are hashed apart from the others.
     """
-    vn = kind is EstimatorKind.VN
-    width = m * l if vn else l * m * (m + 1) // 2
+    base_seed = int(base_seed)
+    if base_seed < 0:
+        raise DomainError(f"base seed must be >= 0, got {base_seed}")
+    digests = np.array(cell_digests, dtype=np.uint64).reshape(-1, 1)
+    reps = np.arange(replications, dtype=np.uint32)[None, :]
+    keys = np.empty((len(digests), replications, 2), np.uint64)
+    high = (digests >> 32).astype(np.uint32)
+    low = (digests & _MASK32).astype(np.uint32)
+    for two_words in (False, True):
+        cells = (high[:, 0] != 0) == two_words
+        if cells.any():
+            words = [low[cells], high[cells]] if two_words else [low[cells]]
+            keys[cells] = _seed_sequence_keys(_uint32_words(base_seed) + words + [reps])
+    return keys
+
+
+def _mulhilo(mult, x):
+    """High and low 64-bit words of ``mult * x``, built from 32-bit halves."""
+    m_lo, m_hi = np.uint64(mult & _MASK32), np.uint64(mult >> 32)
+    x_lo, x_hi = x & _MASK32, x >> 32
+    # no sum below can pass 2**64 - 2**32
+    mid = m_hi * x_lo + ((m_lo * x_lo) >> 32)
+    low_mid = m_lo * x_hi + (mid & _MASK32)
+    return m_hi * x_hi + (mid >> 32) + (low_mid >> 32), x * np.uint64(mult)
+
+
+def _philox_uniforms(keys, width):
+    """``width`` uniforms from the start of each stream keyed by ``keys``, in numpy.
+
+    numpy's Philox4x64-10 raises its counter before each block, so block
+    ``b`` of a stream is the 10-round Philox of counter ``(b + 1, 0, 0, 0)``
+    under the stream's key, and yields four 64-bit words in order; a
+    uniform is ``(word >> 11) * 2**-53``.  uint64 arrays wrap silently,
+    as the C code does.
+    """
+    blocks = -(-width // 4)
+    k0, k1 = keys[:, :1], keys[:, 1:]
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (len(keys), blocks))
+    c1 = c2 = c3 = np.zeros(c0.shape, np.uint64)
+    for round_ in range(_PHILOX_ROUNDS):
+        if round_:
+            k0, k1 = k0 + _PHILOX_BUMP[0], k1 + _PHILOX_BUMP[1]
+        hi0, lo0 = _mulhilo(_PHILOX_MULT[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_MULT[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(len(keys), -1)[:, :width]
+    return (words >> 11) * 2.0**-53
+
+
+def _reset_uniforms():
+    """A function drawing rows like :func:`_philox_uniforms` from numpy's C Philox.
+
+    It resets one generator to each row's stream: counter 0, the row's
+    key and an empty buffer.
+    """
     # the seed is a placeholder: each row sets the whole state first
     bit_generator = np.random.Philox(0)
     generator = np.random.Generator(bit_generator)
-    # a fresh stream: counter 0 and an empty buffer
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64), "key": keys[0]},
+        "state": {"counter": np.zeros(4, np.uint64), "key": None},
         "buffer": np.zeros(4, np.uint64),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    chunk = max(1, _CHUNK_UNIFORMS // width)
-    for start in range(0, len(keys), chunk):
-        chunk_keys = keys[start : start + chunk]
-        u = np.empty((len(chunk_keys), width))
-        for row, key in zip(u, chunk_keys):
+
+    def uniforms(keys, width):
+        u = np.empty((len(keys), width))
+        for row, key in zip(u, keys):
             state["state"]["key"] = key
             bit_generator.state = state
             generator.random(out=row)
+        return u
+
+    return uniforms
+
+
+def _cell_samples(dist, vn, m, l, keys):
+    """Ascending pooled samples of the replications keyed by ``keys``.
+
+    Yields arrays of one sample per row, in chunks of at most
+    ``_CHUNK_UNIFORMS`` uniforms.  Row ``r`` reads the Philox stream with
+    key ``keys[r]`` from counter 0, the stream :func:`replication_rng`
+    builds, in the order :func:`~crexlab.sampling.draw_minrssu` (or, when
+    ``vn``, ``Distribution.sample``) reads it.  The keys may belong to
+    many cells of one shape.  Rows of at most ``_NUMPY_PHILOX_MAX_WIDTH``
+    uniforms come from :func:`_philox_uniforms`, wider ones from numpy's
+    C generator.
+    """
+    width = m * l if vn else l * m * (m + 1) // 2
+    uniforms = _philox_uniforms if width <= _NUMPY_PHILOX_MAX_WIDTH else _reset_uniforms()
+    chunk = max(1, _CHUNK_UNIFORMS // width)
+    for start in range(0, len(keys), chunk):
+        u = uniforms(keys[start : start + chunk], width)
         if vn:
             values = dist.quantile(u)
         else:
             values = _minrssu_values(dist, m, u.reshape(len(u), l, -1)).reshape(len(u), -1)
         values.sort(axis=1)
         yield values
+
+
+def _group_estimates(dist, vn, m, l, keys, estimators):
+    """Estimates of cells of one shape: cell ``k`` has keys ``keys[k]``.
+
+    All the cells' replications are drawn as one stream of chunks, and
+    ``estimators[k]`` runs on cell ``k``'s rows of each chunk.  Each
+    entry is the cell's estimates or the CrexlabError its estimator
+    raised.
+    """
+    cells, replications = keys.shape[:2]
+    estimates = np.empty((cells, replications))
+    outcomes = list(estimates)
+    flat = estimates.reshape(-1)
+    start = 0
+    for values in _cell_samples(dist, vn, m, l, keys.reshape(-1, 2)):
+        stop = start + len(values)
+        # the cells with rows in [start, stop)
+        for k in range(start // replications, -(-stop // replications)):
+            lo, hi = max(start, k * replications), min(stop, (k + 1) * replications)
+            try:
+                flat[lo:hi] = estimators[k](values[lo - start : hi - start])
+            except CrexlabError as exc:
+                outcomes[k] = exc
+        start = stop
+    return outcomes
+
+
+def _grid_estimates(dist, cells, replications, base_seed):
+    """The estimates of each ``(spec, m, l)`` cell of a grid on ``dist``.
+
+    Each entry is an array of the cell's ``replications`` estimates or
+    the CrexlabError the cell raised.  Errors that do not depend on the
+    drawn values come first and draw nothing.  The keys of all other
+    cells are hashed at once, and each ``(m, l, vn or not)`` group of
+    cells is drawn by :func:`_group_estimates`.
+    """
+    outcomes = [None] * len(cells)
+    live, estimators, digests = [], [], []
+    spec_text = dist.spec_string()
+    for index, (spec, m, l) in enumerate(cells):
+        try:
+            estimators.append(row_estimator(spec, m, m * l))
+        except CrexlabError as exc:
+            outcomes[index] = exc
+            continue
+        live.append(index)
+        digests.append(_cell_digest(spec_text, spec.text(), m, l))
+    keys = _replication_keys(base_seed, digests, replications)
+    groups = {}
+    for position, index in enumerate(live):
+        spec, m, l = cells[index]
+        groups.setdefault((m, l, spec.kind is EstimatorKind.VN), []).append(position)
+    for (m, l, vn), members in groups.items():
+        try:
+            found = _group_estimates(
+                dist, vn, m, l, keys[members], [estimators[p] for p in members]
+            )
+        except CrexlabError as exc:
+            found = [exc] * len(members)
+        for position, outcome in zip(members, found):
+            outcomes[live[position]] = outcome
+    return outcomes
 
 
 def run_cell(
@@ -321,11 +490,14 @@ def run_cell(
     base_seed=DEFAULT_SEED,
     bias_convention=BiasConvention.TRUTH_MINUS_ESTIMATE,
     sample_factory=None,
+    *,
+    _estimates=None,
 ):
     """Run one grid cell and summarize bias / RMSE against the true measure.
 
-    Replications are drawn and estimated in chunks; every estimate equals
-    the one from the replication's own :func:`replication_rng` stream,
+    Replications are drawn and estimated in chunks by the grid kernel, on
+    a grid of this one cell; every estimate equals the one from the
+    replication's own :func:`replication_rng` stream,
     :func:`~crexlab.sampling.draw_minrssu` (``Distribution.sample`` for
     ``vn``) and :func:`~crexlab.estimators.estimate`, bit for bit.
     Errors that do not depend on the drawn values are raised before any
@@ -333,7 +505,8 @@ def run_cell(
 
     ``sample_factory(rng)`` is a testing seam that replaces the sampler;
     it returns a value array or a MinRSSU sample, whose values feed the
-    same estimate step.
+    same estimate step.  :func:`run_grid` passes ``_estimates``, this
+    cell's entry of the grid kernel: its estimates or its error.
     """
     if isinstance(dist, str):
         dist = parse_distribution(dist)
@@ -345,15 +518,18 @@ def run_cell(
         raise DomainError(f"replications must be >= 1, got {replications}")
     _check_design(m, l)
     true_value = float(crex(dist))
-    digest = _cell_digest(dist.spec_string(), estimator.text(), m, l)
-    estimate_rows = row_estimator(estimator, m, m * l)
-    if sample_factory is None:
-        keys = _replication_keys(base_seed, digest, replications)
-        chunks = _cell_samples(dist, estimator.kind, m, l, keys)
-    else:
-        rngs = (replication_rng(base_seed, digest, r) for r in range(replications))
-        chunks = [np.stack([_sorted_values(sample_factory(rng)) for rng in rngs])]
-    estimates = np.concatenate([estimate_rows(rows) for rows in chunks])
+    if _estimates is None:
+        if sample_factory is None:
+            _estimates = _grid_estimates(dist, [(estimator, m, l)], replications, base_seed)[0]
+        else:
+            estimate_rows = row_estimator(estimator, m, m * l)
+            digest = _cell_digest(dist.spec_string(), estimator.text(), m, l)
+            rngs = (replication_rng(base_seed, digest, r) for r in range(replications))
+            rows = np.stack([_sorted_values(sample_factory(rng)) for rng in rngs])
+            _estimates = estimate_rows(rows)
+    if isinstance(_estimates, CrexlabError):
+        raise _estimates
+    estimates = _estimates
     mean_est = float(np.mean(estimates, dtype=np.longdouble))
     if bias_convention is BiasConvention.TRUTH_MINUS_ESTIMATE:
         bias = true_value - mean_est
@@ -395,37 +571,39 @@ def run_grid(config, workers=None):
 
     Rows come back in deterministic (m, l, estimator, w) order.  Failed
     cells are collected as :class:`~crexlab.errors.CellError` and do not
-    stop the rest.  Cells run one after another: ``workers`` and the
-    ``CREXLAB_THREADS`` environment variable are accepted for
-    compatibility and change nothing (a non-integer ``CREXLAB_THREADS``
-    is still a SpecParseError).
+    stop the rest.  The grid kernel draws and estimates every cell first;
+    then :func:`run_cell` summarizes each cell in that order.  Cells run
+    in this one thread: ``workers`` and the ``CREXLAB_THREADS``
+    environment variable are accepted for compatibility and change
+    nothing (a non-integer ``CREXLAB_THREADS`` is still a SpecParseError).
     """
     _check_threads_env()
     dist = config.distribution
+    cells = [
+        (spec, m, l)
+        for m in config.m_values
+        for l in config.l_values
+        for spec in config.cell_specs(m)
+    ]
+    outcomes = _grid_estimates(dist, cells, config.replications, config.base_seed)
     rows, failures = [], []
-    for m in config.m_values:
-        for l in config.l_values:
-            for spec in config.cell_specs(m):
-                try:
-                    rows.append(
-                        run_cell(
-                            dist,
-                            spec,
-                            m,
-                            l,
-                            config.replications,
-                            base_seed=config.base_seed,
-                            bias_convention=config.bias_convention,
-                        )
-                    )
-                except CrexlabError as exc:
-                    coords = {
-                        "distribution": dist.spec_string(),
-                        "estimator": spec.text(),
-                        "m": m,
-                        "l": l,
-                    }
-                    failures.append(CellError(coords, exc))
+    for (spec, m, l), outcome in zip(cells, outcomes):
+        try:
+            rows.append(
+                run_cell(
+                    dist,
+                    spec,
+                    m,
+                    l,
+                    config.replications,
+                    base_seed=config.base_seed,
+                    bias_convention=config.bias_convention,
+                    _estimates=outcome,
+                )
+            )
+        except CrexlabError as exc:
+            coords = {"distribution": dist.spec_string(), "estimator": spec.text(), "m": m, "l": l}
+            failures.append(CellError(coords, exc))
     return GridResult(rows=rows, failures=failures)
 
 

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -330,3 +333,18 @@ class TestHelp:
         code, out, _ = run(capsys, ["--version"])
         assert code == 0
         assert out.startswith("crexlab ")
+
+
+class TestStartup:
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy, scipy.integrate above all, is most of the import time; it
+        # loads on the first quadrature or incomplete-beta call
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, crexlab; print([m for m in sys.modules if m.startswith('scipy')])"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

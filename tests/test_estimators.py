@@ -28,7 +28,7 @@ from crexlab import (
     run_cell,
     vn,
 )
-from crexlab.estimators import estimate
+from crexlab.estimators import estimate, row_estimator
 
 # exact rationals for the limit variances, derived by hand via the
 # substitution u = S(x) and polynomial integration; the quadrature
@@ -405,6 +405,23 @@ class TestEstimateDispatch:
     def test_plain_array_needs_a_minrssu_sample(self, call):
         with pytest.raises(ParameterError, match="MinRSSU sample"):
             call(np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize(
+        "text", ["vn", "rn", "rmn:w=1", "lstat", "lstat_adj:family=exp,w=0"]
+    )
+    def test_row_estimator_ignores_memory_layout(self, text):
+        # 157 pooled MinRSSU samples of n = 5 (m = 5, l = 1), one per row
+        spec = EstimatorSpec.parse(text)
+        rng = np.random.default_rng(157)
+        samples = [draw_minrssu(Exponential(1.0), 5, 1, rng) for _ in range(157)]
+        rows = np.stack([pooled_order_statistics(s) for s in samples])
+        expected = [estimate(spec, s) for s in samples]
+        estimate_rows = row_estimator(spec, 5, 5)
+        # C order, Fortran order, a transposed view and rows with a stride
+        layouts = [rows, np.asfortranarray(rows), np.ascontiguousarray(rows.T).T,
+                   np.repeat(rows, 2, axis=1)[:, ::2]]
+        for layout in layouts:
+            assert estimate_rows(layout).tolist() == expected
 
 
 class TestNormalitySanity:

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from crexlab import (
     BiasConvention,
+    CrexlabError,
     DomainError,
     EstimatorSpec,
     Exponential,
@@ -20,13 +23,18 @@ from crexlab import (
     run_cell,
     run_grid,
 )
+from crexlab import simulation
+from crexlab.cli import main
 from crexlab.errors import SizeError
 from crexlab.estimators import estimate, psi, row_estimator
 from crexlab.simulation import (
+    _NUMPY_PHILOX_MAX_WIDTH,
     SimulationConfig,
     _cell_digest,
     _cell_samples,
+    _philox_uniforms,
     _replication_keys,
+    _reset_uniforms,
 )
 
 
@@ -146,7 +154,8 @@ class TestBatchedKernel:
             loop[r] = _reference_estimate(spec, m, data)
             if r % 97 == 0:
                 assert estimate(spec, data) == loop[r]
-        chunks = list(_cell_samples(dist, spec.kind, m, l, _replication_keys(seed, digest, reps)))
+        keys = _replication_keys(seed, [digest], reps)[0]
+        chunks = list(_cell_samples(dist, spec_text == "vn", m, l, keys))
         assert len(chunks) > 1
         batched = np.concatenate([row_estimator(spec, m, m * l)(rows) for rows in chunks])
         assert batched.tobytes() == loop.tobytes()
@@ -159,13 +168,37 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("digest", [0, 7, 2**32 - 1, 2**32, 0xFEDCBA9876543210, 2**64 - 1])
     def test_keys_match_seed_sequence(self, seed, digest):
         # seeds of 1, 2, 3 and 4 words; digests of 1 word (high word 0) and 2
-        keys = _replication_keys(seed, digest, 70000)
+        keys = _replication_keys(seed, [digest], 70000)[0]
         assert keys.shape == (70000, 2) and keys.dtype == np.uint64
         for r in (0, 1, 2, 65535, 65536, 69999):
             expected = np.random.SeedSequence([seed, digest, r]).generate_state(2, np.uint64)
             assert keys[r].tolist() == expected.tolist()
         rng = replication_rng(seed, digest, 3)
         assert rng.bit_generator.state["state"]["key"].tolist() == keys[3].tolist()
+
+    @pytest.mark.parametrize(
+        "width", [1, 3, 4, 5, _NUMPY_PHILOX_MAX_WIDTH, _NUMPY_PHILOX_MAX_WIDTH + 1, 15000]
+    )
+    def test_both_generators_match_replication_rng(self, width):
+        seed, digest, reps = 2**64 + 5, 0xFEDCBA9876543210, 3 if width > 100 else 40
+        keys = _replication_keys(seed, [digest], reps)[0]
+        expected = np.stack([replication_rng(seed, digest, r).random(width) for r in range(reps)])
+        for uniforms in (_philox_uniforms, _reset_uniforms()):
+            assert uniforms(keys, width).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 + 3])
+    @pytest.mark.parametrize("reps", [1, 5])
+    def test_grid_keys_match_seed_sequence(self, seed, reps):
+        # digests of one word (high word 0) and of two, interleaved: a grid
+        # hashes the two kinds apart; a seed of 2**64 or more has three
+        # words, so its entropy is longer than the pool
+        digests = [7, 0xFEDCBA9876543210, 0, 2**32, 2**32 - 1, 2**64 - 1]
+        keys = _replication_keys(seed, digests, reps)
+        assert keys.shape == (len(digests), reps, 2) and keys.dtype == np.uint64
+        for cell, digest in enumerate(digests):
+            for r in range(reps):
+                expected = np.random.SeedSequence([seed, digest, r]).generate_state(2, np.uint64)
+                assert keys[cell, r].tolist() == expected.tolist()
 
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError):
@@ -207,18 +240,82 @@ class TestBatchedKernel:
 
 
 class TestRunGrid:
-    def test_single_cell_grid_matches_run_cell(self):
-        cfg = SimulationConfig(
+    GRIDS = [
+        dict(
             distribution="exp:rate=1",
             m_values=(2,),
             l_values=(3,),
             estimators=("rn",),
             replications=30,
             base_seed=21,
-        )
-        result = run_grid(cfg)
-        assert result.ok and len(result.rows) == 1
-        assert result.rows[0] == run_cell("exp:rate=1", "rn", 2, 3, 30, base_seed=21)
+        ),
+        # vn and MinRSSU cells, m = 1 and l = 1, and rows on both sides of
+        # the generator switch: 1 to 280 uniforms per replication
+        dict(
+            distribution="unif:a=2,b=3",
+            m_values=(1, 2, 3, 7),
+            l_values=(1, 2, 40),
+            estimators=("vn", "rn", "rmn", "lstat"),
+            w_lists={"rmn": (0,)},
+            replications=23,
+            base_seed=2**70 + 11,
+        ),
+        # one group spans several chunks, split inside cells
+        dict(
+            distribution="powerbeta:alpha=2",
+            m_values=(2,),
+            l_values=(2,),
+            estimators=("rn", "rmn", "lstat"),
+            w_lists={"rmn": (-2, -1, 0, 1)},
+            replications=1000,
+            base_seed=5,
+        ),
+    ]
+
+    def test_single_cell_grid_matches_run_cell(self):
+        # the infeasible exp m=2 lstat_adj cells fail in the grid as on their own
+        configs = [SimulationConfig(**grid) for grid in self.GRIDS]
+        configs.append(protocol_config("exp", replications=7, base_seed=3, sides=("order",)))
+        for cfg in configs:
+            result = run_grid(cfg)
+            rows, failures = [], []
+            for m in cfg.m_values:
+                for l in cfg.l_values:
+                    for spec in cfg.cell_specs(m):
+                        try:
+                            rows.append(
+                                run_cell(cfg.distribution, spec, m, l, cfg.replications,
+                                         base_seed=cfg.base_seed)
+                            )
+                        except CrexlabError as exc:
+                            failures.append((spec.text(), m, l, type(exc), str(exc)))
+            assert result.rows == rows
+            assert [
+                (f.coordinates["estimator"], f.coordinates["m"], f.coordinates["l"],
+                 type(f.cause), str(f.cause))
+                for f in result.failures
+            ] == failures
+        assert len(failures) == 8 and {f[3] for f in failures} == {ParameterError}
+
+    def test_generator_switch_changes_no_estimate(self, monkeypatch):
+        cfg = SimulationConfig(**self.GRIDS[1])
+        widths = {"numpy": set(), "reset": set()}
+
+        def numpy_philox(keys, width):
+            widths["numpy"].add(width)
+            return _philox_uniforms(keys, width)
+
+        def reset_philox():
+            uniforms = _reset_uniforms()
+            return lambda keys, width: widths["reset"].add(width) or uniforms(keys, width)
+
+        monkeypatch.setattr(simulation, "_philox_uniforms", numpy_philox)
+        monkeypatch.setattr(simulation, "_reset_uniforms", reset_philox)
+        expected = run_grid(cfg).rows
+        assert max(widths["numpy"]) <= _NUMPY_PHILOX_MAX_WIDTH < min(widths["reset"])
+        for width in (0, 10**9):
+            monkeypatch.setattr(simulation, "_NUMPY_PHILOX_MAX_WIDTH", width)
+            assert run_grid(cfg).rows == expected
 
     def test_protocol_spacing_grid_has_40_rows(self):
         cfg = protocol_config("exp", replications=1, sides=("spacing",))
@@ -378,6 +475,57 @@ class TestConfigValidation:
     def test_bad_replications(self):
         with pytest.raises(SpecParseError):
             SimulationConfig(distribution="exp:rate=1", replications=0)
+
+    VALID = dict(
+        distribution="exp:rate=1",
+        m_values=(2,),
+        l_values=(2,),
+        estimators=("rn", "rmn"),
+        w_lists={"rmn": (0,)},
+        replications=2,
+        base_seed=1,
+    )
+
+    @pytest.mark.parametrize(
+        "key,field,value",
+        [
+            ("replications", "replications", 2.5),
+            ("replications", "replications", True),
+            ("replications", "replications", "5"),
+            ("seed", "base_seed", 3.9),
+            ("seed", "base_seed", 1e30),
+            ("m", "m_values", [2.7]),
+            ("m", "m_values", "23"),
+            ("m", "m_values", 2),
+            ("l", "l_values", [True]),
+            ("estimators", "estimators", "rn"),
+            ("w", "w_lists", {"rmn": [0.7]}),
+            ("w", "w_lists", {"rmn": "01"}),
+        ],
+    )
+    def test_non_integer_or_string_values_rejected(self, tmp_path, capsys, key, field, value):
+        # a truncated or split value would run a grid other than the one written
+        with pytest.raises(SpecParseError, match="must be an integer|must be a list"):
+            SimulationConfig(**{**self.VALID, field: value})
+        raw = {"distribution": "exp:rate=1", "m": [2], "l": [2], "estimators": ["rn", "rmn"],
+               "w": {"rmn": [0]}, "replications": 2, "seed": 1}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(path)]) == 0
+        path.write_text(json.dumps({**raw, key: value}))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("crexlab:")
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimulationConfig(
+            **{**self.VALID, "m_values": np.array([2]), "l_values": (np.int32(2),),
+               "replications": np.int64(2), "base_seed": np.uint64(1)}
+        )
+        assert (cfg.m_values, cfg.l_values, cfg.replications, cfg.base_seed) == ((2,), (2,), 2, 1)
+        assert all(type(v) is int for v in (*cfg.m_values, *cfg.l_values, cfg.replications))
+        assert run_grid(cfg).rows == run_grid(SimulationConfig(**self.VALID)).rows
 
     def test_per_m_w_lists(self):
         cfg = SimulationConfig(
