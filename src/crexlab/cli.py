@@ -10,8 +10,8 @@ simulate      run the Monte Carlo benchmark grid and emit CSV rows
 discriminate  evaluate the design discrimination measures
 calibrate     scan candidate distributions against a target (bias, RMSE)
 
-Exit codes: 0 ok, 2 usage/config error, 3 numeric divergence,
-4 partial grid failure.  ``simulate --threads`` and the environment
+Exit codes: 0 ok, 2 usage/config error (a file that cannot be opened,
+read or decoded included), 3 numeric divergence, 4 partial grid failure.  ``simulate --threads`` and the environment
 variable ``CREXLAB_THREADS`` are accepted and ignored (cells run one
 after another); a non-integer ``CREXLAB_THREADS`` exits 2.
 """
@@ -28,15 +28,8 @@ import numpy as np
 from . import __version__
 from .discrimination import d_designs, d_min_vs_parent
 from .distributions import parse_distribution
-from .errors import (
-    CrexlabError,
-    DivergenceError,
-    DomainError,
-    ParameterError,
-    SizeError,
-    SpecParseError,
-)
-from .estimators import EstimatorKind, EstimatorSpec, estimate as run_estimator
+from .errors import CrexlabError, DivergenceError, SpecParseError
+from .estimators import EstimatorSpec, estimate as run_estimator
 from .measures import (
     crex,
     crex_minrssu_design,
@@ -106,7 +99,15 @@ def cmd_measure(args):
     return 0
 
 
-def _load_estimate_data(args, spec):
+def _parse_list(text, label, convert=int):
+    """The non-blank entries of a comma list, each converted by ``convert``."""
+    try:
+        return tuple(convert(v) for v in str(text).split(",") if v.strip() != "")
+    except ValueError:
+        raise SpecParseError(f"bad {label} list: {text!r}") from None
+
+
+def _load_estimate_data(args):
     sources = sum(x is not None for x in (args.input, args.values, args.draw))
     if sources != 1:
         raise SpecParseError("choose exactly one of --input, --values, --draw")
@@ -114,10 +115,7 @@ def _load_estimate_data(args, spec):
         with open(args.input, newline="") as fh:
             sample = sample_from_csv(fh)
     elif args.values is not None:
-        try:
-            vals = np.array([float(v) for v in args.values.split(",") if v.strip() != ""])
-        except ValueError:
-            raise SpecParseError(f"bad --values list: {args.values!r}") from None
+        vals = np.array(_parse_list(args.values, "--values", float))
         if vals.size == 0:
             raise SpecParseError("--values is empty")
         if not np.all(np.isfinite(vals)):
@@ -130,24 +128,14 @@ def _load_estimate_data(args, spec):
     if args.save is not None:
         with open(args.save, "w", newline="") as fh:
             sample_to_csv(sample, fh)
-    if spec.kind in (EstimatorKind.VN, EstimatorKind.LSTAT):
-        return sample.values.ravel()
     return sample
 
 
 def cmd_estimate(args):
     spec = EstimatorSpec.parse(args.estimator)
-    data = _load_estimate_data(args, spec)
-    value = run_estimator(spec, data)
+    value = run_estimator(spec, _load_estimate_data(args))
     print(f"{spec.text():<28} {_fmt(value, args):>16}")
     return 0
-
-
-def _parse_int_list(text, label):
-    try:
-        return tuple(int(v) for v in str(text).split(",") if v.strip() != "")
-    except ValueError:
-        raise SpecParseError(f"bad {label} list: {text!r}") from None
 
 
 # JSON config key -> SimulationConfig field; absent keys keep the field default
@@ -194,7 +182,7 @@ def _config_from_json(path):
 
 def _config_from_flags(args):
     if args.protocol is not None:
-        sides = tuple(s.strip() for s in args.sides.split(",") if s.strip())
+        sides = _parse_list(args.sides, "--sides", str.strip)
         for side in sides:
             if side not in ("spacing", "order"):
                 raise SpecParseError(f"unknown side {side!r} (use spacing/order)")
@@ -208,14 +196,14 @@ def _config_from_flags(args):
         raise SpecParseError("simulate needs --config, --protocol, or --dist")
     w_lists = {}
     if args.w_rmn is not None:
-        w_lists["rmn"] = _parse_int_list(args.w_rmn, "--w-rmn")
+        w_lists["rmn"] = _parse_list(args.w_rmn, "--w-rmn")
     if args.w_lstat_adj is not None:
-        w_lists["lstat_adj"] = _parse_int_list(args.w_lstat_adj, "--w-lstat-adj")
+        w_lists["lstat_adj"] = _parse_list(args.w_lstat_adj, "--w-lstat-adj")
     return SimulationConfig(
         distribution=args.dist,
-        m_values=_parse_int_list(args.m, "--m"),
-        l_values=_parse_int_list(args.l, "--l"),
-        estimators=tuple(e.strip() for e in args.estimators.split(",") if e.strip()),
+        m_values=_parse_list(args.m, "--m"),
+        l_values=_parse_list(args.l, "--l"),
+        estimators=_parse_list(args.estimators, "--estimators", str.strip),
         w_lists=w_lists,
         psi_family=args.psi_family,
         replications=args.reps,
@@ -431,16 +419,11 @@ def main(argv=None):
         return USAGE_EXIT
     try:
         return args.handler(args)
-    except SpecParseError as exc:
-        print(f"crexlab: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except (DomainError, ParameterError, SizeError) as exc:
-        print(f"crexlab: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     except DivergenceError as exc:
         print(f"crexlab: divergence: {exc}", file=sys.stderr)
         return DIVERGENCE_EXIT
-    except FileNotFoundError as exc:
+    # a file that cannot be opened, read or decoded is a usage error too
+    except (CrexlabError, OSError, UnicodeDecodeError) as exc:
         print(f"crexlab: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

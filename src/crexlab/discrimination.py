@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 # survival_power_quad is unused here; the benchmark tracer wraps this binding
 from ._quadrature import _quad, survival_power_quad, truncation_point  # noqa: F401
-from .errors import DomainError
-from .measures import Method, _check_design_size, _coerce_method, _power_products
+from .errors import check_count
+from .measures import Method, _coerce_method, _power_products
 
 __all__ = ["DiscriminationValue", "d_min_vs_parent", "d_designs"]
 
@@ -45,8 +45,7 @@ def d_min_vs_parent(dist, i, method="closed"):
     quadrature route integrates the defining integrand
     ``S**i (S**i - S)`` directly, giving an independent cross-check.
     """
-    if i < 1:
-        raise DomainError(f"set size must be >= 1, got {i}")
+    check_count(i, "set size")
     method = _coerce_method(method)
     if method is Method.CLOSED_FORM:
         value = -0.5 * (
@@ -71,7 +70,7 @@ def d_designs(dist, m, method="closed"):
 
     ``-(1/2) [prod_{i=1..m} E(min of 2i) - prod_{i=1..m} E(min of i+1)]``
     """
-    _check_design_size(m)
+    check_count(m, "design size")
     method = _coerce_method(method)
     sets = range(1, m + 1)
     (min_value, _), (srs_value, _) = _power_products(

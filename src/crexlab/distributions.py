@@ -8,7 +8,9 @@ quantile, inverse-transform sampling, and the survival-power integrals
 that drive every cumulative-residual measure in :mod:`crexlab.measures`.
 
 Distributions can be built from a compact spec string (used by the CLI and
-by config files).  The grammar is::
+by config files).  Distribution and estimator specs share one
+``head:key=value,...`` grammar, split by :func:`crexlab.errors.split_spec`;
+for distributions it reads::
 
     spec       := family ":" param ("," param)*
     param      := name "=" float
@@ -17,8 +19,10 @@ by config files).  The grammar is::
                 | "finite"    with params a, b  (a > 0, b > 0)
                 | "powerbeta" with param  alpha (alpha > 0)
 
-Every parameter must be finite.  Examples: ``exp:rate=1``,
-``unif:a=0,b=1``, ``finite:a=2,b=3``, ``powerbeta:alpha=2``.
+Whitespace around the family, names and values is ignored, and the
+family is matched in any case.  Every parameter must be given exactly
+once (a repeated name is rejected) and must be finite.  Examples:
+``exp:rate=1``, ``unif:a=0,b=1``, ``finite:a=2,b=3``, ``powerbeta:alpha=2``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, DivergenceError, SpecParseError
+from .errors import DomainError, DivergenceError, SpecParseError, check_count, split_spec
 
 __all__ = [
     "Distribution",
@@ -202,8 +206,7 @@ class Distribution:
 
     def min_order_stat_mean(self, j):
         """E of the minimum of ``j`` fresh draws, ``int_0^inf S(x)**j dx``."""
-        if j < 1:
-            raise DomainError(f"set size must be >= 1, got {j}")
+        check_count(j, "set size")
         return self.survival_power_integral(float(j))
 
     def mean_residual_life(self, t):
@@ -443,26 +446,19 @@ _FAMILIES = {
 
 def parse_distribution(text):
     """Build a distribution from a spec string like ``"exp:rate=1"``."""
-    if not isinstance(text, str):
-        raise SpecParseError(f"distribution spec must be a string, got {text!r}")
-    head, sep, tail = text.strip().partition(":")
-    family = head.strip().lower()
+    family, options = split_spec(text, "distribution")
     if family not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
         raise SpecParseError(f"unknown distribution family {family!r} (known: {known})")
     cls, names = _FAMILIES[family]
-    if not sep or not tail.strip():
+    if not options:
         raise SpecParseError(f"missing parameters in distribution spec {text!r}")
     params = {}
-    for piece in tail.split(","):
-        key, eq, val = piece.partition("=")
-        key = key.strip()
-        if not eq or key not in names:
+    for key, val in options.items():
+        if key not in names:
             raise SpecParseError(
-                f"bad parameter {piece.strip()!r} in {text!r}; expected {'/'.join(names)}"
+                f"bad parameter {key!r} in {text!r}; expected {'/'.join(names)}"
             )
-        if key in params:
-            raise SpecParseError(f"duplicate parameter {key!r} in {text!r}")
         try:
             params[key] = float(val)
         except ValueError:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input checks that raise them."""
+
+import operator
 
 
 class CrexlabError(Exception):
@@ -23,6 +25,43 @@ class SizeError(CrexlabError, ValueError):
 
 class SpecParseError(CrexlabError, ValueError):
     """A textual spec (distribution, estimator, or config) cannot be parsed."""
+
+
+def split_spec(text, what):
+    """Split a ``head:key=value,...`` spec string into ``(head, {key: value})``.
+
+    Whitespace around the head, keys and values is stripped and the head
+    lower-cased; ``what`` names the spec in messages.  A non-string, a
+    piece without ``=`` or a repeated key raises SpecParseError.
+    """
+    if not isinstance(text, str):
+        raise SpecParseError(f"{what} spec must be a string, got {text!r}")
+    head, _, tail = text.strip().partition(":")
+    options = {}
+    if tail.strip():
+        for piece in tail.split(","):
+            key, eq, value = piece.partition("=")
+            key = key.strip()
+            if not eq:
+                raise SpecParseError(
+                    f"expected key=value, got {piece.strip()!r} in {what} spec {text!r}"
+                )
+            if key in options:
+                raise SpecParseError(f"duplicate key {key!r} in {what} spec {text!r}")
+            options[key] = value.strip()
+    return head.strip().lower(), options
+
+
+def check_count(value, label):
+    """Raise DomainError unless ``value`` is an int or numpy integer >= 1 (not a bool)."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool):
+        raise DomainError(f"{label} must be an integer, got {value!r}")
+    if count < 1:
+        raise DomainError(f"{label} must be >= 1, got {count}")
 
 
 class CellError(CrexlabError):

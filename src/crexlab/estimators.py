@@ -14,6 +14,13 @@ Estimator specs parse from strings (used by the CLI and config files)::
 
     "vn" | "rn" | "rmn:w=-2" | "lstat" | "lstat_adj:family=exp,w=0"
 
+in the ``head:key=value,...`` grammar of distribution specs
+(:func:`crexlab.errors.split_spec`): whitespace is ignored, the head and
+the family are matched in any case, and a repeated key is rejected.
+:func:`estimate` is the one dispatcher and alone decides what data each
+estimator takes; ``vn``, ``rn``, ``rmn``, ``lstat`` and ``lstat_adjusted``
+each call it with one spec.
+
 The asymptotic variance functionals of the L-statistic route are evaluated
 by tensor Gauss-Legendre quadrature split along the ``x == y`` kink.
 """
@@ -28,7 +35,7 @@ from itertools import repeat
 import numpy as np
 
 from ._quadrature import DOUBLE_QUAD_NODES, double_quad_kinked, truncation_point
-from .errors import DomainError, ParameterError, SizeError, SpecParseError
+from .errors import DomainError, ParameterError, SizeError, SpecParseError, check_count, split_spec
 from .sampling import pooled_order_statistics
 
 __all__ = [
@@ -93,7 +100,7 @@ class EstimatorSpec:
     psi_family: PsiFamily | None = None
 
     def __post_init__(self):
-        if isinstance(self.psi_family, str):
+        if self.psi_family is not None and not isinstance(self.psi_family, PsiFamily):
             object.__setattr__(self, "psi_family", _psi_family(self.psi_family))
         if (self.w is not None) != (self.kind in _NEEDS_W):
             need = "requires" if self.kind in _NEEDS_W else "does not take"
@@ -119,27 +126,19 @@ class EstimatorSpec:
     @classmethod
     def parse(cls, text):
         """Parse an estimator spec string; see the module docstring."""
-        if not isinstance(text, str):
-            raise SpecParseError(f"estimator spec must be a string, got {text!r}")
-        head, _, tail = text.strip().partition(":")
-        kind = _estimator_kind(head.strip().lower())
-        w = None
-        family = None
-        if tail.strip():
-            for piece in tail.split(","):
-                key, eq, val = piece.partition("=")
-                key, val = key.strip(), val.strip()
-                if not eq:
-                    raise SpecParseError(f"bad estimator option {piece.strip()!r}")
-                if key == "w":
-                    try:
-                        w = int(val)
-                    except ValueError:
-                        raise SpecParseError(f"w must be an integer, got {val!r}") from None
-                elif key == "family":
-                    family = _psi_family(val.lower())
-                else:
-                    raise SpecParseError(f"unknown estimator option {key!r}")
+        head, options = split_spec(text, "estimator")
+        kind = _estimator_kind(head)
+        w = family = None
+        for key, val in options.items():
+            if key == "w":
+                try:
+                    w = int(val)
+                except ValueError:
+                    raise SpecParseError(f"w must be an integer, got {val!r}") from None
+            elif key == "family":
+                family = _psi_family(val.lower())
+            else:
+                raise SpecParseError(f"unknown estimator option {key!r}")
         return cls(kind=kind, w=w, psi_family=family)
 
 
@@ -238,7 +237,23 @@ def row_estimator(spec, m, n):
     return partial(_spacing_rows, weights=(1.0 - k / denom) ** 2)
 
 
-def _estimate_one(spec, m, data):
+def estimate(spec, data, *, _m=None):
+    """Run the estimator ``spec`` on a MinRSSU sample or a plain value array.
+
+    This is the one place that decides what data each estimator takes.
+    A MinRSSU sample supplies the design size m; ``rn`` and ``lstat_adj``
+    need one, and ``rmn`` on a plain value array needs the m that
+    :func:`rmn` passes on as ``_m``.  ``vn`` and ``lstat`` take either.
+    """
+    m = _design_size(data)
+    if m is None:
+        if spec.kind in (EstimatorKind.RN, EstimatorKind.LSTAT_ADJUSTED):
+            raise ParameterError(
+                f"{spec.kind.value} needs a MinRSSU sample, got a plain value array"
+            )
+        if spec.kind is EstimatorKind.RMN and _m is None:
+            raise ParameterError("rmn on a plain array needs an explicit m")
+        m = _m
     values = _sorted_values(data)
     return float(row_estimator(spec, m, values.size)(values[np.newaxis])[0])
 
@@ -248,15 +263,12 @@ def vn(sample):
 
     Equals ``-(1/2) int Shat(x)**2 dx`` for the empirical survival Shat.
     """
-    return _estimate_one(EstimatorSpec(EstimatorKind.VN), 1, sample)
+    return estimate(EstimatorSpec(EstimatorKind.VN), sample)
 
 
 def rn(sample):
     """Spacing estimator on the pooled order statistics of a MinRSSU sample."""
-    m = _design_size(sample)
-    if m is None:
-        raise ParameterError("rn needs a MinRSSU sample, got a plain value array")
-    return _estimate_one(EstimatorSpec(EstimatorKind.RN), m, sample)
+    return estimate(EstimatorSpec(EstimatorKind.RN), sample)
 
 
 def rmn(sample, w, m=None):
@@ -267,12 +279,7 @@ def rmn(sample, w, m=None):
     ``1 - k/(n + m + w)`` for ``k <= n - 1`` must stay positive,
     i.e. ``n + m + w > n - 1``.
     """
-    sample_m = _design_size(sample)
-    if sample_m is not None:
-        m = sample_m
-    elif m is None:
-        raise ParameterError("rmn on a plain array needs an explicit m")
-    return _estimate_one(EstimatorSpec(EstimatorKind.RMN, w=int(w)), m, sample)
+    return estimate(EstimatorSpec(EstimatorKind.RMN, w=int(w)), sample, _m=m)
 
 
 def lstat(sample):
@@ -280,7 +287,7 @@ def lstat(sample):
 
     Plug-in of the identity ``-int x S(x) dF(x)``; nonnegative inputs only.
     """
-    return _estimate_one(EstimatorSpec(EstimatorKind.LSTAT), 1, sample)
+    return estimate(EstimatorSpec(EstimatorKind.LSTAT), sample)
 
 
 _K_EXPONENTIAL = {2: 3, 3: 2, 4: 1, 5: 0}
@@ -296,11 +303,10 @@ def psi(family, m, w):
     """
     if not isinstance(family, PsiFamily):
         family = PsiFamily(family)
-    m, w = int(m), int(w)
     if family is PsiFamily.BETA:
-        if m < 1:
-            raise DomainError(f"need m >= 1, got {m}")
-        return m - w
+        check_count(m, "design size")
+        return int(m) - int(w)
+    m, w = int(m), int(w)
     if m not in _K_EXPONENTIAL:
         raise DomainError(f"psi family {family.value!r} is defined for m = 2..5, got {m}")
     if family is PsiFamily.EXPONENTIAL:
@@ -311,24 +317,7 @@ def psi(family, m, w):
 def lstat_adjusted(sample, family, w):
     """Adjusted order-statistic estimator ``-(1/n) sum (1 - i/(n+psi)) Y_(i)``."""
     spec = EstimatorSpec(EstimatorKind.LSTAT_ADJUSTED, w=int(w), psi_family=PsiFamily(family))
-    m = _design_size(sample)
-    if m is None:
-        raise ParameterError("lstat_adj needs a MinRSSU sample, got a plain value array")
-    return _estimate_one(spec, m, sample)
-
-
-def estimate(spec, data):
-    """Dispatch an EstimatorSpec on data (array for vn/lstat, sample otherwise)."""
-    kind = spec.kind
-    if kind is EstimatorKind.VN:
-        return vn(data)
-    if kind is EstimatorKind.RN:
-        return rn(data)
-    if kind is EstimatorKind.RMN:
-        return rmn(data, spec.w)
-    if kind is EstimatorKind.LSTAT:
-        return lstat(data)
-    return lstat_adjusted(data, spec.psi_family, spec.w)
+    return estimate(spec, sample)
 
 
 def asymptotic_variance_srs(dist, nodes=DOUBLE_QUAD_NODES):
@@ -353,8 +342,7 @@ def asymptotic_variance_minrssu(dist, m, nodes=DOUBLE_QUAD_NODES):
     Uses the mixture cdf ``(1/m) sum_i [1 - S(x)**i]`` as weight argument
     and the averaged covariance kernel of the set minima.
     """
-    if m < 1:
-        raise DomainError(f"design size must be >= 1, got {m}")
+    check_count(m, "design size")
     lo = max(0.0, dist.support[0])
     hi = truncation_point(dist)
 

@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass
 
 from . import _quadrature as nq
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, check_count
 
 __all__ = [
     "Method",
@@ -157,16 +157,16 @@ def _product(powers, factor_of, rel_err_of):
     return value, -value * sum(map(rel_err_of.__getitem__, powers))
 
 
-def _power_product(dist, powers, t, method):
-    """:func:`_power_products` for one power list."""
-    return _power_products(dist, [powers], t, method)[0]
+def _measure(dist, powers, t, method):
+    """The CrexValue of :func:`_power_products` for one power list."""
+    method = _coerce_method(method)
+    value, err = _power_products(dist, [powers], t, method)[0]
+    return CrexValue(value, method, err)
 
 
 def crex(dist, method="closed"):
     """Cumulative residual extropy ``-(1/2) int_0^inf S(x)**2 dx``."""
-    method = _coerce_method(method)
-    value, err = _power_product(dist, [2.0], 0.0, method)
-    return CrexValue(value, method, err)
+    return _measure(dist, [2.0], 0.0, method)
 
 
 def dynamic_crex(dist, t, method="closed"):
@@ -174,23 +174,13 @@ def dynamic_crex(dist, t, method="closed"):
 
     Requires ``S(t) > 0``.  Bounded below by ``-mrl(t) / (2 S(t))``.
     """
-    method = _coerce_method(method)
-    value, err = _power_product(dist, [2.0], t, method)
-    return CrexValue(value, method, err)
+    return _measure(dist, [2.0], t, method)
 
 
 def crex_min_order_stat(dist, i, method="closed"):
     """Measure of the minimum of ``i`` draws: ``-(1/2) int S(x)**(2i) dx``."""
-    if i < 1:
-        raise DomainError(f"set size must be >= 1, got {i}")
-    method = _coerce_method(method)
-    value, err = _power_product(dist, [2.0 * i], 0.0, method)
-    return CrexValue(value, method, err)
-
-
-def _check_design_size(m):
-    if m < 1:
-        raise DomainError(f"design size must be >= 1, got {m}")
+    check_count(i, "set size")
+    return _measure(dist, [2.0 * i], 0.0, method)
 
 
 def crex_minrssu_design(dist, m, method="closed"):
@@ -198,10 +188,8 @@ def crex_minrssu_design(dist, m, method="closed"):
 
     ``-(1/2) prod_{i=1..m} int_0^inf S(x)**(2i) dx``
     """
-    _check_design_size(m)
-    method = _coerce_method(method)
-    value, err = _power_product(dist, [2.0 * i for i in range(1, m + 1)], 0.0, method)
-    return CrexValue(value, method, err)
+    check_count(m, "design size")
+    return _measure(dist, [2.0 * i for i in range(1, m + 1)], 0.0, method)
 
 
 def crex_srs_design(dist, m, method="closed"):
@@ -209,10 +197,8 @@ def crex_srs_design(dist, m, method="closed"):
 
     ``-(1/2) [int_0^inf S(x)**2 dx]**m``
     """
-    _check_design_size(m)
-    method = _coerce_method(method)
-    value, err = _power_product(dist, [2.0] * m, 0.0, method)
-    return CrexValue(value, method, err)
+    check_count(m, "design size")
+    return _measure(dist, [2.0] * m, 0.0, method)
 
 
 def dynamic_crex_designs(dist, m, t, method="closed"):
@@ -223,7 +209,7 @@ def dynamic_crex_designs(dist, m, t, method="closed"):
         minrssu = -(1/2) prod_{i=1..m} int_t [S(x)/S(t)]**(2i) dx
         srs     = -(1/2) [int_t [S(x)/S(t)]**2 dx]**m
     """
-    _check_design_size(m)
+    check_count(m, "design size")
     method = _coerce_method(method)
     (min_value, min_err), (srs_value, srs_err) = _power_products(
         dist, [[2.0 * i for i in range(1, m + 1)], [2.0] * m], t, method

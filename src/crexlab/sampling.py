@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SpecParseError
+from .errors import DomainError, SpecParseError, check_count
 
 __all__ = [
     "MinRssuSample",
@@ -51,7 +51,8 @@ class MinRssuSample:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _check_design(self.m, self.l)
+        check_count(self.m, "m")
+        check_count(self.l, "l")
         arr = np.asarray(self.values, dtype=float)
         if arr.shape != (self.l, self.m):
             raise DomainError(
@@ -72,15 +73,8 @@ class MinRssuSample:
 
 def draw_srs(dist, n, rng):
     """``n`` i.i.d. draws from ``dist`` using the caller's stream."""
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n}")
+    check_count(n, "sample size")
     return dist.sample(rng, n)
-
-
-def _check_design(m, l):
-    """Raise DomainError unless ``m >= 1`` and ``l >= 1``."""
-    if m < 1 or l < 1:
-        raise DomainError(f"need m >= 1 and l >= 1, got m={m}, l={l}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -121,7 +115,8 @@ def draw_minrssu(dist, m, l, rng):
     Consumes exactly ``l * m * (m + 1) / 2`` uniforms from ``rng`` in the
     documented order.
     """
-    _check_design(m, l)
+    check_count(m, "m")
+    check_count(l, "l")
     per_cycle = m * (m + 1) // 2
     u = rng.random(l * per_cycle).reshape(l, per_cycle)
     return MinRssuSample(m=m, l=l, values=_minrssu_values(dist, m, u))

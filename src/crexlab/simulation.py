@@ -28,7 +28,8 @@ Reported cells use the configured bias convention (default: truth minus
 mean estimate); RMSE and |bias| do not depend on the convention.  Squared
 deviations are accumulated in extended precision.
 
-Rows serialize to CSV with the fixed header::
+Rows serialize to CSV under a header of the :class:`SimulationRow` field
+names, in order::
 
     distribution,params,estimator,m,l,w,reps,seed,true_value,bias,rmse,mc_se
 """
@@ -41,12 +42,12 @@ import hashlib
 import io
 import operator
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .distributions import Distribution, parse_distribution
-from .errors import CellError, CrexlabError, DomainError, SpecParseError
+from .errors import CellError, CrexlabError, DomainError, SpecParseError, check_count
 # estimate and draw_minrssu are unused here; the benchmark tracer wraps these bindings
 from .estimators import (  # noqa: F401
     EstimatorKind,
@@ -57,7 +58,7 @@ from .estimators import (  # noqa: F401
     row_estimator,
 )
 from .measures import crex
-from .sampling import _check_design, _minrssu_values, draw_minrssu  # noqa: F401
+from .sampling import _minrssu_values, draw_minrssu  # noqa: F401
 
 __all__ = [
     "BiasConvention",
@@ -76,21 +77,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 42
-
-CSV_HEADER = (
-    "distribution",
-    "params",
-    "estimator",
-    "m",
-    "l",
-    "w",
-    "reps",
-    "seed",
-    "true_value",
-    "bias",
-    "rmse",
-    "mc_se",
-)
 
 # per-m tuning grids used by the benchmark tables
 RMN_W_GRID = {2: (-2, -1, 0, 1), 3: (-1, 0, 1, 2), 4: (0, 1, 2, 3), 5: (1, 2, 3, 4)}
@@ -146,6 +132,12 @@ class SimulationRow:
     bias: float
     rmse: float
     mc_se: float
+
+
+# the results CSV has one column per SimulationRow field, read back by its annotation
+CSV_HEADER = tuple(f.name for f in fields(SimulationRow))
+_FROM_TEXT = {"str": str, "int": int, "float": float, "int | None": lambda t: int(t) if t else None}
+_FIELD_READERS = tuple(_FROM_TEXT[f.type] for f in fields(SimulationRow))
 
 
 def _integer(value, label):
@@ -246,9 +238,17 @@ def _cell_digest(dist_spec, estimator_text, m, l):
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
 
 
+def _check_seed(base_seed):
+    """``base_seed`` as an int; a negative seed raises DomainError."""
+    base_seed = int(base_seed)
+    if base_seed < 0:
+        raise DomainError(f"base seed must be >= 0, got {base_seed}")
+    return base_seed
+
+
 def replication_rng(base_seed, cell_digest, rep_index):
     """The counter-based stream owned by one replication of one cell."""
-    seq = np.random.SeedSequence(entropy=[int(base_seed), int(cell_digest), int(rep_index)])
+    seq = np.random.SeedSequence(entropy=[_check_seed(base_seed), int(cell_digest), int(rep_index)])
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -315,9 +315,7 @@ def _replication_keys(base_seed, cell_digests, replications):
     whole grid.  SeedSequence drops a digest's zero high word, so digests
     below 2**32 hash as one word and are hashed apart from the others.
     """
-    base_seed = int(base_seed)
-    if base_seed < 0:
-        raise DomainError(f"base seed must be >= 0, got {base_seed}")
+    base_seed = _check_seed(base_seed)
     digests = np.array(cell_digests, dtype=np.uint64).reshape(-1, 1)
     reps = np.arange(replications, dtype=np.uint32)[None, :]
     keys = np.empty((len(digests), replications, 2), np.uint64)
@@ -514,9 +512,9 @@ def run_cell(
         estimator = EstimatorSpec.parse(estimator)
     if isinstance(bias_convention, str):
         bias_convention = BiasConvention(bias_convention)
-    if replications < 1:
-        raise DomainError(f"replications must be >= 1, got {replications}")
-    _check_design(m, l)
+    check_count(replications, "replications")
+    check_count(m, "m")
+    check_count(l, "l")
     true_value = float(crex(dist))
     if _estimates is None:
         if sample_factory is None:
@@ -614,23 +612,8 @@ def rows_to_csv(rows, file=None):
         file = io.StringIO()
     writer = csv.writer(file, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow(
-            [
-                row.distribution,
-                row.params,
-                row.estimator,
-                row.m,
-                row.l,
-                "" if row.w is None else row.w,
-                row.reps,
-                row.seed,
-                repr(row.true_value),
-                repr(row.bias),
-                repr(row.rmse),
-                repr(row.mc_se),
-            ]
-        )
+    # csv writes None as an empty field and a float by its repr
+    writer.writerows([getattr(row, name) for name in CSV_HEADER] for row in rows)
     if own:
         return file.getvalue()
     return None
@@ -656,22 +639,7 @@ def rows_from_csv(file):
         if len(raw) != len(CSV_HEADER):
             raise SpecParseError(f"malformed results row: {raw}")
         try:
-            rows.append(
-                SimulationRow(
-                    distribution=raw[0],
-                    params=raw[1],
-                    estimator=raw[2],
-                    m=int(raw[3]),
-                    l=int(raw[4]),
-                    w=None if raw[5] == "" else int(raw[5]),
-                    reps=int(raw[6]),
-                    seed=int(raw[7]),
-                    true_value=float(raw[8]),
-                    bias=float(raw[9]),
-                    rmse=float(raw[10]),
-                    mc_se=float(raw[11]),
-                )
-            )
+            rows.append(SimulationRow(*(read(text) for read, text in zip(_FIELD_READERS, raw))))
         except ValueError:
             raise SpecParseError(f"malformed results row: {raw}") from None
     return rows

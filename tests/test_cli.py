@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crexlab import rows_from_csv, sample_from_csv
 from crexlab.cli import main
@@ -129,6 +133,32 @@ def test_negative_uniform_support_exits_2(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--estimator", "vn", "--input", "{dir}"],
+        ["estimate", "--estimator", "vn", "--values", "1,2", "--save", "{dir}"],
+        ["estimate", "--estimator", "vn", "--input", "{latin1}"],
+        ["simulate", "--input", "{dir}"],
+        ["simulate", "--dist", "exp:rate=1", "--m", "2", "--l", "2", "--estimators", "rn",
+         "--reps", "2", "--seed", "1", "--out", "{dir}"],
+        ["simulate", "--config", "{dir}"],
+        ["simulate", "--config", "{latin1}"],
+        ["simulate", "--input", "{latin1}"],
+    ],
+    ids=["estimate-input-dir", "save-dir", "estimate-input-latin1", "simulate-input-dir",
+         "out-dir", "config-dir", "config-latin1", "simulate-input-latin1"],
+)
+def test_unreadable_or_unwritable_file_exits_2(capsys, tmp_path, argv):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("caf\u00e9,na\u00efve\n".encode("latin-1"))
+    argv = [arg.format(dir=tmp_path, latin1=latin1) for arg in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("crexlab:") and "Traceback" not in err
+    assert out == ""
+
+
 class TestEstimate:
     def test_inline_values(self, capsys):
         code, out, _ = run(capsys, ["estimate", "--estimator", "vn", "--values", "1,2,4"])
@@ -170,6 +200,20 @@ class TestEstimate:
              "exp:rate=1", "--m", "2", "--l", "2"],
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--estimator", "rn", "--draw", "exp:rate=1", "--seed", "-1"], "base seed"),
+            (["--estimator", "rmn:w=1,w=2", "--values", "1,2,3"], "duplicate key 'w'"),
+            (["--estimator", "vn", "--draw", "exp:rate=1,rate=2"], "duplicate key 'rate'"),
+        ],
+        ids=["negative-seed", "repeated-estimator-key", "repeated-distribution-key"],
+    )
+    def test_usage_errors_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, ["estimate", *argv])
+        assert code == 2 and out == ""
+        assert err.startswith("crexlab:") and message in err
 
 
 class TestSimulate:
@@ -263,6 +307,54 @@ class TestSimulate:
         code, out, err = run(capsys, self.BASE + ["--seed", "7"])
         assert code == 2
         assert "CREXLAB_THREADS" in err and out == ""
+
+
+# JSON values with every integer small, so no drawn config can ask for a large grid
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 7) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_SMALL_INTS = st.lists(st.integers(-1, 4), max_size=3)
+_CONFIG = st.fixed_dictionaries(
+    {},
+    optional={
+        "distribution": st.sampled_from(
+            ["exp:rate=1", "unif:a=0,b=1", "powerbeta:alpha=2", "finite:a=2,b=3",
+             "exp:rate=1,rate=2", "unif:a=-1,b=1"]
+        ) | _JSON,
+        "m": _SMALL_INTS | _JSON,
+        "l": _SMALL_INTS | _JSON,
+        "estimators": st.lists(
+            st.sampled_from(["vn", "rn", "rmn", "lstat", "lstat_adj", "rmn:w=0"]), max_size=4
+        ) | _JSON,
+        "w": st.dictionaries(
+            st.sampled_from(["rmn", "lstat_adj", "vn"]),
+            _SMALL_INTS | st.dictionaries(st.sampled_from(["1", "2", "3", "x"]), _SMALL_INTS),
+            max_size=2,
+        ) | _JSON,
+        "psi_family": st.sampled_from(["exp", "unif", "beta"]) | _JSON,
+        "replications": st.integers(-1, 3) | _JSON,
+        "seed": st.integers(-2, 2**70) | _JSON,
+        "bias_convention": st.sampled_from(["truth-minus-estimate", "estimate-minus-truth"])
+        | _JSON,
+        "junk": _JSON,
+    },
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(raw=_CONFIG | _JSON)
+def test_any_json_config_exits_0_2_or_4(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "property-config.json"
+    path.write_text(json.dumps(raw))
+    out, err = io.StringIO(), io.StringIO()
+    # an exception escaping main is what ends the command line in exit 1
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["simulate", "--config", str(path)])
+    assert code in (0, 2, 4)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestDiscriminate:

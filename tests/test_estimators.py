@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from crexlab import (
@@ -21,6 +23,7 @@ from crexlab import (
     draw_minrssu,
     lstat,
     lstat_adjusted,
+    parse_distribution,
     pooled_order_statistics,
     psi,
     rmn,
@@ -238,6 +241,9 @@ class TestEstimatorSpec:
                 3,
                 PsiFamily.BETA,
             ),
+            (" RMN : w = -2 ", EstimatorKind.RMN, -2, None),
+            ("Lstat_Adj:family= UNIF ,w=+1", EstimatorKind.LSTAT_ADJUSTED, 1, PsiFamily.UNIFORM),
+            ("vn:", EstimatorKind.VN, None, None),
         ],
     )
     def test_parse(self, text, kind, w, family):
@@ -256,11 +262,41 @@ class TestEstimatorSpec:
             "lstat_adj:family=exp",
             "lstat_adj:family=nope,w=0",
             "rmn:q=2",
+            "rmn:w",
+            "rmn:w=1,",
+            "rmn:w=1,w=2",
+            "rmn: w=1 ,w =1",
+            "lstat_adj:family=exp,family=unif,w=0",
         ],
     )
     def test_parse_errors(self, text):
         with pytest.raises(SpecParseError):
             EstimatorSpec.parse(text)
+
+
+# spec-like text: the heads, keys and values both grammars know, joined by
+# their separators, mixed with arbitrary characters
+_SPEC_WORDS = st.sampled_from(
+    ["exp", "unif", "finite", "powerbeta", "vn", "rn", "rmn", "lstat", "lstat_adj",
+     "rate", "a", "b", "alpha", "w", "family", "beta", "0", "-2", "0.5", "1e400", "nan",
+     ":", ",", "=", " "]
+)
+SPEC_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.one_of(_SPEC_WORDS, st.text(max_size=2)), max_size=12).map("".join),
+)
+
+
+@settings(deadline=None)
+@given(text=SPEC_TEXT)
+@pytest.mark.parametrize(
+    "parse", [parse_distribution, EstimatorSpec.parse], ids=["distribution", "estimator"]
+)
+def test_any_spec_text_parses_or_raises_spec_parse_error(parse, text):
+    try:
+        parse(text)
+    except SpecParseError:
+        pass
 
 
 class TestEmpiricalSurvival:
@@ -387,10 +423,11 @@ class TestEstimateDispatch:
             spec = EstimatorSpec.parse(text)
             data = pooled if spec.kind is EstimatorKind.VN else s
             assert estimate(spec, data) == pytest.approx(expected, abs=0.0)
-        # lstat accepts either a plain array or a sample
-        assert estimate(EstimatorSpec.parse("lstat"), s) == pytest.approx(
-            lstat(pooled), abs=0.0
-        )
+        # vn and lstat accept either a plain array or a sample
+        for kind, plain in ((EstimatorKind.VN, vn), (EstimatorKind.LSTAT, lstat)):
+            assert estimate(EstimatorSpec(kind), s) == plain(s) == plain(pooled)
+        # rmn on a plain array takes m from its argument, on a sample from the sample
+        assert rmn(pooled, 1, m=3) == rmn(s, 1) == rmn(s, 1, m=7)
 
     @pytest.mark.parametrize(
         "call",

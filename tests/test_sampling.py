@@ -9,13 +9,55 @@ from crexlab import (
     MinRssuSample,
     SpecParseError,
     Uniform,
+    asymptotic_variance_minrssu,
+    crex_min_order_stat,
+    crex_minrssu_design,
+    crex_srs_design,
+    d_designs,
+    d_min_vs_parent,
     draw_minrssu,
     draw_srs,
+    dynamic_crex_designs,
     pooled_order_statistics,
+    psi,
+    run_cell,
     sample_from_csv,
     sample_to_csv,
 )
 from crexlab.sampling import _minrssu_values
+
+EXP = Exponential(1.0)
+# every argument that counts sets, draws, cycles or replications, each
+# behind a call that takes it as ``n``
+COUNT_ARGUMENTS = {
+    "crex_min_order_stat i": lambda n: crex_min_order_stat(EXP, n),
+    "d_min_vs_parent i": lambda n: d_min_vs_parent(EXP, n),
+    "min_order_stat_mean j": lambda n: EXP.min_order_stat_mean(n),
+    "crex_minrssu_design m": lambda n: crex_minrssu_design(EXP, n),
+    "crex_srs_design m": lambda n: crex_srs_design(EXP, n),
+    "dynamic_crex_designs m": lambda n: dynamic_crex_designs(EXP, n, 1.0),
+    "d_designs m": lambda n: d_designs(EXP, n),
+    "asymptotic_variance_minrssu m": lambda n: asymptotic_variance_minrssu(EXP, n, nodes=8),
+    "psi beta m": lambda n: psi("beta", n, 0),
+    "draw_srs n": lambda n: draw_srs(EXP, n, np.random.default_rng(0)),
+    "draw_minrssu m": lambda n: draw_minrssu(EXP, n, 2, np.random.default_rng(0)),
+    "draw_minrssu l": lambda n: draw_minrssu(EXP, 2, n, np.random.default_rng(0)),
+    "MinRssuSample m": lambda n: MinRssuSample(m=n, l=1, values=np.ones((1, 2))),
+    "MinRssuSample l": lambda n: MinRssuSample(m=1, l=n, values=np.ones((2, 1))),
+    "run_cell m": lambda n: run_cell("exp:rate=1", "rn", n, 2, 2),
+    "run_cell l": lambda n: run_cell("exp:rate=1", "rn", 2, n, 2),
+    "run_cell replications": lambda n: run_cell("exp:rate=1", "rn", 2, 2, n),
+}
+
+
+@pytest.mark.parametrize("name", COUNT_ARGUMENTS)
+def test_count_arguments_are_integers_of_at_least_one(name):
+    call = COUNT_ARGUMENTS[name]
+    for bad in (0, -3, 1.5, 2.0, True, "2", None):
+        with pytest.raises(DomainError):
+            call(bad)
+    call(np.int64(2))
+    call(2)
 
 
 class TestDrawSrs:

@@ -203,6 +203,10 @@ class TestBatchedKernel:
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError):
             run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=-1)
+        with pytest.raises(DomainError, match="base seed"):
+            replication_rng(-1, 0, 0)
+        with pytest.raises(DomainError, match="base seed"):
+            run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=-1, sample_factory=lambda rng: [1.0])
 
     @pytest.mark.parametrize(
         "spec_text,m,l,error",
@@ -430,6 +434,7 @@ class TestCsv:
             "distribution,params,estimator,m,l,w,reps,seed,true_value,bias,rmse,mc_se"
         )
         assert rows_from_csv(text) == rows
+        assert rows_to_csv(rows_from_csv(text)) == text
 
     def test_comment_lines_are_skipped(self):
         row = run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=1)
@@ -470,6 +475,17 @@ class TestConfigValidation:
                 distribution="exp:rate=1",
                 estimators=("lstat_adj",),
                 w_lists={"lstat_adj": (0,)},
+            )
+
+    @pytest.mark.parametrize("family", ["zzz", 5, ["exp"]])
+    def test_unknown_psi_family(self, family):
+        # a family that is not a string used to pass here and fail in the grid as ValueError
+        with pytest.raises(SpecParseError, match="unknown psi family"):
+            SimulationConfig(
+                distribution="exp:rate=1",
+                estimators=("lstat_adj",),
+                w_lists={"lstat_adj": (0,)},
+                psi_family=family,
             )
 
     def test_bad_replications(self):
