@@ -243,8 +243,11 @@ def estimate(spec, data, *, _m=None):
     This is the one place that decides what data each estimator takes.
     A MinRSSU sample supplies the design size m; ``rn`` and ``lstat_adj``
     need one, and ``rmn`` on a plain value array needs the m that
-    :func:`rmn` passes on as ``_m``.  ``vn`` and ``lstat`` take either.
+    :func:`rmn` passes on as ``_m``, a count like every other m.  ``vn``
+    and ``lstat`` take either.
     """
+    if _m is not None:
+        check_count(_m, "m")
     m = _design_size(data)
     if m is None:
         if spec.kind in (EstimatorKind.RN, EstimatorKind.LSTAT_ADJUSTED):
@@ -275,7 +278,8 @@ def rmn(sample, w, m=None):
     """Adjusted spacing estimator with weight denominator ``n + m + w``.
 
     ``sample`` is a MinRSSU sample (m taken from it) or a plain value
-    array with ``m`` passed explicitly.  Every weight
+    array with ``m`` passed explicitly; an explicit ``m`` that is not an
+    integer >= 1 raises DomainError.  Every weight
     ``1 - k/(n + m + w)`` for ``k <= n - 1`` must stay positive,
     i.e. ``n + m + w > n - 1``.
     """
@@ -302,7 +306,7 @@ def psi(family, m, w):
     beta:        ``m - w``
     """
     if not isinstance(family, PsiFamily):
-        family = PsiFamily(family)
+        family = _psi_family(family)
     if family is PsiFamily.BETA:
         check_count(m, "design size")
         return int(m) - int(w)
@@ -316,7 +320,7 @@ def psi(family, m, w):
 
 def lstat_adjusted(sample, family, w):
     """Adjusted order-statistic estimator ``-(1/n) sum (1 - i/(n+psi)) Y_(i)``."""
-    spec = EstimatorSpec(EstimatorKind.LSTAT_ADJUSTED, w=int(w), psi_family=PsiFamily(family))
+    spec = EstimatorSpec(EstimatorKind.LSTAT_ADJUSTED, w=int(w), psi_family=family)
     return estimate(spec, sample)
 
 

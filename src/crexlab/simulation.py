@@ -15,14 +15,19 @@ the same size.
 
 A grid draws for all its cells at once.  The keys of every stream of
 every cell come from one vectorised SeedSequence hash.  Cells that draw
-the same shape, the same ``(m, l)`` and ``vn`` or not, form a group, and
-the streams of all a group's cells fill the rows of one uniform matrix
-per chunk, which is transformed and sorted once; each cell's estimator
-then runs on its own rows.  Rows of at most ``_NUMPY_PHILOX_MAX_WIDTH``
-uniforms come from Philox4x64-10 written in numpy, many streams per
-array operation; wider rows reset numpy's C generator to each stream in
-turn, which is faster once a row spans more than a few blocks.  Both
-give exactly the stream :func:`replication_rng` builds.
+the same shape, the same ``(m, l)`` and ``vn`` or not, form a group.
+Rows of at most ``_NUMPY_PHILOX_MAX_WIDTH`` uniforms come from
+Philox4x64-10 written in numpy: the narrow rows of all groups, in group
+order, are cut into chunks of at most ``_CHUNK_UNIFORMS`` uniforms, and
+each chunk is one run over its flat list of (key, block counter) pairs.
+Wider rows reset numpy's C generator to each stream in turn, which is
+faster once a row spans more than a few blocks.  Both give exactly the
+stream :func:`replication_rng` builds.  A group's rows in a chunk are
+transformed and sorted at once, and each cell's estimator runs on its own
+rows.  The true value is computed once per grid, and a group's
+``(cells, replications)`` estimates are summarized by one set of
+reductions along the replications; :func:`run_cell` then applies the
+bias convention to each cell's summary.
 
 Reported cells use the configured bias convention (default: truth minus
 mean estimate); RMSE and |bias| do not depend on the convention.  Squared
@@ -85,8 +90,12 @@ LSTAT_ADJ_W_GRID = {
     "unif": {2: (-4, -3, -2, -1), 3: (-2, -1, 0, 1), 4: (0, 1, 2, 3), 5: (2, 3, 4, 5)},
     "beta": {m: (-3, -2, -1, 0) for m in (2, 3, 4, 5)},
 }
-# uniforms drawn per chunk of a group's replications: bounds a group's working memory
-_CHUNK_UNIFORMS = 2**14
+# uniforms drawn per chunk of rows: bounds the working memory of a draw.
+# On 2 shared vCPUs a numpy Philox run costs about 0.6 ms plus 0.28 us per
+# block; 2**16 draws an R=20 protocol grid in one run, and in 6 alternating
+# benchmark pairs beat 2**14 (3 runs) on every pair, 260k vs 240k
+# replications per calibrated second, for 1 MB more peak memory
+_CHUNK_UNIFORMS = 2**16
 # the widest row the numpy Philox draws; wider rows reset numpy's C generator.
 # On 2 shared vCPUs the numpy Philox costs about 0.25 us per block of four
 # uniforms and a reset 2.5-5 us per row: they break even at 48-60 uniforms
@@ -339,31 +348,41 @@ def _mulhilo(mult, x):
     return m_hi * x_hi + (mid >> 32) + (low_mid >> 32), x * np.uint64(mult)
 
 
-def _philox_uniforms(keys, width):
-    """``width`` uniforms from the start of each stream keyed by ``keys``, in numpy.
+def _stream_blocks(keys, width):
+    """Flat ``(k0, k1, counter)`` lists of the Philox blocks of ``width`` uniforms.
 
     numpy's Philox4x64-10 raises its counter before each block, so block
-    ``b`` of a stream is the 10-round Philox of counter ``(b + 1, 0, 0, 0)``
-    under the stream's key, and yields four 64-bit words in order; a
-    uniform is ``(word >> 11) * 2**-53``.  uint64 arrays wrap silently,
-    as the C code does.
+    ``b`` of the stream keyed by ``(k0, k1)`` has counter ``(b + 1, 0, 0,
+    0)``.  The lists hold blocks ``0 .. ceil(width / 4) - 1`` of each
+    stream keyed by ``keys``, stream by stream.
     """
     blocks = -(-width // 4)
-    k0, k1 = keys[:, :1], keys[:, 1:]
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (len(keys), blocks))
-    c1 = c2 = c3 = np.zeros(c0.shape, np.uint64)
+    counters = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(keys))
+    return np.repeat(keys[:, 0], blocks), np.repeat(keys[:, 1], blocks), counters
+
+
+def _philox_uniforms(k0, k1, counters):
+    """The four uniforms of each Philox4x64-10 block ``(k0, k1, counter)``, in numpy.
+
+    Returns a ``(blocks, 4)`` array: the 10-round Philox of counter
+    ``(counter, 0, 0, 0)`` under key ``(k0, k1)`` yields four 64-bit words
+    in order, and a uniform is ``(word >> 11) * 2**-53``.  One call runs
+    any mix of streams and widths; uint64 arrays wrap silently, as the C
+    code does.
+    """
+    c0, c1 = counters, np.zeros_like(counters)
+    c2 = c3 = c1
     for round_ in range(_PHILOX_ROUNDS):
         if round_:
             k0, k1 = k0 + _PHILOX_BUMP[0], k1 + _PHILOX_BUMP[1]
         hi0, lo0 = _mulhilo(_PHILOX_MULT[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_MULT[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(len(keys), -1)[:, :width]
-    return (words >> 11) * 2.0**-53
+    return (np.stack((c0, c1, c2, c3), axis=-1) >> 11) * 2.0**-53
 
 
 def _reset_uniforms():
-    """A function drawing rows like :func:`_philox_uniforms` from numpy's C Philox.
+    """A function drawing ``width`` uniforms per stream from numpy's C Philox.
 
     It resets one generator to each row's stream: counter 0, the row's
     key and an empty buffer.
@@ -391,66 +410,143 @@ def _reset_uniforms():
     return uniforms
 
 
-def _cell_samples(dist, vn, m, l, keys):
-    """Ascending pooled samples of the replications keyed by ``keys``.
+def _cell_summaries(estimates, true_value):
+    """``(true_value, mean estimate, RMSE, Monte Carlo SE)`` of each row of ``estimates``.
 
-    Yields arrays of one sample per row, in chunks of at most
-    ``_CHUNK_UNIFORMS`` uniforms.  Row ``r`` reads the Philox stream with
-    key ``keys[r]`` from counter 0, the stream :func:`replication_rng`
-    builds, in the order :func:`~crexlab.sampling.draw_minrssu` (or, when
-    ``vn``, ``Distribution.sample``) reads it.  The keys may belong to
-    many cells of one shape.  Rows of at most ``_NUMPY_PHILOX_MAX_WIDTH``
-    uniforms come from :func:`_philox_uniforms`, wider ones from numpy's
-    C generator.
+    Each row holds one cell's estimates.  The mean and the squared
+    deviations from ``true_value`` are summed in extended precision; the
+    standard error uses ``ddof=1`` and is 0 for a single replication.
     """
-    width = m * l if vn else l * m * (m + 1) // 2
-    uniforms = _philox_uniforms if width <= _NUMPY_PHILOX_MAX_WIDTH else _reset_uniforms()
-    chunk = max(1, _CHUNK_UNIFORMS // width)
-    for start in range(0, len(keys), chunk):
-        u = uniforms(keys[start : start + chunk], width)
-        if vn:
-            values = dist.quantile(u)
-        else:
-            values = _minrssu_values(dist, m, u.reshape(len(u), l, -1)).reshape(len(u), -1)
+    replications = estimates.shape[1]
+    mean = np.mean(estimates, axis=1, dtype=np.longdouble)
+    dev = estimates.astype(np.longdouble) - true_value
+    rmse = np.sqrt(np.mean(dev * dev, axis=1))
+    if replications > 1:
+        mc_se = np.std(estimates, axis=1, ddof=1) / np.sqrt(replications)
+    else:
+        mc_se = np.zeros(len(estimates))
+    stats = zip(mean.astype(float).tolist(), rmse.astype(float).tolist(), mc_se.tolist())
+    return [(true_value, *cell) for cell in stats]
+
+
+class _Group:
+    """The cells of a grid that draw one shape: the same ``(m, l)``, ``vn`` or not.
+
+    Row ``k * replications + r`` is replication ``r`` of cell ``k``, drawn
+    from the stream keyed by ``keys[k, r]``; ``estimators[k]`` runs on
+    cell ``k``'s rows.
+    """
+
+    def __init__(self, vn, m, l, keys, estimators):
+        self.vn, self.m, self.l = vn, m, l
+        self.width = m * l if vn else l * m * (m + 1) // 2
+        self.keys = keys.reshape(-1, 2)
+        self.estimators = estimators
+        self.estimates = np.zeros(keys.shape[:2])
+        self.errors = [None] * len(estimators)
+        self.error = None
+
+    def add_rows(self, dist, start, stop, u):
+        """Estimate rows ``start .. stop - 1`` from their uniforms ``u``, one row each.
+
+        The uniforms become samples in the order
+        :func:`~crexlab.sampling.draw_minrssu` (or, when ``vn``,
+        ``Distribution.sample``) reads a stream, sorted once.  A
+        CrexlabError fails the cell whose estimator raised it, or the
+        whole group when the samples raise it.
+        """
+        if self.error is not None:
+            return
+        try:
+            if self.vn:
+                values = dist.quantile(u)
+            else:
+                values = _minrssu_values(dist, self.m, u.reshape(len(u), self.l, -1))
+                values = values.reshape(len(u), -1)
+        except CrexlabError as exc:
+            self.error = exc
+            return
         values.sort(axis=1)
-        yield values
-
-
-def _group_estimates(dist, vn, m, l, keys, estimators):
-    """Estimates of cells of one shape: cell ``k`` has keys ``keys[k]``.
-
-    All the cells' replications are drawn as one stream of chunks, and
-    ``estimators[k]`` runs on cell ``k``'s rows of each chunk.  Each
-    entry is the cell's estimates or the CrexlabError its estimator
-    raised.
-    """
-    cells, replications = keys.shape[:2]
-    estimates = np.empty((cells, replications))
-    outcomes = list(estimates)
-    flat = estimates.reshape(-1)
-    start = 0
-    for values in _cell_samples(dist, vn, m, l, keys.reshape(-1, 2)):
-        stop = start + len(values)
+        replications = self.estimates.shape[1]
+        flat = self.estimates.reshape(-1)
         # the cells with rows in [start, stop)
         for k in range(start // replications, -(-stop // replications)):
             lo, hi = max(start, k * replications), min(stop, (k + 1) * replications)
             try:
-                flat[lo:hi] = estimators[k](values[lo - start : hi - start])
+                flat[lo:hi] = self.estimators[k](values[lo - start : hi - start])
             except CrexlabError as exc:
-                outcomes[k] = exc
-        start = stop
-    return outcomes
+                self.errors[k] = exc
+
+    def outcomes(self, true_value):
+        """Each cell's :func:`_cell_summaries` entry, or the CrexlabError it raised."""
+        if self.error is not None:
+            return [self.error] * len(self.errors)
+        summaries = _cell_summaries(self.estimates, true_value)
+        return [s if error is None else error for error, s in zip(self.errors, summaries)]
 
 
-def _grid_estimates(dist, cells, replications, base_seed):
-    """The estimates of each ``(spec, m, l)`` cell of a grid on ``dist``.
+def _chunks(groups):
+    """The rows of ``groups`` in order, cut into chunks of ``(group, start, stop)``.
 
-    Each entry is an array of the cell's ``replications`` estimates or
-    the CrexlabError the cell raised.  Errors that do not depend on the
-    drawn values come first and draw nothing.  The keys of all other
-    cells are hashed at once, and each ``(m, l, vn or not)`` group of
-    cells is drawn by :func:`_group_estimates`.
+    A chunk holds at most ``_CHUNK_UNIFORMS`` uniforms, or one row when a
+    row is wider; a chunk boundary may fall inside a group or a cell.
     """
+    chunk, used = [], 0
+    for group in groups:
+        rows, start = len(group.keys), 0
+        while start < rows:
+            take = min(rows - start, (_CHUNK_UNIFORMS - used) // group.width)
+            if take < 1 and chunk:
+                yield chunk
+                chunk, used = [], 0
+                continue
+            stop = start + max(take, 1)
+            chunk.append((group, start, stop))
+            used += (stop - start) * group.width
+            start = stop
+    if chunk:
+        yield chunk
+
+
+def _draw_groups(dist, groups):
+    """Draw and estimate every row of every group.
+
+    The rows of at most ``_NUMPY_PHILOX_MAX_WIDTH`` uniforms, of all the
+    groups, are packed into chunks that each take one
+    :func:`_philox_uniforms` run; wider rows reset numpy's C generator to
+    each stream, in chunks of one group.  Either way row ``r`` of a group
+    reads the stream :func:`replication_rng` builds, from counter 0.
+    """
+    narrow = [g for g in groups if g.width <= _NUMPY_PHILOX_MAX_WIDTH]
+    for chunk in _chunks(narrow):
+        blocks = [_stream_blocks(g.keys[start:stop], g.width) for g, start, stop in chunk]
+        u = _philox_uniforms(*map(np.concatenate, zip(*blocks))).reshape(-1)
+        offset = 0
+        for (group, start, stop), (k0, _, _) in zip(chunk, blocks):
+            rows = u[offset : offset + 4 * len(k0)].reshape(stop - start, -1)
+            group.add_rows(dist, start, stop, rows[:, : group.width])
+            offset += 4 * len(k0)
+    for group in groups:
+        if group.width > _NUMPY_PHILOX_MAX_WIDTH:
+            uniforms = _reset_uniforms()
+            for [(_, start, stop)] in _chunks([group]):
+                group.add_rows(dist, start, stop, uniforms(group.keys[start:stop], group.width))
+
+
+def _grid_outcomes(dist, cells, replications, base_seed):
+    """The summary of each ``(spec, m, l)`` cell of a grid on ``dist``.
+
+    Each entry is the cell's :func:`_cell_summaries` entry or the
+    CrexlabError the cell raised.  The true value is computed once, and
+    its error fails every cell.  Errors that do not depend on the drawn
+    values come next and draw nothing.  The keys of all other cells are
+    hashed at once, and each ``(m, l, vn or not)`` group of cells is one
+    :class:`_Group`, drawn by :func:`_draw_groups` and summarized at once.
+    """
+    try:
+        true_value = float(crex(dist))
+    except CrexlabError as exc:
+        return [exc] * len(cells)
     outcomes = [None] * len(cells)
     live, estimators, digests = [], [], []
     spec_text = dist.spec_string()
@@ -463,18 +559,17 @@ def _grid_estimates(dist, cells, replications, base_seed):
         live.append(index)
         digests.append(_cell_digest(spec_text, spec.text(), m, l))
     keys = _replication_keys(base_seed, digests, replications)
-    groups = {}
+    members = {}
     for position, index in enumerate(live):
         spec, m, l = cells[index]
-        groups.setdefault((m, l, spec.kind is EstimatorKind.VN), []).append(position)
-    for (m, l, vn), members in groups.items():
-        try:
-            found = _group_estimates(
-                dist, vn, m, l, keys[members], [estimators[p] for p in members]
-            )
-        except CrexlabError as exc:
-            found = [exc] * len(members)
-        for position, outcome in zip(members, found):
+        members.setdefault((m, l, spec.kind is EstimatorKind.VN), []).append(position)
+    groups = [
+        _Group(vn, m, l, keys[positions], [estimators[p] for p in positions])
+        for (m, l, vn), positions in members.items()
+    ]
+    _draw_groups(dist, groups)
+    for group, positions in zip(groups, members.values()):
+        for position, outcome in zip(positions, group.outcomes(true_value)):
             outcomes[live[position]] = outcome
     return outcomes
 
@@ -489,7 +584,7 @@ def run_cell(
     bias_convention=BiasConvention.TRUTH_MINUS_ESTIMATE,
     sample_factory=None,
     *,
-    _estimates=None,
+    _summary=None,
 ):
     """Run one grid cell and summarize bias / RMSE against the true measure.
 
@@ -503,8 +598,9 @@ def run_cell(
 
     ``sample_factory(rng)`` is a testing seam that replaces the sampler;
     it returns a value array or a MinRSSU sample, whose values feed the
-    same estimate step.  :func:`run_grid` passes ``_estimates``, this
-    cell's entry of the grid kernel: its estimates or its error.
+    same estimate and summary steps.  :func:`run_grid` passes
+    ``_summary``, this cell's entry of the grid kernel: its true value,
+    mean estimate, RMSE and Monte Carlo SE, or its error.
     """
     if isinstance(dist, str):
         dist = parse_distribution(dist)
@@ -515,30 +611,23 @@ def run_cell(
     check_count(replications, "replications")
     check_count(m, "m")
     check_count(l, "l")
-    true_value = float(crex(dist))
-    if _estimates is None:
+    if _summary is None:
         if sample_factory is None:
-            _estimates = _grid_estimates(dist, [(estimator, m, l)], replications, base_seed)[0]
+            _summary = _grid_outcomes(dist, [(estimator, m, l)], replications, base_seed)[0]
         else:
+            true_value = float(crex(dist))
             estimate_rows = row_estimator(estimator, m, m * l)
             digest = _cell_digest(dist.spec_string(), estimator.text(), m, l)
             rngs = (replication_rng(base_seed, digest, r) for r in range(replications))
             rows = np.stack([_sorted_values(sample_factory(rng)) for rng in rngs])
-            _estimates = estimate_rows(rows)
-    if isinstance(_estimates, CrexlabError):
-        raise _estimates
-    estimates = _estimates
-    mean_est = float(np.mean(estimates, dtype=np.longdouble))
+            _summary = _cell_summaries(estimate_rows(rows)[np.newaxis], true_value)[0]
+    if isinstance(_summary, CrexlabError):
+        raise _summary
+    true_value, mean_est, rmse, mc_se = _summary
     if bias_convention is BiasConvention.TRUTH_MINUS_ESTIMATE:
         bias = true_value - mean_est
     else:
         bias = mean_est - true_value
-    dev = estimates.astype(np.longdouble) - true_value
-    rmse = float(np.sqrt(np.mean(dev * dev)))
-    if replications > 1:
-        mc_se = float(np.std(estimates, ddof=1) / np.sqrt(replications))
-    else:
-        mc_se = 0.0
     return SimulationRow(
         distribution=dist.family,
         params=dist.param_text(),
@@ -583,7 +672,7 @@ def run_grid(config, workers=None):
         for l in config.l_values
         for spec in config.cell_specs(m)
     ]
-    outcomes = _grid_estimates(dist, cells, config.replications, config.base_seed)
+    outcomes = _grid_outcomes(dist, cells, config.replications, config.base_seed)
     rows, failures = [], []
     for (spec, m, l), outcome in zip(cells, outcomes):
         try:
@@ -596,7 +685,7 @@ def run_grid(config, workers=None):
                     config.replications,
                     base_seed=config.base_seed,
                     bias_convention=config.bias_convention,
-                    _estimates=outcome,
+                    _summary=outcome,
                 )
             )
         except CrexlabError as exc:

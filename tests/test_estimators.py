@@ -134,6 +134,14 @@ class TestRmn:
         with pytest.raises(ParameterError):
             rmn([1.0, 2.0, 4.0], w=1)
 
+    @pytest.mark.parametrize("m", [2.5, 0, -1, True, "3"])
+    def test_explicit_m_must_be_a_count(self, m):
+        values = [0.3, 1.2, 0.5, 2.2, 0.9, 1.7, 0.1]
+        with pytest.raises(DomainError, match="m must be"):
+            rmn(values, 2, m=m)
+        # a valid m keeps its value, whatever its integer type
+        assert rmn(values, 2, m=np.int64(2)) == rmn(values, 2, m=2)
+
 
 class TestLstat:
     def test_hand_value(self):
@@ -196,6 +204,10 @@ class TestPsi:
             with pytest.raises(DomainError):
                 psi(PsiFamily.UNIFORM, m, 0)
 
+    def test_unknown_family_is_a_spec_parse_error(self):
+        with pytest.raises(SpecParseError, match="unknown psi family 'zzz'"):
+            psi("zzz", 2, 0)
+
 
 class TestLstatAdjusted:
     def test_zero_offset_reduces_to_lstat(self):
@@ -219,6 +231,12 @@ class TestLstatAdjusted:
         s = draw_minrssu(Exponential(1.0), 2, 2, np.random.default_rng(30))
         with pytest.raises(ParameterError):
             lstat_adjusted(s, PsiFamily.EXPONENTIAL, w=-11)
+
+    def test_unknown_family_is_a_spec_parse_error(self):
+        s = draw_minrssu(Exponential(1.0), 2, 2, np.random.default_rng(30))
+        with pytest.raises(SpecParseError, match="unknown psi family 'zzz'"):
+            lstat_adjusted(s, "zzz", 0)
+        assert lstat_adjusted(s, "beta", 0) == lstat_adjusted(s, PsiFamily.BETA, 0)
 
 
 class TestEstimatorSpec:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,14 +29,26 @@ from crexlab.cli import main
 from crexlab.errors import SizeError
 from crexlab.estimators import estimate, psi, row_estimator
 from crexlab.simulation import (
+    _CHUNK_UNIFORMS,
     _NUMPY_PHILOX_MAX_WIDTH,
     SimulationConfig,
+    SimulationRow,
+    _chunks,
+    _draw_groups,
+    _Group,
     _cell_digest,
-    _cell_samples,
     _philox_uniforms,
     _replication_keys,
     _reset_uniforms,
+    _stream_blocks,
 )
+
+DATA = Path(__file__).parent / "data"
+
+
+def _numpy_uniforms(keys, width):
+    """``width`` uniforms per stream from one numpy Philox run."""
+    return _philox_uniforms(*_stream_blocks(keys, width)).reshape(len(keys), -1)[:, :width]
 
 
 class TestRunCell:
@@ -126,7 +139,7 @@ def _reference_estimate(spec, m, data):
 
 
 class TestBatchedKernel:
-    # each shape spans several chunks of the kernel's uniform budget
+    # at a budget of 2**14 uniforms per chunk each shape spans several chunks
     @pytest.mark.parametrize(
         "dist_text,m,l,reps",
         [
@@ -139,7 +152,8 @@ class TestBatchedKernel:
     @pytest.mark.parametrize(
         "spec_text", ["vn", "rn", "rmn:w=1", "lstat", "lstat_adj:family=beta,w=0"]
     )
-    def test_matches_per_replication_route(self, dist_text, m, l, reps, spec_text):
+    def test_matches_per_replication_route(self, dist_text, m, l, reps, spec_text, monkeypatch):
+        monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", 2**14)
         dist = parse_distribution(dist_text)
         spec = EstimatorSpec.parse(spec_text)
         seed = 31
@@ -154,11 +168,11 @@ class TestBatchedKernel:
             loop[r] = _reference_estimate(spec, m, data)
             if r % 97 == 0:
                 assert estimate(spec, data) == loop[r]
-        keys = _replication_keys(seed, [digest], reps)[0]
-        chunks = list(_cell_samples(dist, spec_text == "vn", m, l, keys))
-        assert len(chunks) > 1
-        batched = np.concatenate([row_estimator(spec, m, m * l)(rows) for rows in chunks])
-        assert batched.tobytes() == loop.tobytes()
+        keys = _replication_keys(seed, [digest], reps)
+        group = _Group(spec_text == "vn", m, l, keys, [row_estimator(spec, m, m * l)])
+        assert len(list(_chunks([group]))) > 1
+        _draw_groups(dist, [group])
+        assert group.estimates[0].tobytes() == loop.tobytes()
         row = run_cell(dist, spec, m, l, reps, base_seed=seed)
         assert row.bias == row.true_value - float(np.mean(loop, dtype=np.longdouble))
 
@@ -183,8 +197,45 @@ class TestBatchedKernel:
         seed, digest, reps = 2**64 + 5, 0xFEDCBA9876543210, 3 if width > 100 else 40
         keys = _replication_keys(seed, [digest], reps)[0]
         expected = np.stack([replication_rng(seed, digest, r).random(width) for r in range(reps)])
-        for uniforms in (_philox_uniforms, _reset_uniforms()):
+        for uniforms in (_numpy_uniforms, _reset_uniforms()):
             assert uniforms(keys, width).tobytes() == expected.tobytes()
+
+    def test_packed_philox_matches_replication_rng(self, monkeypatch):
+        # every (m, l) shape of m = 1..5 and l = 1..3, vn and MinRSSU: rows
+        # of 1 to 45 uniforms; about 2.3 chunks of rows in all, so a chunk
+        # holds rows of several widths and a chunk boundary splits a group
+        seed, reps = 2**40 + 3, _CHUNK_UNIFORMS // 260
+        digests = {}
+        for m in range(1, 6):
+            for l in range(1, 4):
+                for vn in (False, True):
+                    cells = [_cell_digest("exp:rate=1", f"{vn}|{k}", m, l) for k in range(2)]
+                    keys = _replication_keys(seed, cells, reps)
+                    digests[_Group(vn, m, l, keys, [None, None])] = cells
+        groups = list(digests)
+        chunks = list(_chunks(groups))
+        assert all(g.width <= _NUMPY_PHILOX_MAX_WIDTH for g in groups)
+        assert any(len({group.width for group, _, _ in chunk}) > 1 for chunk in chunks)
+        assert any(chunk[-1][0] is later[0][0] for chunk, later in zip(chunks, chunks[1:]))
+        runs, drawn = [], {group: [] for group in groups}
+
+        def counted(*blocks):
+            runs.append(len(blocks[0]))
+            return _philox_uniforms(*blocks)
+
+        monkeypatch.setattr(simulation, "_philox_uniforms", counted)
+        monkeypatch.setattr(
+            _Group, "add_rows", lambda group, dist, start, stop, u: drawn[group].append(u)
+        )
+        _draw_groups(Exponential(1.0), groups)
+        assert len(runs) == len(chunks)
+        for group, cells in digests.items():
+            expected = [
+                replication_rng(seed, digest, r).random(group.width)
+                for digest in cells
+                for r in range(reps)
+            ]
+            assert np.concatenate(drawn[group]).tobytes() == np.stack(expected).tobytes()
 
     @pytest.mark.parametrize("seed", [0, 42, 2**64 + 3])
     @pytest.mark.parametrize("reps", [1, 5])
@@ -271,7 +322,7 @@ class TestRunGrid:
             l_values=(2,),
             estimators=("rn", "rmn", "lstat"),
             w_lists={"rmn": (-2, -1, 0, 1)},
-            replications=1000,
+            replications=2500,
             base_seed=5,
         ),
     ]
@@ -301,19 +352,90 @@ class TestRunGrid:
             ] == failures
         assert len(failures) == 8 and {f[3] for f in failures} == {ParameterError}
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            protocol_config("unif", replications=1, base_seed=3),
+            protocol_config("beta", replications=2, base_seed=2**40 + 3),
+            # at m=2 the lstat_adj w=-11 cells fail in row_estimator and
+            # share their groups with live cells
+            dict(
+                distribution="exp:rate=1",
+                m_values=(2, 3),
+                l_values=(1, 2),
+                estimators=("vn", "rn", "lstat", "lstat_adj"),
+                w_lists={"lstat_adj": (-11, 0)},
+                psi_family="exp",
+                replications=7,
+                base_seed=12345,
+            ),
+        ],
+        ids=["R=1", "R=2", "rejected-cells"],
+    )
+    def test_summaries_match_per_replication_oracle(self, grid):
+        cfg = grid if isinstance(grid, SimulationConfig) else SimulationConfig(**grid)
+        dist, reps, seed = cfg.distribution, cfg.replications, cfg.base_seed
+        true_value = float(crex(dist))
+        rows, failures = [], []
+        for m in cfg.m_values:
+            for l in cfg.l_values:
+                for spec in cfg.cell_specs(m):
+                    digest = _cell_digest(dist.spec_string(), spec.text(), m, l)
+                    ests = np.empty(reps)
+                    try:
+                        for r in range(reps):
+                            rng = replication_rng(seed, digest, r)
+                            if spec.kind.value == "vn":
+                                data = dist.sample(rng, m * l)
+                            else:
+                                data = draw_minrssu(dist, m, l, rng)
+                            ests[r] = estimate(spec, data)
+                    except CrexlabError as exc:
+                        failures.append((spec.text(), m, l, str(exc)))
+                        continue
+                    dev = ests.astype(np.longdouble) - true_value
+                    mc_se = float(np.std(ests, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
+                    rows.append(SimulationRow(
+                        distribution=dist.family,
+                        params=dist.param_text(),
+                        estimator=spec.text(with_w=False),
+                        m=m,
+                        l=l,
+                        w=spec.w,
+                        reps=reps,
+                        seed=seed,
+                        true_value=true_value,
+                        bias=true_value - float(np.mean(ests, dtype=np.longdouble)),
+                        rmse=float(np.sqrt(np.mean(dev * dev))),
+                        mc_se=mc_se,
+                    ))
+        result = run_grid(cfg)
+        assert result.rows == rows
+        assert [
+            (f.coordinates["estimator"], f.coordinates["m"], f.coordinates["l"], str(f.cause))
+            for f in result.failures
+        ] == failures
+
+    def test_protocol_grid_matches_golden_file(self):
+        # the golden files pin this grid's CSV and failure list byte for byte
+        result = run_grid(protocol_config("exp", replications=20, base_seed=1))
+        assert rows_to_csv(result.rows).encode() == (DATA / "protocol_exp_r20_s1.csv").read_bytes()
+        failures = "".join(f"{type(f.cause).__name__}: {f}\n" for f in result.failures)
+        assert failures.encode() == (DATA / "protocol_exp_r20_s1_failures.txt").read_bytes()
+
     def test_generator_switch_changes_no_estimate(self, monkeypatch):
         cfg = SimulationConfig(**self.GRIDS[1])
         widths = {"numpy": set(), "reset": set()}
 
         def numpy_philox(keys, width):
             widths["numpy"].add(width)
-            return _philox_uniforms(keys, width)
+            return _stream_blocks(keys, width)
 
         def reset_philox():
             uniforms = _reset_uniforms()
             return lambda keys, width: widths["reset"].add(width) or uniforms(keys, width)
 
-        monkeypatch.setattr(simulation, "_philox_uniforms", numpy_philox)
+        monkeypatch.setattr(simulation, "_stream_blocks", numpy_philox)
         monkeypatch.setattr(simulation, "_reset_uniforms", reset_philox)
         expected = run_grid(cfg).rows
         assert max(widths["numpy"]) <= _NUMPY_PHILOX_MAX_WIDTH < min(widths["reset"])
