@@ -1,4 +1,12 @@
-"""Exception types shared across the package, and the input checks that raise them."""
+"""Exception types shared across the package, and the input checks that raise them.
+
+Counts (m, l, n, set and design sizes, replications), seeds and the
+tuning offset ``w`` are integers: an int or a numpy integer passes, while
+``2.5``, ``True`` or ``"3"`` raise DomainError (SpecParseError from a
+simulation config; the CLI exits 2) instead of being truncated.
+:func:`check_integer` is that rule and
+:func:`check_count` adds ``>= 1``; both return the value as an int.
+"""
 
 import operator
 
@@ -52,16 +60,22 @@ def split_spec(text, what):
     return head.strip().lower(), options
 
 
+def check_integer(value, label):
+    """``value`` as an int; raise DomainError unless it is an int or numpy integer (not a bool)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{label} must be an integer, got {value!r}")
+
+
 def check_count(value, label):
-    """Raise DomainError unless ``value`` is an int or numpy integer >= 1 (not a bool)."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = None
-    if count is None or isinstance(value, bool):
-        raise DomainError(f"{label} must be an integer, got {value!r}")
+    """``value`` as an int; raise DomainError unless it is an integer >= 1."""
+    count = check_integer(value, label)
     if count < 1:
         raise DomainError(f"{label} must be >= 1, got {count}")
+    return count
 
 
 class CellError(CrexlabError):

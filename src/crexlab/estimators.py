@@ -35,7 +35,8 @@ from itertools import repeat
 import numpy as np
 
 from ._quadrature import DOUBLE_QUAD_NODES, double_quad_kinked, truncation_point
-from .errors import DomainError, ParameterError, SizeError, SpecParseError, check_count, split_spec
+from .errors import DomainError, ParameterError, SizeError, SpecParseError, split_spec
+from .errors import check_count, check_integer
 from .sampling import pooled_order_statistics
 
 __all__ = [
@@ -105,6 +106,8 @@ class EstimatorSpec:
         if (self.w is not None) != (self.kind in _NEEDS_W):
             need = "requires" if self.kind in _NEEDS_W else "does not take"
             raise SpecParseError(f"estimator {self.kind.value!r} {need} a w value")
+        if self.w is not None:
+            object.__setattr__(self, "w", check_integer(self.w, "w"))
         if (self.psi_family is not None) != (self.kind is EstimatorKind.LSTAT_ADJUSTED):
             need = (
                 "requires"
@@ -227,7 +230,7 @@ def row_estimator(spec, m, n):
         raise SizeError(f"spacing estimator needs n >= 2, got n={n}")
     denom = n
     if kind is EstimatorKind.RMN:
-        denom = n + int(m) + int(spec.w)
+        denom = n + m + spec.w
         if denom <= n - 1:
             raise ParameterError(
                 f"w={spec.w} gives denominator n+m+w={denom} <= n-1={n - 1}; "
@@ -247,7 +250,7 @@ def estimate(spec, data, *, _m=None):
     and ``lstat`` take either.
     """
     if _m is not None:
-        check_count(_m, "m")
+        _m = check_count(_m, "m")
     m = _design_size(data)
     if m is None:
         if spec.kind in (EstimatorKind.RN, EstimatorKind.LSTAT_ADJUSTED):
@@ -278,12 +281,12 @@ def rmn(sample, w, m=None):
     """Adjusted spacing estimator with weight denominator ``n + m + w``.
 
     ``sample`` is a MinRSSU sample (m taken from it) or a plain value
-    array with ``m`` passed explicitly; an explicit ``m`` that is not an
-    integer >= 1 raises DomainError.  Every weight
-    ``1 - k/(n + m + w)`` for ``k <= n - 1`` must stay positive,
-    i.e. ``n + m + w > n - 1``.
+    array with ``m`` passed explicitly.  A ``w`` that is not an integer,
+    or an explicit ``m`` that is not an integer >= 1, raises DomainError.
+    Every weight ``1 - k/(n + m + w)`` for ``k <= n - 1`` must stay
+    positive, i.e. ``n + m + w > n - 1``.
     """
-    return estimate(EstimatorSpec(EstimatorKind.RMN, w=int(w)), sample, _m=m)
+    return estimate(EstimatorSpec(EstimatorKind.RMN, w=w), sample, _m=m)
 
 
 def lstat(sample):
@@ -304,13 +307,14 @@ def psi(family, m, w):
     exponential: ``5m - 4*k_m + w`` with k = (3, 2, 1, 0) for m = 2..5
     uniform:     ``3m - (2*k_m + 1) + w`` with k = (-1, 0, 1, 2)
     beta:        ``m - w``
+
+    ``m`` is a count and ``w`` an integer; anything else raises DomainError.
     """
     if not isinstance(family, PsiFamily):
         family = _psi_family(family)
+    m, w = check_count(m, "design size"), check_integer(w, "w")
     if family is PsiFamily.BETA:
-        check_count(m, "design size")
-        return int(m) - int(w)
-    m, w = int(m), int(w)
+        return m - w
     if m not in _K_EXPONENTIAL:
         raise DomainError(f"psi family {family.value!r} is defined for m = 2..5, got {m}")
     if family is PsiFamily.EXPONENTIAL:
@@ -320,7 +324,7 @@ def psi(family, m, w):
 
 def lstat_adjusted(sample, family, w):
     """Adjusted order-statistic estimator ``-(1/n) sum (1 - i/(n+psi)) Y_(i)``."""
-    spec = EstimatorSpec(EstimatorKind.LSTAT_ADJUSTED, w=int(w), psi_family=family)
+    spec = EstimatorSpec(EstimatorKind.LSTAT_ADJUSTED, w=w, psi_family=family)
     return estimate(spec, sample)
 
 

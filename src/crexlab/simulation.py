@@ -45,20 +45,19 @@ import csv
 import enum
 import hashlib
 import io
-import operator
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .distributions import Distribution, parse_distribution
-from .errors import CellError, CrexlabError, DomainError, SpecParseError, check_count
+from .errors import CellError, CrexlabError, DomainError, SpecParseError
+from .errors import check_count, check_integer
 # estimate and draw_minrssu are unused here; the benchmark tracer wraps these bindings
 from .estimators import (  # noqa: F401
     EstimatorKind,
     EstimatorSpec,
     _estimator_kind,
-    _sorted_values,
     estimate,
     row_estimator,
 )
@@ -125,6 +124,14 @@ class BiasConvention(enum.Enum):
     ESTIMATE_MINUS_TRUTH = "estimate-minus-truth"
 
 
+def _bias_convention(value):
+    try:
+        return BiasConvention(value)
+    except ValueError:
+        known = ", ".join(c.value for c in BiasConvention)
+        raise SpecParseError(f"unknown bias convention {value!r} (known: {known})") from None
+
+
 @dataclass(frozen=True)
 class SimulationRow:
     """One completed grid cell."""
@@ -147,16 +154,6 @@ class SimulationRow:
 CSV_HEADER = tuple(f.name for f in fields(SimulationRow))
 _FROM_TEXT = {"str": str, "int": int, "float": float, "int | None": lambda t: int(t) if t else None}
 _FIELD_READERS = tuple(_FROM_TEXT[f.type] for f in fields(SimulationRow))
-
-
-def _integer(value, label):
-    """``value`` as an int; a bool, float or string raises SpecParseError."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise SpecParseError(f"{label} must be an integer, got {value!r}")
 
 
 def _sequence(value, label):
@@ -191,45 +188,36 @@ class SimulationConfig:
     def __post_init__(self):
         if not isinstance(self.distribution, Distribution):
             self.distribution = parse_distribution(self.distribution)
-        if isinstance(self.bias_convention, str):
-            self.bias_convention = BiasConvention(self.bias_convention)
-        self.replications = _integer(self.replications, "replications")
-        self.base_seed = _integer(self.base_seed, "base seed")
-        if self.replications < 1:
-            raise SpecParseError(f"replications must be >= 1, got {self.replications}")
-        if self.base_seed < 0:
-            raise SpecParseError(f"base seed must be >= 0, got {self.base_seed}")
-        self.m_values = tuple(_integer(m, "m value") for m in _sequence(self.m_values, "m"))
-        self.l_values = tuple(_integer(l, "l value") for l in _sequence(self.l_values, "l"))
-        if any(m < 1 for m in self.m_values) or any(l < 1 for l in self.l_values):
-            raise SpecParseError("m and l values must be >= 1")
-        self.estimators = _sequence(self.estimators, "estimators")
-        # validate every (estimator, w) pair eagerly
+        self.bias_convention = _bias_convention(self.bias_convention)
+        try:
+            self.replications = check_count(self.replications, "replications")
+            self.base_seed = _check_seed(self.base_seed)
+            self.m_values = tuple(check_count(m, "m value") for m in _sequence(self.m_values, "m"))
+            self.l_values = tuple(check_count(l, "l value") for l in _sequence(self.l_values, "l"))
+            self.estimators = _sequence(self.estimators, "estimators")
+            self.cells()  # checks every (estimator, w) pair
+        except DomainError as exc:
+            raise SpecParseError(str(exc)) from exc
+
+    def cells(self):
+        """The grid's ``(EstimatorSpec, m, l)`` cells in row order: m, l, estimator, w."""
+        cells = []
         for m in self.m_values:
-            for _ in self.cell_specs(m):
-                pass
-
-    def w_values(self, kind, m):
-        entry = self.w_lists.get(kind)
-        if entry is None:
-            return (None,)
-        if isinstance(entry, dict):
-            values = entry.get(m)
-            if values is None:
-                raise SpecParseError(f"no w list for estimator {kind!r} at m={m}")
-        else:
-            values = entry
-        return tuple(_integer(w, "w value") for w in _sequence(values, f"w list of {kind!r}"))
-
-    def cell_specs(self, m):
-        """EstimatorSpecs for one m, in deterministic order."""
-        out = []
-        for token in self.estimators:
-            kind = _estimator_kind(token)
-            family = self.psi_family if kind is EstimatorKind.LSTAT_ADJUSTED else None
-            for w in self.w_values(token, m):
-                out.append(EstimatorSpec(kind=kind, w=w, psi_family=family))
-        return out
+            specs = []
+            for token in self.estimators:
+                kind = _estimator_kind(token)
+                family = self.psi_family if kind is EstimatorKind.LSTAT_ADJUSTED else None
+                w_list = self.w_lists.get(token)
+                if w_list is None:
+                    w_list = (None,)
+                elif isinstance(w_list, dict):
+                    w_list = w_list.get(m)
+                    if w_list is None:
+                        raise SpecParseError(f"no w list for estimator {token!r} at m={m}")
+                for w in _sequence(w_list, f"w list of {token!r}"):
+                    specs.append(EstimatorSpec(kind=kind, w=w, psi_family=family))
+            cells += [(spec, m, l) for l in self.l_values for spec in specs]
+        return cells
 
 
 @dataclass(frozen=True)
@@ -248,8 +236,8 @@ def _cell_digest(dist_spec, estimator_text, m, l):
 
 
 def _check_seed(base_seed):
-    """``base_seed`` as an int; a negative seed raises DomainError."""
-    base_seed = int(base_seed)
+    """``base_seed`` as an int; a non-integer or negative seed raises DomainError."""
+    base_seed = check_integer(base_seed, "base seed")
     if base_seed < 0:
         raise DomainError(f"base seed must be >= 0, got {base_seed}")
     return base_seed
@@ -324,6 +312,7 @@ def _replication_keys(base_seed, cell_digests, replications):
     whole grid.  SeedSequence drops a digest's zero high word, so digests
     below 2**32 hash as one word and are hashed apart from the others.
     """
+    # a negative seed would never run out of words
     base_seed = _check_seed(base_seed)
     digests = np.array(cell_digests, dtype=np.uint64).reshape(-1, 1)
     reps = np.arange(replications, dtype=np.uint32)[None, :]
@@ -582,45 +571,31 @@ def run_cell(
     replications,
     base_seed=DEFAULT_SEED,
     bias_convention=BiasConvention.TRUTH_MINUS_ESTIMATE,
-    sample_factory=None,
     *,
     _summary=None,
 ):
     """Run one grid cell and summarize bias / RMSE against the true measure.
 
-    Replications are drawn and estimated in chunks by the grid kernel, on
-    a grid of this one cell; every estimate equals the one from the
-    replication's own :func:`replication_rng` stream,
+    ``run_cell`` runs a grid of this one cell: the grid kernel draws and
+    estimates its replications in chunks, and every estimate equals the
+    one from the replication's own :func:`replication_rng` stream,
     :func:`~crexlab.sampling.draw_minrssu` (``Distribution.sample`` for
     ``vn``) and :func:`~crexlab.estimators.estimate`, bit for bit.
     Errors that do not depend on the drawn values are raised before any
-    drawing.
-
-    ``sample_factory(rng)`` is a testing seam that replaces the sampler;
-    it returns a value array or a MinRSSU sample, whose values feed the
-    same estimate and summary steps.  :func:`run_grid` passes
-    ``_summary``, this cell's entry of the grid kernel: its true value,
-    mean estimate, RMSE and Monte Carlo SE, or its error.
+    drawing.  :func:`run_grid` passes ``_summary``, this cell's entry of
+    the grid kernel: its true value, mean estimate, RMSE and Monte Carlo
+    SE, or its error.
     """
     if isinstance(dist, str):
         dist = parse_distribution(dist)
     if isinstance(estimator, str):
         estimator = EstimatorSpec.parse(estimator)
-    if isinstance(bias_convention, str):
-        bias_convention = BiasConvention(bias_convention)
-    check_count(replications, "replications")
-    check_count(m, "m")
-    check_count(l, "l")
+    bias_convention = _bias_convention(bias_convention)
+    replications = check_count(replications, "replications")
+    m, l = check_count(m, "m"), check_count(l, "l")
+    base_seed = _check_seed(base_seed)
     if _summary is None:
-        if sample_factory is None:
-            _summary = _grid_outcomes(dist, [(estimator, m, l)], replications, base_seed)[0]
-        else:
-            true_value = float(crex(dist))
-            estimate_rows = row_estimator(estimator, m, m * l)
-            digest = _cell_digest(dist.spec_string(), estimator.text(), m, l)
-            rngs = (replication_rng(base_seed, digest, r) for r in range(replications))
-            rows = np.stack([_sorted_values(sample_factory(rng)) for rng in rngs])
-            _summary = _cell_summaries(estimate_rows(rows)[np.newaxis], true_value)[0]
+        _summary = _grid_outcomes(dist, [(estimator, m, l)], replications, base_seed)[0]
     if isinstance(_summary, CrexlabError):
         raise _summary
     true_value, mean_est, rmse, mc_se = _summary
@@ -632,11 +607,11 @@ def run_cell(
         distribution=dist.family,
         params=dist.param_text(),
         estimator=estimator.text(with_w=False),
-        m=int(m),
-        l=int(l),
+        m=m,
+        l=l,
         w=estimator.w,
-        reps=int(replications),
-        seed=int(base_seed),
+        reps=replications,
+        seed=base_seed,
         true_value=true_value,
         bias=bias,
         rmse=rmse,
@@ -666,12 +641,7 @@ def run_grid(config, workers=None):
     """
     _check_threads_env()
     dist = config.distribution
-    cells = [
-        (spec, m, l)
-        for m in config.m_values
-        for l in config.l_values
-        for spec in config.cell_specs(m)
-    ]
+    cells = config.cells()
     outcomes = _grid_outcomes(dist, cells, config.replications, config.base_seed)
     rows, failures = [], []
     for (spec, m, l), outcome in zip(cells, outcomes):
@@ -792,20 +762,25 @@ def calibrate_parameter(
 ):
     """Scan candidate distributions for the best match to a target cell.
 
-    ``target`` is the (bias, rmse) pair to reproduce.  Both bias sign
-    conventions are tried for every candidate; the squared deviation
+    ``target`` is the (bias, rmse) pair to reproduce; anything but two
+    finite numbers raises DomainError.  Both bias sign conventions are
+    tried for every candidate; the squared deviation
     ``(bias - target_bias)**2 + (rmse - target_rmse)**2`` is minimized.
     Returns the best fit together with per-candidate details; a poor
     residual is reported, never raised.
     """
-    target_bias, target_rmse = float(target[0]), float(target[1])
+    try:
+        target_bias, target_rmse = map(float, target)
+    except (TypeError, ValueError):
+        raise DomainError(f"calibration target must be (bias, rmse), got {target!r}") from None
+    if not np.isfinite([target_bias, target_rmse]).all():
+        raise DomainError(f"calibration target must be finite, got {target!r}")
     candidate_list = [
         parse_distribution(c) if isinstance(c, str) else c for c in candidates
     ]
     if not candidate_list:
         raise DomainError("calibration needs at least one candidate distribution")
-    best = None
-    details = []
+    fits, details = [], []
     for dist in candidate_list:
         row = run_cell(
             dist,
@@ -828,13 +803,6 @@ def calibrate_parameter(
                     "residual": residual,
                 }
             )
-            if best is None or residual < best.residual:
-                best = CalibrationResult(
-                    distribution=dist,
-                    residual=residual,
-                    bias_convention=convention,
-                    bias=bias,
-                    rmse=row.rmse,
-                    details=[],
-                )
-    return replace(best, details=details)
+            fits.append(CalibrationResult(dist, residual, convention, bias, row.rmse, details))
+    # every fit shares the one details list; min keeps the first of equal residuals
+    return min(fits, key=lambda fit: fit.residual)

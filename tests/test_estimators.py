@@ -142,6 +142,14 @@ class TestRmn:
         # a valid m keeps its value, whatever its integer type
         assert rmn(values, 2, m=np.int64(2)) == rmn(values, 2, m=2)
 
+    @pytest.mark.parametrize("w", [0.7, -0.5, True, "1"])
+    def test_w_must_be_an_integer(self, w):
+        # 0.7 used to run w=0 and True w=1
+        values = [0.3, 1.2, 0.5, 2.2, 0.9, 1.7, 0.1]
+        with pytest.raises(DomainError, match="w must be an integer"):
+            rmn(values, w, m=2)
+        assert rmn(values, np.int64(1), m=2) == rmn(values, 1, m=2)
+
 
 class TestLstat:
     def test_hand_value(self):
@@ -207,6 +215,19 @@ class TestPsi:
     def test_unknown_family_is_a_spec_parse_error(self):
         with pytest.raises(SpecParseError, match="unknown psi family 'zzz'"):
             psi("zzz", 2, 0)
+
+    @pytest.mark.parametrize("family", ["exp", "unif", "beta"])
+    def test_w_must_be_an_integer(self, family):
+        # w=0.5 used to run w=0, in psi and in lstat_adjusted alike
+        s = draw_minrssu(Exponential(1.0), 3, 2, np.random.default_rng(31))
+        for w in (0.5, True, "0"):
+            with pytest.raises(DomainError, match="w must be an integer"):
+                psi(family, 3, w)
+            with pytest.raises(DomainError, match="w must be an integer"):
+                lstat_adjusted(s, family, w)
+        assert psi(family, np.int64(3), np.int32(1)) == psi(family, 3, 1)
+        assert type(psi(family, np.int64(3), np.int32(1))) is int
+        assert lstat_adjusted(s, family, np.int64(1)) == lstat_adjusted(s, family, 1)
 
 
 class TestLstatAdjusted:
@@ -290,6 +311,15 @@ class TestEstimatorSpec:
     def test_parse_errors(self, text):
         with pytest.raises(SpecParseError):
             EstimatorSpec.parse(text)
+
+    @pytest.mark.parametrize("kind", [EstimatorKind.RMN, EstimatorKind.LSTAT_ADJUSTED])
+    def test_w_must_be_an_integer(self, kind):
+        family = "exp" if kind is EstimatorKind.LSTAT_ADJUSTED else None
+        for w in (0.7, True, "2"):
+            with pytest.raises(DomainError, match="w must be an integer"):
+                EstimatorSpec(kind, w=w, psi_family=family)
+        spec = EstimatorSpec(kind, w=np.int64(2), psi_family=family)
+        assert type(spec.w) is int and spec == EstimatorSpec(kind, w=2, psi_family=family)
 
 
 # spec-like text: the heads, keys and values both grammars know, joined by

@@ -39,6 +39,8 @@ COUNT_ARGUMENTS = {
     "d_designs m": lambda n: d_designs(EXP, n),
     "asymptotic_variance_minrssu m": lambda n: asymptotic_variance_minrssu(EXP, n, nodes=8),
     "psi beta m": lambda n: psi("beta", n, 0),
+    "psi exp m": lambda n: psi("exp", n, 0),
+    "psi unif m": lambda n: psi("unif", n, 0),
     "draw_srs n": lambda n: draw_srs(EXP, n, np.random.default_rng(0)),
     "draw_minrssu m": lambda n: draw_minrssu(EXP, n, 2, np.random.default_rng(0)),
     "draw_minrssu l": lambda n: draw_minrssu(EXP, 2, n, np.random.default_rng(0)),

@@ -51,18 +51,38 @@ def _numpy_uniforms(keys, width):
     return _philox_uniforms(*_stream_blocks(keys, width)).reshape(len(keys), -1)[:, :width]
 
 
+def _forbid_drawing(monkeypatch):
+    """Fail the test if the grid kernel draws any uniform, by either generator."""
+
+    def no_draw(*args):
+        raise AssertionError("drew uniforms")
+
+    monkeypatch.setattr(simulation, "_philox_uniforms", no_draw)
+    monkeypatch.setattr(simulation, "_reset_uniforms", no_draw)
+
+
+def _inject_samples(monkeypatch, values):
+    """Make every MinRSSU cycle the kernel draws record ``values``; returns the calls."""
+    calls = []
+
+    def injected(dist, m, u):
+        calls.append(u.shape)
+        return np.broadcast_to(values, u.shape[:-1] + (m,)).copy()
+
+    monkeypatch.setattr(simulation, "_minrssu_values", injected)
+    return calls
+
+
 class TestRunCell:
     def test_same_seed_is_bit_identical(self):
         a = run_cell("exp:rate=1", "rmn:w=0", 2, 3, 25, base_seed=9)
         b = run_cell("exp:rate=1", "rmn:w=0", 2, 3, 25, base_seed=9)
         assert a == b
 
-    def test_degenerate_injection(self):
+    def test_degenerate_injection(self, monkeypatch):
         # all-equal sample makes the spacing estimator exactly zero, so the
         # estimate-minus-truth bias equals -true_value exactly
-        def degenerate(rng):
-            return MinRssuSample(m=2, l=2, values=np.full((2, 2), 3.0))
-
+        calls = _inject_samples(monkeypatch, 3.0)
         row = run_cell(
             "exp:rate=1",
             "rn",
@@ -70,8 +90,9 @@ class TestRunCell:
             2,
             1,
             bias_convention=BiasConvention.ESTIMATE_MINUS_TRUTH,
-            sample_factory=degenerate,
         )
+        # one replication of l=2 cycles, three uniforms each
+        assert calls == [(1, 2, 3)]
         assert row.bias == pytest.approx(0.25, abs=0.0)
         assert row.rmse == pytest.approx(0.25, abs=1e-15)
 
@@ -251,13 +272,25 @@ class TestBatchedKernel:
                 expected = np.random.SeedSequence([seed, digest, r]).generate_state(2, np.uint64)
                 assert keys[cell, r].tolist() == expected.tolist()
 
-    def test_negative_seed_rejected(self):
-        with pytest.raises(DomainError):
-            run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=-1)
+    def test_negative_seed_rejected(self, monkeypatch):
         with pytest.raises(DomainError, match="base seed"):
             replication_rng(-1, 0, 0)
+        _forbid_drawing(monkeypatch)
         with pytest.raises(DomainError, match="base seed"):
-            run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=-1, sample_factory=lambda rng: [1.0])
+            run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=-1)
+        # each of these used to run a truncated seed: 3, 0, 1, 7 and 2
+        for seed in (3.9, -0.5, True, "7", 2.5):
+            with pytest.raises(DomainError, match="base seed must be an integer"):
+                run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=seed)
+            with pytest.raises(DomainError, match="base seed must be an integer"):
+                replication_rng(seed, 0, 0)
+
+    def test_numpy_integer_seed_accepted(self):
+        row = run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=np.uint64(9))
+        assert row == run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=9)
+        assert type(row.seed) is int
+        u = replication_rng(np.int64(9), 5, 1).random(4)
+        assert u.tobytes() == replication_rng(9, 5, 1).random(4).tobytes()
 
     @pytest.mark.parametrize(
         "spec_text,m,l,error",
@@ -269,29 +302,26 @@ class TestBatchedKernel:
             ("vn", 1, 1, SizeError),
         ],
     )
-    def test_infeasible_cell_fails_before_drawing(self, spec_text, m, l, error):
+    def test_infeasible_cell_fails_before_drawing(self, spec_text, m, l, error, monkeypatch):
         spec = EstimatorSpec.parse(spec_text)
         dist = Exponential(1.0)
         rng = replication_rng(1, 0, 0)
         data = dist.sample(rng, m * l) if spec_text == "vn" else draw_minrssu(dist, m, l, rng)
         with pytest.raises(error):
             estimate(spec, data)
+        _forbid_drawing(monkeypatch)
         with pytest.raises(error):
             run_cell(dist, spec, m, l, 5)
 
-        def no_draw(rng):
-            raise AssertionError("drew a sample for an infeasible cell")
-
-        with pytest.raises(error):
-            run_cell(dist, spec, m, l, 5, sample_factory=no_draw)
-
-    def test_negative_sample_fails_like_per_replication_route(self):
+    def test_negative_sample_fails_like_per_replication_route(self, monkeypatch):
         sample = MinRssuSample(m=2, l=2, values=np.array([[-1.0, 0.5], [2.0, 0.1]]))
         spec = EstimatorSpec.parse("lstat")
         with pytest.raises(DomainError):
             estimate(spec, sample.values.ravel())
+        calls = _inject_samples(monkeypatch, sample.values)
         with pytest.raises(DomainError):
-            run_cell("exp:rate=1", spec, 2, 2, 3, sample_factory=lambda rng: sample)
+            run_cell("exp:rate=1", spec, 2, 2, 3)
+        assert calls == [(3, 2, 3)]
 
 
 class TestRunGrid:
@@ -334,16 +364,14 @@ class TestRunGrid:
         for cfg in configs:
             result = run_grid(cfg)
             rows, failures = [], []
-            for m in cfg.m_values:
-                for l in cfg.l_values:
-                    for spec in cfg.cell_specs(m):
-                        try:
-                            rows.append(
-                                run_cell(cfg.distribution, spec, m, l, cfg.replications,
-                                         base_seed=cfg.base_seed)
-                            )
-                        except CrexlabError as exc:
-                            failures.append((spec.text(), m, l, type(exc), str(exc)))
+            for spec, m, l in cfg.cells():
+                try:
+                    rows.append(
+                        run_cell(cfg.distribution, spec, m, l, cfg.replications,
+                                 base_seed=cfg.base_seed)
+                    )
+                except CrexlabError as exc:
+                    failures.append((spec.text(), m, l, type(exc), str(exc)))
             assert result.rows == rows
             assert [
                 (f.coordinates["estimator"], f.coordinates["m"], f.coordinates["l"],
@@ -377,38 +405,36 @@ class TestRunGrid:
         dist, reps, seed = cfg.distribution, cfg.replications, cfg.base_seed
         true_value = float(crex(dist))
         rows, failures = [], []
-        for m in cfg.m_values:
-            for l in cfg.l_values:
-                for spec in cfg.cell_specs(m):
-                    digest = _cell_digest(dist.spec_string(), spec.text(), m, l)
-                    ests = np.empty(reps)
-                    try:
-                        for r in range(reps):
-                            rng = replication_rng(seed, digest, r)
-                            if spec.kind.value == "vn":
-                                data = dist.sample(rng, m * l)
-                            else:
-                                data = draw_minrssu(dist, m, l, rng)
-                            ests[r] = estimate(spec, data)
-                    except CrexlabError as exc:
-                        failures.append((spec.text(), m, l, str(exc)))
-                        continue
-                    dev = ests.astype(np.longdouble) - true_value
-                    mc_se = float(np.std(ests, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
-                    rows.append(SimulationRow(
-                        distribution=dist.family,
-                        params=dist.param_text(),
-                        estimator=spec.text(with_w=False),
-                        m=m,
-                        l=l,
-                        w=spec.w,
-                        reps=reps,
-                        seed=seed,
-                        true_value=true_value,
-                        bias=true_value - float(np.mean(ests, dtype=np.longdouble)),
-                        rmse=float(np.sqrt(np.mean(dev * dev))),
-                        mc_se=mc_se,
-                    ))
+        for spec, m, l in cfg.cells():
+            digest = _cell_digest(dist.spec_string(), spec.text(), m, l)
+            ests = np.empty(reps)
+            try:
+                for r in range(reps):
+                    rng = replication_rng(seed, digest, r)
+                    if spec.kind.value == "vn":
+                        data = dist.sample(rng, m * l)
+                    else:
+                        data = draw_minrssu(dist, m, l, rng)
+                    ests[r] = estimate(spec, data)
+            except CrexlabError as exc:
+                failures.append((spec.text(), m, l, str(exc)))
+                continue
+            dev = ests.astype(np.longdouble) - true_value
+            mc_se = float(np.std(ests, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
+            rows.append(SimulationRow(
+                distribution=dist.family,
+                params=dist.param_text(),
+                estimator=spec.text(with_w=False),
+                m=m,
+                l=l,
+                w=spec.w,
+                reps=reps,
+                seed=seed,
+                true_value=true_value,
+                bias=true_value - float(np.mean(ests, dtype=np.longdouble)),
+                rmse=float(np.sqrt(np.mean(dev * dev))),
+                mc_se=mc_se,
+            ))
         result = run_grid(cfg)
         assert result.rows == rows
         assert [
@@ -656,6 +682,27 @@ class TestConfigValidation:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("crexlab:")
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("m_values", (2, 0), "m value must be >= 1, got 0"),
+            ("l_values", (-1,), "l value must be >= 1, got -1"),
+            ("replications", 0, "replications must be >= 1, got 0"),
+            ("base_seed", -1, "base seed must be >= 0, got -1"),
+        ],
+    )
+    def test_out_of_range_values_name_the_value(self, field, value, message):
+        with pytest.raises(SpecParseError, match=message):
+            SimulationConfig(**{**self.VALID, field: value})
+
+    def test_unknown_bias_convention(self):
+        # both entry points used to end in a bare ValueError
+        known = r"unknown bias convention 'bogus' \(known: truth-minus-estimate, estimate-minus"
+        with pytest.raises(SpecParseError, match=known):
+            SimulationConfig(**{**self.VALID, "bias_convention": "bogus"})
+        with pytest.raises(SpecParseError, match=known):
+            run_cell("exp:rate=1", "rn", 2, 2, 3, bias_convention="bogus")
+
     def test_numpy_integers_accepted(self):
         cfg = SimulationConfig(
             **{**self.VALID, "m_values": np.array([2]), "l_values": (np.int32(2),),
@@ -711,6 +758,18 @@ class TestCalibrate:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             calibrate_parameter([], "rn", 2, 2, (0.0, 0.0))
+
+    def test_target_must_be_two_finite_numbers(self, capsys):
+        # a nan target used to give residual=nan for every candidate and a "best fit"
+        for target in [(float("nan"), 0.3), (0.1, float("inf")), ("x", 0), (0.1,), None]:
+            with pytest.raises(DomainError, match="calibration target"):
+                calibrate_parameter(["exp:rate=1"], "rn", 2, 2, target, replications=10)
+        argv = ["calibrate", "--dist-grid", "exp:rate=1", "exp:rate=2", "--estimator", "rn",
+                "--m", "2", "--l", "2", "--target-bias", "nan", "--target-rmse", "0.3",
+                "--reps", "10"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("crexlab: calibration target must be finite")
 
 
 class TestBiasShrinksWithN:
