@@ -30,7 +30,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
@@ -186,19 +185,20 @@ def _sorted_values(data):
     return np.sort(np.asarray(data, dtype=float).ravel())
 
 
-# one 1-D dot per row: a matrix-vector product, or a dot over a strided
-# row, sums in another order, so both kernels take C-contiguous rows
+# one BLAS dot per row, run by np.vecdot: it sums each row as np.dot sums
+# one 1-D pair, where a matrix-vector product sums in another order.  A
+# dot over a strided row is another BLAS call too, so both kernels take
+# C-contiguous rows
 def _spacing_rows(rows, weights):
     diffs = np.diff(np.ascontiguousarray(rows), axis=1)
-    return -0.5 * np.fromiter(map(np.dot, diffs, repeat(weights)), float, len(diffs))
+    return -0.5 * np.vecdot(diffs, weights)
 
 
 def _order_stat_rows(rows, weights):
     rows = np.ascontiguousarray(rows)
     if rows[:, 0].min() < 0:
         raise DomainError("order-statistic estimator requires nonnegative values")
-    dots = np.fromiter(map(np.dot, repeat(weights), rows), float, len(rows))
-    return -dots / rows.shape[1]
+    return -np.vecdot(weights, rows) / rows.shape[1]
 
 
 def row_estimator(spec, m, n):

@@ -102,8 +102,8 @@ def _minrssu_values(dist, m, u):
     gather of the stream positions through :func:`_set_index`, into
     ``(m, m, cycles)``, and one reduction over its first axis; the
     quantile then runs on the contiguous ``(m, cycles)`` minima.  The
-    result is C-contiguous: a row-wise ``np.dot`` over strided rows sums
-    in another order.
+    result is C-contiguous: the estimators' row-wise BLAS dot sums a
+    strided row in another order.
     """
     minima = u.reshape(-1, u.shape[-1]).T[_set_index(m)].min(axis=0)
     return np.ascontiguousarray(dist.quantile(minima).T).reshape(u.shape[:-1] + (m,))

@@ -166,13 +166,15 @@ def _sequence(value, label):
     raise SpecParseError(f"{label} must be a list, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationConfig:
     """Grid coordinates plus execution settings.
 
     ``w_lists`` maps an estimator kind to either one w sequence (used for
     every m) or a mapping ``m -> sequence``.  Estimator kinds without a
-    tuning value run once per (m, l) cell.
+    tuning value run once per (m, l) cell.  A config is frozen: its
+    fields are checked and normalized once, on construction, and
+    :func:`run_grid` trusts them.
     """
 
     distribution: Distribution | str
@@ -186,15 +188,20 @@ class SimulationConfig:
     bias_convention: BiasConvention = BiasConvention.TRUTH_MINUS_ESTIMATE
 
     def __post_init__(self):
+        def normalize(name, value):
+            object.__setattr__(self, name, value)
+
         if not isinstance(self.distribution, Distribution):
-            self.distribution = parse_distribution(self.distribution)
-        self.bias_convention = _bias_convention(self.bias_convention)
+            normalize("distribution", parse_distribution(self.distribution))
+        normalize("bias_convention", _bias_convention(self.bias_convention))
         try:
-            self.replications = check_count(self.replications, "replications")
-            self.base_seed = _check_seed(self.base_seed)
-            self.m_values = tuple(check_count(m, "m value") for m in _sequence(self.m_values, "m"))
-            self.l_values = tuple(check_count(l, "l value") for l in _sequence(self.l_values, "l"))
-            self.estimators = _sequence(self.estimators, "estimators")
+            normalize("replications", check_count(self.replications, "replications"))
+            normalize("base_seed", _check_seed(self.base_seed))
+            m_values = _sequence(self.m_values, "m")
+            normalize("m_values", tuple(check_count(m, "m value") for m in m_values))
+            l_values = _sequence(self.l_values, "l")
+            normalize("l_values", tuple(check_count(l, "l value") for l in l_values))
+            normalize("estimators", _sequence(self.estimators, "estimators"))
             self.cells()  # checks every (estimator, w) pair
         except DomainError as exc:
             raise SpecParseError(str(exc)) from exc
@@ -235,18 +242,26 @@ def _cell_digest(dist_spec, estimator_text, m, l):
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
 
 
-def _check_seed(base_seed):
-    """``base_seed`` as an int; a non-integer or negative seed raises DomainError."""
-    base_seed = check_integer(base_seed, "base seed")
-    if base_seed < 0:
-        raise DomainError(f"base seed must be >= 0, got {base_seed}")
-    return base_seed
+def _check_seed(value, label="base seed"):
+    """A seed word ``value`` as an int; a non-integer or negative value raises DomainError."""
+    value = check_integer(value, label)
+    if value < 0:
+        raise DomainError(f"{label} must be >= 0, got {value}")
+    return value
 
 
 def replication_rng(base_seed, cell_digest, rep_index):
-    """The counter-based stream owned by one replication of one cell."""
-    seq = np.random.SeedSequence(entropy=[_check_seed(base_seed), int(cell_digest), int(rep_index)])
-    return np.random.Generator(np.random.Philox(seq))
+    """The counter-based stream owned by one replication of one cell.
+
+    Each argument is an integer >= 0 (a numpy integer passes); anything
+    else raises DomainError.
+    """
+    entropy = [
+        _check_seed(base_seed),
+        _check_seed(cell_digest, "cell digest"),
+        _check_seed(rep_index, "replication index"),
+    ]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 def _uint32_words(value):

@@ -509,6 +509,63 @@ class TestEstimateDispatch:
             assert estimate_rows(layout).tolist() == expected
 
 
+def _dot_per_row(spec, m, rows):
+    """Oracle: each row's estimate by its own 1-D ``np.dot``, weights from the formulas."""
+    n = rows.shape[1]
+    if spec.kind in (EstimatorKind.LSTAT, EstimatorKind.LSTAT_ADJUSTED):
+        denom = n
+        if spec.kind is EstimatorKind.LSTAT_ADJUSTED:
+            denom += psi(spec.psi_family, m, spec.w)
+        weights = 1.0 - np.arange(1, n + 1) / denom
+        return np.array([-np.dot(weights, row) / n for row in rows])
+    denom = n + m + spec.w if spec.kind is EstimatorKind.RMN else n
+    weights = (1.0 - np.arange(1, n) / denom) ** 2
+    return np.array([-0.5 * np.dot(np.diff(row), weights) for row in rows])
+
+
+class TestRowKernel:
+    """``row_estimator`` sums each row as ``np.dot`` sums that row alone."""
+
+    SPECS = ["vn", "rn", "rmn:w=1", "lstat", "lstat_adj:family=beta,w=0"]
+    # (n, m): both sides of BLAS's 16-element blocking, and a large sample
+    SIZES = [(2, 2), (15, 3), (16, 4), (17, 1), (33, 3), (5000, 5)]
+
+    @staticmethod
+    def sorted_rows(n, rows):
+        rng = np.random.default_rng(n)
+        scale = rng.uniform(0.1, 1e3, size=(rows, 1))
+        return np.sort(rng.exponential(size=(rows, n)) * scale, axis=1)
+
+    @pytest.mark.parametrize("n,m", SIZES)
+    @pytest.mark.parametrize("text", SPECS)
+    def test_matches_a_dot_per_row_and_estimate(self, text, n, m):
+        spec = EstimatorSpec.parse(text)
+        rows = self.sorted_rows(n, 6 if n > 100 else 60)
+        expected = _dot_per_row(spec, m, rows)
+        estimate_rows = row_estimator(spec, m, n)
+        layouts = [rows, np.asfortranarray(rows), np.ascontiguousarray(rows.T).T]
+        for layout in layouts:
+            assert estimate_rows(layout).tobytes() == expected.tobytes()
+        assert estimate_rows(rows[:1]).tobytes() == expected[:1].tobytes()
+        by_estimate = [estimate(spec, sample_of(row, m)) for row in rows]
+        assert np.array(by_estimate).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "product",
+        [lambda rows, w: rows @ w, lambda rows, w: np.einsum("ij,j->i", rows, w)],
+        ids=["matmul", "einsum"],
+    )
+    def test_rows_tell_other_summation_orders_apart(self, product):
+        # a kernel that summed in another order would fail the test above
+        differing = 0
+        for n, m in self.SIZES:
+            rows = self.sorted_rows(n, 6 if n > 100 else 60)
+            weights = 1.0 - np.arange(1, n + 1) / n
+            oracle = _dot_per_row(EstimatorSpec(EstimatorKind.LSTAT), m, rows)
+            differing += np.count_nonzero(-product(rows, weights) / n != oracle)
+        assert differing > 0
+
+
 class TestNormalitySanity:
     def test_standardized_lstat_moments(self):
         # sqrt(n)(lstat - xi)/sigma should look normal at n=1000

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -289,8 +290,21 @@ class TestBatchedKernel:
         row = run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=np.uint64(9))
         assert row == run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=9)
         assert type(row.seed) is int
-        u = replication_rng(np.int64(9), 5, 1).random(4)
+        u = replication_rng(np.int64(9), np.uint64(5), np.int32(1)).random(4)
         assert u.tobytes() == replication_rng(9, 5, 1).random(4).tobytes()
+
+    @pytest.mark.parametrize("position,label", [(1, "cell digest"), (2, "replication index")])
+    def test_replication_rng_checks_digest_and_index(self, position, label):
+        # 2.5, True and "3" used to run the stream of int(value); -1 ended in a bare ValueError
+        for value in (2.5, True, "3"):
+            args = [1, 2, 0]
+            args[position] = value
+            with pytest.raises(DomainError, match=f"{label} must be an integer"):
+                replication_rng(*args)
+        args = [1, 2, 0]
+        args[position] = -1
+        with pytest.raises(DomainError, match=f"{label} must be >= 0, got -1"):
+            replication_rng(*args)
 
     @pytest.mark.parametrize(
         "spec_text,m,l,error",
@@ -443,11 +457,13 @@ class TestRunGrid:
         ] == failures
 
     def test_protocol_grid_matches_golden_file(self):
-        # the golden files pin this grid's CSV and failure list byte for byte
-        result = run_grid(protocol_config("exp", replications=20, base_seed=1))
-        assert rows_to_csv(result.rows).encode() == (DATA / "protocol_exp_r20_s1.csv").read_bytes()
-        failures = "".join(f"{type(f.cause).__name__}: {f}\n" for f in result.failures)
-        assert failures.encode() == (DATA / "protocol_exp_r20_s1_failures.txt").read_bytes()
+        # the golden files pin each family's CSV and failure list byte for byte
+        for family in ("exp", "unif", "beta"):
+            result = run_grid(protocol_config(family, replications=20, base_seed=1))
+            golden = f"protocol_{family}_r20_s1"
+            assert rows_to_csv(result.rows).encode() == (DATA / f"{golden}.csv").read_bytes()
+            failures = "".join(f"{type(f.cause).__name__}: {f}\n" for f in result.failures)
+            assert failures.encode() == (DATA / f"{golden}_failures.txt").read_bytes()
 
     def test_generator_switch_changes_no_estimate(self, monkeypatch):
         cfg = SimulationConfig(**self.GRIDS[1])
@@ -711,6 +727,18 @@ class TestConfigValidation:
         assert (cfg.m_values, cfg.l_values, cfg.replications, cfg.base_seed) == ((2,), (2,), 2, 1)
         assert all(type(v) is int for v in (*cfg.m_values, *cfg.l_values, cfg.replications))
         assert run_grid(cfg).rows == run_grid(SimulationConfig(**self.VALID)).rows
+
+    @pytest.mark.parametrize(
+        "field,value", [("replications", 2.5), ("replications", 0), ("base_seed", 7),
+                        ("bias_convention", "bogus")]
+    )
+    def test_built_config_is_frozen(self, field, value):
+        # run_grid trusts the fields that construction checked
+        cfg = protocol_config("unif", 3, sides=("spacing",))
+        expected = rows_to_csv(run_grid(cfg).rows)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+        assert rows_to_csv(run_grid(cfg).rows) == expected
 
     def test_per_m_w_lists(self):
         cfg = SimulationConfig(
