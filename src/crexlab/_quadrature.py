@@ -7,10 +7,10 @@ truncated at the ``1 - 1e-12`` quantile and the tail remainder is bounded
 analytically: for ``int_U^inf S**p`` the tail is at most
 ``S(U)**(p-1) * int_U^inf S = mrl(U) * S(U)**p``.
 
-At one age, QUADPACK bisects the same interval for every power ``p``, so
-the integrations of one measure call keep landing on the same nodes.
-One measure call therefore evaluates S once per distinct node: the
-caller hands every ``survival_power_quad`` of that call one memo of S.
+A measure call makes one ``survival_power_quad`` call for all its
+distinct powers.  QUADPACK bisects the same interval for every power, so
+the call evaluates S through one memo, once per distinct node, and works
+out the support, start, truncation point and tail factor once.
 
 Double integrals over covariance-style kernels are evaluated on a tensor
 Gauss-Legendre grid.  The kernels have a derivative kink along ``x == y``
@@ -21,6 +21,7 @@ refinement check.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -64,16 +65,12 @@ def _quad(fn, lo, hi):
     return value, err
 
 
-def survival_power_quad(dist, p, lower, survival):
-    """``int_t^inf S(x)**p dx`` by quadrature; returns (value, error_bound).
-
-    ``survival`` evaluates S at one point; callers that integrate several
-    powers pass one memo of ``dist.survival`` to all of them.
-    """
+def survival_power_quad(dist, powers, lower):
+    """One (value, error_bound) of ``int_t^inf S(x)**p dx`` per ``p`` in ``powers``."""
     lo_sup, hi_sup = dist.support
     t = max(float(lower), 0.0)
     if t >= hi_sup:
-        return 0.0, 0.0
+        return [(0.0, 0.0)] * len(powers)
     head = max(0.0, lo_sup - t)
     start = max(t, lo_sup)
     upper = truncation_point(dist)
@@ -82,12 +79,13 @@ def survival_power_quad(dist, p, lower, survival):
             f"quadrature undefined beyond the 1 - {TAIL_MASS:g} quantile {upper:g}: "
             f"lower limit {t:g}; use the closed route"
         )
-    value, err = _quad(lambda x: survival(x) ** p, start, upper)
-    tail = 0.0
+    survival = functools.cache(dist.survival)
+    # the tail beyond ``upper`` is at most mrl(U) * S(U)**p; zero on a bounded support
+    s_u = mrl_u = 0.0
     if not math.isfinite(hi_sup):
-        s_u = survival(upper)
-        tail = dist.mean_residual_life(upper) * s_u**p
-    return head + value, err + tail
+        s_u, mrl_u = survival(upper), dist.mean_residual_life(upper)
+    integrals = [_quad(lambda x, p=p: survival(x) ** p, start, upper) for p in powers]
+    return [(head + v, err + mrl_u * s_u**p) for p, (v, err) in zip(powers, integrals)]
 
 
 def pdf_square_quad(dist):
@@ -109,6 +107,18 @@ def cdf_square_quad(dist):
         raise DivergenceError("cdf-squared integral diverges on unbounded support")
     lo = max(0.0, lo_sup)
     return _quad(lambda x: dist.cdf(x) ** 2, lo, hi_sup)
+
+
+def min_vs_parent_quad(dist, i):
+    """``int_0^inf S(x)**i (S(x) - S(x)**i) dx``, nonnegative; returns (value, error)."""
+    # the integrand vanishes below the support, where both survivals are 1
+    lo = max(0.0, dist.support[0])
+
+    def integrand(x):
+        s = dist.survival(x)
+        return s**i * (s - s**i)
+
+    return _quad(integrand, lo, truncation_point(dist))
 
 
 def double_quad_kinked(weight_fn, kernel_fn, lo, hi, nodes=DOUBLE_QUAD_NODES):

@@ -33,6 +33,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, DivergenceError, SpecParseError, check_count, split_spec
+from .errors import check_integer
 
 __all__ = [
     "Distribution",
@@ -173,6 +174,7 @@ class Distribution:
 
     def sample(self, rng, count):
         """Draw ``count`` i.i.d. values by inverse transform on ``rng``."""
+        count = check_integer(count, "sample count")
         if count < 0:
             raise DomainError(f"sample count must be >= 0, got {count}")
         if count == 0:
@@ -188,10 +190,13 @@ class Distribution:
         contributes its length.  Subclasses implement `_spi_tail` for the
         part inside the support.
         """
-        if p <= 0:
-            raise DomainError(f"survival power must be positive, got {p}")
+        if not 0 < p < math.inf:
+            raise DomainError(f"survival power must be positive and finite, got {p}")
+        t = float(lower)
+        if math.isnan(t):
+            raise DomainError("survival-power lower limit is nan")
         lo, hi = self.support
-        t = max(float(lower), 0.0)
+        t = max(t, 0.0)
         if t >= hi:
             return 0.0
         head = max(0.0, lo - t)
@@ -283,8 +288,8 @@ class Exponential(Distribution):
         return math.exp(-self.rate * p * t) / (self.rate * p)
 
     def mean_residual_life(self, t):
-        if t < 0:
-            t = 0.0
+        if math.isnan(t):
+            raise DomainError("mean residual life argument is nan")
         # memoryless: constant in t
         return 1.0 / self.rate
 

@@ -188,17 +188,17 @@ def _sorted_values(data):
 # one BLAS dot per row, run by np.vecdot: it sums each row as np.dot sums
 # one 1-D pair, where a matrix-vector product sums in another order.  A
 # dot over a strided row is another BLAS call too, so both kernels take
-# C-contiguous rows
+# C-contiguous rows.  Both add 0.0, so a zero sum gives 0.0, not -0.0
 def _spacing_rows(rows, weights):
     diffs = np.diff(np.ascontiguousarray(rows), axis=1)
-    return -0.5 * np.vecdot(diffs, weights)
+    return -0.5 * np.vecdot(diffs, weights) + 0.0
 
 
 def _order_stat_rows(rows, weights):
     rows = np.ascontiguousarray(rows)
     if rows[:, 0].min() < 0:
         raise DomainError("order-statistic estimator requires nonnegative values")
-    return -np.vecdot(weights, rows) / rows.shape[1]
+    return -np.vecdot(weights, rows) / rows.shape[1] + 0.0
 
 
 def row_estimator(spec, m, n):

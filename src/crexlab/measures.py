@@ -22,7 +22,6 @@ underflows raises DivergenceError rather than returning inf, nan or -0.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -105,11 +104,10 @@ def cumulative_extropy(dist, method="closed"):
 def _power_products(dist, power_lists, t, method):
     """(value, error bound) of ``-(1/2) prod_p int_t [S(x)/S(t)]**p dx`` per power list.
 
-    Each distinct power is integrated once across all lists, and S is
-    evaluated once per distinct point through a memo that lives for this
-    call only.  Products of more than ``_LOG_SPACE_THRESHOLD`` factors
-    are accumulated in log space.  A scale ``S(t)**p`` or a product of
-    nonzero factors outside the normal float range raises
+    Each distinct power is integrated once across all lists, by one
+    call per route.  Products of more than ``_LOG_SPACE_THRESHOLD``
+    factors are accumulated in log space.  A scale ``S(t)**p`` or a
+    product of nonzero factors outside the normal float range raises
     DivergenceError.  The error bound is ``|value| * sum_p err_p / I_p``
     over the factors.
     """
@@ -120,19 +118,19 @@ def _power_products(dist, power_lists, t, method):
     s_t = dist.survival(t) if t > 0.0 else 1.0
     if s_t <= 0.0:
         raise DomainError(f"measure undefined: survival({t}) = 0")
-    # the quadratures of all the powers revisit the same nodes
-    survival = functools.cache(dist.survival)
+    distinct = list(dict.fromkeys(p for powers in power_lists for p in powers))
+    scales = [s_t**p for p in distinct]
+    # integrate up to the first power whose scale underflows: its integration errors come first
+    bad = next((k for k, scale in enumerate(scales) if scale < _TINY), len(distinct))
+    run = distinct[: bad + 1]
+    if method is Method.CLOSED_FORM:
+        integrals = [(dist.survival_power_integral(p, lower=t), 0.0) for p in run]
+    else:
+        integrals = nq.survival_power_quad(dist, run, t)
+    if bad < len(distinct):
+        raise DivergenceError(f"survival({t})**{distinct[bad]:g} underflows")
     factor_of, rel_err_of = {}, {}
-    for p in (p for powers in power_lists for p in powers):
-        if p in factor_of:
-            continue
-        if method is Method.CLOSED_FORM:
-            integral, err = dist.survival_power_integral(p, lower=t), 0.0
-        else:
-            integral, err = nq.survival_power_quad(dist, p, lower=t, survival=survival)
-        scale = s_t**p
-        if scale < _TINY:
-            raise DivergenceError(f"survival({t})**{p:g} underflows")
+    for p, scale, (integral, err) in zip(distinct, scales, integrals):
         factor_of[p] = integral / scale
         rel_err_of[p] = err / integral if integral > 0.0 else 0.0
     return [_product(powers, factor_of, rel_err_of) for powers in power_lists]

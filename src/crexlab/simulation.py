@@ -46,7 +46,9 @@ import enum
 import hashlib
 import io
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -166,6 +168,14 @@ def _sequence(value, label):
     raise SpecParseError(f"{label} must be a list, got {value!r}")
 
 
+def _frozen_w(w_list):
+    """A w list as a tuple; a string or a non-iterable stays, for ``cells()`` to reject."""
+    try:
+        return _sequence(w_list, "w list")
+    except SpecParseError:
+        return w_list
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Grid coordinates plus execution settings.
@@ -174,14 +184,15 @@ class SimulationConfig:
     every m) or a mapping ``m -> sequence``.  Estimator kinds without a
     tuning value run once per (m, l) cell.  A config is frozen: its
     fields are checked and normalized once, on construction, and
-    :func:`run_grid` trusts them.
+    :func:`run_grid` trusts them.  ``w_lists`` is kept as read-only
+    mappings of tuples, copied from the caller's.
     """
 
     distribution: Distribution | str
     m_values: tuple = (2, 3, 4, 5)
     l_values: tuple = (2, 3)
     estimators: tuple = ("rn", "rmn")
-    w_lists: dict = field(default_factory=dict)
+    w_lists: Mapping = field(default_factory=dict)
     psi_family: str | None = None
     replications: int = 5000
     base_seed: int = DEFAULT_SEED
@@ -202,6 +213,13 @@ class SimulationConfig:
             l_values = _sequence(self.l_values, "l")
             normalize("l_values", tuple(check_count(l, "l value") for l in l_values))
             normalize("estimators", _sequence(self.estimators, "estimators"))
+            w_lists = {
+                token: MappingProxyType({m: _frozen_w(ws) for m, ws in w_list.items()})
+                if isinstance(w_list, Mapping)
+                else _frozen_w(w_list)
+                for token, w_list in self.w_lists.items()
+            }
+            normalize("w_lists", MappingProxyType(w_lists))
             self.cells()  # checks every (estimator, w) pair
         except DomainError as exc:
             raise SpecParseError(str(exc)) from exc
@@ -217,7 +235,7 @@ class SimulationConfig:
                 w_list = self.w_lists.get(token)
                 if w_list is None:
                     w_list = (None,)
-                elif isinstance(w_list, dict):
+                elif isinstance(w_list, Mapping):
                     w_list = w_list.get(m)
                     if w_list is None:
                         raise SpecParseError(f"no w list for estimator {token!r} at m={m}")

@@ -82,6 +82,22 @@ class TestMeasure:
             assert "divergence" in err
             assert out == ""
 
+    @pytest.mark.parametrize(
+        "design,line",
+        [
+            ("minrssu", "dynamic_crex[minrssu,m=2,t=0.5]          -0.0625 closed-form"),
+            ("srs", "dynamic_crex[srs,m=2,t=0.5]            -0.125 closed-form"),
+        ],
+        ids=["minrssu", "srs"],
+    )
+    def test_design_at_an_age(self, capsys, design, line):
+        code, out, _ = run(
+            capsys,
+            ["measure", "--dist", "exp:rate=1", "--design", design, "--m", "2", "--t", "0.5"],
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == [f"{line}                 0"]
+
     def test_quadrature_method_reports_bound(self, capsys):
         code, out, _ = run(
             capsys,
@@ -216,6 +232,19 @@ class TestEstimate:
         assert err.startswith("crexlab:") and message in err
 
 
+    @pytest.mark.parametrize(
+        "estimator,values", [("vn", "3,3,3"), ("lstat", "0,0")], ids=["vn", "lstat"]
+    )
+    def test_zero_estimate_prints_unsigned(self, capsys, estimator, values):
+        code, out, _ = run(capsys, ["estimate", "--estimator", estimator, "--values", values])
+        assert code == 0
+        assert out == f"{estimator:<28} {'0':>16}\n"
+
+    def test_empty_values_exit_2(self, capsys):
+        code, out, err = run(capsys, ["estimate", "--estimator", "vn", "--values", ","])
+        assert (code, out, err) == (2, "", "crexlab: --values is empty\n")
+
+
 class TestSimulate:
     BASE = [
         "simulate", "--dist", "exp:rate=1", "--m", "2", "--l", "2,3",
@@ -302,6 +331,34 @@ class TestSimulate:
         code, _, _ = run(capsys, ["simulate"])
         assert code == 2
 
+    def test_w_lstat_adj_flag(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["simulate", "--dist", "exp:rate=1", "--m", "2", "--l", "2", "--estimators",
+             "lstat_adj", "--w-lstat-adj", "0,1", "--psi-family", "exp", "--reps", "3",
+             "--seed", "1"],
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "exp,rate=1,lstat_adj:family=exp,2,2,0,3,1,-0.25,"
+            "-0.7429456746464769,0.8000687144177923,0.20993055079505496",
+            "exp,rate=1,lstat_adj:family=exp,2,2,1,3,1,-0.25,"
+            "-0.33639091044026037,0.3366067992382098,0.008523281837566723",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--dist", "exp:rate=1", "--m", "2,x"], "bad --m list: '2,x'"),
+            (["--protocol", "exp", "--sides", "spacing,bogus"],
+             "unknown side 'bogus' (use spacing/order)"),
+        ],
+        ids=["bad-m-list", "unknown-side"],
+    )
+    def test_bad_list_flags_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, ["simulate", *argv, "--reps", "2"])
+        assert (code, out, err) == (2, "", f"crexlab: {message}\n")
+
     def test_non_integer_threads_env_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("CREXLAB_THREADS", "many")
         code, out, err = run(capsys, self.BASE + ["--seed", "7"])
@@ -370,6 +427,19 @@ class TestDiscriminate:
         code, out, _ = run(capsys, ["discriminate", "--dist", "exp:rate=1", "--i", "1"])
         assert code == 0
         assert float(out.split()[1]) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("method", ["closed", "quadrature"])
+    def test_min_vs_parent_i1_prints_unsigned_zero(self, capsys, method):
+        code, out, _ = run(
+            capsys, ["discriminate", "--dist", "exp:rate=1", "--i", "1", "--method", method]
+        )
+        assert code == 0
+        label = "closed-form" if method == "closed" else method
+        assert out == f"{'d[min-vs-parent,i=1]':<28} {'0':>16} {label}\n"
+
+    def test_min_vs_parent_without_i_exits_2(self, capsys):
+        code, out, err = run(capsys, ["discriminate", "--dist", "exp:rate=1"])
+        assert (code, out, err) == (2, "", "crexlab: --mode min-vs-parent requires --i\n")
 
     def test_min_vs_parent_exponential(self, capsys):
         code, out, _ = run(capsys, ["discriminate", "--dist", "exp:rate=1", "--i", "2"])

@@ -115,6 +115,37 @@ class TestSampling:
             Uniform(0.0, 1.0).sample(np.random.default_rng(0), -1)
 
 
+class TestInvalidArguments:
+    """A nan or an out-of-range argument raises DomainError, never a silent nan."""
+
+    @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
+    @pytest.mark.parametrize("p", [math.nan, math.inf, 0.0, -1.0])
+    def test_survival_power_must_be_positive_and_finite(self, dist, p):
+        with pytest.raises(DomainError, match="survival power must be positive and finite"):
+            dist.survival_power_integral(p)
+
+    @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
+    def test_nan_lower_limit_rejected(self, dist):
+        with pytest.raises(DomainError, match="lower limit is nan"):
+            dist.survival_power_integral(2.0, lower=math.nan)
+
+    @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
+    def test_nan_mean_residual_life_rejected(self, dist):
+        with pytest.raises(DomainError, match="nan"):
+            dist.mean_residual_life(math.nan)
+
+    @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
+    @pytest.mark.parametrize("count", [2.5, True, "3", -1])
+    def test_sample_count_must_be_a_nonnegative_integer(self, dist, count):
+        with pytest.raises(DomainError, match="sample count must be"):
+            dist.sample(np.random.default_rng(0), count)
+
+    @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
+    def test_integer_sample_counts_accepted(self, dist):
+        assert dist.sample(np.random.default_rng(0), 0).size == 0
+        assert dist.sample(np.random.default_rng(0), np.int64(3)).size == 3
+
+
 class TestMinOrderStatMean:
     def test_uniform_j3(self):
         assert Uniform(0.0, 1.0).min_order_stat_mean(3) == pytest.approx(0.25, abs=1e-12)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -564,6 +566,24 @@ class TestRowKernel:
             oracle = _dot_per_row(EstimatorSpec(EstimatorKind.LSTAT), m, rows)
             differing += np.count_nonzero(-product(rows, weights) / n != oracle)
         assert differing > 0
+
+
+class TestZeroSumSign:
+    """A zero estimate is 0.0, never -0.0, from estimate and the row kernels alike."""
+
+    # every spacing of a constant sample is zero; order-statistic sums are zero on zeros
+    @pytest.mark.parametrize(
+        "text,value",
+        [("vn", 3.0), ("rn", 3.0), ("rmn:w=1", 3.0), ("vn", 0.0), ("lstat", 0.0),
+         ("lstat_adj:family=beta,w=0", 0.0)],
+    )
+    def test_constant_sample(self, text, value):
+        spec = EstimatorSpec.parse(text)
+        rows = np.full((3, 4), value)
+        by_rows = row_estimator(spec, 2, 4)(rows)
+        by_estimate = estimate(spec, sample_of(rows[0], 2))
+        assert by_estimate == 0.0 and math.copysign(1.0, by_estimate) == 1.0
+        assert np.all(by_rows == 0.0) and not np.signbit(by_rows).any()
 
 
 class TestNormalitySanity:

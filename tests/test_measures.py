@@ -121,6 +121,23 @@ class TestCumulativeExtropy:
         )
 
 
+    @pytest.mark.parametrize(
+        "dist,exact",
+        [
+            # (1 - 2/(b+1) + 1/(2b+1)) / a on the finite range, 1/(2 alpha+1) on powerbeta
+            (FiniteRange(2.0, 3.0), Fraction(9, 28)),
+            (FiniteRange(0.5, 0.7), 2 * (1 - Fraction(20, 17) + Fraction(10, 24))),
+            (PowerBeta(2.0), Fraction(1, 5)),
+            (PowerBeta(0.5), Fraction(1, 2)),
+        ],
+        ids=repr,
+    )
+    def test_closed_form_on_bounded_families(self, dist, exact):
+        closed = cumulative_extropy(dist)
+        assert closed == pytest.approx(-0.5 * float(exact), abs=1e-15)
+        assert closed == pytest.approx(cumulative_extropy(dist, method="quadrature"), abs=1e-15)
+
+
 class TestDynamicCrex:
     @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
     def test_t_zero_reduces_to_crex(self, dist):
@@ -385,6 +402,20 @@ class TestQuadratureSharing:
         # 30 quadratures over about 315 distinct nodes: 7980 calls unshared
         assert len(nodes) == len(set(nodes))
         assert len(nodes) <= 320
+
+    def test_one_quadrature_call_per_measure_call(self, monkeypatch):
+        from crexlab import _quadrature
+
+        calls = []
+        quad_powers = _quadrature.survival_power_quad
+
+        def counted(dist, powers, lower):
+            calls.append(list(powers))
+            return quad_powers(dist, powers, lower)
+
+        monkeypatch.setattr(_quadrature, "survival_power_quad", counted)
+        crex_minrssu_design(Exponential(1.0), 30, method="quadrature")
+        assert calls == [[2.0 * i for i in range(1, 31)]]
 
     @pytest.mark.parametrize(
         "spec", ["exp:rate=1", "unif:a=2,b=3", "finite:a=2,b=3", "powerbeta:alpha=0.5"]

@@ -740,6 +740,21 @@ class TestConfigValidation:
             setattr(cfg, field, value)
         assert rows_to_csv(run_grid(cfg).rows) == expected
 
+    def test_w_lists_are_read_only_copies(self):
+        # the protocol grids are module dicts: a config must not hand them out
+        cfg = protocol_config("exp", 3, sides=("spacing",))
+        expected = [(spec.text(), m, l) for spec, m, l in cfg.cells()]
+        with pytest.raises(TypeError):
+            cfg.w_lists["rmn"][2] = (9,)
+        with pytest.raises(TypeError):
+            cfg.w_lists["rmn"] = (9,)
+        fresh = protocol_config("exp", 3, sides=("spacing",))
+        assert [(spec.text(), m, l) for spec, m, l in fresh.cells()] == expected
+        w_list = [0, 1]
+        cfg = SimulationConfig(**{**self.VALID, "w_lists": {"rmn": w_list}})
+        w_list.append(2)
+        assert cfg.w_lists["rmn"] == (0, 1)
+
     def test_per_m_w_lists(self):
         cfg = SimulationConfig(
             distribution="exp:rate=1",
