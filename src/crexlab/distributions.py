@@ -425,7 +425,9 @@ class PowerBeta(Distribution):
         full = inv * special.beta(inv, p + 1.0)
         if t <= 0.0:
             return full
-        return full * (1.0 - special.betainc(inv, p + 1.0, t**self.alpha))
+        # the complement I_{1-u}(p+1, 1/alpha) of I_u(1/alpha, p+1), not 1 - I_u: that
+        # difference cancels to a few digits, or to 0.0, once S(t)**p is small
+        return full * special.betainc(p + 1.0, inv, 1.0 - t**self.alpha)
 
     def pdf_square_integral(self):
         if self.alpha <= 0.5:

@@ -213,6 +213,10 @@ class SimulationConfig:
             l_values = _sequence(self.l_values, "l")
             normalize("l_values", tuple(check_count(l, "l value") for l in l_values))
             normalize("estimators", _sequence(self.estimators, "estimators"))
+            if not hasattr(self.w_lists, "items"):
+                raise SpecParseError(
+                    f"w_lists must be a mapping of estimator kind to w list, got {self.w_lists!r}"
+                )
             w_lists = {
                 token: MappingProxyType({m: _frozen_w(ws) for m, ws in w_list.items()})
                 if isinstance(w_list, Mapping)

@@ -498,15 +498,27 @@ class TestHelp:
 
 
 class TestStartup:
-    def test_import_leaves_scipy_unloaded(self):
-        # scipy, scipy.integrate above all, is most of the import time; it
-        # loads on the first quadrature or incomplete-beta call
+    @staticmethod
+    def scipy_modules_after(code):
+        """The scipy modules loaded after ``code`` runs in a fresh interpreter."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = "import sys, crexlab; print([m for m in sys.modules if m.startswith('scipy')])"
+        code += "; import sys; print([m for m in sys.modules if m.startswith('scipy')])"
         done = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip().splitlines()[-1]
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy is most of the import time; it loads on the first
+        # incomplete-beta call
+        assert self.scipy_modules_after("import crexlab") == "[]"
+
+    def test_quadrature_measure_leaves_scipy_unloaded(self):
+        # the 1-D quadrature is numpy: scipy.integrate never loads
+        argv = ["measure", "--dist", "exp:rate=1", "--design", "minrssu", "--m", "5",
+                "--method", "quadrature"]
+        code = f"from crexlab.cli import main; assert main({argv!r}) == 0"
+        assert self.scipy_modules_after(code) == "[]"

@@ -362,12 +362,12 @@ class TestDynamicDesigns:
             dynamic_crex_designs(Uniform(0.0, 1.0), 2, 1.5)
 
 
-def unshared_power_products(dist, power_lists, t):
-    """Reference for the quadrature route of ``_power_products``.
+def quadpack_power_products(dist, power_lists, t):
+    """Test-only QUADPACK oracle for the quadrature route of ``_power_products``.
 
-    Integrates every distinct power on its own, calling ``dist.survival``
-    at each node, with ``_quad``'s settings; at most 20 factors per list,
-    so every product is direct.
+    Integrates every distinct power on its own with scipy's ``quad`` at
+    the kernel's tolerance; at most 20 factors per list, so every product
+    is direct.  Returns one (value, error bound) pair per list.
     """
     lo, hi = dist.support
     upper = truncation_point(dist)
@@ -388,20 +388,32 @@ def unshared_power_products(dist, power_lists, t):
     return out
 
 
+SHARING_SPECS = ["exp:rate=1", "unif:a=2,b=3", "finite:a=2,b=3", "powerbeta:alpha=0.5"]
+SHARING_POWER_LISTS = [[2.0 * i for i in range(1, 11)], [i + 1.0 for i in range(1, 11)], [2.0] * 10]
+
+
 class TestQuadratureSharing:
-    def test_survival_evaluated_once_per_node(self, monkeypatch):
-        nodes = []
+    def test_one_survival_call_per_round(self, monkeypatch):
+        calls = []
         survival = Exponential.survival
 
         def counted(self, x):
-            nodes.append(x)
+            calls.append(np.asarray(x, dtype=float))
             return survival(self, x)
 
         monkeypatch.setattr(Exponential, "survival", counted)
         crex_minrssu_design(Exponential(1.0), 30, method="quadrature")
-        # 30 quadratures over about 315 distinct nodes: 7980 calls unshared
-        assert len(nodes) == len(set(nodes))
-        assert len(nodes) <= 320
+        # the tail factor S(U) is the one scalar call; then one array call per
+        # round, on the 21 nodes of each interval still open, where each
+        # interval that failed the round before is split in four
+        tail, *rounds = calls
+        assert tail.ndim == 0
+        assert all(x.ndim == 1 and x.size % 21 == 0 for x in rounds)
+        intervals = [x.size // 21 for x in rounds]
+        assert intervals[0] == 1
+        assert all(n % 4 == 0 and n <= 4 * prev for prev, n in zip(intervals, intervals[1:]))
+        nodes = np.concatenate(rounds)
+        assert np.unique(nodes).size == nodes.size
 
     def test_one_quadrature_call_per_measure_call(self, monkeypatch):
         from crexlab import _quadrature
@@ -417,16 +429,80 @@ class TestQuadratureSharing:
         crex_minrssu_design(Exponential(1.0), 30, method="quadrature")
         assert calls == [[2.0 * i for i in range(1, 31)]]
 
-    @pytest.mark.parametrize(
-        "spec", ["exp:rate=1", "unif:a=2,b=3", "finite:a=2,b=3", "powerbeta:alpha=0.5"]
-    )
+    @pytest.mark.parametrize("spec", SHARING_SPECS)
     @pytest.mark.parametrize("t", [0.0, 0.3])
-    def test_matches_unshared_quadrature_bit_for_bit(self, spec, t):
+    def test_agrees_with_quadpack_within_both_bounds(self, spec, t):
         dist = parse_distribution(spec)
-        sets = range(1, 11)
-        power_lists = [[2.0 * i for i in sets], [i + 1.0 for i in sets], [2.0] * 10]
-        shared = _power_products(dist, power_lists, t, Method.QUADRATURE)
-        assert shared == unshared_power_products(dist, power_lists, t)
+        shared = _power_products(dist, SHARING_POWER_LISTS, t, Method.QUADRATURE)
+        oracle = quadpack_power_products(dist, SHARING_POWER_LISTS, t)
+        for (value, err), (ref, ref_err) in zip(shared, oracle):
+            assert abs(value - ref) <= err + ref_err
+
+    @pytest.mark.parametrize("spec", SHARING_SPECS)
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    def test_agrees_with_closed_forms_within_own_bound(self, spec, t):
+        dist = parse_distribution(spec)
+        shared = _power_products(dist, SHARING_POWER_LISTS, t, Method.QUADRATURE)
+        closed = _power_products(dist, SHARING_POWER_LISTS, t, Method.CLOSED_FORM)
+        for (value, err), (exact, _) in zip(shared, closed):
+            assert abs(value - exact) <= err
+
+
+class TestEndpointSingularities:
+    """Quadrature near an infinite slope or value at the support start."""
+
+    def test_steep_survival(self):
+        # S = 1 - x**0.1 has an infinite slope at 0
+        d = PowerBeta(0.1)
+        closed, numeric = crex(d), crex(d, method="quadrature")
+        assert abs(closed.value - numeric.value) <= numeric.abs_error_bound
+
+    def test_integrable_singular_density(self):
+        # f**2 = 0.49 x**-0.6 on PowerBeta(0.7)
+        d = PowerBeta(0.7)
+        assert extropy(d, method="quadrature") == pytest.approx(extropy(d), abs=1e-9)
+
+
+BOUND_SPECS = [
+    "exp:rate=1",
+    "exp:rate=0.25",
+    "unif:a=0,b=1",
+    "unif:a=2,b=3",
+    "finite:a=2,b=3",
+    "powerbeta:alpha=2",
+    "powerbeta:alpha=0.5",
+]
+
+
+def uncovered(pairs):
+    """The labels whose quadrature bound misses ``|closed - quadrature|``; no slack."""
+    return [
+        (label, closed.value, numeric.value, numeric.abs_error_bound)
+        for label, closed, numeric in pairs
+        if not abs(closed.value - numeric.value) <= numeric.abs_error_bound
+    ]
+
+
+@pytest.mark.parametrize("spec", BOUND_SPECS)
+class TestErrorBoundsCoverRoutes:
+    def test_crex(self, spec):
+        dist = parse_distribution(spec)
+        assert uncovered([("crex", crex(dist), crex(dist, method="quadrature"))]) == []
+
+    @pytest.mark.parametrize("design", [crex_minrssu_design, crex_srs_design])
+    def test_designs(self, spec, design):
+        dist = parse_distribution(spec)
+        pairs = [(m, design(dist, m), design(dist, m, method="quadrature")) for m in range(1, 31)]
+        assert uncovered(pairs) == []
+
+    def test_dynamic_designs(self, spec):
+        dist = parse_distribution(spec)
+        pairs = []
+        for m in range(1, 31):
+            closed = dynamic_crex_designs(dist, m, 0.3)
+            numeric = dynamic_crex_designs(dist, m, 0.3, method="quadrature")
+            pairs += [((m, side), c, q) for side, c, q in zip(("minrssu", "srs"), closed, numeric)]
+        assert uncovered(pairs) == []
 
 
 class TestNonpositivity:

@@ -755,6 +755,12 @@ class TestConfigValidation:
         w_list.append(2)
         assert cfg.w_lists["rmn"] == (0, 1)
 
+    @pytest.mark.parametrize("w_lists", [[("rmn", (0,))], None, "rmn"])
+    def test_w_lists_must_be_a_mapping(self, w_lists):
+        # a list of pairs used to end in a bare AttributeError
+        with pytest.raises(SpecParseError, match="w_lists must be a mapping of estimator kind"):
+            SimulationConfig(**{**self.VALID, "w_lists": w_lists})
+
     def test_per_m_w_lists(self):
         cfg = SimulationConfig(
             distribution="exp:rate=1",
