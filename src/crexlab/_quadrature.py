@@ -6,22 +6,31 @@ al., 1983).  The integrand is a vectorized function that returns one row
 per integral, so a call integrates several integrands over the same
 intervals: each round evaluates the integrand once, in one array call, on
 the 21 nodes of every interval still open.  The tolerance of a row is
-``tol = ABS_TOL * max(1, |estimate|)``, absolute and relative 1e-10 as in
-the QUADPACK call it replaces.  An interval is kept when, in every row,
-``|K - G|`` (21-point Kronrod minus embedded 10-point Gauss) is within the
-interval's share ``tol * width / (hi - lo)``, or within the roundoff
-floor ``50 * eps * int |f|`` on it.  Otherwise it is bisected twice, into
-four quarters, for the next round: two bisection levels per round halve
-the rounds, and so the per-round numpy overhead, at about the same number
-of intervals.  The error bound of an interval is the larger of its
+``tol = ABS_TOL * max(1, |estimate|)``, absolute and relative 1e-10.  An
+interval is kept when, in every row, ``|K - G|`` (21-point Kronrod minus
+embedded 10-point Gauss) is within the interval's share
+``tol * width / (hi - lo)``, or within the roundoff floor
+``50 * eps * int |f|`` on it.  Otherwise it is bisected twice, into four
+quarters, for the next round: two bisection levels per round halve the
+rounds, and so the per-round numpy overhead, at about the same number of
+intervals.  The error bound of an interval is the larger of its
 ``|K - G|`` and its roundoff floor.
 
-Refinement stops at ``MAX_INTERVALS`` evaluated intervals (QUADPACK's
-``limit``) or at an interval too narrow to bisect, where a midpoint
-equals an end.  Then the call still converged, by QUADPACK's own test,
-if the error bounds of all intervals sum to at most ``tol``; this is what
-lets an integrand with an endpoint singularity converge.  Otherwise, and
-at any non-finite integrand value, it raises DivergenceError.
+Refinement stops at ``MAX_INTERVALS`` evaluated intervals, the parents of
+split intervals included (QUADPACK's ``limit`` counts the final partition
+instead), or at an interval too narrow to bisect: one whose ends are
+within ``100 eps`` of its midpoint, QUADPACK's limit.  The call is then
+run again with one bisection per round, stopped the same way, because
+the extrapolation needs an estimate per bisection level.  That run ends
+as qags does near an integrable endpoint singularity: Wynn's epsilon
+algorithm extrapolates the sequence of its whole-range estimates, and
+the result counts when its error estimate, plus the bounds of the
+intervals kept, is within ``tol`` and it passes qags's test against a
+divergent sequence.  Failing that, the last estimate counts when the
+error bounds of all intervals sum to at most ``tol``, QUADPACK's own
+test.  Otherwise, and at any non-finite integrand value, the call raises
+DivergenceError.  The extrapolation's error is an estimate, not a bound,
+as in QUADPACK.
 
 Unbounded supports are truncated at the ``1 - 1e-12`` quantile and the
 tail remainder is bounded analytically: for ``int_U^inf S**p`` the tail is
@@ -98,6 +107,10 @@ GAUSS_WEIGHTS[11:20:2] = _WG[::-1]
 # one product with these rows gives K and K - G
 _RULES = np.stack([KRONROD_WEIGHTS, KRONROD_WEIGHTS - GAUSS_WEIGHTS])
 _FLOOR_WEIGHTS = 50.0 * np.finfo(float).eps * KRONROD_WEIGHTS
+# QUADPACK's limit for a bisection: an interval whose ends are within 100 eps
+# of its midpoint has nodes that round to a few floats
+_NARROW = 1.0 + 100.0 * np.finfo(float).eps
+_UNDERFLOW = 1000.0 * np.finfo(float).tiny
 
 
 @functools.cache
@@ -117,11 +130,12 @@ def _not_converged(lo, hi, reason):
     return DivergenceError(f"quadrature did not converge on [{lo}, {hi}]: {reason}")
 
 
-def gk21(fn, lo, hi):
+def gk21(fn, lo, hi, quarters=True):
     """Adaptive Gauss-Kronrod on ``[lo, hi]``: arrays (values, error bounds), one per row.
 
     ``fn`` maps a 1-D array of points to an array of shape ``(rows,
-    points)``, or ``(points,)`` for one row.  Raises DivergenceError
+    points)``, or ``(points,)`` for one row.  A failing interval is split
+    into quarters, or halves with ``quarters=False``.  Raises DivergenceError
     unless every row converged to finite values.
     """
     a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
@@ -130,6 +144,8 @@ def gk21(fn, lo, hi):
     share = 2.0 / (hi - lo)
     value = error = 0.0
     evaluated = 1
+    # the whole-range estimate of every round, for the extrapolation
+    estimates = []
     with np.errstate(all="ignore"):
         while True:
             f = fn((mid[:, None] + half[:, None] * GK21_NODES).ravel()).reshape(-1, 21)
@@ -141,6 +157,7 @@ def gk21(fn, lo, hi):
             # every Kronrod weight is positive: a non-finite node value makes a row's K non-finite
             if not np.isfinite(estimate).all():
                 raise _not_converged(lo, hi, "non-finite integrand value")
+            estimates.append(estimate)
             tol = ABS_TOL * np.maximum(1.0, np.abs(estimate))
             bound = np.maximum(diff, floor)
             # an interval within its share, or whose |K - G| is roundoff, is kept
@@ -152,23 +169,101 @@ def gk21(fn, lo, hi):
                 return value, error
             split = ~done
             a, b, mid, half, bound = a[split], b[split], mid[split], half[split], bound[:, split]
-            evaluated += 4 * a.size
-            # split each failing interval in four: two bisections per round
-            edges = np.array([a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b])
-            stuck = None
+            if quarters:
+                edges = np.array([a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b])
+            else:
+                edges = np.array([a, mid, b])
+            evaluated += (len(edges) - 1) * a.size
             if evaluated > MAX_INTERVALS:
                 stuck = f"more than {MAX_INTERVALS} intervals needed"
-            elif (edges[1:] <= edges[:-1]).any():
+            elif (np.maximum(np.abs(a), np.abs(b)) <= _NARROW * (np.abs(mid) + _UNDERFLOW)).any():
                 stuck = "interval too narrow to bisect"
-            if stuck:
-                # QUADPACK's own stop still holds when the error bounds of all
-                # the intervals sum to at most tol
-                total = error + bound @ half
-                if (total <= tol).all():
-                    return estimate, total
-                raise _not_converged(lo, hi, stuck)
-            a, b = edges[:-1].ravel(), edges[1:].ravel()
-            half, mid = 0.5 * (b - a), 0.5 * (a + b)
+            else:
+                a, b = edges[:-1].ravel(), edges[1:].ravel()
+                half, mid = 0.5 * (b - a), 0.5 * (a + b)
+                continue
+            if quarters:
+                # the extrapolation needs an estimate per bisection level: with
+                # one per two, rounding near an end away from 0 takes over first
+                return gk21(fn, lo, hi, quarters=False)
+            # as qags does, extrapolate the estimates of the rounds: near an
+            # integrable singularity at an end they tend to the integral geometrically
+            limit, spread = np.array([_wynn_epsilon(row) for row in np.transpose(estimates)]).T
+            total = error + spread
+            # qags's divergence test: a limit far from the last estimate, or of
+            # the other sign, is the anti-limit of a divergent sequence
+            ratio = limit / estimate
+            plausible = (limit == estimate) | ((0.01 <= ratio) & (ratio <= 100.0))
+            if (plausible & (total <= ABS_TOL * np.maximum(1.0, np.abs(limit)))).all():
+                return limit, total
+            # QUADPACK's own stop still holds when the error bounds of all the
+            # intervals sum to at most tol
+            total = error + bound @ half
+            if (total <= tol).all():
+                return estimate, total
+            raise _not_converged(lo, hi, stuck)
+
+
+def _wynn_epsilon(sequence):
+    """The limit of ``sequence`` by Wynn's epsilon algorithm, as QUADPACK's qelg.
+
+    Each element adds a diagonal to the table of the even columns, by Wynn's
+    cross rule.  A column stops where two of its neighbouring entries agree
+    to roundoff or where the rule is ill-conditioned.  An element's result is
+    the entry of its diagonal whose neighbours are closest, and its error
+    estimate is the distance of that result from the four results before
+    it, at least ``5 eps |result|``; where three entries of a column agree
+    to roundoff, the result is the newest and the error their spread.
+    Returns the (result, error) with the smallest error, as qags keeps its
+    best extrapolation; the error is inf when no result has one.
+
+    qelg measures the distance from three results, not four.  Neighbouring
+    results share most of their elements, so near an end away from 0, where
+    the nodes round to coarse floats, they can share an error too: on the
+    squared density of ``finite:a=0.3,b=0.62`` the three distances summed to
+    a ninth of it.
+    """
+    eps = float(np.finfo(float).eps)
+
+    def roundoff(u, v):
+        return abs(u - v) <= eps * max(abs(u), abs(v))
+
+    best = (float(sequence[-1]), math.inf)
+    older, old, results = [], [], []
+    for element in sequence:
+        new = [float(element)]
+        result, local, error = new[0], math.inf, None
+        for k in range(min(len(old), len(older))):
+            # the cross around old[k]: older[k] and new[k] in its column, older[k - 1] west
+            e0, e1, e2 = older[k], old[k], new[k]
+            if roundoff(e2, e1) and roundoff(e1, e0):
+                result, error = e2, abs(e2 - e1) + abs(e1 - e0)
+                break
+            if roundoff(e2, e1) or roundoff(e1, e0):
+                break
+            ss = 1.0 / (e2 - e1) - 1.0 / (e1 - e0)
+            if k:
+                e3 = older[k - 1]
+                if roundoff(e1, e3):
+                    break
+                ss += 1.0 / (e1 - e3)
+            if not abs(ss * e1) > 1e-4:
+                break
+            entry = e1 + 1.0 / ss
+            new.append(entry)
+            spread = abs(e2 - e1) + abs(entry - e2) + abs(e1 - e0)
+            if spread <= local:
+                result, local = entry, spread
+        older, old = old, new
+        if error is None:
+            results.append(result)
+            if len(results) < 5:
+                continue
+            error = sum(abs(result - r) for r in results[-5:-1])
+        error = max(error, 5.0 * eps * abs(result))
+        if error < best[1]:
+            best = (result, error)
+    return best
 
 
 def _integral(fn, lo, hi):

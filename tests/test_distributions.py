@@ -238,6 +238,26 @@ class TestInvariants:
             assert dist.pdf(hi + 1.0) == 0.0
 
 
+
+class TestPowerBetaTail:
+    """``int_t^1 (1 - x**alpha)**p dx`` keeps its relative accuracy where ``S(t)**p`` is small."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 20.0, 52.0, 200.0])
+    @pytest.mark.parametrize("t", [0.3, 0.7, 0.95])
+    def test_square_root_law(self, p, t):
+        # alpha = 1/2, x = u**2: 2 int_{sqrt t}^1 (1 - u)**p u du, w = 1 - sqrt(t)
+        w = 1.0 - math.sqrt(t)
+        exact = 2.0 * w ** (p + 1) * (1.0 / (p + 1) - w / (p + 2))
+        tail = PowerBeta(0.5).survival_power_integral(p, lower=t)
+        assert tail == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 7.5, 60.0, 300.0])
+    @pytest.mark.parametrize("t", [0.3, 0.9])
+    def test_uniform_law(self, p, t):
+        exact = (1.0 - t) ** (p + 1) / (p + 1)
+        tail = PowerBeta(1.0).survival_power_integral(p, lower=t)
+        assert tail == pytest.approx(exact, rel=1e-12, abs=0.0)
+
 def points(dist):
     """Points inside, at the ends of and outside the support of ``dist``."""
     lo, hi = dist.support

@@ -25,6 +25,7 @@ from crexlab import (
     extropy,
     parse_distribution,
 )
+from crexlab import _quadrature as nq
 from crexlab._quadrature import ABS_TOL, truncation_point
 from crexlab.measures import _power_products
 
@@ -71,7 +72,8 @@ class TestExtropy:
             extropy(PowerBeta(0.4))
 
     def test_quadrature_that_does_not_converge_raises(self):
-        # alpha = 1/2 diverges; QUADPACK stops at its subdivision limit
+        # alpha = 1/2 diverges; gk21 reaches its interval cap, and the estimates
+        # grow like a logarithm, with no limit to extrapolate
         with pytest.raises(DivergenceError, match="did not converge"):
             extropy(PowerBeta(0.5), method="quadrature")
 
@@ -457,10 +459,26 @@ class TestEndpointSingularities:
         closed, numeric = crex(d), crex(d, method="quadrature")
         assert abs(closed.value - numeric.value) <= numeric.abs_error_bound
 
-    def test_integrable_singular_density(self):
-        # f**2 = 0.49 x**-0.6 on PowerBeta(0.7)
-        d = PowerBeta(0.7)
-        assert extropy(d, method="quadrature") == pytest.approx(extropy(d), abs=1e-9)
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            # f**2 = 0.49 x**-0.6 on PowerBeta(0.7), singular at the lower end
+            PowerBeta(0.7),
+            PowerBeta(0.6),
+            PowerBeta(0.55),
+            # f**2 = a**2 b**2 (1 - a x)**(2b - 2), singular at the upper end 1/a
+            FiniteRange(1.0, 0.7),
+            FiniteRange(1.0, 0.55),
+            FiniteRange(3.0, 0.6),
+            FiniteRange(0.3, 0.62),
+        ],
+        ids=repr,
+    )
+    def test_integrable_singular_density(self, dist):
+        assert extropy(dist, method="quadrature") == pytest.approx(extropy(dist), abs=1e-9)
+        value, err = nq.pdf_square_quad(dist)
+        exact = dist.pdf_square_integral()
+        assert abs(value - exact) <= err <= ABS_TOL * exact
 
 
 BOUND_SPECS = [

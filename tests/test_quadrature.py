@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from crexlab import DivergenceError
+from crexlab import DivergenceError, _quadrature
 from crexlab._quadrature import (
     ABS_TOL,
     GAUSS_WEIGHTS,
     GK21_NODES,
     KRONROD_WEIGHTS,
     MAX_INTERVALS,
+    _wynn_epsilon,
     gk21,
 )
 
@@ -51,12 +54,43 @@ class TestKernel:
         assert error[0] >= 50.0 * np.finfo(float).eps * 0.25
         assert abs(value[0] - 0.25) <= error[0]
 
-    def test_endpoint_singularity_converges_by_summed_bounds(self):
-        # |K - G| on [0, w] shrinks like w**0.6, never within the interval's
-        # share of the tolerance; once the intervals run out, the bounds of all
-        # intervals together meet it
+    @pytest.mark.parametrize(
+        "integrand,lo,hi,exact",
+        [
+            (lambda x: x**-0.9, 0.0, 1.0, 10.0),
+            # the summed-bound stop would take 3.5e-10 off, with a bound of 2.6e-10
+            (lambda x: x**-0.7, 0.0, 1.0, 1.0 / 0.3),
+            # at an end away from 0 the nodes round to coarse floats
+            (lambda x: (3.0 - x) ** -0.7, 2.0, 3.0, 1.0 / 0.3),
+        ],
+        ids=["x**-0.9", "x**-0.7", "(3-x)**-0.7"],
+    )
+    def test_endpoint_singularity_converges_by_extrapolation(self, integrand, lo, hi, exact):
+        # bisection alone would need intervals far below a float's resolution
+        value, error = gk21(integrand, lo, hi)
+        assert abs(value[0] - exact) <= error[0] <= ABS_TOL * exact
+
+    def test_endpoint_singularity_converges_by_summed_bounds(self, monkeypatch):
+        # where the extrapolation finds no limit: |K - G| on [0, w] shrinks like
+        # w**0.6, never within the interval's share of the tolerance; once the
+        # intervals run out, the bounds of all intervals together meet it
+        monkeypatch.setattr(_quadrature, "_wynn_epsilon", lambda sequence: (sequence[-1], math.inf))
         value, error = gk21(lambda x: x**-0.4, 0.0, 1.0)
         assert abs(value[0] - 1.0 / 0.6) <= error[0] <= ABS_TOL / 0.6
+
+    def test_divergent_power_is_not_extrapolated(self, monkeypatch):
+        # the estimates of int_0^1 x**-1.1 grow geometrically; their epsilon
+        # limit is the anti-limit -10, of the other sign
+        limits = []
+
+        def spy(sequence):
+            limits.append(_wynn_epsilon(sequence))
+            return limits[-1]
+
+        monkeypatch.setattr(_quadrature, "_wynn_epsilon", spy)
+        with pytest.raises(DivergenceError, match="did not converge"):
+            gk21(lambda x: x**-1.1, 0.0, 1.0)
+        assert limits[0][0] == pytest.approx(-10.0, rel=1e-6)
 
     def test_non_finite_value_raises(self):
         # the middle node of [0, 1] is 0.5
@@ -72,14 +106,42 @@ class TestKernel:
 
         with pytest.raises(DivergenceError, match=f"more than {MAX_INTERVALS} intervals"):
             gk21(integrand, 0.0, 1.0)
-        assert sum(calls) <= MAX_INTERVALS
+        # a run by quarters, then one by halves; each starts from the whole range
+        starts = [i for i, n in enumerate(calls) if n == 1]
+        assert starts == [0, starts[1]]
+        quarters, halves = calls[: starts[1]], calls[starts[1] :]
+        assert sum(quarters) <= MAX_INTERVALS and sum(halves) <= MAX_INTERVALS
+        assert {n % 4 for n in quarters[1:]} == {0} and {n % 2 for n in halves[1:]} == {0}
 
     def test_interval_too_narrow_raises(self):
         # [1, 1 + 2 ulp]: the nodes round to its three floats, and a spike on the
-        # middle one gives K and G different weights; the interval's quarters
-        # are narrower than one ulp, so their midpoints round to an end
+        # middle one gives K and G different weights; the interval is within
+        # 100 eps of its midpoint, too narrow to bisect, in both runs
         lo = 1.0
         middle = np.nextafter(lo, 2.0)
         hi = np.nextafter(middle, 2.0)
         with pytest.raises(DivergenceError, match="did not converge.*too narrow"):
             gk21(lambda x: np.where(x == middle, 1e20, 0.0), lo, hi)
+
+
+class TestWynnEpsilon:
+    def test_alternating_series(self):
+        # partial sums of 1 - 1/2 + 1/3 - ...: 15 terms leave an error near 0.03
+        sums = np.cumsum([(-1.0) ** (k + 1) / k for k in range(1, 16)])
+        limit, error = _wynn_epsilon(sums)
+        assert abs(limit - math.log(2.0)) <= error <= 1e-7
+
+    def test_sum_of_geometric_tails(self):
+        sequence = [1.0 + 0.8**k + 0.5 * 0.6**k + 0.3 * 0.9**k for k in range(30)]
+        limit, error = _wynn_epsilon(sequence)
+        assert abs(limit - 1.0) <= error <= 1e-12
+
+    def test_constant_sequence(self):
+        assert _wynn_epsilon([0.25] * 6) == (0.25, 5.0 * np.finfo(float).eps * 0.25)
+
+    def test_arithmetic_sequence_has_no_limit(self):
+        limit, error = _wynn_epsilon([float(k) for k in range(20)])
+        assert error >= 1.0
+
+    def test_short_sequence_has_no_error_estimate(self):
+        assert _wynn_epsilon([1.0, 0.5, 0.25, 0.125])[1] == math.inf
