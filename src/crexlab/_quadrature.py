@@ -41,11 +41,18 @@ distinct powers: the rows are the powers of S, so S is evaluated once per
 node, and the support, start, truncation point and tail factor are worked
 out once.
 
-Double integrals over covariance-style kernels are evaluated on a tensor
-Gauss-Legendre grid.  The kernels have a derivative kink along ``x == y``
-(through ``F(min(x, y))``), so the square is split into the two triangles
-where the integrand is smooth; a half-resolution pass serves as the
-refinement check.
+The limit variances of the L-statistic are double integrals, kinked along
+``x == y`` and symmetric in (x, y): twice the triangle ``y >= x`` is mapped
+to a square and integrated on a tensor Gauss-Legendre grid.  There, with
+``sx = S(x)``, ``sy = S(y)`` and ``P(u) = (1/m) sum_{i<=m} u**i``, the
+integrand is smooth:
+
+    P(sx) P(sy) [P(sy) - P(sx sy)] = P(sx)/m**2 sum_{i,b<=m} (1 - sx**i) sy**(b+i)
+
+SRS is the case m = 1, ``sx (1 - sx) sy**2``.  S is evaluated once on the
+x-nodes and once on the grid, each ``sy**k``, k = 2..2m, is reduced at once
+to its row integrals, and the rest are sums of n-vectors.  A pass at half
+the nodes gives a refinement error, which the callers discard.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ import math
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, check_integer
 
 TAIL_MASS = 1e-12
 ABS_TOL = 1e-10
@@ -331,13 +338,15 @@ def min_vs_parent_quad(dist, i):
     return _integral(integrand, lo, truncation_point(dist))
 
 
-def double_quad_kinked(weight_fn, kernel_fn, lo, hi, nodes=DOUBLE_QUAD_NODES):
-    """``int int w(x) w(y) k(x, y) dx dy`` for kernels kinked along x == y.
+def double_quad_kinked(survival, m, lo, hi, nodes=DOUBLE_QUAD_NODES):
+    """``2 int_lo^hi int_x^hi P(S(x)) P(S(y)) [P(S(y)) - P(S(x) S(y))] dy dx``.
 
-    Exploits symmetry of the integrand in (x, y): integrates twice the
-    lower triangle x < y, mapped to a rectangle so Gauss-Legendre sees a
-    smooth integrand.  Returns (value, refinement_error_estimate).
+    ``S`` is ``survival`` and ``P(u) = (1/m) sum_{i<=m} u**i``; ``nodes``,
+    per axis, is an integer >= 2.  Returns (value, refinement_error_estimate).
     """
+    nodes = check_integer(nodes, "nodes")
+    if nodes < 2:
+        raise DomainError(f"nodes must be >= 2, got {nodes}")
 
     def pass_at(n):
         z, w = _leggauss(n)
@@ -346,9 +355,16 @@ def double_quad_kinked(weight_fn, kernel_fn, lo, hi, nodes=DOUBLE_QUAD_NODES):
         t = 0.5 * (z + 1.0)
         wt = 0.5 * w
         X = x[:, None]
-        Y = X + t[None, :] * (hi - X)
-        M = weight_fn(X) * weight_fn(Y) * kernel_fn(X, Y)
-        inner = M @ wt
+        sx = survival(x)
+        sy = survival(X + t[None, :] * (hi - X))
+        # row k - 2: the integrals over y of sy**k, k = 2..2m
+        power, rows = sy.copy(), []
+        for _ in range(2 * m - 1):
+            power *= sy
+            rows.append(power @ wt)
+        rows = np.array(rows)
+        terms = [(1.0 - sx**i) * rows[i - 1:i + m - 1].sum(axis=0) for i in range(1, m + 1)]
+        inner = sum(sx**i for i in range(1, m + 1)) / m * sum(terms) / m**2
         return 2.0 * float(np.sum(wx * (hi - x) * inner))
 
     coarse = pass_at(nodes // 2)

@@ -22,7 +22,8 @@ estimator takes; ``vn``, ``rn``, ``rmn``, ``lstat`` and ``lstat_adjusted``
 each call it with one spec.
 
 The asymptotic variance functionals of the L-statistic route are evaluated
-by tensor Gauss-Legendre quadrature split along the ``x == y`` kink.
+by tensor Gauss-Legendre quadrature on the triangle ``y >= x``, where the
+covariance kernel is smooth; SRS is the one-set case of MinRSSU.
 """
 
 from __future__ import annotations
@@ -332,40 +333,22 @@ def asymptotic_variance_srs(dist, nodes=DOUBLE_QUAD_NODES):
     """Limit variance of ``sqrt(n)`` times the plain L-statistic under SRS.
 
     ``int int S(x) S(y) [F(min(x,y)) - F(x) F(y)] dx dy`` over the
-    nonnegative support.
+    nonnegative support: :func:`asymptotic_variance_minrssu` at ``m = 1``.
     """
-    lo = max(0.0, dist.support[0])
-    hi = truncation_point(dist)
-
-    def kernel(X, Y):
-        return dist.cdf(np.minimum(X, Y)) - dist.cdf(X) * dist.cdf(Y)
-
-    value, _ = double_quad_kinked(dist.survival, kernel, lo, hi, nodes=nodes)
-    return max(value, 0.0)
+    return _asymptotic_variance(dist, 1, nodes)
 
 
 def asymptotic_variance_minrssu(dist, m, nodes=DOUBLE_QUAD_NODES):
     """Limit variance of the pooled L-statistic under the unequal-minima plan.
 
-    Uses the mixture cdf ``(1/m) sum_i [1 - S(x)**i]`` as weight argument
-    and the averaged covariance kernel of the set minima.
+    ``int int P(S(x)) P(S(y)) [P(S(max(x,y))) - P(S(x) S(y))] dx dy`` over
+    the nonnegative support, with the mixture survival ``P(S)``, ``P(u) =
+    (1/m) sum_{i<=m} u**i``, and the averaged covariance kernel of the minima.
     """
-    check_count(m, "design size")
+    return _asymptotic_variance(dist, check_count(m, "design size"), nodes)
+
+
+def _asymptotic_variance(dist, m, nodes):
     lo = max(0.0, dist.support[0])
-    hi = truncation_point(dist)
-
-    def mixture_survival(X):
-        s = dist.survival(X)
-        return sum(s**i for i in range(1, m + 1)) / m
-
-    def kernel(X, Y):
-        s_x = dist.survival(X)
-        s_y = dist.survival(Y)
-        s_max = np.maximum(s_x, s_y)
-        total = np.zeros(np.broadcast(X, Y).shape)
-        for i in range(1, m + 1):
-            total += (1.0 - s_max**i) - (1.0 - s_x**i) * (1.0 - s_y**i)
-        return total / m
-
-    value, _ = double_quad_kinked(mixture_survival, kernel, lo, hi, nodes=nodes)
+    value, _ = double_quad_kinked(dist.survival, m, lo, truncation_point(dist), nodes=nodes)
     return max(value, 0.0)

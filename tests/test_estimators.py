@@ -33,6 +33,7 @@ from crexlab import (
     run_cell,
     vn,
 )
+from crexlab._quadrature import truncation_point
 from crexlab.estimators import estimate, row_estimator
 
 # exact rationals for the limit variances, derived by hand via the
@@ -389,10 +390,9 @@ class TestAsymptoticVariances:
         assert asymptotic_variance_srs(Uniform(0.0, 1e-9)) < 1e-12
 
     def test_minrssu_m1_equals_srs(self):
+        # SRS is the one-set case of the same path: equal to the last bit
         for dist in (Uniform(0.0, 1.0), Exponential(1.0), PowerBeta(2.0)):
-            assert asymptotic_variance_minrssu(dist, 1) == pytest.approx(
-                asymptotic_variance_srs(dist), rel=1e-12
-            )
+            assert asymptotic_variance_minrssu(dist, 1) == asymptotic_variance_srs(dist)
 
     def test_minrssu_uniform_m2(self):
         assert asymptotic_variance_minrssu(Uniform(0.0, 1.0), 2) == pytest.approx(
@@ -439,6 +439,94 @@ class TestAsymptoticVariances:
             ]
         )
         assert abs(z.var(ddof=1) / quad_value - 1.0) < 0.10
+
+
+def generic_double_quad(weight_fn, kernel_fn, lo, hi, nodes):
+    """Reference: ``int int w(x) w(y) k(x, y)`` as twice the triangle y >= x,
+    with the weight and the kernel evaluated apart on the tensor grid."""
+    z, w = np.polynomial.legendre.leggauss(nodes)
+    x = 0.5 * (z + 1.0) * (hi - lo) + lo
+    X = x[:, None]
+    Y = X + 0.5 * (z + 1.0)[None, :] * (hi - X)
+    M = weight_fn(X) * weight_fn(Y) * kernel_fn(X, Y)
+    return 2.0 * float(np.sum(0.5 * (hi - lo) * w * (hi - x) * (M @ (0.5 * w))))
+
+
+def generic_variance_srs(dist, nodes):
+    def kernel(X, Y):
+        return dist.cdf(np.minimum(X, Y)) - dist.cdf(X) * dist.cdf(Y)
+
+    lo, hi = max(0.0, dist.support[0]), truncation_point(dist)
+    return max(generic_double_quad(dist.survival, kernel, lo, hi, nodes), 0.0)
+
+
+def generic_variance_minrssu(dist, m, nodes):
+    def mixture_survival(X):
+        return sum(dist.survival(X) ** i for i in range(1, m + 1)) / m
+
+    def kernel(X, Y):
+        s_x, s_y = dist.survival(X), dist.survival(Y)
+        s_max = np.maximum(s_x, s_y)
+        terms = [(1.0 - s_max**i) - (1.0 - s_x**i) * (1.0 - s_y**i) for i in range(1, m + 1)]
+        return sum(terms) / m
+
+    lo, hi = max(0.0, dist.support[0]), truncation_point(dist)
+    return max(generic_double_quad(mixture_survival, kernel, lo, hi, nodes), 0.0)
+
+
+ORACLE_SPECS = [
+    "exp:rate=1",
+    "exp:rate=3",
+    "unif:a=2,b=3",
+    "finite:a=2,b=3",
+    "finite:a=0.3,b=0.62",
+    "powerbeta:alpha=2",
+    "powerbeta:alpha=0.3",
+]
+
+
+class TestVarianceKernel:
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    @pytest.mark.parametrize("nodes", [8, 256])
+    def test_matches_generic_kernel(self, spec, nodes):
+        dist = parse_distribution(spec)
+        assert asymptotic_variance_srs(dist, nodes=nodes) == pytest.approx(
+            generic_variance_srs(dist, nodes), rel=1e-14, abs=0.0
+        )
+        for m in (1, 2, 3, 5):
+            assert asymptotic_variance_minrssu(dist, m, nodes=nodes) == pytest.approx(
+                generic_variance_minrssu(dist, m, nodes), rel=1e-14, abs=0.0
+            )
+
+    @pytest.mark.parametrize("bad", [0, 1, -4, True, 2.5, "8", None])
+    def test_bad_nodes_raise_domain_error(self, bad):
+        with pytest.raises(DomainError, match="nodes"):
+            asymptotic_variance_srs(Exponential(1.0), nodes=bad)
+        with pytest.raises(DomainError, match="nodes"):
+            asymptotic_variance_minrssu(Exponential(1.0), 2, nodes=bad)
+
+    @pytest.mark.parametrize("m", [None, 1, 3])
+    def test_one_survival_call_per_pass_and_grid(self, monkeypatch, m):
+        calls, cdf_calls = [], []
+        survival, cdf = Exponential.survival, Exponential.cdf
+
+        def counted(self, x):
+            calls.append(np.shape(x))
+            return survival(self, x)
+
+        def counted_cdf(self, x):
+            cdf_calls.append(np.shape(x))
+            return cdf(self, x)
+
+        monkeypatch.setattr(Exponential, "survival", counted)
+        monkeypatch.setattr(Exponential, "cdf", counted_cdf)
+        if m is None:
+            asymptotic_variance_srs(Exponential(1.0), nodes=16)
+        else:
+            asymptotic_variance_minrssu(Exponential(1.0), m, nodes=16)
+        # the coarse pass, then the fine one: the x-nodes, then the grid
+        assert calls == [(8,), (8, 8), (16,), (16, 16)]
+        assert cdf_calls == []
 
 
 class TestConsistencyAcrossFamilies:
