@@ -39,7 +39,9 @@ at most ``S(U)**(p-1) * int_U^inf S = mrl(U) * S(U)**p``.
 A measure call makes one ``survival_power_quad`` call for all its
 distinct powers: the rows are the powers of S, so S is evaluated once per
 node, and the support, start, truncation point and tail factor are worked
-out once.
+out once.  Every survival-power functional goes through it, the
+minima-vs-parent discrimination measure included; only the squared
+density and the squared cdf have integrands of their own.
 
 The limit variances of the L-statistic are double integrals, kinked along
 ``x == y`` and symmetric in (x, y): twice the triangle ``y >= x`` is mapped
@@ -51,8 +53,9 @@ integrand is smooth:
 
 SRS is the case m = 1, ``sx (1 - sx) sy**2``.  S is evaluated once on the
 x-nodes and once on the grid, each ``sy**k``, k = 2..2m, is reduced at once
-to its row integrals, and the rest are sums of n-vectors.  A pass at half
-the nodes gives a refinement error, which the callers discard.
+to its row integrals, and the rest are sums of n-vectors.  The grid has
+``DOUBLE_QUAD_NODES`` nodes per axis; a pass at half of them gives a
+refinement error, which the callers discard.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ import math
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, check_integer
+from .errors import DivergenceError, DomainError
 
 TAIL_MASS = 1e-12
 ABS_TOL = 1e-10
@@ -326,27 +329,13 @@ def cdf_square_quad(dist):
     return _integral(lambda x: dist.cdf(x) ** 2, lo, hi_sup)
 
 
-def min_vs_parent_quad(dist, i):
-    """``int_0^inf S(x)**i (S(x) - S(x)**i) dx``, nonnegative; returns (value, error)."""
-    # the integrand vanishes below the support, where both survivals are 1
-    lo = max(0.0, dist.support[0])
-
-    def integrand(x):
-        s = dist.survival(x)
-        return s**i * (s - s**i)
-
-    return _integral(integrand, lo, truncation_point(dist))
-
-
-def double_quad_kinked(survival, m, lo, hi, nodes=DOUBLE_QUAD_NODES):
+def double_quad_kinked(survival, m, lo, hi):
     """``2 int_lo^hi int_x^hi P(S(x)) P(S(y)) [P(S(y)) - P(S(x) S(y))] dy dx``.
 
-    ``S`` is ``survival`` and ``P(u) = (1/m) sum_{i<=m} u**i``; ``nodes``,
-    per axis, is an integer >= 2.  Returns (value, refinement_error_estimate).
+    ``S`` is ``survival`` and ``P(u) = (1/m) sum_{i<=m} u**i``, on
+    ``DOUBLE_QUAD_NODES`` nodes per axis.  Returns (value,
+    refinement_error_estimate).
     """
-    nodes = check_integer(nodes, "nodes")
-    if nodes < 2:
-        raise DomainError(f"nodes must be >= 2, got {nodes}")
 
     def pass_at(n):
         z, w = _leggauss(n)
@@ -367,8 +356,8 @@ def double_quad_kinked(survival, m, lo, hi, nodes=DOUBLE_QUAD_NODES):
         inner = sum(sx**i for i in range(1, m + 1)) / m * sum(terms) / m**2
         return 2.0 * float(np.sum(wx * (hi - x) * inner))
 
-    coarse = pass_at(nodes // 2)
-    fine = pass_at(nodes)
+    coarse = pass_at(DOUBLE_QUAD_NODES // 2)
+    fine = pass_at(DOUBLE_QUAD_NODES)
     err = abs(fine - coarse)
     if not math.isfinite(fine):
         raise DivergenceError("double quadrature diverged")

@@ -29,7 +29,7 @@ from . import __version__
 from .discrimination import d_designs, d_min_vs_parent
 from .distributions import parse_distribution
 from .errors import CrexlabError, DivergenceError, SpecParseError
-from .estimators import EstimatorSpec, estimate as run_estimator
+from .estimators import EstimatorSpec, PsiFamily, estimate as run_estimator
 from .measures import (
     crex,
     crex_minrssu_design,
@@ -40,6 +40,8 @@ from .measures import (
 from .sampling import draw_minrssu, sample_from_csv, sample_to_csv, MinRssuSample
 from .simulation import (
     DEFAULT_SEED,
+    PROTOCOL_DISTRIBUTIONS,
+    BiasConvention,
     SimulationConfig,
     calibrate_parameter,
     protocol_config,
@@ -348,7 +350,7 @@ def build_parser():
     # let w lists like "-2,-1,0,1" pass as option values, not option names
     p._negative_number_matcher = re.compile(r"^-\d+[\d,.\-]*$")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--protocol", choices=("exp", "unif", "beta"), help="benchmark-table grid")
+    p.add_argument("--protocol", choices=list(PROTOCOL_DISTRIBUTIONS), help="benchmark-table grid")
     p.add_argument(
         "--sides",
         default="spacing,order",
@@ -362,14 +364,14 @@ def build_parser():
     p.add_argument(
         "--w-lstat-adj", dest="w_lstat_adj", help="comma list of w values for lstat_adj"
     )
-    p.add_argument("--psi-family", dest="psi_family", choices=("exp", "unif", "beta"))
+    p.add_argument("--psi-family", dest="psi_family", choices=[f.value for f in PsiFamily])
     p.add_argument("--reps", type=int, default=5000, help="replications per cell")
     p.add_argument("--seed", type=int, default=None, help=f"base seed (default {DEFAULT_SEED})")
     p.add_argument(
         "--bias-convention",
         dest="bias_convention",
-        choices=("truth-minus-estimate", "estimate-minus-truth"),
-        default="truth-minus-estimate",
+        choices=[c.value for c in BiasConvention],
+        default=BiasConvention.TRUTH_MINUS_ESTIMATE.value,
     )
     p.add_argument("--threads", type=int, default=None, help="ignored; cells run serially")
     p.add_argument("--out", help="write CSV here instead of stdout")

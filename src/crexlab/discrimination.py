@@ -9,6 +9,11 @@ the minimum of ``i`` draws, ``S(x)**i``, and the parent survival ``S``:
 ``d_designs`` extends this to whole sampling plans of size ``m``,
 comparing the unequal-minima plan with the independent-draw plan through
 products of minimum means.
+
+Both measures are built from the minimum means ``int S**j dx``: the
+closed route takes them from the family's exact survival-power integrals,
+the quadrature route from one ``survival_power_quad`` call for all the
+powers a measure needs.
 """
 
 from __future__ import annotations
@@ -42,17 +47,17 @@ class DiscriminationValue:
 def d_min_vs_parent(dist, i, method="closed"):
     """Disparity between the minimum-of-``i`` law and the parent law.
 
-    Zero at ``i = 1``.  The closed route uses exact minimum means; the
-    quadrature route integrates the defining integrand, nonnegative as
-    ``S**i (S - S**i)``, giving an independent cross-check.
+    Exactly ``+0.0`` at ``i = 1``.  The closed route uses exact minimum
+    means; the quadrature route integrates ``S**(i+1)`` and ``S**(2i)`` in
+    one call.
     """
     check_count(i, "set size")
     method = _coerce_method(method)
     if method is Method.CLOSED_FORM:
         value = 0.5 * (dist.min_order_stat_mean(i + 1) - dist.min_order_stat_mean(2 * i))
     else:
-        raw, _ = nq.min_vs_parent_quad(dist, i)
-        value = 0.5 * raw
+        (parent, _), (minimum, _) = nq.survival_power_quad(dist, [i + 1.0, 2.0 * i], 0.0)
+        value = 0.5 * (parent - minimum)
     return DiscriminationValue(value=value, i_or_m=int(i), method=method)
 
 

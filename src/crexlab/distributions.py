@@ -65,21 +65,14 @@ def _on_support(below, above, ends_inside=False):
     ``above``; the support ends count as inside only when ``ends_inside``.
     ``func`` sees an array of points inside the support only: the whole
     argument when every point lies inside, else the inside points.  A
-    scalar argument skips the array masks and evaluates the kernel on a
-    one-element array, so it returns the same float as the array route.
-    A nan argument raises DomainError.
+    scalar is a one-element array on the same route and comes back as a
+    float.  A nan argument raises DomainError.
     """
 
     def decorate(func):
         @functools.wraps(func)
         def method(self, x):
             lo, hi = self.support
-            if isinstance(x, (float, int)):
-                if x != x:
-                    raise DomainError(f"{func.__name__} argument is nan")
-                if lo < x < hi or (ends_inside and lo <= x <= hi):
-                    return float(func(self, np.array([x], dtype=float))[0])
-                return below if x <= lo else above
             arr = np.asarray(x, dtype=float)
             vals = np.atleast_1d(arr)
             if _all_inside(vals, lo, hi, ends_inside):

@@ -6,6 +6,8 @@ tuning offset ``w`` are integers: an int or a numpy integer passes, while
 simulation config; the CLI exits 2) instead of being truncated.
 :func:`check_integer` is that rule and
 :func:`check_count` adds ``>= 1``; both return the value as an int.
+:func:`enum_member` is the one lookup of an estimator kind, psi family or
+bias convention by its text.
 """
 
 import operator
@@ -58,6 +60,15 @@ def split_spec(text, what):
                 raise SpecParseError(f"duplicate key {key!r} in {what} spec {text!r}")
             options[key] = value.strip()
     return head.strip().lower(), options
+
+
+def enum_member(kind, value, what):
+    """The member of the enum ``kind`` valued ``value``; else SpecParseError naming ``what``."""
+    try:
+        return kind(value)
+    except ValueError:
+        known = ", ".join(member.value for member in kind)
+        raise SpecParseError(f"unknown {what} {value!r} (known: {known})") from None
 
 
 def check_integer(value, label):

@@ -34,9 +34,9 @@ from functools import partial
 
 import numpy as np
 
-from ._quadrature import DOUBLE_QUAD_NODES, double_quad_kinked, truncation_point
+from ._quadrature import double_quad_kinked, truncation_point
 from .errors import DomainError, ParameterError, SizeError, SpecParseError, split_spec
-from .errors import check_count, check_integer
+from .errors import check_count, check_integer, enum_member
 from .sampling import pooled_order_statistics
 
 __all__ = [
@@ -76,22 +76,6 @@ class EstimatorKind(enum.Enum):
 _NEEDS_W = {EstimatorKind.RMN, EstimatorKind.LSTAT_ADJUSTED}
 
 
-def _estimator_kind(token):
-    try:
-        return EstimatorKind(token)
-    except ValueError:
-        known = ", ".join(k.value for k in EstimatorKind)
-        raise SpecParseError(f"unknown estimator {token!r} (known: {known})") from None
-
-
-def _psi_family(token):
-    try:
-        return PsiFamily(token)
-    except ValueError:
-        known = ", ".join(f.value for f in PsiFamily)
-        raise SpecParseError(f"unknown psi family {token!r} (known: {known})") from None
-
-
 @dataclass(frozen=True)
 class EstimatorSpec:
     """Which estimator to run, its tuning offset w, and its psi family."""
@@ -101,8 +85,9 @@ class EstimatorSpec:
     psi_family: PsiFamily | None = None
 
     def __post_init__(self):
-        if self.psi_family is not None and not isinstance(self.psi_family, PsiFamily):
-            object.__setattr__(self, "psi_family", _psi_family(self.psi_family))
+        if self.psi_family is not None:
+            family = enum_member(PsiFamily, self.psi_family, "psi family")
+            object.__setattr__(self, "psi_family", family)
         if (self.w is not None) != (self.kind in _NEEDS_W):
             need = "requires" if self.kind in _NEEDS_W else "does not take"
             raise SpecParseError(f"estimator {self.kind.value!r} {need} a w value")
@@ -130,7 +115,7 @@ class EstimatorSpec:
     def parse(cls, text):
         """Parse an estimator spec string; see the module docstring."""
         head, options = split_spec(text, "estimator")
-        kind = _estimator_kind(head)
+        kind = enum_member(EstimatorKind, head, "estimator")
         w = family = None
         for key, val in options.items():
             if key == "w":
@@ -139,7 +124,7 @@ class EstimatorSpec:
                 except ValueError:
                     raise SpecParseError(f"w must be an integer, got {val!r}") from None
             elif key == "family":
-                family = _psi_family(val.lower())
+                family = enum_member(PsiFamily, val.lower(), "psi family")
             else:
                 raise SpecParseError(f"unknown estimator option {key!r}")
         return cls(kind=kind, w=w, psi_family=family)
@@ -311,8 +296,7 @@ def psi(family, m, w):
 
     ``m`` is a count and ``w`` an integer; anything else raises DomainError.
     """
-    if not isinstance(family, PsiFamily):
-        family = _psi_family(family)
+    family = enum_member(PsiFamily, family, "psi family")
     m, w = check_count(m, "design size"), check_integer(w, "w")
     if family is PsiFamily.BETA:
         return m - w
@@ -329,26 +313,26 @@ def lstat_adjusted(sample, family, w):
     return estimate(spec, sample)
 
 
-def asymptotic_variance_srs(dist, nodes=DOUBLE_QUAD_NODES):
+def asymptotic_variance_srs(dist):
     """Limit variance of ``sqrt(n)`` times the plain L-statistic under SRS.
 
     ``int int S(x) S(y) [F(min(x,y)) - F(x) F(y)] dx dy`` over the
     nonnegative support: :func:`asymptotic_variance_minrssu` at ``m = 1``.
     """
-    return _asymptotic_variance(dist, 1, nodes)
+    return _asymptotic_variance(dist, 1)
 
 
-def asymptotic_variance_minrssu(dist, m, nodes=DOUBLE_QUAD_NODES):
+def asymptotic_variance_minrssu(dist, m):
     """Limit variance of the pooled L-statistic under the unequal-minima plan.
 
     ``int int P(S(x)) P(S(y)) [P(S(max(x,y))) - P(S(x) S(y))] dx dy`` over
     the nonnegative support, with the mixture survival ``P(S)``, ``P(u) =
     (1/m) sum_{i<=m} u**i``, and the averaged covariance kernel of the minima.
     """
-    return _asymptotic_variance(dist, check_count(m, "design size"), nodes)
+    return _asymptotic_variance(dist, check_count(m, "design size"))
 
 
-def _asymptotic_variance(dist, m, nodes):
+def _asymptotic_variance(dist, m):
     lo = max(0.0, dist.support[0])
-    value, _ = double_quad_kinked(dist.survival, m, lo, truncation_point(dist), nodes=nodes)
+    value, _ = double_quad_kinked(dist.survival, m, lo, truncation_point(dist))
     return max(value, 0.0)

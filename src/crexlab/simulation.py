@@ -54,12 +54,11 @@ import numpy as np
 
 from .distributions import Distribution, parse_distribution
 from .errors import CellError, CrexlabError, DomainError, SpecParseError
-from .errors import check_count, check_integer
+from .errors import check_count, check_integer, enum_member
 # estimate and draw_minrssu are unused here; the benchmark tracer wraps these bindings
 from .estimators import (  # noqa: F401
     EstimatorKind,
     EstimatorSpec,
-    _estimator_kind,
     estimate,
     row_estimator,
 )
@@ -124,14 +123,6 @@ PROTOCOL_DISTRIBUTIONS = {
 class BiasConvention(enum.Enum):
     TRUTH_MINUS_ESTIMATE = "truth-minus-estimate"
     ESTIMATE_MINUS_TRUTH = "estimate-minus-truth"
-
-
-def _bias_convention(value):
-    try:
-        return BiasConvention(value)
-    except ValueError:
-        known = ", ".join(c.value for c in BiasConvention)
-        raise SpecParseError(f"unknown bias convention {value!r} (known: {known})") from None
 
 
 @dataclass(frozen=True)
@@ -204,7 +195,10 @@ class SimulationConfig:
 
         if not isinstance(self.distribution, Distribution):
             normalize("distribution", parse_distribution(self.distribution))
-        normalize("bias_convention", _bias_convention(self.bias_convention))
+        normalize(
+            "bias_convention",
+            enum_member(BiasConvention, self.bias_convention, "bias convention"),
+        )
         try:
             normalize("replications", check_count(self.replications, "replications"))
             normalize("base_seed", _check_seed(self.base_seed))
@@ -234,7 +228,7 @@ class SimulationConfig:
         for m in self.m_values:
             specs = []
             for token in self.estimators:
-                kind = _estimator_kind(token)
+                kind = enum_member(EstimatorKind, token, "estimator")
                 family = self.psi_family if kind is EstimatorKind.LSTAT_ADJUSTED else None
                 w_list = self.w_lists.get(token)
                 if w_list is None:
@@ -627,7 +621,7 @@ def run_cell(
         dist = parse_distribution(dist)
     if isinstance(estimator, str):
         estimator = EstimatorSpec.parse(estimator)
-    bias_convention = _bias_convention(bias_convention)
+    bias_convention = enum_member(BiasConvention, bias_convention, "bias convention")
     replications = check_count(replications, "replications")
     m, l = check_count(m, "m"), check_count(l, "l")
     base_seed = _check_seed(base_seed)

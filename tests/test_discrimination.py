@@ -36,8 +36,27 @@ class TestMinVsParent:
         )
 
     @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
-    def test_i1_is_zero(self, dist):
-        assert float(d_min_vs_parent(dist, 1)) == pytest.approx(0.0, abs=1e-14)
+    @pytest.mark.parametrize("method", ["closed", "quadrature"])
+    def test_i1_is_zero(self, dist, method):
+        # exactly +0.0 on both routes: the two minimum means are the same number
+        value = float(d_min_vs_parent(dist, 1, method=method))
+        assert value == 0.0
+        assert math.copysign(1.0, value) == 1.0
+
+    @pytest.mark.parametrize("i", [1, 2, 7])
+    def test_quadrature_is_one_survival_power_call(self, monkeypatch, i):
+        from crexlab import _quadrature
+
+        calls = []
+        quad = _quadrature.survival_power_quad
+
+        def counted(dist, powers, lower):
+            calls.append((list(powers), lower))
+            return quad(dist, powers, lower)
+
+        monkeypatch.setattr(_quadrature, "survival_power_quad", counted)
+        d_min_vs_parent(Exponential(1.0), i, method="quadrature")
+        assert calls == [([i + 1.0, 2.0 * i], 0.0)]
 
     def test_exponential_i2(self):
         # minima means 1/(j*lam): -(1/2)(1/4 - 1/3) = 1/24

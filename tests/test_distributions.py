@@ -272,7 +272,7 @@ def points(dist):
 
 
 class TestScalarAndArrayAgree:
-    """The scalar route of pdf/cdf/survival returns the array route's bits."""
+    """A scalar argument to pdf/cdf/survival returns a float with the array's bits."""
 
     @settings(deadline=None)
     @given(data=st.data())

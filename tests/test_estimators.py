@@ -487,23 +487,15 @@ ORACLE_SPECS = [
 
 class TestVarianceKernel:
     @pytest.mark.parametrize("spec", ORACLE_SPECS)
-    @pytest.mark.parametrize("nodes", [8, 256])
-    def test_matches_generic_kernel(self, spec, nodes):
+    def test_matches_generic_kernel(self, spec):
         dist = parse_distribution(spec)
-        assert asymptotic_variance_srs(dist, nodes=nodes) == pytest.approx(
-            generic_variance_srs(dist, nodes), rel=1e-14, abs=0.0
+        assert asymptotic_variance_srs(dist) == pytest.approx(
+            generic_variance_srs(dist, 256), rel=1e-14, abs=0.0
         )
         for m in (1, 2, 3, 5):
-            assert asymptotic_variance_minrssu(dist, m, nodes=nodes) == pytest.approx(
-                generic_variance_minrssu(dist, m, nodes), rel=1e-14, abs=0.0
+            assert asymptotic_variance_minrssu(dist, m) == pytest.approx(
+                generic_variance_minrssu(dist, m, 256), rel=1e-14, abs=0.0
             )
-
-    @pytest.mark.parametrize("bad", [0, 1, -4, True, 2.5, "8", None])
-    def test_bad_nodes_raise_domain_error(self, bad):
-        with pytest.raises(DomainError, match="nodes"):
-            asymptotic_variance_srs(Exponential(1.0), nodes=bad)
-        with pytest.raises(DomainError, match="nodes"):
-            asymptotic_variance_minrssu(Exponential(1.0), 2, nodes=bad)
 
     @pytest.mark.parametrize("m", [None, 1, 3])
     def test_one_survival_call_per_pass_and_grid(self, monkeypatch, m):
@@ -521,11 +513,11 @@ class TestVarianceKernel:
         monkeypatch.setattr(Exponential, "survival", counted)
         monkeypatch.setattr(Exponential, "cdf", counted_cdf)
         if m is None:
-            asymptotic_variance_srs(Exponential(1.0), nodes=16)
+            asymptotic_variance_srs(Exponential(1.0))
         else:
-            asymptotic_variance_minrssu(Exponential(1.0), m, nodes=16)
+            asymptotic_variance_minrssu(Exponential(1.0), m)
         # the coarse pass, then the fine one: the x-nodes, then the grid
-        assert calls == [(8,), (8, 8), (16,), (16, 16)]
+        assert calls == [(128,), (128, 128), (256,), (256, 256)]
         assert cdf_calls == []
 
 

@@ -37,7 +37,7 @@ COUNT_ARGUMENTS = {
     "crex_srs_design m": lambda n: crex_srs_design(EXP, n),
     "dynamic_crex_designs m": lambda n: dynamic_crex_designs(EXP, n, 1.0),
     "d_designs m": lambda n: d_designs(EXP, n),
-    "asymptotic_variance_minrssu m": lambda n: asymptotic_variance_minrssu(EXP, n, nodes=8),
+    "asymptotic_variance_minrssu m": lambda n: asymptotic_variance_minrssu(EXP, n),
     "psi beta m": lambda n: psi("beta", n, 0),
     "psi exp m": lambda n: psi("exp", n, 0),
     "psi unif m": lambda n: psi("unif", n, 0),
