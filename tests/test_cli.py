@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crexlab import rows_from_csv, sample_from_csv
-from crexlab.cli import main
+from crexlab import BiasConvention, PsiFamily, rows_from_csv, sample_from_csv
+from crexlab.cli import build_parser, main
+from crexlab.simulation import PROTOCOL_DISTRIBUTIONS
 
 DATA = Path(__file__).parent / "data"
 
@@ -495,6 +496,31 @@ class TestHelp:
         code, out, _ = run(capsys, ["--version"])
         assert code == 0
         assert out.startswith("crexlab ")
+
+
+class TestChoices:
+    @pytest.mark.parametrize(
+        "option, dest, source",
+        [
+            ("--protocol", "protocol", list(PROTOCOL_DISTRIBUTIONS)),
+            ("--psi-family", "psi_family", [f.value for f in PsiFamily]),
+            ("--bias-convention", "bias_convention", [c.value for c in BiasConvention]),
+        ],
+    )
+    def test_simulate_choices_are_the_library_values(self, capsys, option, dest, source):
+        parser = build_parser()
+        for value in source:
+            assert getattr(parser.parse_args(["simulate", option, value]), dest) == value
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args(["simulate", option, "bogus"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert all(repr(value) in err for value in source)
+
+    def test_bias_convention_default_is_the_library_default(self):
+        args = build_parser().parse_args(["simulate"])
+        assert BiasConvention(args.bias_convention) is BiasConvention.TRUTH_MINUS_ESTIMATE
 
 
 class TestStartup:
