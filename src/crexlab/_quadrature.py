@@ -5,7 +5,9 @@ written in numpy, on the nodes and weights of QUADPACK's qk21 (Piessens et
 al., 1983).  The integrand is a vectorized function that returns one row
 per integral, so a call integrates several integrands over the same
 intervals: each round evaluates the integrand once, in one array call, on
-the 21 nodes of every interval still open.  The tolerance of a row is
+the 21 nodes of every interval still open.  The first round evaluates the
+four quarters of the range, the intervals a failing whole-range round
+would have gone on to.  The tolerance of a row is
 ``tol = ABS_TOL * max(1, |estimate|)``, absolute and relative 1e-10.  An
 interval is kept when, in every row, ``|K - G|`` (21-point Kronrod minus
 embedded 10-point Gauss) is within the interval's share
@@ -16,21 +18,22 @@ rounds, and so the per-round numpy overhead, at about the same number of
 intervals.  The error bound of an interval is the larger of its
 ``|K - G|`` and its roundoff floor.
 
-Refinement stops at ``MAX_INTERVALS`` evaluated intervals, the parents of
-split intervals included (QUADPACK's ``limit`` counts the final partition
-instead), or at an interval too narrow to bisect: one whose ends are
-within ``100 eps`` of its midpoint, QUADPACK's limit.  The call is then
-run again with one bisection per round, stopped the same way, because
-the extrapolation needs an estimate per bisection level.  That run ends
-as qags does near an integrable endpoint singularity: Wynn's epsilon
-algorithm extrapolates the sequence of its whole-range estimates, and
-the result counts when its error estimate, plus the bounds of the
-intervals kept, is within ``tol`` and it passes qags's test against a
-divergent sequence.  Failing that, the last estimate counts when the
-error bounds of all intervals sum to at most ``tol``, QUADPACK's own
-test.  Otherwise, and at any non-finite integrand value, the call raises
-DivergenceError.  The extrapolation's error is an estimate, not a bound,
-as in QUADPACK.
+Refinement stops at more than ``MAX_INTERVALS`` evaluated intervals
+(QUADPACK's ``limit`` counts the final partition instead), or at an
+interval too narrow to bisect: one whose ends are within ``100 eps`` of
+its midpoint, QUADPACK's limit.  Both checks hold for the first split
+into quarters too.  The call is then run again with one bisection per
+round, stopped the same way, from the whole range: the extrapolation
+needs an estimate per bisection level, the whole range's included.
+That run ends as qags does near an integrable endpoint singularity:
+Wynn's epsilon algorithm extrapolates the sequence of its whole-range
+estimates, and the result counts when its error estimate, plus the
+bounds of the intervals kept, is within ``tol`` and it passes qags's
+test against a divergent sequence.  Failing that, the last estimate
+counts when the error bounds of all intervals sum to at most ``tol``,
+QUADPACK's own test.  Otherwise, and at any non-finite integrand value,
+the call raises DivergenceError.  The extrapolation's error is an
+estimate, not a bound, as in QUADPACK.
 
 Unbounded supports are truncated at the ``1 - 1e-12`` quantile and the
 tail remainder is bounded analytically: for ``int_U^inf S**p`` the tail is
@@ -45,17 +48,23 @@ density and the squared cdf have integrands of their own.
 
 The limit variances of the L-statistic are double integrals, kinked along
 ``x == y`` and symmetric in (x, y): twice the triangle ``y >= x`` is mapped
-to a square and integrated on a tensor Gauss-Legendre grid.  There, with
-``sx = S(x)``, ``sy = S(y)`` and ``P(u) = (1/m) sum_{i<=m} u**i``, the
-integrand is smooth:
+to a square, ``y = x + v (hi - x)``, and integrated on a tensor grid.
+There, with ``sx = S(x)``, ``sy = S(y)`` and ``P(u) = (1/m) sum_{i<=m}
+u**i``, the integrand is smooth:
 
     P(sx) P(sy) [P(sy) - P(sx sy)] = P(sx)/m**2 sum_{i,b<=m} (1 - sx**i) sy**(b+i)
 
 SRS is the case m = 1, ``sx (1 - sx) sy**2``.  S is evaluated once on the
 x-nodes and once on the grid, each ``sy**k``, k = 2..2m, is reduced at once
-to its row integrals, and the rest are sums of n-vectors.  The grid has
-``DOUBLE_QUAD_NODES`` nodes per axis; a pass at half of them gives a
-refinement error, which the callers discard.
+to its row integrals, and the rest are sums of n-vectors.  Each axis, x
+on ``[lo, hi]`` and v on [0, 1], is a Gauss-Legendre rule mapped through
+``g(u) = u**3 / (u**3 + (1 - u)**3)``, whose nodes crowd at both ends:
+there S may have an infinite slope (``powerbeta`` with alpha < 1 at 0,
+``finite`` with b < 1 at 1/a), which a uniform grid resolves slowly.  The
+grid has ``DOUBLE_QUAD_NODES`` = 96 nodes per axis, and a pass at half of
+them gives the refinement error ``|fine - coarse|``.  The callers get the
+fine value, or DivergenceError where the refinement error exceeds
+``DOUBLE_QUAD_RTOL`` = 1e-8 of it, relative.
 """
 
 from __future__ import annotations
@@ -70,7 +79,8 @@ from .errors import DivergenceError, DomainError
 TAIL_MASS = 1e-12
 ABS_TOL = 1e-10
 MAX_INTERVALS = 200
-DOUBLE_QUAD_NODES = 256
+DOUBLE_QUAD_NODES = 96
+DOUBLE_QUAD_RTOL = 1e-8
 
 # qk21: the nonnegative Kronrod abscissae of [-1, 1] in decreasing order and
 # their weights; every second one, from the second, is a node of the
@@ -124,8 +134,17 @@ _UNDERFLOW = 1000.0 * np.finfo(float).tiny
 
 
 @functools.cache
-def _leggauss(n):
-    return np.polynomial.legendre.leggauss(n)
+def _graded(n):
+    """The ``n``-point Gauss-Legendre rule on [0, 1] mapped through ``g``.
+
+    ``g(u) = u**3 / (u**3 + (1 - u)**3)`` crowds the nodes at both ends,
+    where ``g'(u) = 3 u**2 (1 - u)**2 / (u**3 + (1 - u)**3)**2`` vanishes.
+    Returns the nodes ``g(u)`` and the weights ``w g'(u)``.
+    """
+    z, w = np.polynomial.legendre.leggauss(n)
+    u = 0.5 * (z + 1.0)
+    near, far = u**3, (1.0 - u) ** 3
+    return near / (near + far), 1.5 * w * (u * (1.0 - u)) ** 2 / (near + far) ** 2
 
 
 def truncation_point(dist):
@@ -140,6 +159,26 @@ def _not_converged(lo, hi, reason):
     return DivergenceError(f"quadrature did not converge on [{lo}, {hi}]: {reason}")
 
 
+def _split(a, b, quarters):
+    """The quarters, or halves, of the intervals ``[a, b]``: their (a, b)."""
+    mid = 0.5 * (a + b)
+    if quarters:
+        edges = np.array([a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b])
+    else:
+        edges = np.array([a, mid, b])
+    return edges[:-1].ravel(), edges[1:].ravel()
+
+
+def _unsplittable(a, b, evaluated):
+    """Why the intervals ``[a, b]`` may not be split, or None when they may."""
+    if evaluated > MAX_INTERVALS:
+        return f"more than {MAX_INTERVALS} intervals needed"
+    mid = 0.5 * (a + b)
+    if (np.maximum(np.abs(a), np.abs(b)) <= _NARROW * (np.abs(mid) + _UNDERFLOW)).any():
+        return "interval too narrow to bisect"
+    return None
+
+
 def gk21(fn, lo, hi, quarters=True):
     """Adaptive Gauss-Kronrod on ``[lo, hi]``: arrays (values, error bounds), one per row.
 
@@ -148,16 +187,24 @@ def gk21(fn, lo, hi, quarters=True):
     into quarters, or halves with ``quarters=False``.  Raises DivergenceError
     unless every row converged to finite values.
     """
-    a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
-    half, mid = 0.5 * (b - a), 0.5 * (a + b)
     # an interval's share of tol, per unit of its half-width
     share = 2.0 / (hi - lo)
+    pieces = 4 if quarters else 2
     value = error = 0.0
     evaluated = 1
     # the whole-range estimate of every round, for the extrapolation
     estimates = []
+    a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
+    if quarters:
+        # a failing whole-range round would go on to the quarters; the halves
+        # run starts from the whole range, whose estimate the extrapolation needs
+        evaluated = pieces
+        if _unsplittable(a, b, evaluated):
+            return gk21(fn, lo, hi, quarters=False)
+        a, b = _split(a, b, quarters)
     with np.errstate(all="ignore"):
         while True:
+            half, mid = 0.5 * (b - a), 0.5 * (a + b)
             f = fn((mid[:, None] + half[:, None] * GK21_NODES).ravel()).reshape(-1, 21)
             # per row and interval, per unit of half-width: K, K - G and the roundoff floor
             kronrod, diff = (_RULES @ f.T).reshape(2, -1, a.size)
@@ -177,20 +224,12 @@ def gk21(fn, lo, hi, quarters=True):
             error = error + bound @ weights
             if done.all():
                 return value, error
-            split = ~done
-            a, b, mid, half, bound = a[split], b[split], mid[split], half[split], bound[:, split]
-            if quarters:
-                edges = np.array([a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b])
-            else:
-                edges = np.array([a, mid, b])
-            evaluated += (len(edges) - 1) * a.size
-            if evaluated > MAX_INTERVALS:
-                stuck = f"more than {MAX_INTERVALS} intervals needed"
-            elif (np.maximum(np.abs(a), np.abs(b)) <= _NARROW * (np.abs(mid) + _UNDERFLOW)).any():
-                stuck = "interval too narrow to bisect"
-            else:
-                a, b = edges[:-1].ravel(), edges[1:].ravel()
-                half, mid = 0.5 * (b - a), 0.5 * (a + b)
+            keep = ~done
+            a, b, half, bound = a[keep], b[keep], half[keep], bound[:, keep]
+            evaluated += pieces * a.size
+            stuck = _unsplittable(a, b, evaluated)
+            if stuck is None:
+                a, b = _split(a, b, quarters)
                 continue
             if quarters:
                 # the extrapolation needs an estimate per bisection level: with
@@ -333,16 +372,15 @@ def double_quad_kinked(survival, m, lo, hi):
     """``2 int_lo^hi int_x^hi P(S(x)) P(S(y)) [P(S(y)) - P(S(x) S(y))] dy dx``.
 
     ``S`` is ``survival`` and ``P(u) = (1/m) sum_{i<=m} u**i``, on
-    ``DOUBLE_QUAD_NODES`` nodes per axis.  Returns (value,
-    refinement_error_estimate).
+    ``DOUBLE_QUAD_NODES`` graded nodes per axis.  Returns the value as a
+    float.  Raises DivergenceError unless it is finite and the pass at half
+    the nodes is within ``DOUBLE_QUAD_RTOL`` (1e-8) of it, relative.
     """
 
     def pass_at(n):
-        z, w = _leggauss(n)
-        x = 0.5 * (z + 1.0) * (hi - lo) + lo
-        wx = 0.5 * (hi - lo) * w
-        t = 0.5 * (z + 1.0)
-        wt = 0.5 * w
+        t, wt = _graded(n)
+        x = lo + t * (hi - lo)
+        wx = (hi - lo) * wt
         X = x[:, None]
         sx = survival(x)
         sy = survival(X + t[None, :] * (hi - X))
@@ -358,7 +396,11 @@ def double_quad_kinked(survival, m, lo, hi):
 
     coarse = pass_at(DOUBLE_QUAD_NODES // 2)
     fine = pass_at(DOUBLE_QUAD_NODES)
-    err = abs(fine - coarse)
     if not math.isfinite(fine):
         raise DivergenceError("double quadrature diverged")
-    return fine, err
+    if abs(fine - coarse) > DOUBLE_QUAD_RTOL * abs(fine):
+        raise DivergenceError(
+            f"double quadrature did not converge on [{lo}, {hi}]: {fine!r} at "
+            f"{DOUBLE_QUAD_NODES} nodes per axis, {coarse!r} at {DOUBLE_QUAD_NODES // 2}"
+        )
+    return fine

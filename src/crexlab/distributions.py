@@ -132,8 +132,10 @@ class Distribution:
 
     @_on_support(below=0.0, above=0.0, ends_inside=True)
     def pdf(self, x):
-        """Density; zero outside the support."""
-        return self._pdf(x)
+        """Density; zero outside the support, inf at an end where it is unbounded."""
+        # an end of an unbounded density is 0.0 to a negative power there
+        with np.errstate(divide="ignore"):
+            return self._pdf(x)
 
     @_on_support(below=0.0, above=1.0)
     def cdf(self, x):

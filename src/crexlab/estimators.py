@@ -22,8 +22,11 @@ estimator takes; ``vn``, ``rn``, ``rmn``, ``lstat`` and ``lstat_adjusted``
 each call it with one spec.
 
 The asymptotic variance functionals of the L-statistic route are evaluated
-by tensor Gauss-Legendre quadrature on the triangle ``y >= x``, where the
-covariance kernel is smooth; SRS is the one-set case of MinRSSU.
+by tensor quadrature on the triangle ``y >= x``, where the covariance
+kernel is smooth, on Gauss-Legendre rules graded towards the ends of the
+support; SRS is the one-set case of MinRSSU.  A variance whose refinement
+error exceeds a relative 1e-8 raises DivergenceError (see
+:func:`crexlab._quadrature.double_quad_kinked`).
 """
 
 from __future__ import annotations
@@ -334,5 +337,4 @@ def asymptotic_variance_minrssu(dist, m):
 
 def _asymptotic_variance(dist, m):
     lo = max(0.0, dist.support[0])
-    value, _ = double_quad_kinked(dist.survival, m, lo, truncation_point(dist))
-    return max(value, 0.0)
+    return max(double_quad_kinked(dist.survival, m, lo, truncation_point(dist)), 0.0)

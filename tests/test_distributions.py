@@ -51,6 +51,16 @@ class TestPointValues:
         fd = (d.cdf(0.25 + h) - d.cdf(0.25 - h)) / (2 * h)
         assert d.pdf(0.25) == pytest.approx(fd, abs=1e-7)
 
+    @pytest.mark.parametrize(
+        "dist,end",
+        [(FiniteRange(1.0, 0.2), 1.0), (PowerBeta(0.5), 0.0)],
+        ids=["finite-b<1-upper", "powerbeta-alpha<1-lower"],
+    )
+    def test_unbounded_density_is_inf_at_its_end(self, dist, end):
+        # a RuntimeWarning is an error in this suite: the end must give none
+        assert dist.pdf(end) == math.inf
+        assert np.array_equal(dist.pdf(np.array([end, 0.5])), [math.inf, float(dist.pdf(0.5))])
+
     def test_finite_range_survival(self):
         assert FiniteRange(1.0, 1.0).survival(0.4) == pytest.approx(0.6, abs=1e-15)
 

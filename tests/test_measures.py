@@ -406,13 +406,14 @@ class TestQuadratureSharing:
         monkeypatch.setattr(Exponential, "survival", counted)
         crex_minrssu_design(Exponential(1.0), 30, method="quadrature")
         # the tail factor S(U) is the one scalar call; then one array call per
-        # round, on the 21 nodes of each interval still open, where each
-        # interval that failed the round before is split in four
+        # round, on the 21 nodes of each interval still open: the four quarters
+        # of the range first, then each interval that failed the round before
+        # split in four
         tail, *rounds = calls
         assert tail.ndim == 0
         assert all(x.ndim == 1 and x.size % 21 == 0 for x in rounds)
         intervals = [x.size // 21 for x in rounds]
-        assert intervals[0] == 1
+        assert intervals[0] == 4
         assert all(n % 4 == 0 and n <= 4 * prev for prev, n in zip(intervals, intervals[1:]))
         nodes = np.concatenate(rounds)
         assert np.unique(nodes).size == nodes.size

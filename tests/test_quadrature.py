@@ -49,9 +49,14 @@ class TestKernel:
             assert abs(alone[0] - value) <= error + alone_error[0]
 
     def test_error_bound_has_roundoff_floor(self):
-        # a polynomial both rules integrate exactly: |K - G| is 0 or roundoff
+        # a polynomial both rules integrate exactly: |K - G| is 0 or roundoff,
+        # and each of the four quarters the run starts from is kept at once
         value, error = gk21(lambda x: x**3, 0.0, 1.0)
-        assert error[0] >= 50.0 * np.finfo(float).eps * 0.25
+        edges = np.linspace(0.0, 1.0, 5)
+        half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
+        nodes = mid[:, None] + half[:, None] * GK21_NODES
+        floors = np.abs(nodes**3) @ (50.0 * np.finfo(float).eps * KRONROD_WEIGHTS)
+        assert error[0] >= floors @ half
         assert abs(value[0] - 0.25) <= error[0]
 
     @pytest.mark.parametrize(
@@ -106,12 +111,13 @@ class TestKernel:
 
         with pytest.raises(DivergenceError, match=f"more than {MAX_INTERVALS} intervals"):
             gk21(integrand, 0.0, 1.0)
-        # a run by quarters, then one by halves; each starts from the whole range
-        starts = [i for i, n in enumerate(calls) if n == 1]
-        assert starts == [0, starts[1]]
-        quarters, halves = calls[: starts[1]], calls[starts[1] :]
+        # a run by quarters, from the four quarters of the range, then one by
+        # halves, from the whole range
+        start = calls.index(1)
+        quarters, halves = calls[:start], calls[start:]
+        assert quarters[0] == 4
         assert sum(quarters) <= MAX_INTERVALS and sum(halves) <= MAX_INTERVALS
-        assert {n % 4 for n in quarters[1:]} == {0} and {n % 2 for n in halves[1:]} == {0}
+        assert {n % 4 for n in quarters} == {0} and {n % 2 for n in halves[1:]} == {0}
 
     def test_interval_too_narrow_raises(self):
         # [1, 1 + 2 ulp]: the nodes round to its three floats, and a spike on the
