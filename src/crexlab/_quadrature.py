@@ -61,10 +61,21 @@ on ``[lo, hi]`` and v on [0, 1], is a Gauss-Legendre rule mapped through
 ``g(u) = u**3 / (u**3 + (1 - u)**3)``, whose nodes crowd at both ends:
 there S may have an infinite slope (``powerbeta`` with alpha < 1 at 0,
 ``finite`` with b < 1 at 1/a), which a uniform grid resolves slowly.  The
-grid has ``DOUBLE_QUAD_NODES`` = 96 nodes per axis, and a pass at half of
-them gives the refinement error ``|fine - coarse|``.  The callers get the
-fine value, or DivergenceError where the refinement error exceeds
-``DOUBLE_QUAD_RTOL`` = 1e-8 of it, relative.
+grid has ``DOUBLE_QUAD_NODES`` = 96 nodes per axis, and a pass at
+``DOUBLE_QUAD_CHECK_NODES`` = 80 gives the refinement error ``|fine -
+coarse|``.  The callers get the fine value, or DivergenceError where the
+refinement error exceeds ``DOUBLE_QUAD_RTOL`` = 1e-8 of it, relative.
+
+The check pass is close to the fine one so that the difference estimates
+the error of the value returned, not of a much coarser pass.  Where S is
+smooth the error falls geometrically with the nodes and the difference is
+about the 80-node error, an upper bound; at an end where S has an infinite
+slope it falls algebraically, about as ``n**-6`` for ``powerbeta`` with
+alpha = 0.1, and the difference is still about twice the 96-node error
+at m <= 5.  A pass at half the nodes would overstate the error by orders
+of magnitude at large m, where ``S(y)**(2m)`` is a narrow peak at
+``y = x``: at m = 100 on ``exp`` the 48-node pass is off by 4e-7
+relative, the 96-node one by 4e-15.
 """
 
 from __future__ import annotations
@@ -80,6 +91,7 @@ TAIL_MASS = 1e-12
 ABS_TOL = 1e-10
 MAX_INTERVALS = 200
 DOUBLE_QUAD_NODES = 96
+DOUBLE_QUAD_CHECK_NODES = 80
 DOUBLE_QUAD_RTOL = 1e-8
 
 # qk21: the nonnegative Kronrod abscissae of [-1, 1] in decreasing order and
@@ -373,8 +385,9 @@ def double_quad_kinked(survival, m, lo, hi):
 
     ``S`` is ``survival`` and ``P(u) = (1/m) sum_{i<=m} u**i``, on
     ``DOUBLE_QUAD_NODES`` graded nodes per axis.  Returns the value as a
-    float.  Raises DivergenceError unless it is finite and the pass at half
-    the nodes is within ``DOUBLE_QUAD_RTOL`` (1e-8) of it, relative.
+    float.  Raises DivergenceError unless it is finite and the pass at
+    ``DOUBLE_QUAD_CHECK_NODES`` is within ``DOUBLE_QUAD_RTOL`` (1e-8) of it,
+    relative.
     """
 
     def pass_at(n):
@@ -394,13 +407,13 @@ def double_quad_kinked(survival, m, lo, hi):
         inner = sum(sx**i for i in range(1, m + 1)) / m * sum(terms) / m**2
         return 2.0 * float(np.sum(wx * (hi - x) * inner))
 
-    coarse = pass_at(DOUBLE_QUAD_NODES // 2)
+    coarse = pass_at(DOUBLE_QUAD_CHECK_NODES)
     fine = pass_at(DOUBLE_QUAD_NODES)
     if not math.isfinite(fine):
         raise DivergenceError("double quadrature diverged")
     if abs(fine - coarse) > DOUBLE_QUAD_RTOL * abs(fine):
         raise DivergenceError(
             f"double quadrature did not converge on [{lo}, {hi}]: {fine!r} at "
-            f"{DOUBLE_QUAD_NODES} nodes per axis, {coarse!r} at {DOUBLE_QUAD_NODES // 2}"
+            f"{DOUBLE_QUAD_NODES} nodes per axis, {coarse!r} at {DOUBLE_QUAD_CHECK_NODES}"
         )
     return fine

@@ -465,21 +465,18 @@ def reference_variances(dist, ms, nodes=1024):
     x = lo + t * (hi - lo)
     X = x[:, None]
     s_x, s_y = dist.survival(X), dist.survival(X + t[None, :] * (hi - X))
-
-    def partial_sums(s):
-        # entry m - 1: sum_{i<=m} s**i
-        power, total, out = np.ones_like(s), np.zeros_like(s), []
-        for _ in range(max(ms)):
-            power = power * s
-            total = total + power
-            out.append(total)
-        return out
-
-    p_x, p_y, p_xy = (partial_sums(s) for s in (s_x, s_y, s_x * s_y))
+    bases = (s_x, s_y, s_x * s_y)
+    # the running s**m and sum_{i<=m} s**i of each base
+    powers = [np.ones_like(s) for s in bases]
+    sums = [np.zeros_like(s) for s in bases]
     out = {}
-    for m in ms:
-        inner = p_x[m - 1] * p_y[m - 1] * (p_y[m - 1] - p_xy[m - 1]) / m**3
-        out[m] = 2.0 * float(np.sum((hi - lo) * w * (hi - x) * (inner @ w)))
+    for m in range(1, max(ms) + 1):
+        powers = [power * s for power, s in zip(powers, bases)]
+        sums = [total + power for total, power in zip(sums, powers)]
+        if m in ms:
+            p_x, p_y, p_xy = sums
+            inner = p_x * p_y * (p_y - p_xy) / m**3
+            out[m] = 2.0 * float(np.sum((hi - lo) * w * (hi - x) * (inner @ w)))
     return out
 
 
@@ -509,6 +506,18 @@ class TestVarianceKernel:
         for m, value in reference.items():
             assert asymptotic_variance_minrssu(dist, m) == pytest.approx(value, rel=1e-11, abs=0.0)
 
+    @pytest.mark.parametrize("spec", ["exp:rate=1", "powerbeta:alpha=2"])
+    def test_many_sets_match_graded_reference(self, spec):
+        # S(y)**(2m) is a narrow peak at y = x for large m: the refinement
+        # check must pass wherever the returned value is accurate
+        dist = parse_distribution(spec)
+        ms = range(20, 101)
+        reference = reference_variances(dist, ms)
+        for m in ms:
+            assert asymptotic_variance_minrssu(dist, m) == pytest.approx(
+                reference[m], rel=1e-11, abs=0.0
+            )
+
     def test_refinement_error_raises(self):
         # S jumps at 0.3: the grid resolves the jump at first order only, so
         # the passes at both node counts differ far beyond the tolerance
@@ -537,8 +546,8 @@ class TestVarianceKernel:
             asymptotic_variance_srs(Exponential(1.0))
         else:
             asymptotic_variance_minrssu(Exponential(1.0), m)
-        # the coarse pass, then the fine one: the x-nodes, then the grid
-        assert calls == [(48,), (48, 48), (96,), (96, 96)]
+        # the check pass, then the fine one: the x-nodes, then the grid
+        assert calls == [(80,), (80, 80), (96,), (96, 96)]
         assert cdf_calls == []
 
 
