@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -55,6 +54,8 @@ __all__ = [
     "lstat_adjusted",
     "estimate",
     "row_estimator",
+    "row_weights",
+    "row_estimates",
     "asymptotic_variance_srs",
     "asymptotic_variance_minrssu",
 ]
@@ -174,32 +175,15 @@ def _sorted_values(data):
     return np.sort(np.asarray(data, dtype=float).ravel())
 
 
-# one BLAS dot per row, run by np.vecdot: it sums each row as np.dot sums
-# one 1-D pair, where a matrix-vector product sums in another order.  A
-# dot over a strided row is another BLAS call too, so both kernels take
-# C-contiguous rows.  Both add 0.0, so a zero sum gives 0.0, not -0.0
-def _spacing_rows(rows, weights):
-    diffs = np.diff(np.ascontiguousarray(rows), axis=1)
-    return -0.5 * np.vecdot(diffs, weights) + 0.0
-
-
-def _order_stat_rows(rows, weights):
-    rows = np.ascontiguousarray(rows)
-    if rows[:, 0].min() < 0:
-        raise DomainError("order-statistic estimator requires nonnegative values")
-    return -np.vecdot(weights, rows) / rows.shape[1] + 0.0
-
-
 def row_estimator(spec, m, n):
-    """The estimator ``spec`` on pooled samples of ``n`` values at design size ``m``.
+    """The kind and weight denominator of ``spec`` on samples of ``n`` values at design size ``m``.
 
-    Returns a function that maps an array of ascending samples, one per
-    row, to their estimates; each equals :func:`estimate` on that row's
-    sample bit for bit.  Every error that does not depend on the values
-    (sample too small, a weight denominator that makes weights
+    Returns ``(spacing, denom)``: whether ``spec`` is a spacing estimator,
+    and its weight denominator D.  Every error that does not depend on the
+    values (sample too small, a weight denominator that makes weights
     nonpositive, a psi family undefined at ``m``) is raised here, before
-    any sample exists.  Spacing weights are ``(1 - k/D)**2`` for
-    k = 1..n-1, order-statistic weights ``1 - i/D`` for i = 1..n.
+    any sample exists; :func:`row_weights` and :func:`row_estimates` use
+    the denominator.
     """
     kind = spec.kind
     if kind in (EstimatorKind.LSTAT, EstimatorKind.LSTAT_ADJUSTED):
@@ -213,8 +197,7 @@ def row_estimator(spec, m, n):
                 raise ParameterError(
                     f"psi(m={m}, w={spec.w}) = {offset} gives denominator n+psi={denom} <= 0"
                 )
-        i = np.arange(1, n + 1)
-        return partial(_order_stat_rows, weights=1.0 - i / denom)
+        return False, denom
     if n < 2:
         raise SizeError(f"spacing estimator needs n >= 2, got n={n}")
     denom = n
@@ -225,8 +208,40 @@ def row_estimator(spec, m, n):
                 f"w={spec.w} gives denominator n+m+w={denom} <= n-1={n - 1}; "
                 "weights would be nonpositive"
             )
-    k = np.arange(1, n)
-    return partial(_spacing_rows, weights=(1.0 - k / denom) ** 2)
+    return True, denom
+
+
+def row_weights(spacing, n, denoms):
+    """One row of weights per denominator D in ``denoms``, for samples of ``n`` values.
+
+    Spacing weights are ``(1 - k/D)**2`` for k = 1..n-1, order-statistic
+    weights ``1 - i/D`` for i = 1..n.
+    """
+    denoms = np.asarray(denoms)[:, None]
+    if spacing:
+        return (1.0 - np.arange(1, n) / denoms) ** 2
+    return 1.0 - np.arange(1, n + 1) / denoms
+
+
+# one BLAS dot per row, run by np.vecdot: it sums each row as np.dot sums
+# one 1-D pair, where a matrix-vector product sums in another order.  A
+# dot over a strided row is another BLAS call too, so the kernel takes
+# C-contiguous rows.  Both kinds add 0.0, so a zero sum gives 0.0, not -0.0
+def row_estimates(spacing, rows, weights):
+    """The estimates of ``(cells, replications, n)`` rows, cell ``k`` under ``weights[k]``.
+
+    Spacing rows are the ``np.diff`` of ascending samples, order-statistic
+    rows the samples.  Returns the estimates and a dict from each
+    order-statistic cell with a negative value to its DomainError.
+    """
+    rows = np.ascontiguousarray(rows)
+    if spacing:
+        return -0.5 * np.vecdot(rows, weights[:, None, :]) + 0.0, {}
+    first = rows[:, :, 0]
+    negative = np.flatnonzero(first.min(axis=1) < 0).tolist() if first.min() < 0 else ()
+    message = "order-statistic estimator requires nonnegative values"
+    errors = {k: DomainError(message) for k in negative}
+    return -np.vecdot(weights[:, None, :], rows) / rows.shape[2] + 0.0, errors
 
 
 def estimate(spec, data, *, _m=None):
@@ -250,7 +265,12 @@ def estimate(spec, data, *, _m=None):
             raise ParameterError("rmn on a plain array needs an explicit m")
         m = _m
     values = _sorted_values(data)
-    return float(row_estimator(spec, m, values.size)(values[np.newaxis])[0])
+    spacing, denom = row_estimator(spec, m, values.size)
+    rows = (np.diff(values) if spacing else values)[None, None]
+    estimates, errors = row_estimates(spacing, rows, row_weights(spacing, values.size, [denom]))
+    if errors:
+        raise errors[0]
+    return float(estimates[0, 0])
 
 
 def vn(sample):

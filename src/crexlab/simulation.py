@@ -23,11 +23,11 @@ each chunk is one run over its flat list of (key, block counter) pairs.
 Wider rows reset numpy's C generator to each stream in turn, which is
 faster once a row spans more than a few blocks.  Both give exactly the
 stream :func:`replication_rng` builds.  A group's rows in a chunk are
-transformed and sorted at once, and each cell's estimator runs on its own
-rows.  The true value is computed once per grid, and a group's
-``(cells, replications)`` estimates are summarized by one set of
-reductions along the replications; :func:`run_cell` then applies the
-bias convention to each cell's summary.
+transformed and sorted at once, spacing cells first; each run of whole
+cells of one estimator kind is one broadcast ``np.vecdot``.  A grid's
+estimates are summarized by one set of reductions along the
+replications, against a true value computed once; :func:`run_cell` then
+applies the bias convention to each cell's summary.
 
 Reported cells use the configured bias convention (default: truth minus
 mean estimate); RMSE and |bias| do not depend on the convention.  Squared
@@ -60,7 +60,9 @@ from .estimators import (  # noqa: F401
     EstimatorKind,
     EstimatorSpec,
     estimate,
+    row_estimates,
     row_estimator,
+    row_weights,
 )
 from .measures import crex
 from .sampling import _minrssu_values, draw_minrssu  # noqa: F401
@@ -188,6 +190,7 @@ class SimulationConfig:
     replications: int = 5000
     base_seed: int = DEFAULT_SEED
     bias_convention: BiasConvention = BiasConvention.TRUTH_MINUS_ESTIMATE
+    _cells: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         def normalize(name, value):
@@ -218,7 +221,7 @@ class SimulationConfig:
                 for token, w_list in self.w_lists.items()
             }
             normalize("w_lists", MappingProxyType(w_lists))
-            self.cells()  # checks every (estimator, w) pair
+            normalize("_cells", tuple(self.cells()))  # checks every (estimator, w) pair
         except DomainError as exc:
             raise SpecParseError(str(exc)) from exc
 
@@ -405,7 +408,9 @@ def _reset_uniforms():
     """A function drawing ``width`` uniforms per stream from numpy's C Philox.
 
     It resets one generator to each row's stream: counter 0, the row's
-    key and an empty buffer.
+    key and an empty buffer.  Its result is a view of one array that the
+    next call overwrites: an array per call let the heap shrink and grow
+    again with every chunk, in some processes and not in others.
     """
     # the seed is a placeholder: each row sets the whole state first
     bit_generator = np.random.Philox(0)
@@ -418,9 +423,13 @@ def _reset_uniforms():
         "has_uint32": 0,
         "uinteger": 0,
     }
+    out = np.empty(0)
 
     def uniforms(keys, width):
-        u = np.empty((len(keys), width))
+        nonlocal out
+        if out.size < len(keys) * width:
+            out = np.empty(len(keys) * width)
+        u = out[: len(keys) * width].reshape(len(keys), width)
         for row, key in zip(u, keys):
             state["state"]["key"] = key
             bit_generator.state = state
@@ -453,27 +462,33 @@ class _Group:
     """The cells of a grid that draw one shape: the same ``(m, l)``, ``vn`` or not.
 
     Row ``k * replications + r`` is replication ``r`` of cell ``k``, drawn
-    from the stream keyed by ``keys[k, r]``; ``estimators[k]`` runs on
-    cell ``k``'s rows.
+    from the stream keyed by ``keys[k, r]``; ``kinds[k]``, spacing cells
+    first, is cell ``k``'s :func:`~crexlab.estimators.row_estimator` pair.
     """
 
-    def __init__(self, vn, m, l, keys, estimators):
+    def __init__(self, vn, m, l, keys, kinds):
         self.vn, self.m, self.l = vn, m, l
         self.width = m * l if vn else l * m * (m + 1) // 2
         self.keys = keys.reshape(-1, 2)
-        self.estimators = estimators
         self.estimates = np.zeros(keys.shape[:2])
-        self.errors = [None] * len(estimators)
+        self.errors = [None] * len(kinds)
         self.error = None
+        self.spacing_cells = sum(spacing for spacing, _ in kinds)
+        # one weight row per cell of each kind, in cell order
+        self.weights = {
+            spacing: row_weights(spacing, m * l, [d for s, d in kinds if s == spacing])
+            for spacing in (True, False)
+        }
 
     def add_rows(self, dist, start, stop, u):
         """Estimate rows ``start .. stop - 1`` from their uniforms ``u``, one row each.
 
         The uniforms become samples in the order
         :func:`~crexlab.sampling.draw_minrssu` (or, when ``vn``,
-        ``Distribution.sample``) reads a stream, sorted once.  A
-        CrexlabError fails the cell whose estimator raised it, or the
-        whole group when the samples raise it.
+        ``Distribution.sample``) reads a stream, sorted once.  Each run of
+        whole cells of one kind is one :func:`~crexlab.estimators.row_estimates`
+        call, as is the part of a cell at either end.  A CrexlabError fails
+        the cell whose estimator returned it, or the group when the samples raise it.
         """
         if self.error is not None:
             return
@@ -489,20 +504,29 @@ class _Group:
         values.sort(axis=1)
         replications = self.estimates.shape[1]
         flat = self.estimates.reshape(-1)
-        # the cells with rows in [start, stop)
-        for k in range(start // replications, -(-stop // replications)):
-            lo, hi = max(start, k * replications), min(stop, (k + 1) * replications)
-            try:
-                flat[lo:hi] = self.estimators[k](values[lo - start : hi - start])
-            except CrexlabError as exc:
-                self.errors[k] = exc
-
-    def outcomes(self, true_value):
-        """Each cell's :func:`_cell_summaries` entry, or the CrexlabError it raised."""
-        if self.error is not None:
-            return [self.error] * len(self.errors)
-        summaries = _cell_summaries(self.estimates, true_value)
-        return [s if error is None else error for error, s in zip(self.errors, summaries)]
+        split = self.spacing_cells * replications
+        for spacing, lo, hi, first in (
+            (True, start, min(stop, split), 0),
+            (False, max(start, split), stop, self.spacing_cells),
+        ):
+            if lo >= hi:
+                continue
+            rows = values[lo - start : hi - start]
+            if spacing:
+                rows = np.diff(rows, axis=1)
+            # the part of a cell before the first boundary, the whole cells, the part after
+            head = min(hi, -(-lo // replications) * replications)
+            tail = max(head, hi // replications * replications)
+            for a, b in ((lo, head), (head, tail), (tail, hi)):
+                if a == b:
+                    continue
+                k0, k1 = a // replications, -(-b // replications)
+                cell_rows = rows[a - lo : b - lo].reshape(k1 - k0, -1, rows.shape[1])
+                weights = self.weights[spacing][k0 - first : k1 - first]
+                estimates, errors = row_estimates(spacing, cell_rows, weights)
+                flat[a:b] = estimates.reshape(-1)
+                for k, error in errors.items():
+                    self.errors[k0 + k] = error
 
 
 def _chunks(groups):
@@ -561,36 +585,40 @@ def _grid_outcomes(dist, cells, replications, base_seed):
     its error fails every cell.  Errors that do not depend on the drawn
     values come next and draw nothing.  The keys of all other cells are
     hashed at once, and each ``(m, l, vn or not)`` group of cells is one
-    :class:`_Group`, drawn by :func:`_draw_groups` and summarized at once.
+    :class:`_Group`, drawn by :func:`_draw_groups`.  One
+    :func:`_cell_summaries` call summarizes the estimates of all groups.
     """
     try:
         true_value = float(crex(dist))
     except CrexlabError as exc:
         return [exc] * len(cells)
     outcomes = [None] * len(cells)
-    live, estimators, digests = [], [], []
+    live, kinds, digests, members = [], [], [], {}
     spec_text = dist.spec_string()
     for index, (spec, m, l) in enumerate(cells):
         try:
-            estimators.append(row_estimator(spec, m, m * l))
+            kinds.append(row_estimator(spec, m, m * l))
         except CrexlabError as exc:
             outcomes[index] = exc
             continue
+        members.setdefault((m, l, spec.kind is EstimatorKind.VN), []).append(len(live))
         live.append(index)
         digests.append(_cell_digest(spec_text, spec.text(), m, l))
     keys = _replication_keys(base_seed, digests, replications)
-    members = {}
-    for position, index in enumerate(live):
-        spec, m, l = cells[index]
-        members.setdefault((m, l, spec.kind is EstimatorKind.VN), []).append(position)
+    # each group's spacing cells first, in grid order
+    members = {shape: sorted(p, key=lambda i: not kinds[i][0]) for shape, p in members.items()}
     groups = [
-        _Group(vn, m, l, keys[positions], [estimators[p] for p in positions])
+        _Group(vn, m, l, keys[positions], [kinds[p] for p in positions])
         for (m, l, vn), positions in members.items()
     ]
     _draw_groups(dist, groups)
+    if not groups:
+        return outcomes
+    summaries = iter(_cell_summaries(np.concatenate([g.estimates for g in groups]), true_value))
     for group, positions in zip(groups, members.values()):
-        for position, outcome in zip(positions, group.outcomes(true_value)):
-            outcomes[live[position]] = outcome
+        for position, error in zip(positions, group.errors):
+            summary = next(summaries)
+            outcomes[live[position]] = group.error or error or summary
     return outcomes
 
 
@@ -672,7 +700,7 @@ def run_grid(config, workers=None):
     """
     _check_threads_env()
     dist = config.distribution
-    cells = config.cells()
+    cells = config._cells
     outcomes = _grid_outcomes(dist, cells, config.replications, config.base_seed)
     rows, failures = [], []
     for (spec, m, l), outcome in zip(cells, outcomes):

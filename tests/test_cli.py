@@ -525,11 +525,12 @@ class TestChoices:
 
 class TestStartup:
     @staticmethod
-    def scipy_modules_after(code):
-        """The scipy modules loaded after ``code`` runs in a fresh interpreter."""
+    def modules_after(code, prefix="scipy"):
+        """Package ``prefix`` and its modules, loaded by ``code`` in a new interpreter."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code += "; import sys; print([m for m in sys.modules if m.startswith('scipy')])"
+        found = f"[m for m in sys.modules if (m + '.').startswith({prefix + '.'!r})]"
+        code += f"; import sys; print({found})"
         done = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
@@ -540,11 +541,16 @@ class TestStartup:
     def test_import_leaves_scipy_unloaded(self):
         # scipy is most of the import time; it loads on the first
         # incomplete-beta call
-        assert self.scipy_modules_after("import crexlab") == "[]"
+        assert self.modules_after("import crexlab") == "[]"
 
     def test_quadrature_measure_leaves_scipy_unloaded(self):
         # the 1-D quadrature is numpy: scipy.integrate never loads
         argv = ["measure", "--dist", "exp:rate=1", "--design", "minrssu", "--m", "5",
                 "--method", "quadrature"]
         code = f"from crexlab.cli import main; assert main({argv!r}) == 0"
-        assert self.scipy_modules_after(code) == "[]"
+        assert self.modules_after(code) == "[]"
+
+    def test_protocol_grid_leaves_numpy_ma_unloaded(self):
+        # numpy.ma takes about 14 ms to import, which np.unique, for one, pays
+        code = "from crexlab import protocol_config, run_grid; run_grid(protocol_config('exp', 2))"
+        assert self.modules_after(code, "numpy.ma") == "[]"

@@ -36,7 +36,7 @@ from crexlab import (
     vn,
 )
 from crexlab._quadrature import double_quad_kinked, truncation_point
-from crexlab.estimators import estimate, row_estimator
+from crexlab.estimators import estimate, row_estimates, row_estimator, row_weights
 
 # exact rationals for the limit variances, derived by hand via the
 # substitution u = S(x) and polynomial integration; the quadrature
@@ -613,12 +613,26 @@ class TestEstimateDispatch:
         samples = [draw_minrssu(Exponential(1.0), 5, 1, rng) for _ in range(157)]
         rows = np.stack([pooled_order_statistics(s) for s in samples])
         expected = [estimate(spec, s) for s in samples]
-        estimate_rows = row_estimator(spec, 5, 5)
         # C order, Fortran order, a transposed view and rows with a stride
         layouts = [rows, np.asfortranarray(rows), np.ascontiguousarray(rows.T).T,
                    np.repeat(rows, 2, axis=1)[:, ::2]]
         for layout in layouts:
-            assert estimate_rows(layout).tolist() == expected
+            assert _kernel_rows(spec, 5, layout).tolist() == expected
+
+
+def _kernel_operand(spacing, rows):
+    """What the row kernel sums for ascending ``rows``: their spacings, or the rows."""
+    return np.diff(rows, axis=-1) if spacing else rows
+
+
+def _kernel_rows(spec, m, rows):
+    """Each row's estimate through the kernel seam, as one cell of one call."""
+    n = rows.shape[-1]
+    spacing, denom = row_estimator(spec, m, n)
+    weights = row_weights(spacing, n, [denom])
+    estimates, errors = row_estimates(spacing, _kernel_operand(spacing, rows)[None], weights)
+    assert errors == {}
+    return estimates[0]
 
 
 def _dot_per_row(spec, m, rows):
@@ -636,7 +650,7 @@ def _dot_per_row(spec, m, rows):
 
 
 class TestRowKernel:
-    """``row_estimator`` sums each row as ``np.dot`` sums that row alone."""
+    """``row_estimates`` sums each row as ``np.dot`` sums that row alone."""
 
     SPECS = ["vn", "rn", "rmn:w=1", "lstat", "lstat_adj:family=beta,w=0"]
     # (n, m): both sides of BLAS's 16-element blocking, and a large sample
@@ -654,13 +668,51 @@ class TestRowKernel:
         spec = EstimatorSpec.parse(text)
         rows = self.sorted_rows(n, 6 if n > 100 else 60)
         expected = _dot_per_row(spec, m, rows)
-        estimate_rows = row_estimator(spec, m, n)
         layouts = [rows, np.asfortranarray(rows), np.ascontiguousarray(rows.T).T]
         for layout in layouts:
-            assert estimate_rows(layout).tobytes() == expected.tobytes()
-        assert estimate_rows(rows[:1]).tobytes() == expected[:1].tobytes()
+            assert _kernel_rows(spec, m, layout).tobytes() == expected.tobytes()
+        assert _kernel_rows(spec, m, rows[:1]).tobytes() == expected[:1].tobytes()
         by_estimate = [estimate(spec, sample_of(row, m)) for row in rows]
         assert np.array(by_estimate).tobytes() == expected.tobytes()
+
+    # cells of one kind in one call, each under its own denominator
+    CELLS = {
+        True: ["vn", "rn", "rmn:w=-1", "rmn:w=0", "rmn:w=7"],
+        False: ["lstat", "lstat_adj:family=beta,w=0", "lstat_adj:family=beta,w=-3",
+                "lstat_adj:family=beta,w=2"],
+    }
+
+    @pytest.mark.parametrize("n,m", SIZES)
+    @pytest.mark.parametrize("spacing", [True, False], ids=["spacing", "order"])
+    def test_broadcast_over_cells_matches_a_dot_per_row(self, spacing, n, m):
+        specs = [EstimatorSpec.parse(text) for text in self.CELLS[spacing]]
+        reps = 3 if n > 100 else 20
+        rows = self.sorted_rows(n, len(specs) * reps).reshape(len(specs), reps, n)
+        expected = np.stack([_dot_per_row(spec, m, cell) for spec, cell in zip(specs, rows)])
+        kinds = [row_estimator(spec, m, n) for spec in specs]
+        assert {kind for kind, _ in kinds} == {spacing}
+        weights = row_weights(spacing, n, [denom for _, denom in kinds])
+        operand = _kernel_operand(spacing, rows)
+        estimates, errors = row_estimates(spacing, operand, weights)
+        assert errors == {}
+        assert estimates.tobytes() == expected.tobytes()
+        # a dot per row, with the weights on either side of the broadcast product
+        by_dot = [[np.dot(row, w) for row in cell] for cell, w in zip(operand, weights)]
+        weights = weights[:, None]
+        for product in (np.vecdot(operand, weights), np.vecdot(weights, operand)):
+            assert product.tobytes() == np.array(by_dot).tobytes()
+
+    def test_negative_value_fails_only_its_own_cell(self):
+        rows = self.sorted_rows(6, 9).reshape(3, 3, 6)
+        rows[1, 2, 0] = -1.0
+        weights = row_weights(False, 6, [6, 7, 8])
+        estimates, errors = row_estimates(False, rows, weights)
+        assert list(errors) == [1] and isinstance(errors[1], DomainError)
+        with pytest.raises(DomainError, match="nonnegative"):
+            estimate(EstimatorSpec(EstimatorKind.LSTAT), rows[1, 2])
+        for k in (0, 2):
+            alone, _ = row_estimates(False, rows[k : k + 1], weights[k : k + 1])
+            assert estimates[k].tobytes() == alone[0].tobytes()
 
     @pytest.mark.parametrize(
         "product",
@@ -690,10 +742,23 @@ class TestZeroSumSign:
     def test_constant_sample(self, text, value):
         spec = EstimatorSpec.parse(text)
         rows = np.full((3, 4), value)
-        by_rows = row_estimator(spec, 2, 4)(rows)
+        by_rows = _kernel_rows(spec, 2, rows)
         by_estimate = estimate(spec, sample_of(rows[0], 2))
         assert by_estimate == 0.0 and math.copysign(1.0, by_estimate) == 1.0
         assert np.all(by_rows == 0.0) and not np.signbit(by_rows).any()
+
+    @pytest.mark.parametrize(
+        "spacing,value", [(True, 3.0), (True, 0.0), (False, 0.0)],
+        ids=["spacing-3", "spacing-0", "order-0"],
+    )
+    def test_constant_cells_in_one_call(self, spacing, value):
+        # three cells under their own denominators, in one broadcast call
+        specs = [EstimatorSpec.parse(text) for text in TestRowKernel.CELLS[spacing][1:4]]
+        weights = row_weights(spacing, 4, [row_estimator(spec, 2, 4)[1] for spec in specs])
+        operand = _kernel_operand(spacing, np.full((3, 5, 4), value))
+        estimates, errors = row_estimates(spacing, operand, weights)
+        assert errors == {} and estimates.shape == (3, 5)
+        assert np.all(estimates == 0.0) and not np.signbit(estimates).any()
 
 
 class TestNormalitySanity:

@@ -233,7 +233,7 @@ class TestBatchedKernel:
                 for vn in (False, True):
                     cells = [_cell_digest("exp:rate=1", f"{vn}|{k}", m, l) for k in range(2)]
                     keys = _replication_keys(seed, cells, reps)
-                    digests[_Group(vn, m, l, keys, [None, None])] = cells
+                    digests[_Group(vn, m, l, keys, [(True, m * l)] * 2)] = cells
         groups = list(digests)
         chunks = list(_chunks(groups))
         assert all(g.width <= _NUMPY_PHILOX_MAX_WIDTH for g in groups)
@@ -336,6 +336,64 @@ class TestBatchedKernel:
         with pytest.raises(DomainError):
             run_cell("exp:rate=1", spec, 2, 2, 3)
         assert calls == [(3, 2, 3)]
+        # in one group of both kinds, listed order first, only the
+        # order-statistic cells fail; the spacing cells keep their estimates
+        cfg = SimulationConfig(
+            "exp:rate=1", m_values=(2,), l_values=(2,),
+            estimators=("lstat", "rn", "lstat_adj", "rmn"),
+            w_lists={"rmn": (0, 1), "lstat_adj": (0, 1)}, psi_family="beta", replications=3,
+        )
+        result = run_grid(cfg)
+        assert calls[1:] == [(18, 2, 3)]
+        assert [f.coordinates["estimator"] for f in result.failures] == [
+            "lstat", "lstat_adj:family=beta,w=0", "lstat_adj:family=beta,w=1"
+        ]
+        assert all(isinstance(f.cause, DomainError) for f in result.failures)
+        assert [row.estimator for row in result.rows] == ["rn", "rmn", "rmn"]
+        for row in result.rows:
+            w_spec = EstimatorSpec.parse("rn" if row.w is None else f"rmn:w={row.w}")
+            assert row.bias == row.true_value - estimate(w_spec, sample)
+
+    def test_chunk_edges_keep_the_csv(self, monkeypatch):
+        # vn and MinRSSU cells of both kinds, narrow and wide rows, and 37
+        # replications: at small budgets partial cells of both kinds fall at
+        # both ends of a chunk
+        cfg = SimulationConfig(
+            "exp:rate=1", m_values=(2, 5), l_values=(1, 3, 12),
+            estimators=("lstat", "vn", "rmn", "lstat_adj", "rn"),
+            w_lists={"rmn": (0, 1), "lstat_adj": (0, 1)}, psi_family="beta",
+            replications=37, base_seed=5,
+        )
+        expected = rows_to_csv(run_grid(cfg).rows)
+        add_rows, edges = _Group.add_rows, set()
+
+        def recorded(group, dist, start, stop, u):
+            replications = group.estimates.shape[1]
+            split = group.spacing_cells * replications
+            if start % replications:
+                edges.add(("start", start < split))
+            if stop % replications:
+                edges.add(("stop", stop <= split))
+            add_rows(group, dist, start, stop, u)
+
+        monkeypatch.setattr(_Group, "add_rows", recorded)
+        for budget in (2**8, 2**12):
+            monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", budget)
+            edges.clear()
+            assert rows_to_csv(run_grid(cfg).rows) == expected
+            assert edges == {(end, kind) for end in ("start", "stop") for kind in (True, False)}
+
+    def test_philox_leaves_its_arguments_unchanged(self):
+        seed, digests, reps = 2**64 + 5, [7, 2**40], 9
+        blocks = _stream_blocks(_replication_keys(seed, digests, reps).reshape(-1, 2), 10)
+        before = [word.copy() for word in blocks]
+        first, second = _philox_uniforms(*blocks), _philox_uniforms(*blocks)
+        assert [word.tobytes() for word in blocks] == [word.tobytes() for word in before]
+        expected = np.stack(
+            [replication_rng(seed, d, r).random(12) for d in digests for r in range(reps)]
+        )
+        for u in (first, second):
+            assert u.reshape(len(expected), -1).tobytes() == expected.tobytes()
 
 
 class TestRunGrid:
