@@ -7,7 +7,9 @@ per integral, so a call integrates several integrands over the same
 intervals: each round evaluates the integrand once, in one array call, on
 the 21 nodes of every interval still open.  The first round evaluates the
 four quarters of the range, the intervals a failing whole-range round
-would have gone on to.  The tolerance of a row is
+would have gone on to; their ends are computed on floats.  A round in
+which every interval passes returns its own estimate, the one its
+tolerance was taken from.  The tolerance of a row is
 ``tol = ABS_TOL * max(1, |estimate|)``, absolute and relative 1e-10.  An
 interval is kept when, in every row, ``|K - G|`` (21-point Kronrod minus
 embedded 10-point Gauss) is within the interval's share
@@ -21,9 +23,9 @@ intervals.  The error bound of an interval is the larger of its
 Refinement stops at more than ``MAX_INTERVALS`` evaluated intervals
 (QUADPACK's ``limit`` counts the final partition instead), or at an
 interval too narrow to bisect: one whose ends are within ``100 eps`` of
-its midpoint, QUADPACK's limit.  Both checks hold for the first split
-into quarters too.  The call is then run again with one bisection per
-round, stopped the same way, from the whole range: the extrapolation
+its midpoint, QUADPACK's limit.  The second check holds for the first
+split into quarters too.  The call is then run again with one bisection
+per round, stopped the same way, from the whole range: the extrapolation
 needs an estimate per bisection level, the whole range's included.
 That run ends as qags does near an integrable endpoint singularity:
 Wynn's epsilon algorithm extrapolates the sequence of its whole-range
@@ -141,8 +143,8 @@ _RULES = np.stack([KRONROD_WEIGHTS, KRONROD_WEIGHTS - GAUSS_WEIGHTS])
 _FLOOR_WEIGHTS = 50.0 * np.finfo(float).eps * KRONROD_WEIGHTS
 # QUADPACK's limit for a bisection: an interval whose ends are within 100 eps
 # of its midpoint has nodes that round to a few floats
-_NARROW = 1.0 + 100.0 * np.finfo(float).eps
-_UNDERFLOW = 1000.0 * np.finfo(float).tiny
+_NARROW = 1.0 + 100.0 * float(np.finfo(float).eps)
+_UNDERFLOW = 1000.0 * float(np.finfo(float).tiny)
 
 
 @functools.cache
@@ -171,9 +173,8 @@ def _not_converged(lo, hi, reason):
     return DivergenceError(f"quadrature did not converge on [{lo}, {hi}]: {reason}")
 
 
-def _split(a, b, quarters):
-    """The quarters, or halves, of the intervals ``[a, b]``: their (a, b)."""
-    mid = 0.5 * (a + b)
+def _split(a, mid, b, quarters):
+    """The quarters, or halves, of the intervals ``[a, b]`` of midpoints ``mid``: their (a, b)."""
     if quarters:
         edges = np.array([a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b])
     else:
@@ -181,14 +182,10 @@ def _split(a, b, quarters):
     return edges[:-1].ravel(), edges[1:].ravel()
 
 
-def _unsplittable(a, b, evaluated):
-    """Why the intervals ``[a, b]`` may not be split, or None when they may."""
-    if evaluated > MAX_INTERVALS:
-        return f"more than {MAX_INTERVALS} intervals needed"
-    mid = 0.5 * (a + b)
-    if (np.maximum(np.abs(a), np.abs(b)) <= _NARROW * (np.abs(mid) + _UNDERFLOW)).any():
-        return "interval too narrow to bisect"
-    return None
+def _too_narrow(a, mid, b):
+    """Whether ``[a, b]``, of midpoint ``mid``, is too narrow to bisect; elementwise on arrays."""
+    limit = _NARROW * (abs(mid) + _UNDERFLOW)
+    return (abs(a) <= limit) & (abs(b) <= limit)
 
 
 def gk21(fn, lo, hi, quarters=True):
@@ -196,24 +193,28 @@ def gk21(fn, lo, hi, quarters=True):
 
     ``fn`` maps a 1-D array of points to an array of shape ``(rows,
     points)``, or ``(points,)`` for one row.  A failing interval is split
-    into quarters, or halves with ``quarters=False``.  Raises DivergenceError
-    unless every row converged to finite values.
+    into quarters, or halves with ``quarters=False``.  The first round of
+    the run by quarters evaluates the range's four quarters, whose ends
+    are computed on floats.  A round in which every interval passes
+    returns its own estimate.  Raises DivergenceError unless every row
+    converged to finite values.
     """
     # an interval's share of tol, per unit of its half-width
     share = 2.0 / (hi - lo)
     pieces = 4 if quarters else 2
     value = error = 0.0
-    evaluated = 1
-    # the whole-range estimate of every round, for the extrapolation
-    estimates = []
-    a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
     if quarters:
         # a failing whole-range round would go on to the quarters; the halves
         # run starts from the whole range, whose estimate the extrapolation needs
-        evaluated = pieces
-        if _unsplittable(a, b, evaluated):
+        mid = 0.5 * (lo + hi)
+        if _too_narrow(lo, mid, hi):
             return gk21(fn, lo, hi, quarters=False)
-        a, b = _split(a, b, quarters)
+        a, b = _split(lo, mid, hi, quarters)
+    else:
+        a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
+    evaluated = a.size
+    # the whole-range estimate of every round of the halves run, for the extrapolation
+    estimates = []
     with np.errstate(all="ignore"):
         while True:
             half, mid = 0.5 * (b - a), 0.5 * (a + b)
@@ -226,22 +227,26 @@ def gk21(fn, lo, hi, quarters=True):
             # every Kronrod weight is positive: a non-finite node value makes a row's K non-finite
             if not np.isfinite(estimate).all():
                 raise _not_converged(lo, hi, "non-finite integrand value")
-            estimates.append(estimate)
             tol = ABS_TOL * np.maximum(1.0, np.abs(estimate))
             bound = np.maximum(diff, floor)
             # an interval within its share, or whose |K - G| is roundoff, is kept
             done = (diff <= np.maximum(share * tol[:, None], floor)).all(axis=0)
+            if done.all():
+                return estimate, error + bound @ half
+            if not quarters:
+                estimates.append(estimate)
             weights = half * done
             value = value + kronrod @ weights
             error = error + bound @ weights
-            if done.all():
-                return value, error
             keep = ~done
-            a, b, half, bound = a[keep], b[keep], half[keep], bound[:, keep]
+            a, b, mid, half = a[keep], b[keep], mid[keep], half[keep]
             evaluated += pieces * a.size
-            stuck = _unsplittable(a, b, evaluated)
-            if stuck is None:
-                a, b = _split(a, b, quarters)
+            if evaluated > MAX_INTERVALS:
+                stuck = f"more than {MAX_INTERVALS} intervals needed"
+            elif _too_narrow(a, mid, b).any():
+                stuck = "interval too narrow to bisect"
+            else:
+                a, b = _split(a, mid, b, quarters)
                 continue
             if quarters:
                 # the extrapolation needs an estimate per bisection level: with
@@ -259,7 +264,7 @@ def gk21(fn, lo, hi, quarters=True):
                 return limit, total
             # QUADPACK's own stop still holds when the error bounds of all the
             # intervals sum to at most tol
-            total = error + bound @ half
+            total = error + bound[:, keep] @ half
             if (total <= tol).all():
                 return estimate, total
             raise _not_converged(lo, hi, stuck)
@@ -354,8 +359,8 @@ def survival_power_quad(dist, powers, lower):
     column = np.array(powers, dtype=float)[:, None]
     values, errors = gk21(lambda x: dist.survival(x) ** column, start, upper)
     return [
-        (head + float(v), float(err) + mrl_u * s_u**p)
-        for p, v, err in zip(powers, values, errors)
+        (head + v, err + mrl_u * s_u**p)
+        for p, v, err in zip(powers, values.tolist(), errors.tolist())
     ]
 
 

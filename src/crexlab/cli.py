@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .discrimination import d_designs, d_min_vs_parent
 from .distributions import parse_distribution
-from .errors import CrexlabError, DivergenceError, SpecParseError
+from .errors import CrexlabError, DivergenceError, SpecParseError, check_count
 from .estimators import EstimatorSpec, PsiFamily, estimate as run_estimator
 from .measures import (
     crex,
@@ -420,6 +420,8 @@ def main(argv=None):
         parser.print_help()
         return USAGE_EXIT
     try:
+        if hasattr(args, "precision"):
+            check_count(args.precision, "--precision")
         return args.handler(args)
     except DivergenceError as exc:
         print(f"crexlab: divergence: {exc}", file=sys.stderr)

@@ -49,15 +49,16 @@ def d_min_vs_parent(dist, i, method="closed"):
 
     Exactly ``+0.0`` at ``i = 1``.  The closed route uses exact minimum
     means; the quadrature route integrates ``S**(i+1)`` and ``S**(2i)`` in
-    one call.
+    one call, once each: at ``i = 1`` they are one power.
     """
     check_count(i, "set size")
     method = _coerce_method(method)
     if method is Method.CLOSED_FORM:
         value = 0.5 * (dist.min_order_stat_mean(i + 1) - dist.min_order_stat_mean(2 * i))
     else:
-        (parent, _), (minimum, _) = nq.survival_power_quad(dist, [i + 1.0, 2.0 * i], 0.0)
-        value = 0.5 * (parent - minimum)
+        powers = list(dict.fromkeys([i + 1.0, 2.0 * i]))
+        means = [mean for mean, _ in nq.survival_power_quad(dist, powers, 0.0)]
+        value = 0.5 * (means[0] - means[-1])
     return DiscriminationValue(value=value, i_or_m=int(i), method=method)
 
 

@@ -22,6 +22,7 @@ underflows raises DivergenceError rather than returning inf, nan or -0.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -118,7 +119,7 @@ def _power_products(dist, power_lists, t, method):
     s_t = dist.survival(t) if t > 0.0 else 1.0
     if s_t <= 0.0:
         raise DomainError(f"measure undefined: survival({t}) = 0")
-    distinct = list(dict.fromkeys(p for powers in power_lists for p in powers))
+    distinct = list(dict.fromkeys(itertools.chain.from_iterable(power_lists)))
     scales = [s_t**p for p in distinct]
     # integrate up to the first power whose scale underflows: its integration errors come first
     bad = next((k for k, scale in enumerate(scales) if scale < _TINY), len(distinct))

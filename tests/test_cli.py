@@ -121,6 +121,23 @@ class TestMeasure:
 @pytest.mark.parametrize(
     "argv",
     [
+        ["measure", "--dist", "exp:rate=1"],
+        ["estimate", "--estimator", "rn", "--values", "1,2,3"],
+        ["discriminate", "--dist", "exp:rate=1", "--i", "2"],
+        ["calibrate", "--dist-grid", "exp:rate=1", "--estimator", "rn", "--m", "2",
+         "--l", "2", "--target-bias", "0", "--target-rmse", "1", "--reps", "2"],
+    ],
+    ids=["measure", "estimate", "discriminate", "calibrate"],
+)
+@pytest.mark.parametrize("precision", ["-1", "0"])
+def test_precision_below_1_exits_2(capsys, argv, precision):
+    code, out, err = run(capsys, argv + [f"--precision={precision}"])
+    assert (code, out, err) == (2, "", f"crexlab: --precision must be >= 1, got {precision}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["measure", "--dist", "exp:rate=nan"],
         ["measure", "--dist", "unif:a=0,b=inf"],
         ["estimate", "--estimator", "vn", "--values", "1,nan,3"],

@@ -44,10 +44,19 @@ class TestMinVsParent:
 
     @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
     def test_i1_is_zero_quadrature(self, dist):
-        # both powers are 2, so the two rows of one survival_power_quad call are equal
+        # both powers are 2: one integral, subtracted from itself
         value = float(d_min_vs_parent(dist, 1, method="quadrature"))
         assert value == 0.0
         assert math.copysign(1.0, value) == 1.0
+
+    @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
+    @pytest.mark.parametrize("i", [2, 3, 10])
+    def test_quadrature_is_half_the_difference_of_two_rows(self, dist, i):
+        from crexlab._quadrature import survival_power_quad
+
+        (parent, _), (minimum, _) = survival_power_quad(dist, [i + 1.0, 2.0 * i], 0.0)
+        value = d_min_vs_parent(dist, i, method="quadrature").value
+        assert value.hex() == (0.5 * (parent - minimum)).hex()
 
     @pytest.mark.parametrize("i", [1, 2, 7])
     def test_quadrature_is_one_survival_power_call(self, monkeypatch, i):
@@ -62,7 +71,8 @@ class TestMinVsParent:
 
         monkeypatch.setattr(_quadrature, "survival_power_quad", counted)
         d_min_vs_parent(Exponential(1.0), i, method="quadrature")
-        assert calls == [([i + 1.0, 2.0 * i], 0.0)]
+        # each distinct power once: at i = 1, S**(i+1) and S**(2i) are one integral
+        assert calls == [([2.0] if i == 1 else [i + 1.0, 2.0 * i], 0.0)]
 
     def test_exponential_i2(self):
         # minima means 1/(j*lam): -(1/2)(1/4 - 1/3) = 1/24
