@@ -44,9 +44,9 @@ at most ``S(U)**(p-1) * int_U^inf S = mrl(U) * S(U)**p``.
 A measure call makes one ``survival_power_quad`` call for all its
 distinct powers: the rows are the powers of S, so S is evaluated once per
 node, and the support, start, truncation point and tail factor are worked
-out once.  Every survival-power functional goes through it, the
-minima-vs-parent discrimination measure included; only the squared
-density and the squared cdf have integrands of their own.
+out once.  Every survival-power functional goes through it, both
+discrimination measures included; only the squared density and the
+squared cdf have integrands of their own.
 
 The limit variances of the L-statistic are double integrals, kinked along
 ``x == y`` and symmetric in (x, y): twice the triangle ``y >= x`` is mapped

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import double_quad_kinked, truncation_point
-from .errors import DomainError, ParameterError, SizeError, SpecParseError, split_spec
-from .errors import check_count, check_integer, enum_member
+from .errors import DivergenceError, DomainError, ParameterError, SizeError, SpecParseError
+from .errors import check_count, check_integer, enum_member, split_spec
 from .sampling import pooled_order_statistics
 
 __all__ = [
@@ -251,7 +251,8 @@ def estimate(spec, data, *, _m=None):
     A MinRSSU sample supplies the design size m; ``rn`` and ``lstat_adj``
     need one, and ``rmn`` on a plain value array needs the m that
     :func:`rmn` passes on as ``_m``, a count like every other m.  ``vn``
-    and ``lstat`` take either.
+    and ``lstat`` take either.  A nan or infinite value raises
+    DomainError, and an estimate that overflows DivergenceError.
     """
     if _m is not None:
         _m = check_count(_m, "m")
@@ -265,11 +266,16 @@ def estimate(spec, data, *, _m=None):
             raise ParameterError("rmn on a plain array needs an explicit m")
         m = _m
     values = _sorted_values(data)
+    if not np.isfinite(values).all():
+        raise DomainError(f"estimator data must be finite, got {values[~np.isfinite(values)][0]}")
     spacing, denom = row_estimator(spec, m, values.size)
-    rows = (np.diff(values) if spacing else values)[None, None]
-    estimates, errors = row_estimates(spacing, rows, row_weights(spacing, values.size, [denom]))
+    with np.errstate(over="ignore"):
+        rows = (np.diff(values) if spacing else values)[None, None]
+        estimates, errors = row_estimates(spacing, rows, row_weights(spacing, values.size, [denom]))
     if errors:
         raise errors[0]
+    if not np.isfinite(estimates).all():
+        raise DivergenceError(f"{spec.text()} estimate overflows: {estimates[0, 0]}")
     return float(estimates[0, 0])
 
 

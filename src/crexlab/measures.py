@@ -10,13 +10,15 @@ survival-power integrals,
 
     ``-(1/2) prod_p int_t [S(x)/S(t)]**p dx``,
 
-evaluated by the single kernel ``_power_products``; the public functions
-only choose the powers and the age ``t``.  CREX is the product with one
-power 2.  The independent draw plan (SRS) of size ``m`` uses m powers 2;
-the unequal-minima plan (MinRSSU) uses the powers ``2, 4, ..., 2m`` of
-its set minima.  Products of more than ``_LOG_SPACE_THRESHOLD`` factors
-are accumulated in log space, and a product that still over- or
-underflows raises DivergenceError rather than returning inf, nan or -0.
+evaluated by the single kernel ``_power_products``, one CrexValue per
+power list by ``_measures``; the public functions, the discrimination
+measures included, only choose the power lists and the age ``t``.  CREX
+is the product with one power 2.  The independent draw plan (SRS) of
+size ``m`` uses m powers 2; the unequal-minima plan (MinRSSU) uses the
+powers ``2, 4, ..., 2m`` of its set minima.  Products of more than
+``_LOG_SPACE_THRESHOLD`` factors are accumulated in log space, and a
+product that still over- or underflows raises DivergenceError rather
+than returning inf, nan or -0.
 """
 
 from __future__ import annotations
@@ -156,16 +158,16 @@ def _product(powers, factor_of, rel_err_of):
     return value, -value * sum(map(rel_err_of.__getitem__, powers))
 
 
-def _measure(dist, powers, t, method):
-    """The CrexValue of :func:`_power_products` for one power list."""
+def _measures(dist, power_lists, t, method):
+    """One CrexValue of :func:`_power_products` per power list."""
     method = _coerce_method(method)
-    value, err = _power_products(dist, [powers], t, method)[0]
-    return CrexValue(value, method, err)
+    return [CrexValue(value, method, err)
+            for value, err in _power_products(dist, power_lists, t, method)]
 
 
 def crex(dist, method="closed"):
     """Cumulative residual extropy ``-(1/2) int_0^inf S(x)**2 dx``."""
-    return _measure(dist, [2.0], 0.0, method)
+    return _measures(dist, [[2.0]], 0.0, method)[0]
 
 
 def dynamic_crex(dist, t, method="closed"):
@@ -173,13 +175,13 @@ def dynamic_crex(dist, t, method="closed"):
 
     Requires ``S(t) > 0``.  Bounded below by ``-mrl(t) / (2 S(t))``.
     """
-    return _measure(dist, [2.0], t, method)
+    return _measures(dist, [[2.0]], t, method)[0]
 
 
 def crex_min_order_stat(dist, i, method="closed"):
     """Measure of the minimum of ``i`` draws: ``-(1/2) int S(x)**(2i) dx``."""
     check_count(i, "set size")
-    return _measure(dist, [2.0 * i], 0.0, method)
+    return _measures(dist, [[2.0 * i]], 0.0, method)[0]
 
 
 def crex_minrssu_design(dist, m, method="closed"):
@@ -188,7 +190,7 @@ def crex_minrssu_design(dist, m, method="closed"):
     ``-(1/2) prod_{i=1..m} int_0^inf S(x)**(2i) dx``
     """
     check_count(m, "design size")
-    return _measure(dist, [2.0 * i for i in range(1, m + 1)], 0.0, method)
+    return _measures(dist, [[2.0 * i for i in range(1, m + 1)]], 0.0, method)[0]
 
 
 def crex_srs_design(dist, m, method="closed"):
@@ -197,7 +199,7 @@ def crex_srs_design(dist, m, method="closed"):
     ``-(1/2) [int_0^inf S(x)**2 dx]**m``
     """
     check_count(m, "design size")
-    return _measure(dist, [2.0] * m, 0.0, method)
+    return _measures(dist, [[2.0] * m], 0.0, method)[0]
 
 
 def dynamic_crex_designs(dist, m, t, method="closed"):
@@ -209,8 +211,4 @@ def dynamic_crex_designs(dist, m, t, method="closed"):
         srs     = -(1/2) [int_t [S(x)/S(t)]**2 dx]**m
     """
     check_count(m, "design size")
-    method = _coerce_method(method)
-    (min_value, min_err), (srs_value, srs_err) = _power_products(
-        dist, [[2.0 * i for i in range(1, m + 1)], [2.0] * m], t, method
-    )
-    return CrexValue(min_value, method, min_err), CrexValue(srs_value, method, srs_err)
+    return tuple(_measures(dist, [[2.0 * i for i in range(1, m + 1)], [2.0] * m], t, method))

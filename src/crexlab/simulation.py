@@ -53,7 +53,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .distributions import Distribution, parse_distribution
-from .errors import CellError, CrexlabError, DomainError, SpecParseError
+from .errors import CellError, CrexlabError, DivergenceError, DomainError, SpecParseError
 from .errors import check_count, check_integer, enum_member
 # estimate and draw_minrssu are unused here; the benchmark tracer wraps these bindings
 from .estimators import (  # noqa: F401
@@ -769,11 +769,17 @@ def protocol_config(family, replications=5000, base_seed=DEFAULT_SEED, sides=("s
     ``family`` is ``"exp"``, ``"unif"`` or ``"beta"``; defaults are rate 1,
     Uniform(0, 1), and Beta(2, 1).  ``sides`` selects the spacing-estimator
     half (``rn`` + tuned ``rmn``), the order-statistic half (``lstat`` +
-    tuned ``lstat_adj``), or both.
+    tuned ``lstat_adj``), or both, as a nonempty list.
     """
     if family not in PROTOCOL_DISTRIBUTIONS:
         known = ", ".join(sorted(PROTOCOL_DISTRIBUTIONS))
         raise SpecParseError(f"unknown protocol family {family!r} (known: {known})")
+    sides = _sequence(sides, "sides")
+    if not sides:
+        raise SpecParseError("sides must name at least one side (use spacing/order)")
+    for side in sides:
+        if side not in ("spacing", "order"):
+            raise SpecParseError(f"unknown side {side!r} (use spacing/order)")
     estimators = []
     w_lists = {}
     if "spacing" in sides:
@@ -826,7 +832,7 @@ def calibrate_parameter(
     tried for every candidate; the squared deviation
     ``(bias - target_bias)**2 + (rmse - target_rmse)**2`` is minimized.
     Returns the best fit together with per-candidate details; a poor
-    residual is reported, never raised.
+    residual is reported, one that overflows raises DivergenceError.
     """
     try:
         target_bias, target_rmse = map(float, target)
@@ -852,7 +858,12 @@ def calibrate_parameter(
         )
         for convention in BiasConvention:
             bias = row.bias if convention is BiasConvention.TRUTH_MINUS_ESTIMATE else -row.bias
-            residual = (bias - target_bias) ** 2 + (row.rmse - target_rmse) ** 2
+            try:
+                residual = (bias - target_bias) ** 2 + (row.rmse - target_rmse) ** 2
+            except OverflowError:
+                residual = np.inf
+            if not np.isfinite(residual):
+                raise DivergenceError(f"calibration residual of {dist.spec_string()} is not finite")
             details.append(
                 {
                     "distribution": dist.spec_string(),

@@ -77,10 +77,20 @@ class TestMeasure:
             # survival(t)**2 is subnormal: the factor would lose its digits
             ["measure", "--dist", "exp:rate=1", "--t", "370"],
             ["measure", "--dist", "exp:rate=1", "--t", "372.5"],
+            # subnormal minimum means, by both routes
+            ["discriminate", "--dist", "unif:a=0,b=1e-310", "--i", "2"],
+            ["discriminate", "--dist", "unif:a=0,b=1e-310", "--i", "2", "--method", "quadrature"],
+            ["discriminate", "--dist", "unif:a=0,b=1e-310", "--mode", "designs", "--m", "2",
+             "--method", "quadrature"],
+            # an estimate or a calibration residual that overflows
+            ["estimate", "--estimator", "vn", "--values", "1e308,-1e308"],
+            ["estimate", "--estimator", "lstat", "--values", "1.7e308,1.7e308,1.7e308,1.7e308"],
+            ["calibrate", "--dist-grid", "exp:rate=1", "--estimator", "rn", "--m", "2", "--l", "2",
+             "--target-bias", "1e308", "--target-rmse", "1e308", "--reps", "3"],
         ):
             code, out, err = run(capsys, argv)
             assert code == 3, argv
-            assert "divergence" in err
+            assert err.startswith("crexlab: divergence:") and err.count("\n") == 1
             assert out == ""
 
     @pytest.mark.parametrize(
@@ -142,8 +152,9 @@ def test_precision_below_1_exits_2(capsys, argv, precision):
         ["measure", "--dist", "unif:a=0,b=inf"],
         ["estimate", "--estimator", "vn", "--values", "1,nan,3"],
         ["measure", "--dist", "exp:rate=1", "--t", "nan"],
+        ["estimate", "--estimator", "vn", "--draw", "exp:rate=1e-320", "--m", "2", "--l", "3"],
     ],
-    ids=["exp-rate-nan", "unif-b-inf", "values-nan", "age-nan"],
+    ids=["exp-rate-nan", "unif-b-inf", "values-nan", "age-nan", "draws-inf"],
 )
 def test_non_finite_input_exits_2(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -370,8 +381,10 @@ class TestSimulate:
             (["--dist", "exp:rate=1", "--m", "2,x"], "bad --m list: '2,x'"),
             (["--protocol", "exp", "--sides", "spacing,bogus"],
              "unknown side 'bogus' (use spacing/order)"),
+            (["--protocol", "exp", "--sides", ""],
+             "sides must name at least one side (use spacing/order)"),
         ],
-        ids=["bad-m-list", "unknown-side"],
+        ids=["bad-m-list", "unknown-side", "no-side"],
     )
     def test_bad_list_flags_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, ["simulate", *argv, "--reps", "2"])

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from crexlab import (
+    DivergenceError,
     DomainError,
     Exponential,
     FiniteRange,
@@ -164,3 +165,16 @@ class TestDesigns:
         calls.clear()
         dynamic_crex_designs(Exponential(1.0), 5, 0.3, method="quadrature")
         assert calls == [[2.0, 4.0, 6.0, 8.0, 10.0]]
+
+
+@pytest.mark.parametrize("method", ["closed", "quadrature"])
+@pytest.mark.parametrize(
+    "measure,size",
+    [(d_min_vs_parent, 1), (d_min_vs_parent, 2), (d_designs, 2)],
+    ids=["min-vs-parent-1", "min-vs-parent-2", "designs-2"],
+)
+def test_subnormal_minimum_means_diverge(measure, size, method):
+    # every minimum mean of Uniform(0, 1e-310) is subnormal: it has lost
+    # digits, so the difference of two of them is not returned
+    with pytest.raises(DivergenceError, match="underflows"):
+        measure(Uniform(0.0, 1e-310), size, method=method)

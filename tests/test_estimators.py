@@ -619,6 +619,35 @@ class TestEstimateDispatch:
         for layout in layouts:
             assert _kernel_rows(spec, 5, layout).tolist() == expected
 
+    @pytest.mark.parametrize("estimator", [vn, lstat, lambda values: rmn(values, 0, m=1)],
+                             ids=["vn", "lstat", "rmn"])
+    @pytest.mark.parametrize(
+        "values,shown",
+        [([1.0, np.inf], "inf"), ([1.0, np.nan, 2.0], "nan"), ([-np.inf, 1.0], "-inf")],
+        ids=["inf", "nan", "minus-inf"],
+    )
+    def test_non_finite_data_is_a_domain_error(self, estimator, values, shown):
+        # these gave -inf or nan, some after a RuntimeWarning, which this suite makes an error
+        with pytest.raises(DomainError, match=f"must be finite, got {shown}$"):
+            estimator(np.array(values))
+
+    def test_non_finite_minrssu_sample_is_a_domain_error(self):
+        sample = MinRssuSample(m=2, l=1, values=np.array([[1.0, np.nan]]))
+        for text in ["rn", "rmn:w=0", "lstat_adj:family=exp,w=0"]:
+            with pytest.raises(DomainError, match="got nan"):
+                estimate(EstimatorSpec.parse(text), sample)
+
+    @pytest.mark.parametrize(
+        "estimator,values",
+        [(vn, [1e308, -1e308]), (lambda values: rmn(values, 0, m=1), [-1e308, 1.7e308]),
+         (lstat, [1.7e308] * 4)],
+        ids=["vn", "rmn", "lstat"],
+    )
+    def test_overflowing_estimate_diverges(self, estimator, values):
+        # the spacing 2e308, or the sum of the weighted values, overflows, with no warning
+        with pytest.raises(DivergenceError, match="estimate overflows: -inf"):
+            estimator(np.array(values))
+
 
 def _kernel_operand(spacing, rows):
     """What the row kernel sums for ascending ``rows``: their spacings, or the rows."""

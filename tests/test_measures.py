@@ -20,6 +20,7 @@ from crexlab import (
     crex_srs_design,
     cumulative_extropy,
     d_designs,
+    d_min_vs_parent,
     dynamic_crex,
     dynamic_crex_designs,
     extropy,
@@ -557,3 +558,27 @@ class TestExactRationals:
             )
             got = float(crex_minrssu_design(Exponential(1.0), m))
             assert got == pytest.approx(float(expected), abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d, method: extropy(d, method),
+        lambda d, method: crex(d, method),
+        lambda d, method: cumulative_extropy(d, method),
+        lambda d, method: dynamic_crex(d, 0.2, method),
+        lambda d, method: crex_min_order_stat(d, 2, method),
+        lambda d, method: crex_minrssu_design(d, 2, method),
+        lambda d, method: crex_srs_design(d, 2, method),
+        lambda d, method: dynamic_crex_designs(d, 2, 0.2, method),
+        lambda d, method: d_min_vs_parent(d, 2, method),
+        lambda d, method: d_designs(d, 2, method),
+    ],
+    ids=["extropy", "crex", "cumulative_extropy", "dynamic_crex", "crex_min_order_stat",
+         "crex_minrssu_design", "crex_srs_design", "dynamic_crex_designs",
+         "d_min_vs_parent", "d_designs"],
+)
+@pytest.mark.parametrize("method", ["simpson", "Closed"])
+def test_unknown_method_rejected(call, method):
+    with pytest.raises(DomainError, match="unknown evaluation method"):
+        call(Uniform(0.0, 1.0), method)

@@ -360,6 +360,27 @@ MEASURE_BITS = {
 }
 
 
+# closed-route (d_designs, d_min_vs_parent) of the same laws and sizes
+CLOSED_DISCRIMINATION_BITS = {
+    ("exp:rate=1", 1): ("0x0.0p+0", "0x0.0p+0"),
+    ("exp:rate=1", 2): ("0x1.5555555555554p-6", "0x1.5555555555554p-5"),
+    ("exp:rate=1", 5): ("0x1.27d27d27d27d2p-11", "0x1.1111111111110p-5"),
+    ("exp:rate=1", 30): ("0x1.434d2ddba5fa9p-114", "0x1.fee61fee61feep-8"),
+    ("unif:a=0,b=1", 1): ("0x0.0p+0", "0x0.0p+0"),
+    ("unif:a=0,b=1", 2): ("0x1.1111111111110p-7", "0x1.9999999999998p-6"),
+    ("unif:a=0,b=1", 5): ("0x1.3b3a7d5a423f4p-13", "0x1.a98ef606a63bcp-6"),
+    ("unif:a=0,b=1", 30): ("0x1.434d2ce7d1be5p-118", "0x1.e6d1d60864b8ap-8"),
+    ("finite:a=2,b=3", 1): ("0x0.0p+0", "0x0.0p+0"),
+    ("finite:a=2,b=3", 2): ("0x1.b01b01b01b018p-12", "0x1.7a17a17a17a18p-8"),
+    ("finite:a=2,b=3", 5): ("0x1.8101b901bee03p-25", "0x1.4dccb68bf3d48p-8"),
+    ("finite:a=2,b=3", 30): ("0x1.4cab941c52db3p-193", "0x1.4f1d385d2ae1ep-10"),
+    ("powerbeta:alpha=2", 1): ("0x0.0p+0", "0x0.0p+0"),
+    ("powerbeta:alpha=2", 2): ("0x1.bbd779334ef10p-7", "0x1.a01a01a01a018p-6"),
+    ("powerbeta:alpha=2", 5): ("0x1.a9ccdf4ec0ba1p-9", "0x1.21b80aee46210p-5"),
+    ("powerbeta:alpha=2", 30): ("0x1.de2385f1a350ep-65", "0x1.64f73c6fb52d4p-6"),
+}
+
+
 def _hex_pairs(values, errors):
     return [(float(v).hex(), float(e).hex()) for v, e in zip(values, errors)]
 
@@ -397,3 +418,10 @@ class TestPinnedBits:
         expected = {name: bits for (law, size, name), bits in MEASURE_BITS.items()
                     if (law, size) == (spec, n)}
         assert _quadrature_measures(dist, n) == expected
+
+    @pytest.mark.parametrize("spec", MEASURE_LAWS)
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    def test_closed_discrimination(self, spec, n):
+        dist = distributions.parse_distribution(spec)
+        found = (d_designs(dist, n).value.hex(), d_min_vs_parent(dist, n).value.hex())
+        assert found == CLOSED_DISCRIMINATION_BITS[spec, n]

@@ -8,6 +8,7 @@ import pytest
 from crexlab import (
     BiasConvention,
     CrexlabError,
+    DivergenceError,
     DomainError,
     EstimatorSpec,
     Exponential,
@@ -675,6 +676,23 @@ class TestCsv:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "sides,message",
+        [
+            (("spacing", "bogus"), "unknown side 'bogus' (use spacing/order)"),
+            ("spacingorder", "sides must be a list, got 'spacingorder'"),
+            ("order", "sides must be a list, got 'order'"),
+            ((), "sides must name at least one side (use spacing/order)"),
+            (None, "sides must be a list, got None"),
+        ],
+        ids=["unknown-side", "bare-string", "bare-side", "empty", "none"],
+    )
+    def test_protocol_sides_checked(self, sides, message):
+        # these dropped a side, matched by substring, or gave a 0-cell grid
+        with pytest.raises(SpecParseError) as info:
+            protocol_config("exp", replications=2, sides=sides)
+        assert str(info.value) == message
+
     def test_unknown_estimator(self):
         with pytest.raises(SpecParseError):
             SimulationConfig(distribution="exp:rate=1", estimators=("bogus",))
@@ -861,6 +879,13 @@ class TestCalibrate:
         )
         conventions = {d["bias_convention"] for d in result.details}
         assert conventions == {"truth-minus-estimate", "estimate-minus-truth"}
+
+    @pytest.mark.parametrize("target", [(1e308, 1e308), (1e154, 1.5e154)],
+                             ids=["square-overflows", "sum-overflows"])
+    def test_non_finite_residual_diverges(self, target):
+        # (bias - 1e308)**2 raised OverflowError; two finite squares can sum to inf
+        with pytest.raises(DivergenceError, match="calibration residual of exp:rate=1"):
+            calibrate_parameter(["exp:rate=1"], "rn", 2, 2, target, replications=3)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
