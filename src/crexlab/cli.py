@@ -116,10 +116,7 @@ def _load_estimate_data(args):
         sample = MinRssuSample(m=1, l=vals.size, values=vals.reshape(-1, 1))
     else:
         dist = parse_distribution(args.draw)
-        rng = replication_rng(args.seed, 0, 0)
-        # a draw beyond the float range is inf, which the estimator rejects
-        with np.errstate(over="ignore"):
-            sample = draw_minrssu(dist, args.m, args.l, rng)
+        sample = draw_minrssu(dist, args.m, args.l, replication_rng(args.seed, 0, 0))
     if args.save is not None:
         with open(args.save, "w", newline="") as fh:
             sample_to_csv(sample, fh)

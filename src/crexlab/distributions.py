@@ -112,6 +112,8 @@ class Distribution:
     """
 
     family = "base"
+    # the parameter names, in spec order; each is an attribute of the instance
+    params = ()
     support = (0.0, math.inf)
 
     # -- analytic kernels (subclass responsibility) ---------------------
@@ -127,6 +129,17 @@ class Distribution:
 
     def _quantile(self, u):
         raise NotImplementedError
+
+    def _require_finite_draws(self):
+        """Raise DomainError when ``_quantile`` overflows below 1, at construction.
+
+        A draw reaches the quantile at the largest float below 1; where
+        that is inf, every draw past some u is inf, with a numpy warning.
+        """
+        with np.errstate(over="ignore"):
+            top = self._quantile(np.array([1.0 - 2.0**-53]))[0]
+        if math.isinf(top):
+            raise DomainError(f"{self.spec_string()} has quantile inf at the largest float below 1")
 
     # -- public evaluations ---------------------------------------------
 
@@ -232,7 +245,7 @@ class Distribution:
     # -- textual form ----------------------------------------------------
 
     def param_items(self):
-        raise NotImplementedError
+        return tuple((name, getattr(self, name)) for name in self.params)
 
     def param_text(self):
         return ",".join(f"{k}={v:g}" for k, v in self.param_items())
@@ -259,6 +272,7 @@ class Exponential(Distribution):
     """Exponential lifetime with rate ``lam`` (mean ``1/lam``)."""
 
     family = "exp"
+    params = ("rate",)
 
     def __init__(self, rate):
         _require_finite("exponential", rate=rate)
@@ -266,6 +280,7 @@ class Exponential(Distribution):
             raise DomainError(f"exponential rate must be > 0, got {rate}")
         self.rate = float(rate)
         self.support = (0.0, math.inf)
+        self._require_finite_draws()
 
     def _pdf(self, x):
         return self.rate * np.exp(-self.rate * x)
@@ -296,14 +311,12 @@ class Exponential(Distribution):
             "cumulative extropy diverges on unbounded support (exp family)"
         )
 
-    def param_items(self):
-        return (("rate", self.rate),)
-
 
 class Uniform(Distribution):
     """Uniform on ``[a, b]``."""
 
     family = "unif"
+    params = ("a", "b")
 
     def __init__(self, a, b):
         _require_finite("uniform", a=a, b=b)
@@ -339,14 +352,12 @@ class Uniform(Distribution):
         # int_a^b ((x - a)/width)^2 dx
         return (self.b - self.a) / 3.0
 
-    def param_items(self):
-        return (("a", self.a), ("b", self.b))
-
 
 class FiniteRange(Distribution):
     """Finite-range lifetime with survival ``(1 - a*x)**b`` on ``0 < x < 1/a``."""
 
     family = "finite"
+    params = ("a", "b")
 
     def __init__(self, a, b):
         _require_finite("finite-range", a=a, b=b)
@@ -355,6 +366,7 @@ class FiniteRange(Distribution):
         self.a = float(a)
         self.b = float(b)
         self.support = (0.0, 1.0 / self.a)
+        self._require_finite_draws()
 
     def _pdf(self, x):
         return self.a * self.b * (1.0 - self.a * x) ** (self.b - 1.0)
@@ -383,14 +395,12 @@ class FiniteRange(Distribution):
         # int_0^{1/a} (1 - (1-ax)^b)^2 dx, expanded termwise
         return (1.0 - 2.0 / (self.b + 1.0) + 1.0 / (2.0 * self.b + 1.0)) / self.a
 
-    def param_items(self):
-        return (("a", self.a), ("b", self.b))
-
 
 class PowerBeta(Distribution):
     """Beta(alpha, 1) on (0, 1): cdf ``x**alpha``."""
 
     family = "powerbeta"
+    params = ("alpha",)
 
     def __init__(self, alpha):
         _require_finite("powerbeta", alpha=alpha)
@@ -434,16 +444,8 @@ class PowerBeta(Distribution):
     def cdf_square_integral(self):
         return 1.0 / (2.0 * self.alpha + 1.0)
 
-    def param_items(self):
-        return (("alpha", self.alpha),)
 
-
-_FAMILIES = {
-    "exp": (Exponential, ("rate",)),
-    "unif": (Uniform, ("a", "b")),
-    "finite": (FiniteRange, ("a", "b")),
-    "powerbeta": (PowerBeta, ("alpha",)),
-}
+_FAMILIES = {cls.family: cls for cls in (Exponential, Uniform, FiniteRange, PowerBeta)}
 
 
 def parse_distribution(text):
@@ -452,23 +454,23 @@ def parse_distribution(text):
     if family not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
         raise SpecParseError(f"unknown distribution family {family!r} (known: {known})")
-    cls, names = _FAMILIES[family]
+    cls = _FAMILIES[family]
     if not options:
         raise SpecParseError(f"missing parameters in distribution spec {text!r}")
-    params = {}
+    values = {}
     for key, val in options.items():
-        if key not in names:
+        if key not in cls.params:
             raise SpecParseError(
-                f"bad parameter {key!r} in {text!r}; expected {'/'.join(names)}"
+                f"bad parameter {key!r} in {text!r}; expected {'/'.join(cls.params)}"
             )
         try:
-            params[key] = float(val)
+            values[key] = float(val)
         except ValueError:
             raise SpecParseError(f"non-numeric value for {key!r} in {text!r}") from None
-    missing = [n for n in names if n not in params]
+    missing = [n for n in cls.params if n not in values]
     if missing:
         raise SpecParseError(f"missing parameter(s) {missing} in {text!r}")
     try:
-        return cls(**params)
+        return cls(**values)
     except DomainError as exc:
         raise SpecParseError(str(exc)) from exc

@@ -226,17 +226,21 @@ def row_weights(spacing, n, denoms):
 # one BLAS dot per row, run by np.vecdot: it sums each row as np.dot sums
 # one 1-D pair, where a matrix-vector product sums in another order.  A
 # dot over a strided row is another BLAS call too, so the kernel takes
-# C-contiguous rows.  Both kinds add 0.0, so a zero sum gives 0.0, not -0.0
+# C-contiguous rows, spacings included: the diff of a Fortran-order or
+# strided row keeps its layout.  Both kinds add 0.0, so a zero sum gives
+# 0.0, not -0.0
 def row_estimates(spacing, rows, weights):
     """The estimates of ``(cells, replications, n)`` rows, cell ``k`` under ``weights[k]``.
 
-    Spacing rows are the ``np.diff`` of ascending samples, order-statistic
-    rows the samples.  Returns the estimates and a dict from each
-    order-statistic cell with a negative value to its DomainError.
+    Each row is an ascending sample; a spacing estimator sums its
+    ``np.diff``, an order-statistic estimator the sample itself.  Returns
+    the estimates and a dict from each order-statistic cell with a
+    negative value to its DomainError.
     """
-    rows = np.ascontiguousarray(rows)
     if spacing:
+        rows = np.ascontiguousarray(np.diff(rows, axis=-1))
         return -0.5 * np.vecdot(rows, weights[:, None, :]) + 0.0, {}
+    rows = np.ascontiguousarray(rows)
     first = rows[:, :, 0]
     negative = np.flatnonzero(first.min(axis=1) < 0).tolist() if first.min() < 0 else ()
     message = "order-statistic estimator requires nonnegative values"
@@ -269,9 +273,9 @@ def estimate(spec, data, *, _m=None):
     if not np.isfinite(values).all():
         raise DomainError(f"estimator data must be finite, got {values[~np.isfinite(values)][0]}")
     spacing, denom = row_estimator(spec, m, values.size)
+    weights = row_weights(spacing, values.size, [denom])
     with np.errstate(over="ignore"):
-        rows = (np.diff(values) if spacing else values)[None, None]
-        estimates, errors = row_estimates(spacing, rows, row_weights(spacing, values.size, [denom]))
+        estimates, errors = row_estimates(spacing, values[None, None], weights)
     if errors:
         raise errors[0]
     if not np.isfinite(estimates).all():

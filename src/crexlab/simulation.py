@@ -152,21 +152,21 @@ _FIELD_READERS = tuple(_FROM_TEXT[f.type] for f in fields(SimulationRow))
 
 
 def _sequence(value, label):
-    """``value`` as a tuple; a bare string or a non-iterable raises SpecParseError."""
+    """``value`` as a nonempty tuple; a bare string, a non-iterable or an empty one raises.
+
+    Every list a grid is built from passes here once: the m, l and
+    estimator lists, every w list and the protocol sides.
+    """
     if not isinstance(value, str):
         try:
-            return tuple(value)
+            items = tuple(value)
         except TypeError:
             pass
+        else:
+            if items:
+                return items
+            raise SpecParseError(f"{label} must not be empty")
     raise SpecParseError(f"{label} must be a list, got {value!r}")
-
-
-def _frozen_w(w_list):
-    """A w list as a tuple; a string or a non-iterable stays, for ``cells()`` to reject."""
-    try:
-        return _sequence(w_list, "w list")
-    except SpecParseError:
-        return w_list
 
 
 @dataclass(frozen=True)
@@ -175,10 +175,11 @@ class SimulationConfig:
 
     ``w_lists`` maps an estimator kind to either one w sequence (used for
     every m) or a mapping ``m -> sequence``.  Estimator kinds without a
-    tuning value run once per (m, l) cell.  A config is frozen: its
-    fields are checked and normalized once, on construction, and
-    :func:`run_grid` trusts them.  ``w_lists`` is kept as read-only
-    mappings of tuples, copied from the caller's.
+    tuning value run once per (m, l) cell.  Every list, the m, l and
+    estimator lists and each w list alike, must be a nonempty list, not a
+    string.  A config is frozen: its fields are checked and normalized
+    once, on construction, and :func:`run_grid` trusts them.  ``w_lists``
+    is kept as read-only mappings of tuples, copied from the caller's.
     """
 
     distribution: Distribution | str
@@ -215,35 +216,34 @@ class SimulationConfig:
                     f"w_lists must be a mapping of estimator kind to w list, got {self.w_lists!r}"
                 )
             w_lists = {
-                token: MappingProxyType({m: _frozen_w(ws) for m, ws in w_list.items()})
+                token: MappingProxyType(
+                    {m: _sequence(ws, f"w list of {token!r} at m={m}") for m, ws in w_list.items()}
+                )
                 if isinstance(w_list, Mapping)
-                else _frozen_w(w_list)
+                else _sequence(w_list, f"w list of {token!r}")
                 for token, w_list in self.w_lists.items()
             }
             normalize("w_lists", MappingProxyType(w_lists))
-            normalize("_cells", tuple(self.cells()))  # checks every (estimator, w) pair
+            cells = []  # building each EstimatorSpec checks every (estimator, w) pair
+            for m in self.m_values:
+                specs = []
+                for token in self.estimators:
+                    kind = enum_member(EstimatorKind, token, "estimator")
+                    family = self.psi_family if kind is EstimatorKind.LSTAT_ADJUSTED else None
+                    w_list = w_lists.get(token, (None,))
+                    if isinstance(w_list, Mapping):
+                        w_list = w_list.get(m)
+                        if w_list is None:
+                            raise SpecParseError(f"no w list for estimator {token!r} at m={m}")
+                    specs += [EstimatorSpec(kind=kind, w=w, psi_family=family) for w in w_list]
+                cells += [(spec, m, l) for l in self.l_values for spec in specs]
+            normalize("_cells", tuple(cells))
         except DomainError as exc:
             raise SpecParseError(str(exc)) from exc
 
     def cells(self):
         """The grid's ``(EstimatorSpec, m, l)`` cells in row order: m, l, estimator, w."""
-        cells = []
-        for m in self.m_values:
-            specs = []
-            for token in self.estimators:
-                kind = enum_member(EstimatorKind, token, "estimator")
-                family = self.psi_family if kind is EstimatorKind.LSTAT_ADJUSTED else None
-                w_list = self.w_lists.get(token)
-                if w_list is None:
-                    w_list = (None,)
-                elif isinstance(w_list, Mapping):
-                    w_list = w_list.get(m)
-                    if w_list is None:
-                        raise SpecParseError(f"no w list for estimator {token!r} at m={m}")
-                for w in _sequence(w_list, f"w list of {token!r}"):
-                    specs.append(EstimatorSpec(kind=kind, w=w, psi_family=family))
-            cells += [(spec, m, l) for l in self.l_values for spec in specs]
-        return cells
+        return self._cells
 
 
 @dataclass(frozen=True)
@@ -512,8 +512,6 @@ class _Group:
             if lo >= hi:
                 continue
             rows = values[lo - start : hi - start]
-            if spacing:
-                rows = np.diff(rows, axis=1)
             # the part of a cell before the first boundary, the whole cells, the part after
             head = min(hi, -(-lo // replications) * replications)
             tail = max(head, hi // replications * replications)
@@ -775,8 +773,6 @@ def protocol_config(family, replications=5000, base_seed=DEFAULT_SEED, sides=("s
         known = ", ".join(sorted(PROTOCOL_DISTRIBUTIONS))
         raise SpecParseError(f"unknown protocol family {family!r} (known: {known})")
     sides = _sequence(sides, "sides")
-    if not sides:
-        raise SpecParseError("sides must name at least one side (use spacing/order)")
     for side in sides:
         if side not in ("spacing", "order"):
             raise SpecParseError(f"unknown side {side!r} (use spacing/order)")

@@ -153,8 +153,12 @@ def test_precision_below_1_exits_2(capsys, argv, precision):
         ["estimate", "--estimator", "vn", "--values", "1,nan,3"],
         ["measure", "--dist", "exp:rate=1", "--t", "nan"],
         ["estimate", "--estimator", "vn", "--draw", "exp:rate=1e-320", "--m", "2", "--l", "3"],
+        # a law whose draws can overflow to inf is rejected where it is built
+        ["measure", "--dist", "exp:rate=1e-320"],
+        ["estimate", "--estimator", "vn", "--draw", "finite:a=1e-320,b=1", "--m", "2", "--l", "2"],
     ],
-    ids=["exp-rate-nan", "unif-b-inf", "values-nan", "age-nan", "draws-inf"],
+    ids=["exp-rate-nan", "unif-b-inf", "values-nan", "age-nan", "draws-inf", "rate-quantile-inf",
+         "finite-draws-inf"],
 )
 def test_non_finite_input_exits_2(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -381,10 +385,14 @@ class TestSimulate:
             (["--dist", "exp:rate=1", "--m", "2,x"], "bad --m list: '2,x'"),
             (["--protocol", "exp", "--sides", "spacing,bogus"],
              "unknown side 'bogus' (use spacing/order)"),
-            (["--protocol", "exp", "--sides", ""],
-             "sides must name at least one side (use spacing/order)"),
+            (["--protocol", "exp", "--sides", ""], "sides must not be empty"),
+            # these gave a 0-cell grid: a header alone and exit 0
+            (["--dist", "exp:rate=1", "--m", ",", "--estimators", "rn", "--seed", "1"],
+             "m must not be empty"),
+            (["--dist", "exp:rate=1", "--estimators", ","], "estimators must not be empty"),
+            (["--dist", "exp:rate=1", "--w-rmn", ","], "w list of 'rmn' must not be empty"),
         ],
-        ids=["bad-m-list", "unknown-side", "no-side"],
+        ids=["bad-m-list", "unknown-side", "no-side", "no-m", "no-estimator", "no-w"],
     )
     def test_bad_list_flags_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, ["simulate", *argv, "--reps", "2"])

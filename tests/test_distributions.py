@@ -409,6 +409,21 @@ class TestSpecStrings:
         assert parse_distribution(dist.spec_string()) == dist
 
     @pytest.mark.parametrize(
+        "dist,shown,params",
+        [
+            (Exponential(0.5), "Exponential(rate=0.5)", "rate=0.5"),
+            (Uniform(2.0, 3.0), "Uniform(a=2, b=3)", "a=2,b=3"),
+            (FiniteRange(0.5, 0.7), "FiniteRange(a=0.5, b=0.7)", "a=0.5,b=0.7"),
+            (PowerBeta(0.3), "PowerBeta(alpha=0.3)", "alpha=0.3"),
+        ],
+        ids=["exp", "unif", "finite", "powerbeta"],
+    )
+    def test_each_family_names_its_params(self, dist, shown, params):
+        assert (repr(dist), dist.param_text()) == (shown, params)
+        assert dist.spec_string() == f"{dist.family}:{params}"
+        assert parse_distribution(dist.spec_string()) == dist
+
+    @pytest.mark.parametrize(
         "text",
         [
             "bogus:rate=1",
@@ -426,6 +441,23 @@ class TestSpecStrings:
     def test_parse_errors(self, text):
         with pytest.raises(SpecParseError):
             parse_distribution(text)
+
+    @pytest.mark.parametrize(
+        "law,smallest",
+        [(Exponential, 2.043552364819525e-307),
+         (lambda a: FiniteRange(a, 1.0), 5.562684646268003e-309)],
+        ids=["exp", "finite"],
+    )
+    def test_law_whose_draws_overflow_is_rejected(self, law, smallest):
+        # the smallest parameter whose quantile at the largest float below 1 is
+        # finite; a warning is an error in this suite, so no line may warn
+        top = law(smallest).quantile(np.array([np.nextafter(1.0, 0.0)]))
+        assert np.isfinite(top).all()
+        for param in (np.nextafter(smallest, 0.0), 1e-320):
+            with pytest.raises(DomainError, match="has quantile inf at the largest float below 1$"):
+                law(param)
+        with pytest.raises(SpecParseError, match=r"^exp:rate=9\.99989e-321 has quantile inf"):
+            parse_distribution("exp:rate=1e-320")
 
     def test_constructor_validation(self):
         with pytest.raises(DomainError):

@@ -649,17 +649,12 @@ class TestEstimateDispatch:
             estimator(np.array(values))
 
 
-def _kernel_operand(spacing, rows):
-    """What the row kernel sums for ascending ``rows``: their spacings, or the rows."""
-    return np.diff(rows, axis=-1) if spacing else rows
-
-
 def _kernel_rows(spec, m, rows):
     """Each row's estimate through the kernel seam, as one cell of one call."""
     n = rows.shape[-1]
     spacing, denom = row_estimator(spec, m, n)
     weights = row_weights(spacing, n, [denom])
-    estimates, errors = row_estimates(spacing, _kernel_operand(spacing, rows)[None], weights)
+    estimates, errors = row_estimates(spacing, rows[None], weights)
     assert errors == {}
     return estimates[0]
 
@@ -721,11 +716,11 @@ class TestRowKernel:
         kinds = [row_estimator(spec, m, n) for spec in specs]
         assert {kind for kind, _ in kinds} == {spacing}
         weights = row_weights(spacing, n, [denom for _, denom in kinds])
-        operand = _kernel_operand(spacing, rows)
-        estimates, errors = row_estimates(spacing, operand, weights)
+        estimates, errors = row_estimates(spacing, rows, weights)
         assert errors == {}
         assert estimates.tobytes() == expected.tobytes()
         # a dot per row, with the weights on either side of the broadcast product
+        operand = np.diff(rows, axis=-1) if spacing else rows
         by_dot = [[np.dot(row, w) for row in cell] for cell, w in zip(operand, weights)]
         weights = weights[:, None]
         for product in (np.vecdot(operand, weights), np.vecdot(weights, operand)):
@@ -784,8 +779,7 @@ class TestZeroSumSign:
         # three cells under their own denominators, in one broadcast call
         specs = [EstimatorSpec.parse(text) for text in TestRowKernel.CELLS[spacing][1:4]]
         weights = row_weights(spacing, 4, [row_estimator(spec, 2, 4)[1] for spec in specs])
-        operand = _kernel_operand(spacing, np.full((3, 5, 4), value))
-        estimates, errors = row_estimates(spacing, operand, weights)
+        estimates, errors = row_estimates(spacing, np.full((3, 5, 4), value), weights)
         assert errors == {} and estimates.shape == (3, 5)
         assert np.all(estimates == 0.0) and not np.signbit(estimates).any()
 

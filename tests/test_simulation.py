@@ -682,7 +682,7 @@ class TestConfigValidation:
             (("spacing", "bogus"), "unknown side 'bogus' (use spacing/order)"),
             ("spacingorder", "sides must be a list, got 'spacingorder'"),
             ("order", "sides must be a list, got 'order'"),
-            ((), "sides must name at least one side (use spacing/order)"),
+            ((), "sides must not be empty"),
             (None, "sides must be a list, got None"),
         ],
         ids=["unknown-side", "bare-string", "bare-side", "empty", "none"],
@@ -830,6 +830,27 @@ class TestConfigValidation:
         cfg = SimulationConfig(**{**self.VALID, "w_lists": {"rmn": w_list}})
         w_list.append(2)
         assert cfg.w_lists["rmn"] == (0, 1)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("m_values", (), "m must not be empty"),
+            ("l_values", [], "l must not be empty"),
+            ("estimators", (), "estimators must not be empty"),
+            ("w_lists", {"rmn": ()}, "w list of 'rmn' must not be empty"),
+            ("w_lists", {"rmn": {2: (0,), 3: []}}, "w list of 'rmn' at m=3 must not be empty"),
+            # w lists the grid never reads are lists all the same
+            ("w_lists", {"rmn": (0,), "lstat_adj": "01"},
+             "w list of 'lstat_adj' must be a list, got '01'"),
+            ("w_lists", {"rmn": {2: (0,), 7: 1}}, "w list of 'rmn' at m=7 must be a list, got 1"),
+        ],
+        ids=["m", "l", "estimators", "w", "per-m-w", "w-of-estimator-not-run", "w-at-m-not-run"],
+    )
+    def test_every_list_checked_on_construction(self, field, value, message):
+        # an empty list gave a grid without its cells, down to none at all
+        with pytest.raises(SpecParseError) as info:
+            SimulationConfig(**{**self.VALID, field: value})
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("w_lists", [[("rmn", (0,))], None, "rmn"])
     def test_w_lists_must_be_a_mapping(self, w_lists):
