@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, DivergenceError, SpecParseError, check_count, split_spec
-from .errors import check_integer
+from .errors import check_generator, check_integer
 
 __all__ = [
     "Distribution",
@@ -94,6 +94,16 @@ def _on_support(below, above, ends_inside=False):
         return method
 
     return decorate
+
+
+def _number_text(value):
+    """``value`` as ``:g`` text when that reads back as ``value``, else as its repr.
+
+    A law's spec text and digest come from this text, so two laws that
+    differ never share them.
+    """
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 def _require_finite(family, **params):
@@ -182,6 +192,7 @@ class Distribution:
 
     def sample(self, rng, count):
         """Draw ``count`` i.i.d. values by inverse transform on ``rng``."""
+        check_generator(rng)
         count = check_integer(count, "sample count")
         if count < 0:
             raise DomainError(f"sample count must be >= 0, got {count}")
@@ -248,13 +259,13 @@ class Distribution:
         return tuple((name, getattr(self, name)) for name in self.params)
 
     def param_text(self):
-        return ",".join(f"{k}={v:g}" for k, v in self.param_items())
+        return ",".join(f"{k}={_number_text(v)}" for k, v in self.param_items())
 
     def spec_string(self):
         return f"{self.family}:{self.param_text()}"
 
     def __repr__(self):
-        args = ", ".join(f"{k}={v:g}" for k, v in self.param_items())
+        args = ", ".join(f"{k}={_number_text(v)}" for k, v in self.param_items())
         return f"{type(self).__name__}({args})"
 
     def __eq__(self, other):

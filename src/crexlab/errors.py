@@ -7,10 +7,14 @@ simulation config; the CLI exits 2) instead of being truncated.
 :func:`check_integer` is that rule and
 :func:`check_count` adds ``>= 1``; both return the value as an int.
 :func:`enum_member` is the one lookup of an estimator kind, psi family or
-bias convention by its text.
+bias convention by its text.  :func:`check_generator` guards every draw,
+and :func:`text_lines` every CSV reader.
 """
 
+import io
 import operator
+
+import numpy as np
 
 
 class CrexlabError(Exception):
@@ -87,6 +91,32 @@ def check_count(value, label):
     if count < 1:
         raise DomainError(f"{label} must be >= 1, got {count}")
     return count
+
+
+def check_generator(rng):
+    """Raise DomainError unless ``rng`` is a ``numpy.random.Generator``."""
+    if not isinstance(rng, np.random.Generator):
+        raise DomainError(f"random stream must be a numpy.random.Generator, got {rng!r}")
+
+
+def text_lines(file, what):
+    """The lines of CSV text ``file``: a str, or a text file or other iterable of str lines.
+
+    Anything else, bytes or a line that is not a str included, raises
+    SpecParseError naming ``what``.
+    """
+    if isinstance(file, str):
+        return io.StringIO(file)
+    if isinstance(file, (bytes, bytearray)) or not hasattr(file, "__iter__"):
+        raise SpecParseError(f"{what} must be text or a text file, got {type(file).__name__}")
+
+    def lines():
+        for line in file:
+            if not isinstance(line, str):
+                raise SpecParseError(f"{what} must be text, got a {type(line).__name__} line")
+            yield line
+
+    return lines()
 
 
 class CellError(CrexlabError):

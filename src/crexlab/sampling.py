@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SpecParseError, check_count
+from .errors import DomainError, SpecParseError, check_count, check_generator, text_lines
 
 __all__ = [
     "MinRssuSample",
@@ -117,6 +117,7 @@ def draw_minrssu(dist, m, l, rng):
     """
     check_count(m, "m")
     check_count(l, "l")
+    check_generator(rng)
     per_cycle = m * (m + 1) // 2
     u = rng.random(l * per_cycle).reshape(l, per_cycle)
     return MinRssuSample(m=m, l=l, values=_minrssu_values(dist, m, u))
@@ -144,9 +145,7 @@ def sample_to_csv(sample, file=None):
 
 def sample_from_csv(file):
     """Read a sample written by :func:`sample_to_csv`; validates the grid."""
-    if isinstance(file, str):
-        file = io.StringIO(file)
-    reader = csv.reader(file)
+    reader = csv.reader(text_lines(file, "sample CSV"))
     try:
         header = tuple(next(reader))
     except StopIteration:

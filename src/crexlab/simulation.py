@@ -19,13 +19,16 @@ the same shape, the same ``(m, l)`` and ``vn`` or not, form a group.
 Rows of at most ``_NUMPY_PHILOX_MAX_WIDTH`` uniforms come from
 Philox4x64-10 written in numpy: the narrow rows of all groups, in group
 order, are cut into chunks of at most ``_CHUNK_UNIFORMS`` uniforms, and
-each chunk is one run over its flat list of (key, block counter) pairs.
-Wider rows reset numpy's C generator to each stream in turn, which is
-faster once a row spans more than a few blocks.  Both give exactly the
-stream :func:`replication_rng` builds.  A group's rows in a chunk are
-transformed and sorted at once, spacing cells first; each run of whole
-cells of one estimator kind is one broadcast ``np.vecdot``.  A grid's
-estimates are summarized by one set of reductions along the
+each chunk is one run over its streams' keys and block counts.  Block
+``b`` of a stream has counter ``(b + 1, 0, 0, 0)``, so the zero words fold
+two of the ten rounds: round 0 is a lookup in a table of the run's
+counter products, and round 1 multiplies the key word ``k0`` once per
+stream.  Wider rows reset numpy's C generator to each stream in turn,
+which is faster once a row spans more than a dozen or so blocks.  Both
+give exactly the stream :func:`replication_rng` builds.  A group's rows
+in a chunk are transformed and sorted at once, spacing cells first; each
+run of whole cells of one estimator kind is one broadcast ``np.vecdot``.
+A grid's estimates are summarized by one set of reductions along the
 replications, against a true value computed once; :func:`run_cell` then
 applies the bias convention to each cell's summary.
 
@@ -54,7 +57,7 @@ import numpy as np
 
 from .distributions import Distribution, parse_distribution
 from .errors import CellError, CrexlabError, DivergenceError, DomainError, SpecParseError
-from .errors import check_count, check_integer, enum_member
+from .errors import check_count, check_integer, enum_member, text_lines
 # estimate and draw_minrssu are unused here; the benchmark tracer wraps these bindings
 from .estimators import (  # noqa: F401
     EstimatorKind,
@@ -93,14 +96,16 @@ LSTAT_ADJ_W_GRID = {
     "beta": {m: (-3, -2, -1, 0) for m in (2, 3, 4, 5)},
 }
 # uniforms drawn per chunk of rows: bounds the working memory of a draw.
-# On 2 shared vCPUs a numpy Philox run costs about 0.6 ms plus 0.28 us per
+# On 2 shared vCPUs a numpy Philox run costs about 0.4 ms plus 0.2 us per
 # block; 2**16 draws an R=20 protocol grid in one run, and in 6 alternating
 # benchmark pairs beat 2**14 (3 runs) on every pair, 260k vs 240k
 # replications per calibrated second, for 1 MB more peak memory
 _CHUNK_UNIFORMS = 2**16
 # the widest row the numpy Philox draws; wider rows reset numpy's C generator.
-# On 2 shared vCPUs the numpy Philox costs about 0.25 us per block of four
-# uniforms and a reset 2.5-5 us per row: they break even at 48-60 uniforms
+# On 2 shared vCPUs the numpy Philox costs about 0.2 us per block of four
+# uniforms and a reset 2.5-3 us per row: they break even at 56-64 uniforms.
+# Protocol rows hold 6-45 uniforms and large-sample rows 5000 or more, so
+# any limit from 45 to 4999 draws the benchmarks alike
 _NUMPY_PHILOX_MAX_WIDTH = 48
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
@@ -371,33 +376,33 @@ def _mulhilo(mult, x):
     return m_hi * x_hi + (mid >> 32) + (low_mid >> 32), x * np.uint64(mult)
 
 
-def _stream_blocks(keys, width):
-    """Flat ``(k0, k1, counter)`` lists of the Philox blocks of ``width`` uniforms.
+def _philox_uniforms(keys, blocks):
+    """Uniforms of Philox4x64-10 blocks ``0 .. blocks[s] - 1`` of each stream ``s``, in numpy.
 
-    numpy's Philox4x64-10 raises its counter before each block, so block
-    ``b`` of the stream keyed by ``(k0, k1)`` has counter ``(b + 1, 0, 0,
-    0)``.  The lists hold blocks ``0 .. ceil(width / 4) - 1`` of each
-    stream keyed by ``keys``, stream by stream.
+    ``keys`` holds one ``(k0, k1)`` key per stream and ``blocks`` an
+    integer array of block counts, one per stream.  numpy's Philox raises
+    its counter before each block, so block ``b`` of a stream is the
+    10-round Philox of counter ``(b + 1, 0, 0, 0)`` under the stream's
+    key; it yields four 64-bit words in order, and a uniform is ``(word >>
+    11) * 2**-53``.  Returns a ``(sum(blocks), 4)`` array, stream by
+    stream.  The zero counter words fold two rounds: round 0 multiplies
+    only ``b + 1``, looked up in a table of the call's counters, and turns
+    the first word into ``k0`` and the second into 0, so round 1's first
+    product is taken once per stream.  Rounds 2-9 run in full; uint64
+    arrays wrap silently, as the C code does.
     """
-    blocks = -(-width // 4)
-    counters = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(keys))
-    return np.repeat(keys[:, 0], blocks), np.repeat(keys[:, 1], blocks), counters
-
-
-def _philox_uniforms(k0, k1, counters):
-    """The four uniforms of each Philox4x64-10 block ``(k0, k1, counter)``, in numpy.
-
-    Returns a ``(blocks, 4)`` array: the 10-round Philox of counter
-    ``(counter, 0, 0, 0)`` under key ``(k0, k1)`` yields four 64-bit words
-    in order, and a uniform is ``(word >> 11) * 2**-53``.  One call runs
-    any mix of streams and widths; uint64 arrays wrap silently, as the C
-    code does.
-    """
-    c0, c1 = counters, np.zeros_like(counters)
-    c2 = c3 = c1
-    for round_ in range(_PHILOX_ROUNDS):
-        if round_:
-            k0, k1 = k0 + _PHILOX_BUMP[0], k1 + _PHILOX_BUMP[1]
+    ends = np.cumsum(blocks)
+    index = np.arange(ends[-1]) - np.repeat(ends - blocks, blocks)
+    hi, lo = _mulhilo(_PHILOX_MULT[0], np.arange(1, blocks.max() + 1, dtype=np.uint64))
+    k0, k1 = np.repeat(keys[:, 0], blocks), np.repeat(keys[:, 1], blocks)
+    # after round 0 the words are (k0, 0, mulhi(b + 1) ^ k1, mullo(b + 1))
+    c2, c3 = hi[index] ^ k1, lo[index]
+    hi0, lo0 = _mulhilo(_PHILOX_MULT[0], keys[:, 0])
+    k0, k1 = k0 + _PHILOX_BUMP[0], k1 + _PHILOX_BUMP[1]
+    hi1, c1 = _mulhilo(_PHILOX_MULT[1], c2)
+    c0, c2, c3 = hi1 ^ k0, np.repeat(hi0, blocks) ^ c3 ^ k1, np.repeat(lo0, blocks)
+    for _ in range(2, _PHILOX_ROUNDS):
+        k0, k1 = k0 + _PHILOX_BUMP[0], k1 + _PHILOX_BUMP[1]
         hi0, lo0 = _mulhilo(_PHILOX_MULT[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_MULT[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
@@ -561,13 +566,15 @@ def _draw_groups(dist, groups):
     """
     narrow = [g for g in groups if g.width <= _NUMPY_PHILOX_MAX_WIDTH]
     for chunk in _chunks(narrow):
-        blocks = [_stream_blocks(g.keys[start:stop], g.width) for g, start, stop in chunk]
-        u = _philox_uniforms(*map(np.concatenate, zip(*blocks))).reshape(-1)
+        rows = [stop - start for _, start, stop in chunk]
+        blocks = [-(-group.width // 4) for group, _, _ in chunk]
+        keys = np.concatenate([group.keys[start:stop] for group, start, stop in chunk])
+        u = _philox_uniforms(keys, np.repeat(blocks, rows))
         offset = 0
-        for (group, start, stop), (k0, _, _) in zip(chunk, blocks):
-            rows = u[offset : offset + 4 * len(k0)].reshape(stop - start, -1)
-            group.add_rows(dist, start, stop, rows[:, : group.width])
-            offset += 4 * len(k0)
+        for (group, start, stop), count, row_blocks in zip(chunk, rows, blocks):
+            group_u = u[offset : offset + count * row_blocks].reshape(count, -1)
+            group.add_rows(dist, start, stop, group_u[:, : group.width])
+            offset += count * row_blocks
     for group in groups:
         if group.width > _NUMPY_PHILOX_MAX_WIDTH:
             uniforms = _reset_uniforms()
@@ -737,9 +744,8 @@ def rows_to_csv(rows, file=None):
 
 def rows_from_csv(file):
     """Read rows written by :func:`rows_to_csv`; '#' comment lines are skipped."""
-    if isinstance(file, str):
-        file = io.StringIO(file)
-    reader = csv.reader(line for line in file if not line.startswith("#"))
+    lines = text_lines(file, "results CSV")
+    reader = csv.reader(line for line in lines if not line.startswith("#"))
     try:
         header = tuple(next(reader))
     except StopIteration:

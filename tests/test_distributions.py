@@ -14,8 +14,10 @@ from crexlab import (
     PowerBeta,
     SpecParseError,
     Uniform,
+    crex,
     parse_distribution,
 )
+from crexlab.simulation import _cell_digest
 
 ALL_FAMILIES = [
     Exponential(1.0),
@@ -407,6 +409,44 @@ class TestSpecStrings:
     @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
     def test_spec_string_round_trip(self, dist):
         assert parse_distribution(dist.spec_string()) == dist
+
+    # every finite positive float, from subnormal to huge; the law's own
+    # check may reject it, as it rejects a rate whose draws overflow
+    POSITIVE = st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)
+    LAWS = {
+        "exp": st.builds(Exponential, POSITIVE),
+        "unif": st.tuples(st.floats(0.0, 1e300), POSITIVE).map(lambda p: (p[0], p[0] + p[1])),
+        "finite": st.builds(FiniteRange, POSITIVE, POSITIVE),
+        "powerbeta": st.builds(PowerBeta, POSITIVE),
+    }
+
+    @pytest.mark.parametrize("family", list(LAWS))
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_spec_string_round_trips_every_law(self, family, data):
+        try:
+            law = data.draw(self.LAWS[family])
+            if family == "unif":
+                law = Uniform(*law)
+        except DomainError:
+            return
+        assert parse_distribution(law.spec_string()) == law
+        assert eval(repr(law)) == law
+
+    def test_laws_that_differ_get_different_digests(self):
+        # both rates printed rate=0.123457 and so shared every stream
+        first, second = Exponential(0.1234567), Exponential(0.1234568)
+        assert (first.spec_string(), second.spec_string()) == (
+            "exp:rate=0.1234567",
+            "exp:rate=0.1234568",
+        )
+        assert repr(first) == "Exponential(rate=0.1234567)"
+        digests = [_cell_digest(law.spec_string(), "rn", 2, 3) for law in (first, second)]
+        assert digests[0] != digests[1]
+        assert crex(first).value != crex(second).value
+        # a law whose :g text reads back keeps its text, and so its digest and streams
+        assert Exponential(1 / 3).spec_string() == "exp:rate=0.3333333333333333"
+        assert PowerBeta(2.0).spec_string() == "powerbeta:alpha=2"
 
     @pytest.mark.parametrize(
         "dist,shown,params",

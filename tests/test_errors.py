@@ -1,7 +1,21 @@
+import io
+
+import numpy as np
 import pytest
 
-from crexlab import BiasConvention, EstimatorKind, PsiFamily, SpecParseError
-from crexlab.errors import enum_member
+from crexlab import (
+    BiasConvention,
+    DomainError,
+    EstimatorKind,
+    Exponential,
+    PsiFamily,
+    SpecParseError,
+    draw_minrssu,
+    draw_srs,
+    rows_from_csv,
+    sample_from_csv,
+)
+from crexlab.errors import enum_member, text_lines
 
 ENUMS = [
     pytest.param(EstimatorKind, "estimator", id="estimator"),
@@ -41,3 +55,46 @@ class TestEnumMember:
     def test_non_member_values_raise_spec_parse_error(self, kind, what, bad):
         with pytest.raises(SpecParseError, match=f"unknown {what} "):
             enum_member(kind, bad, what)
+
+
+_EXP = Exponential(1.0)
+
+
+class TestDrawAndCsvBoundary:
+    # a draw without a numpy Generator is a DomainError, on both draw paths
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: draw_minrssu(_EXP, 2, 3, 7), id="draw_minrssu-int"),
+            pytest.param(lambda: draw_minrssu(_EXP, 2, 3, None), id="draw_minrssu-None"),
+            pytest.param(lambda: draw_srs(_EXP, 3, 7), id="draw_srs-int"),
+            pytest.param(lambda: _EXP.sample(7, 3), id="sample-int"),
+            pytest.param(lambda: _EXP.sample(np.random.RandomState(0), 3), id="sample-RandomState"),
+        ],
+    )
+    def test_draw_needs_a_generator(self, call):
+        with pytest.raises(DomainError, match="must be a numpy.random.Generator"):
+            call()
+
+    # CSV input that is not text is a SpecParseError, in both readers
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: rows_from_csv(3), id="rows_from_csv-int"),
+            pytest.param(lambda: rows_from_csv(None), id="rows_from_csv-None"),
+            pytest.param(lambda: sample_from_csv(3), id="sample_from_csv-int"),
+            pytest.param(lambda: rows_from_csv(b"distribution"), id="rows_from_csv-bytes"),
+            pytest.param(
+                lambda: sample_from_csv(io.BytesIO(b"cycle,set_size,value\n")),
+                id="sample_from_csv-binary-file",
+            ),
+        ],
+    )
+    def test_csv_reader_needs_text(self, call):
+        with pytest.raises(SpecParseError, match="must be text"):
+            call()
+
+    def test_text_lines_pass_through(self):
+        text = "cycle,set_size,value\n1,1,0.5\n"
+        for source in (text, io.StringIO(text), text.splitlines(keepends=True)):
+            assert list(text_lines(source, "CSV")) == text.splitlines(keepends=True)

@@ -42,7 +42,6 @@ from crexlab.simulation import (
     _philox_uniforms,
     _replication_keys,
     _reset_uniforms,
-    _stream_blocks,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -50,7 +49,8 @@ DATA = Path(__file__).parent / "data"
 
 def _numpy_uniforms(keys, width):
     """``width`` uniforms per stream from one numpy Philox run."""
-    return _philox_uniforms(*_stream_blocks(keys, width)).reshape(len(keys), -1)[:, :width]
+    blocks = np.full(len(keys), -(-width // 4))
+    return _philox_uniforms(keys, blocks).reshape(len(keys), -1)[:, :width]
 
 
 def _forbid_drawing(monkeypatch):
@@ -242,9 +242,9 @@ class TestBatchedKernel:
         assert any(chunk[-1][0] is later[0][0] for chunk, later in zip(chunks, chunks[1:]))
         runs, drawn = [], {group: [] for group in groups}
 
-        def counted(*blocks):
-            runs.append(len(blocks[0]))
-            return _philox_uniforms(*blocks)
+        def counted(keys, blocks):
+            runs.append(len(keys))
+            return _philox_uniforms(keys, blocks)
 
         monkeypatch.setattr(simulation, "_philox_uniforms", counted)
         monkeypatch.setattr(
@@ -386,15 +386,42 @@ class TestBatchedKernel:
 
     def test_philox_leaves_its_arguments_unchanged(self):
         seed, digests, reps = 2**64 + 5, [7, 2**40], 9
-        blocks = _stream_blocks(_replication_keys(seed, digests, reps).reshape(-1, 2), 10)
-        before = [word.copy() for word in blocks]
-        first, second = _philox_uniforms(*blocks), _philox_uniforms(*blocks)
-        assert [word.tobytes() for word in blocks] == [word.tobytes() for word in before]
+        keys = _replication_keys(seed, digests, reps).reshape(-1, 2)
+        blocks = np.full(len(keys), 3)
+        before = [keys.copy(), blocks.copy()]
+        first, second = _philox_uniforms(keys, blocks), _philox_uniforms(keys, blocks)
+        assert [keys.tobytes(), blocks.tobytes()] == [array.tobytes() for array in before]
         expected = np.stack(
             [replication_rng(seed, d, r).random(12) for d in digests for r in range(reps)]
         )
         for u in (first, second):
             assert u.reshape(len(expected), -1).tobytes() == expected.tobytes()
+
+    def test_philox_oracle_mixes_every_block_count(self):
+        # one run over streams of 1 to 13 blocks in a scrambled order, rows
+        # of 1 to 52 uniforms; keys of replications and keys whose words
+        # are 0 and 2**64 - 1, each against numpy's C Philox from counter 0
+        seed, digest, top = 2**40 + 3, 0xFEDCBA9876543210, 2**64 - 1
+        edge_keys = [(0, 0), (top, top), (0, top), (top, 0)]
+        streams = []
+        for b in (7, 1, 13, 4, 12, 2, 9, 3, 11, 5, 10, 6, 8):
+            for width in (4 * b - 3, 4 * b):
+                r = len(streams) // 2
+                key = _replication_keys(seed, [digest], r + 1)[0, r]
+                streams.append((key, width, replication_rng(seed, digest, r)))
+                key = np.array(edge_keys[r % 4], np.uint64)
+                rng = np.random.Generator(np.random.Philox(key=key))
+                streams.append((key, width, rng))
+        keys = np.stack([key for key, _, _ in streams])
+        blocks = np.array([-(-width // 4) for _, width, _ in streams])
+        before = [keys.copy(), blocks.copy()]
+        u = _philox_uniforms(keys, blocks)
+        assert [keys.tobytes(), blocks.tobytes()] == [array.tobytes() for array in before]
+        assert u.shape == (blocks.sum(), 4) and set(blocks.tolist()) == set(range(1, 14))
+        rows = np.split(u, np.cumsum(blocks)[:-1])
+        for row, (key, width, rng) in zip(rows, streams):
+            assert rng.bit_generator.state["state"]["key"].tolist() == key.tolist()
+            assert row.reshape(-1)[:width].tobytes() == rng.random(width).tobytes()
 
 
 class TestRunGrid:
@@ -528,15 +555,16 @@ class TestRunGrid:
         cfg = SimulationConfig(**self.GRIDS[1])
         widths = {"numpy": set(), "reset": set()}
 
-        def numpy_philox(keys, width):
-            widths["numpy"].add(width)
-            return _stream_blocks(keys, width)
+        # the numpy Philox sees whole blocks: four uniforms per block
+        def numpy_philox(keys, blocks):
+            widths["numpy"].update((4 * blocks).tolist())
+            return _philox_uniforms(keys, blocks)
 
         def reset_philox():
             uniforms = _reset_uniforms()
             return lambda keys, width: widths["reset"].add(width) or uniforms(keys, width)
 
-        monkeypatch.setattr(simulation, "_stream_blocks", numpy_philox)
+        monkeypatch.setattr(simulation, "_philox_uniforms", numpy_philox)
         monkeypatch.setattr(simulation, "_reset_uniforms", reset_philox)
         expected = run_grid(cfg).rows
         assert max(widths["numpy"]) <= _NUMPY_PHILOX_MAX_WIDTH < min(widths["reset"])
