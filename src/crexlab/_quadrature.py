@@ -39,14 +39,16 @@ estimate, not a bound, as in QUADPACK.
 
 Unbounded supports are truncated at the ``1 - 1e-12`` quantile and the
 tail remainder is bounded analytically: for ``int_U^inf S**p`` the tail is
-at most ``S(U)**(p-1) * int_U^inf S = mrl(U) * S(U)**p``.
+at most ``S(U)**(p-1) * int_U^inf S = mrl(U) * S(U)**p``.  These tail
+constants, the truncation point U, ``S(U)`` and ``mrl(U)``, are worked out
+once per law instance, on its first quadrature call, not once per call.
 
 A measure call makes one ``survival_power_quad`` call for all its
 distinct powers: the rows are the powers of S, so S is evaluated once per
-node, and the support, start, truncation point and tail factor are worked
-out once.  Every survival-power functional goes through it, both
-discrimination measures included; only the squared density and the
-squared cdf have integrands of their own.
+node, and the support's head and start are worked out once, by the rule
+``Distribution.survival_power_integral`` uses.  Every survival-power
+functional goes through it, both discrimination measures included; only
+the squared density and the squared cdf have integrands of their own.
 
 The limit variances of the L-statistic are double integrals, kinked along
 ``x == y`` and symmetric in (x, y): twice the triangle ``y >= x`` is mapped
@@ -162,11 +164,8 @@ def _graded(n):
 
 
 def truncation_point(dist):
-    """Upper integration limit: support end, or the 1 - 1e-12 quantile."""
-    hi = dist.support[1]
-    if math.isfinite(hi):
-        return hi
-    return dist.quantile(1.0 - TAIL_MASS)
+    """Upper integration limit: support end, or the 1 - 1e-12 quantile; kept by the law instance."""
+    return dist._truncation_point
 
 
 def _not_converged(lo, hi, reason):
@@ -340,12 +339,11 @@ def _integral(fn, lo, hi):
 
 def survival_power_quad(dist, powers, lower):
     """One (value, error_bound) of ``int_t^inf S(x)**p dx`` per ``p`` in ``powers``."""
-    lo_sup, hi_sup = dist.support
     t = max(float(lower), 0.0)
-    if t >= hi_sup:
+    head_start = dist._head_start(t)
+    if head_start is None:
         return [(0.0, 0.0)] * len(powers)
-    head = max(0.0, lo_sup - t)
-    start = max(t, lo_sup)
+    head, start = head_start
     upper = truncation_point(dist)
     if upper <= start:
         raise DomainError(
@@ -353,9 +351,7 @@ def survival_power_quad(dist, powers, lower):
             f"lower limit {t:g}; use the closed route"
         )
     # the tail beyond ``upper`` is at most mrl(U) * S(U)**p; zero on a bounded support
-    s_u = mrl_u = 0.0
-    if not math.isfinite(hi_sup):
-        s_u, mrl_u = dist.survival(upper), dist.mean_residual_life(upper)
+    s_u, mrl_u = dist._tail_factors
     column = np.array(powers, dtype=float)[:, None]
     values, errors = gk21(lambda x: dist.survival(x) ** column, start, upper)
     return [

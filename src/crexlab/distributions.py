@@ -32,8 +32,9 @@ import math
 
 import numpy as np
 
+from ._quadrature import TAIL_MASS
 from .errors import DomainError, DivergenceError, SpecParseError, check_count, split_spec
-from .errors import check_generator, check_integer
+from .errors import check_generator, check_integer, check_real
 
 __all__ = [
     "Distribution",
@@ -108,7 +109,7 @@ def _number_text(value):
 
 def _require_finite(family, **params):
     for name, value in params.items():
-        if not math.isfinite(value):
+        if not math.isfinite(check_real(value, f"{family} parameter {name}")):
             raise DomainError(f"{family} parameter {name} must be finite, got {value}")
 
 
@@ -119,6 +120,11 @@ class Distribution:
     safe to call concurrently.  Sampling consumes uniforms from a caller
     owned ``numpy.random.Generator`` via the inverse transform, so a given
     stream state fully determines the output.
+
+    An instance derives its parameter text and the quadrature's tail
+    constants (the truncation point, and S and the mean residual life
+    there) once, on first use, and keeps them: an instance must not be
+    mutated after construction.
     """
 
     family = "base"
@@ -214,12 +220,23 @@ class Distribution:
         t = float(lower)
         if math.isnan(t):
             raise DomainError("survival-power lower limit is nan")
-        lo, hi = self.support
-        t = max(t, 0.0)
-        if t >= hi:
+        head_start = self._head_start(max(t, 0.0))
+        if head_start is None:
             return 0.0
-        head = max(0.0, lo - t)
-        return head + self._spi_tail(p, max(t, lo))
+        head, start = head_start
+        return head + self._spi_tail(p, start)
+
+    def _head_start(self, t):
+        """``(head, start)`` of ``int_t^inf S(x)**p dx`` at an age ``t >= 0``; None when ``t >= sup``.
+
+        ``head`` is the length of ``[t, lo)``, where S is 1, and the
+        integral from ``start = max(t, lo)`` on is `_spi_tail`'s or the
+        quadrature's.
+        """
+        lo, hi = self.support
+        if t >= hi:
+            return None
+        return max(0.0, lo - t), max(t, lo)
 
     def _spi_tail(self, p, t):
         raise NotImplementedError
@@ -240,6 +257,22 @@ class Distribution:
             raise DomainError(f"mean residual life undefined: survival({t}) = 0")
         return self.survival_power_integral(1.0, lower=t) / s
 
+    # -- the quadrature's tail constants --------------------------------
+
+    @functools.cached_property
+    def _truncation_point(self):
+        """The support end, or the ``1 - TAIL_MASS`` quantile on an unbounded support."""
+        hi = self.support[1]
+        return hi if math.isfinite(hi) else self.quantile(1.0 - TAIL_MASS)
+
+    @functools.cached_property
+    def _tail_factors(self):
+        """``(S(U), mrl(U))`` at the truncation point U; zeros on a bounded support."""
+        if math.isfinite(self.support[1]):
+            return 0.0, 0.0
+        upper = self._truncation_point
+        return self.survival(upper), self.mean_residual_life(upper)
+
     # -- closed-form squared-kernel integrals (used by measures) --------
 
     def pdf_square_integral(self):
@@ -259,6 +292,10 @@ class Distribution:
         return tuple((name, getattr(self, name)) for name in self.params)
 
     def param_text(self):
+        return self._param_text
+
+    @functools.cached_property
+    def _param_text(self):
         return ",".join(f"{k}={_number_text(v)}" for k, v in self.param_items())
 
     def spec_string(self):
@@ -335,7 +372,8 @@ class Uniform(Distribution):
             raise DomainError(f"uniform requires b > a, got a={a}, b={b}")
         if a < 0:
             raise DomainError(f"uniform lifetime support must start at a >= 0, got a={a}")
-        self.a = float(a)
+        # + 0.0 turns -0.0 into 0.0: equal laws share their text and streams
+        self.a = float(a) + 0.0
         self.b = float(b)
         self.support = (self.a, self.b)
 

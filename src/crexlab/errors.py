@@ -6,12 +6,16 @@ tuning offset ``w`` are integers: an int or a numpy integer passes, while
 simulation config; the CLI exits 2) instead of being truncated.
 :func:`check_integer` is that rule and
 :func:`check_count` adds ``>= 1``; both return the value as an int.
+Family parameters are real numbers: :func:`check_real` passes any
+``numbers.Real`` but a bool, and raises DomainError for ``"1"`` or None.
 :func:`enum_member` is the one lookup of an estimator kind, psi family or
 bias convention by its text.  :func:`check_generator` guards every draw,
 and :func:`text_lines` every CSV reader.
 """
 
 import io
+import math
+import numbers
 import operator
 
 import numpy as np
@@ -83,6 +87,17 @@ def check_integer(value, label):
         except TypeError:
             pass
     raise DomainError(f"{label} must be an integer, got {value!r}")
+
+
+def check_real(value, label):
+    """``value`` as a float; raise DomainError unless it is a real number (not a bool)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            # an int past the float range
+            return math.inf if value > 0 else -math.inf
+    raise DomainError(f"{label} must be a real number, got {value!r}")
 
 
 def check_count(value, label):

@@ -82,7 +82,10 @@ _NEEDS_W = {EstimatorKind.RMN, EstimatorKind.LSTAT_ADJUSTED}
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """Which estimator to run, its tuning offset w, and its psi family."""
+    """Which estimator to run, its tuning offset w, and its psi family.
+
+    A spec derives its two :meth:`text` forms once, on construction.
+    """
 
     kind: EstimatorKind
     w: int | None = None
@@ -104,16 +107,17 @@ class EstimatorSpec:
                 else "does not take"
             )
             raise SpecParseError(f"estimator {self.kind.value!r} {need} a psi family")
+        # the text without and with w, indexed by with_w
+        family = [] if self.psi_family is None else [f"family={self.psi_family.value}"]
+        w = [] if self.w is None else [f"w={self.w}"]
+        texts = tuple(
+            f"{self.kind.value}:{','.join(parts)}" if parts else self.kind.value
+            for parts in (family, family + w)
+        )
+        object.__setattr__(self, "_texts", texts)
 
     def text(self, with_w=True):
-        parts = []
-        if self.psi_family is not None:
-            parts.append(f"family={self.psi_family.value}")
-        if with_w and self.w is not None:
-            parts.append(f"w={self.w}")
-        if parts:
-            return f"{self.kind.value}:{','.join(parts)}"
-        return self.kind.value
+        return self._texts[bool(with_w)]
 
     @classmethod
     def parse(cls, text):

@@ -112,7 +112,9 @@ def _power_products(dist, power_lists, t, method):
     factors are accumulated in log space.  A scale ``S(t)**p`` or a
     product of nonzero factors outside the normal float range raises
     DivergenceError.  The error bound is ``|value| * sum_p err_p / I_p``
-    over the factors.
+    over the factors.  The age is checked here, once; the closed route
+    then takes each family tail ``_spi_tail`` from the head and start of
+    ``Distribution._head_start``, the rule ``survival_power_integral`` uses.
     """
     t = float(t)
     if not t >= 0.0:
@@ -127,7 +129,12 @@ def _power_products(dist, power_lists, t, method):
     bad = next((k for k, scale in enumerate(scales) if scale < _TINY), len(distinct))
     run = distinct[: bad + 1]
     if method is Method.CLOSED_FORM:
-        integrals = [(dist.survival_power_integral(p, lower=t), 0.0) for p in run]
+        invalid = [p for p in run if not 0.0 < p < math.inf]
+        if invalid:
+            raise DomainError(f"survival power must be positive and finite, got {invalid[0]}")
+        # S(t) > 0, so t lies below the support end
+        head, start = dist._head_start(t)
+        integrals = [(head + dist._spi_tail(p, start), 0.0) for p in run]
     else:
         integrals = nq.survival_power_quad(dist, run, t)
     if bad < len(distinct):

@@ -115,9 +115,16 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-# Philox4x64-10 constants (numpy/random/src/philox/philox.h)
-_PHILOX_MULT = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Philox4x64-10 constants (numpy/random/src/philox/philox.h), and the masks
+# and shift counts of its kernel, as np.uint64 scalars made once: numpy
+# converts a Python int operand on every ufunc call, and a run makes about
+# 330 of them.  Each multiplier is kept as its (low half, high half, whole)
+_LOW32, _SHIFT32, _SHIFT11 = np.uint64(_MASK32), np.uint64(32), np.uint64(11)
+_PHILOX_MULT = tuple(
+    (np.uint64(mult & _MASK32), np.uint64(mult >> 32), np.uint64(mult))
+    for mult in (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+)
+_PHILOX_BUMP = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
 
 PROTOCOL_DISTRIBUTIONS = {
@@ -367,13 +374,16 @@ def _replication_keys(base_seed, cell_digests, replications):
 
 
 def _mulhilo(mult, x):
-    """High and low 64-bit words of ``mult * x``, built from 32-bit halves."""
-    m_lo, m_hi = np.uint64(mult & _MASK32), np.uint64(mult >> 32)
-    x_lo, x_hi = x & _MASK32, x >> 32
+    """High and low 64-bit words of ``mult * x``, built from 32-bit halves.
+
+    ``mult`` is an entry of ``_PHILOX_MULT`` and ``x`` a uint64 array.
+    """
+    m_lo, m_hi, whole = mult
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
     # no sum below can pass 2**64 - 2**32
-    mid = m_hi * x_lo + ((m_lo * x_lo) >> 32)
-    low_mid = m_lo * x_hi + (mid & _MASK32)
-    return m_hi * x_hi + (mid >> 32) + (low_mid >> 32), x * np.uint64(mult)
+    mid = m_hi * x_lo + ((m_lo * x_lo) >> _SHIFT32)
+    low_mid = m_lo * x_hi + (mid & _LOW32)
+    return m_hi * x_hi + (mid >> _SHIFT32) + (low_mid >> _SHIFT32), x * whole
 
 
 def _philox_uniforms(keys, blocks):
@@ -406,7 +416,7 @@ def _philox_uniforms(keys, blocks):
         hi0, lo0 = _mulhilo(_PHILOX_MULT[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_MULT[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return (np.stack((c0, c1, c2, c3), axis=-1) >> 11) * 2.0**-53
+    return (np.stack((c0, c1, c2, c3), axis=-1) >> _SHIFT11) * 2.0**-53
 
 
 def _reset_uniforms():
@@ -648,17 +658,19 @@ def run_cell(
     Errors that do not depend on the drawn values are raised before any
     drawing.  :func:`run_grid` passes ``_summary``, this cell's entry of
     the grid kernel: its true value, mean estimate, RMSE and Monte Carlo
-    SE, or its error.
+    SE, or its error.  The arguments then come from a frozen
+    :class:`SimulationConfig`, which has checked them, so they are
+    parsed and checked only when ``run_cell`` runs its own cell.
     """
-    if isinstance(dist, str):
-        dist = parse_distribution(dist)
-    if isinstance(estimator, str):
-        estimator = EstimatorSpec.parse(estimator)
-    bias_convention = enum_member(BiasConvention, bias_convention, "bias convention")
-    replications = check_count(replications, "replications")
-    m, l = check_count(m, "m"), check_count(l, "l")
-    base_seed = _check_seed(base_seed)
     if _summary is None:
+        if isinstance(dist, str):
+            dist = parse_distribution(dist)
+        if isinstance(estimator, str):
+            estimator = EstimatorSpec.parse(estimator)
+        bias_convention = enum_member(BiasConvention, bias_convention, "bias convention")
+        replications = check_count(replications, "replications")
+        m, l = check_count(m, "m"), check_count(l, "l")
+        base_seed = _check_seed(base_seed)
         _summary = _grid_outcomes(dist, [(estimator, m, l)], replications, base_seed)[0]
     if isinstance(_summary, CrexlabError):
         raise _summary

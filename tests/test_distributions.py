@@ -17,7 +17,8 @@ from crexlab import (
     crex,
     parse_distribution,
 )
-from crexlab.simulation import _cell_digest
+from crexlab.distributions import _number_text
+from crexlab.simulation import _cell_digest, run_cell
 
 ALL_FAMILIES = [
     Exponential(1.0),
@@ -463,6 +464,24 @@ class TestSpecStrings:
         assert dist.spec_string() == f"{dist.family}:{params}"
         assert parse_distribution(dist.spec_string()) == dist
 
+    @pytest.mark.parametrize("dist", ALL_FAMILIES + [Exponential(0.1234567)], ids=repr)
+    def test_kept_text_equals_a_fresh_derivation(self, dist):
+        # the text is derived once per instance; a new instance derives it again
+        fresh = ",".join(f"{k}={_number_text(v)}" for k, v in dist.param_items())
+        twin = type(dist)(*(value for _, value in dist.param_items()))
+        assert dist.param_text() == dist.param_text() == twin.param_text() == fresh
+        assert dist.spec_string() == f"{dist.family}:{fresh}"
+
+    def test_negative_zero_is_the_law_at_zero(self):
+        # Uniform(-0.0, 1) equals Uniform(0, 1) and used to print a=-0, which
+        # gave it other digests and streams
+        laws = [Uniform(-0.0, 1.0), Uniform(0.0, 1.0), parse_distribution("unif:a=-0,b=1")]
+        assert math.copysign(1.0, laws[0].a) == 1.0
+        assert {law.spec_string() for law in laws} == {"unif:a=0,b=1"}
+        assert repr(laws[0]) == "Uniform(a=0, b=1)"
+        rows = {run_cell(law, "rn", 2, 2, 5, base_seed=1) for law in laws}
+        assert len(rows) == 1
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -512,3 +531,20 @@ class TestSpecStrings:
             FiniteRange(-1.0, 2.0)
         with pytest.raises(DomainError):
             PowerBeta(0.0)
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: Exponential("1"), "exponential parameter rate must be a real number, got '1'"),
+            (lambda: Uniform(0, "1"), "uniform parameter b must be a real number, got '1'"),
+            (lambda: PowerBeta(None), "powerbeta parameter alpha must be a real number, got None"),
+            (lambda: FiniteRange(1, [2]), "finite-range parameter b must be a real number, got \\[2\\]"),
+            (lambda: Exponential(True), "exponential parameter rate must be a real number, got True"),
+            (lambda: Exponential(10**400), "exponential parameter rate must be finite, got 1000"),
+        ],
+        ids=["exp-text", "unif-text", "powerbeta-none", "finite-list", "exp-bool", "exp-huge-int"],
+    )
+    def test_non_real_parameter_is_a_domain_error(self, build, message):
+        # each of the first four used to end in a bare TypeError
+        with pytest.raises(DomainError, match=f"^{message}"):
+            build()

@@ -296,6 +296,24 @@ class TestEstimatorSpec:
         assert EstimatorSpec.parse(spec.text()) == spec
 
     @pytest.mark.parametrize(
+        "text,short",
+        [
+            ("vn", "vn"),
+            ("rn", "rn"),
+            ("rmn:w=-2", "rmn"),
+            ("lstat", "lstat"),
+            ("lstat_adj:family=beta,w=3", "lstat_adj:family=beta"),
+        ],
+    )
+    def test_kept_text_equals_a_fresh_derivation(self, text, short):
+        # both texts are derived on construction and kept; a copy derives them again
+        spec = EstimatorSpec.parse(text)
+        for _ in range(2):
+            assert (spec.text(), spec.text(with_w=False)) == (text, short)
+        twin = EstimatorSpec(spec.kind, w=spec.w, psi_family=spec.psi_family)
+        assert (twin.text(with_w=False), twin.text()) == (short, text)
+
+    @pytest.mark.parametrize(
         "text",
         [
             "bogus",

@@ -419,6 +419,23 @@ class TestQuadratureSharing:
         nodes = np.concatenate(rounds)
         assert np.unique(nodes).size == nodes.size
 
+    def test_tail_constants_once_per_law_instance(self, monkeypatch):
+        quantiles, survivals = [], []
+        quantile, survival = Exponential.quantile, Exponential.survival
+        monkeypatch.setattr(Exponential, "quantile",
+                            lambda self, u: quantiles.append(u) or quantile(self, u))
+        monkeypatch.setattr(Exponential, "survival",
+                            lambda self, x: survivals.append(np.ndim(x)) or survival(self, x))
+        law = Exponential(1.0)
+        crex(law, method="quadrature")
+        crex_minrssu_design(law, 3, method="quadrature")
+        # the truncation point and S there are worked out on the first call only
+        assert quantiles == [1.0 - nq.TAIL_MASS]
+        assert survivals.count(0) == 1
+        # kept by the instance, not by its value: an equal law works them out again
+        crex(Exponential(1.0), method="quadrature")
+        assert len(quantiles) == 2 and survivals.count(0) == 2
+
     def test_one_quadrature_call_per_measure_call(self, monkeypatch):
         from crexlab import _quadrature
 

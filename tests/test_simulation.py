@@ -98,6 +98,25 @@ class TestRunCell:
         assert row.bias == pytest.approx(0.25, abs=0.0)
         assert row.rmse == pytest.approx(0.25, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "change,error,message",
+        [
+            ({"m": 0}, DomainError, "m must be >= 1, got 0"),
+            ({"l": 2.5}, DomainError, "l must be an integer, got 2.5"),
+            ({"replications": True}, DomainError, "replications must be an integer, got True"),
+            ({"base_seed": -1}, DomainError, "base seed must be >= 0, got -1"),
+            ({"bias_convention": "bogus"}, SpecParseError, "unknown bias convention 'bogus'"),
+        ],
+        ids=["m", "l", "replications", "seed", "convention"],
+    )
+    def test_direct_call_checks_its_arguments(self, change, error, message, monkeypatch):
+        # a grid hands run_cell checked config values; a direct call is checked before drawing
+        _forbid_drawing(monkeypatch)
+        args = {"m": 2, "l": 2, "replications": 3, "base_seed": 1,
+                "bias_convention": "truth-minus-estimate", **change}
+        with pytest.raises(error, match=f"^{message}"):
+            run_cell("exp:rate=1", "rn", **args)
+
     def test_vn_runs_on_srs(self):
         # with m=1 the two samplers coincide; bias must be small at n=2000
         row = run_cell("unif:a=0,b=1", "vn", 1, 2000, 50, base_seed=3)
