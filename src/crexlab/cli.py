@@ -115,8 +115,7 @@ def _load_estimate_data(args):
             raise SpecParseError("--values is empty")
         sample = MinRssuSample(m=1, l=vals.size, values=vals.reshape(-1, 1))
     else:
-        dist = parse_distribution(args.draw)
-        sample = draw_minrssu(dist, args.m, args.l, replication_rng(args.seed, 0, 0))
+        sample = draw_minrssu(args.draw, args.m, args.l, replication_rng(args.seed, 0, 0))
     if args.save is not None:
         with open(args.save, "w", newline="") as fh:
             sample_to_csv(sample, fh)

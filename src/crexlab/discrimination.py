@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 # survival_power_quad is unused here; the benchmark tracer wraps this binding
 from ._quadrature import survival_power_quad  # noqa: F401
-from .errors import check_count
+from .errors import check_count, check_real
 from .measures import Method, _measures
 
 __all__ = ["DiscriminationValue", "d_min_vs_parent", "d_designs"]
@@ -36,7 +36,7 @@ class DiscriminationValue:
     method: Method
 
     def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "value", check_real(self.value, "discrimination value"))
 
     def __float__(self):
         return self.value

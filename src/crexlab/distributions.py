@@ -23,6 +23,8 @@ Whitespace around the family, names and values is ignored, and the
 family is matched in any case.  Every parameter must be given exactly
 once (a repeated name is rejected) and must be finite.  Examples:
 ``exp:rate=1``, ``unif:a=0,b=1``, ``finite:a=2,b=3``, ``powerbeta:alpha=2``.
+Every function of the package that takes a law takes a Distribution or
+its spec text, through :func:`as_distribution`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from ._quadrature import TAIL_MASS
 from .errors import DomainError, DivergenceError, SpecParseError, check_count, split_spec
-from .errors import check_generator, check_integer, check_real
+from .errors import check_array, check_generator, check_integer, check_powers, check_real
 
 __all__ = [
     "Distribution",
@@ -43,6 +45,7 @@ __all__ = [
     "FiniteRange",
     "PowerBeta",
     "parse_distribution",
+    "as_distribution",
 ]
 
 
@@ -67,14 +70,19 @@ def _on_support(below, above, ends_inside=False):
     ``func`` sees an array of points inside the support only: the whole
     argument when every point lies inside, else the inside points.  A
     scalar is a one-element array on the same route and comes back as a
-    float.  A nan argument raises DomainError.
+    float.  An argument that is not real numbers, or holds a nan, raises
+    DomainError.
     """
 
     def decorate(func):
         @functools.wraps(func)
         def method(self, x):
             lo, hi = self.support
-            arr = np.asarray(x, dtype=float)
+            try:
+                arr = np.asarray(x, dtype=float)
+            except (TypeError, ValueError):
+                # the array rule raises its DomainError
+                arr = check_array(x, f"{func.__name__} argument")
             vals = np.atleast_1d(arr)
             if _all_inside(vals, lo, hi, ends_inside):
                 out = func(self, vals)
@@ -178,7 +186,7 @@ class Distribution:
 
     def quantile(self, u):
         """Generalized inverse ``inf{x : cdf(x) >= u}`` for u in [0, 1]."""
-        arr = np.asarray(u, dtype=float)
+        arr = check_array(u, "quantile argument")
         vals = np.atleast_1d(arr)
         if _all_inside(vals, 0.0, 1.0):
             out = self._quantile(vals)
@@ -215,9 +223,9 @@ class Distribution:
         contributes its length.  Subclasses implement `_spi_tail` for the
         part inside the support.
         """
-        if not 0 < p < math.inf:
-            raise DomainError(f"survival power must be positive and finite, got {p}")
-        t = float(lower)
+        check_real(p, "survival power")
+        check_powers([p])
+        t = check_real(lower, "survival-power lower limit")
         if math.isnan(t):
             raise DomainError("survival-power lower limit is nan")
         head_start = self._head_start(max(t, 0.0))
@@ -252,7 +260,7 @@ class Distribution:
 
     def mean_residual_life(self, t):
         """Expected remaining lifetime beyond age ``t``."""
-        s = self.survival(float(t))
+        s = self.survival(check_real(t, "age"))
         if s <= 0.0:
             raise DomainError(f"mean residual life undefined: survival({t}) = 0")
         return self.survival_power_integral(1.0, lower=t) / s
@@ -346,7 +354,7 @@ class Exponential(Distribution):
         return math.exp(-self.rate * p * t) / (self.rate * p)
 
     def mean_residual_life(self, t):
-        if math.isnan(t):
+        if math.isnan(check_real(t, "age")):
             raise DomainError("mean residual life argument is nan")
         # memoryless: constant in t
         return 1.0 / self.rate
@@ -523,3 +531,8 @@ def parse_distribution(text):
         return cls(**values)
     except DomainError as exc:
         raise SpecParseError(str(exc)) from exc
+
+
+def as_distribution(law):
+    """``law`` itself when it is a Distribution, else the law its spec text names."""
+    return law if isinstance(law, Distribution) else parse_distribution(law)

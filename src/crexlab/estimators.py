@@ -19,7 +19,11 @@ in the ``head:key=value,...`` grammar of distribution specs
 the family are matched in any case, and a repeated key is rejected.
 :func:`estimate` is the one dispatcher and alone decides what data each
 estimator takes; ``vn``, ``rn``, ``rmn``, ``lstat`` and ``lstat_adjusted``
-each call it with one spec.
+each call it with one spec.  It takes an EstimatorSpec or its text,
+through :meth:`EstimatorSpec.coerce`.  :func:`row_estimator`,
+:func:`row_weights` and :func:`row_estimates` are the simulation grid
+kernel's: they take the specs, weight rows and sorted samples the kernel
+builds, unchecked, and are not part of ``__all__``.
 
 The asymptotic variance functionals of the L-statistic route are evaluated
 by tensor quadrature on the triangle ``y >= x``, where the covariance
@@ -37,9 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import double_quad_kinked, truncation_point
+from .distributions import as_distribution
 from .errors import DivergenceError, DomainError, ParameterError, SizeError, SpecParseError
-from .errors import check_count, check_integer, enum_member, split_spec
-from .sampling import pooled_order_statistics
+from .errors import check_array, check_count, check_integer, enum_member, split_spec
+from .sampling import MinRssuSample, pooled_order_statistics
 
 __all__ = [
     "PsiFamily",
@@ -53,9 +58,6 @@ __all__ = [
     "psi",
     "lstat_adjusted",
     "estimate",
-    "row_estimator",
-    "row_weights",
-    "row_estimates",
     "asymptotic_variance_srs",
     "asymptotic_variance_minrssu",
 ]
@@ -92,21 +94,20 @@ class EstimatorSpec:
     psi_family: PsiFamily | None = None
 
     def __post_init__(self):
+        kind = enum_member(EstimatorKind, self.kind, "estimator")
+        object.__setattr__(self, "kind", kind)
         if self.psi_family is not None:
             family = enum_member(PsiFamily, self.psi_family, "psi family")
             object.__setattr__(self, "psi_family", family)
-        if (self.w is not None) != (self.kind in _NEEDS_W):
-            need = "requires" if self.kind in _NEEDS_W else "does not take"
-            raise SpecParseError(f"estimator {self.kind.value!r} {need} a w value")
+        if (self.w is not None) != (kind in _NEEDS_W):
+            need = "requires" if kind in _NEEDS_W else "does not take"
+            raise SpecParseError(f"estimator {kind.value!r} {need} a w value")
         if self.w is not None:
             object.__setattr__(self, "w", check_integer(self.w, "w"))
-        if (self.psi_family is not None) != (self.kind is EstimatorKind.LSTAT_ADJUSTED):
-            need = (
-                "requires"
-                if self.kind is EstimatorKind.LSTAT_ADJUSTED
-                else "does not take"
-            )
-            raise SpecParseError(f"estimator {self.kind.value!r} {need} a psi family")
+        adjusted = kind is EstimatorKind.LSTAT_ADJUSTED
+        if (self.psi_family is not None) != adjusted:
+            need = "requires" if adjusted else "does not take"
+            raise SpecParseError(f"estimator {kind.value!r} {need} a psi family")
         # the text without and with w, indexed by with_w
         family = [] if self.psi_family is None else [f"family={self.psi_family.value}"]
         w = [] if self.w is None else [f"w={self.w}"]
@@ -137,6 +138,11 @@ class EstimatorSpec:
                 raise SpecParseError(f"unknown estimator option {key!r}")
         return cls(kind=kind, w=w, psi_family=family)
 
+    @classmethod
+    def coerce(cls, spec):
+        """``spec`` itself when it is an EstimatorSpec, else the spec its text names."""
+        return spec if isinstance(spec, cls) else cls.parse(spec)
+
 
 class EmpiricalSurvival:
     """Right-continuous complement of the empirical distribution function.
@@ -146,14 +152,14 @@ class EmpiricalSurvival:
     """
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=float).ravel()
+        arr = check_array(values, "empirical survival values").ravel()
         if arr.size == 0:
             raise SizeError("empirical survival needs at least one value")
         self.order_stats = np.sort(arr)
         self.n = arr.size
 
     def survival(self, x):
-        arr = np.asarray(x, dtype=float)
+        arr = check_array(x, "empirical survival argument")
         if np.isnan(arr).any():
             raise DomainError(f"empirical survival argument contains nan: {x!r}")
         counts = np.searchsorted(self.order_stats, np.atleast_1d(arr), side="right")
@@ -167,16 +173,11 @@ class EmpiricalSurvival:
         return 1.0 - s
 
 
-def _design_size(data):
-    """The design size m of a MinRSSU sample; None for a plain value array."""
-    return data.m if hasattr(data, "values") else None
-
-
 def _sorted_values(data):
-    """Ascending values of a MinRSSU sample (pooled) or of a value array."""
-    if _design_size(data) is not None:
+    """Ascending values of a MinRSSU sample (pooled) or of a value array of any shape."""
+    if isinstance(data, MinRssuSample):
         return pooled_order_statistics(data)
-    return np.sort(np.asarray(data, dtype=float).ravel())
+    return np.sort(check_array(data, "estimator data").ravel())
 
 
 def row_estimator(spec, m, n):
@@ -255,16 +256,20 @@ def row_estimates(spacing, rows, weights):
 def estimate(spec, data, *, _m=None):
     """Run the estimator ``spec`` on a MinRSSU sample or a plain value array.
 
-    This is the one place that decides what data each estimator takes.
-    A MinRSSU sample supplies the design size m; ``rn`` and ``lstat_adj``
-    need one, and ``rmn`` on a plain value array needs the m that
-    :func:`rmn` passes on as ``_m``, a count like every other m.  ``vn``
-    and ``lstat`` take either.  A nan or infinite value raises
-    DomainError, and an estimate that overflows DivergenceError.
+    ``spec`` is an EstimatorSpec or its text.  This is the one place
+    that decides what data each estimator takes.  A MinRSSU sample
+    supplies the design size m; ``rn`` and ``lstat_adj`` need one, and
+    ``rmn`` on a plain value array needs the m that :func:`rmn` passes on
+    as ``_m``, a count like every other m.  ``vn`` and ``lstat`` take
+    either.  A plain array of any shape is ravelled:
+    ``vn(np.ones((2, 2)))`` is ``vn`` of four equal values, 0.0.  A nan
+    or infinite value raises DomainError, and an estimate that overflows
+    DivergenceError.
     """
+    spec = EstimatorSpec.coerce(spec)
     if _m is not None:
         _m = check_count(_m, "m")
-    m = _design_size(data)
+    m = data.m if isinstance(data, MinRssuSample) else None
     if m is None:
         if spec.kind in (EstimatorKind.RN, EstimatorKind.LSTAT_ADJUSTED):
             raise ParameterError(
@@ -370,5 +375,6 @@ def asymptotic_variance_minrssu(dist, m):
 
 
 def _asymptotic_variance(dist, m):
+    dist = as_distribution(dist)
     lo = max(0.0, dist.support[0])
     return max(double_quad_kinked(dist.survival, m, lo, truncation_point(dist)), 0.0)

@@ -30,7 +30,8 @@ import sys
 from dataclasses import dataclass
 
 from . import _quadrature as nq
-from .errors import DivergenceError, DomainError, check_count
+from .distributions import as_distribution
+from .errors import DivergenceError, DomainError, check_count, check_powers, check_real
 
 __all__ = [
     "Method",
@@ -67,28 +68,31 @@ class CrexValue:
     abs_error_bound: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "abs_error_bound", float(self.abs_error_bound))
+        object.__setattr__(self, "value", check_real(self.value, "measure value"))
+        object.__setattr__(self, "abs_error_bound", check_real(self.abs_error_bound, "error bound"))
         if self.value > 0.0:
-            raise ValueError(f"measure value must be <= 0, got {self.value}")
+            raise DomainError(f"measure value must be <= 0, got {self.value}")
 
     def __float__(self):
         return self.value
 
 
+# the text of each evaluation method, aliases included
+_METHODS = {"closed": Method.CLOSED_FORM, "closed-form": Method.CLOSED_FORM,
+            "quad": Method.QUADRATURE, "quadrature": Method.QUADRATURE}
+
+
 def _coerce_method(method):
     if isinstance(method, Method):
         return method
-    if method in ("closed", "closed-form"):
-        return Method.CLOSED_FORM
-    if method in ("quad", "quadrature"):
-        return Method.QUADRATURE
+    if isinstance(method, str) and method in _METHODS:
+        return _METHODS[method]
     raise DomainError(f"unknown evaluation method {method!r}")
 
 
 def extropy(dist, method="closed"):
     """``-(1/2) int f(x)**2 dx``; always <= 0."""
-    method = _coerce_method(method)
+    dist, method = as_distribution(dist), _coerce_method(method)
     if method is Method.CLOSED_FORM:
         return -0.5 * dist.pdf_square_integral()
     value, _ = nq.pdf_square_quad(dist)
@@ -97,7 +101,7 @@ def extropy(dist, method="closed"):
 
 def cumulative_extropy(dist, method="closed"):
     """``-(1/2) int_0^sup F(x)**2 dx``; diverges on unbounded support."""
-    method = _coerce_method(method)
+    dist, method = as_distribution(dist), _coerce_method(method)
     if method is Method.CLOSED_FORM:
         return -0.5 * dist.cdf_square_integral()
     value, _ = nq.cdf_square_quad(dist)
@@ -112,11 +116,12 @@ def _power_products(dist, power_lists, t, method):
     factors are accumulated in log space.  A scale ``S(t)**p`` or a
     product of nonzero factors outside the normal float range raises
     DivergenceError.  The error bound is ``|value| * sum_p err_p / I_p``
-    over the factors.  The age is checked here, once; the closed route
-    then takes each family tail ``_spi_tail`` from the head and start of
-    ``Distribution._head_start``, the rule ``survival_power_integral`` uses.
+    over the factors.  The age and the powers are checked here, once,
+    ahead of either route, by the rules ``survival_power_integral`` uses;
+    the closed route then takes each family tail ``_spi_tail`` from the
+    head and start of ``Distribution._head_start``.
     """
-    t = float(t)
+    t = check_real(t, "age")
     if not t >= 0.0:
         raise DomainError(f"age must be >= 0, got {t}")
     # age 0 is the unconditioned measure
@@ -124,14 +129,12 @@ def _power_products(dist, power_lists, t, method):
     if s_t <= 0.0:
         raise DomainError(f"measure undefined: survival({t}) = 0")
     distinct = list(dict.fromkeys(itertools.chain.from_iterable(power_lists)))
+    check_powers(distinct)
     scales = [s_t**p for p in distinct]
     # integrate up to the first power whose scale underflows: its integration errors come first
     bad = next((k for k, scale in enumerate(scales) if scale < _TINY), len(distinct))
     run = distinct[: bad + 1]
     if method is Method.CLOSED_FORM:
-        invalid = [p for p in run if not 0.0 < p < math.inf]
-        if invalid:
-            raise DomainError(f"survival power must be positive and finite, got {invalid[0]}")
         # S(t) > 0, so t lies below the support end
         head, start = dist._head_start(t)
         integrals = [(head + dist._spi_tail(p, start), 0.0) for p in run]
@@ -166,8 +169,8 @@ def _product(powers, factor_of, rel_err_of):
 
 
 def _measures(dist, power_lists, t, method):
-    """One CrexValue of :func:`_power_products` per power list."""
-    method = _coerce_method(method)
+    """One CrexValue of :func:`_power_products` per power list; ``dist`` is a law or its text."""
+    dist, method = as_distribution(dist), _coerce_method(method)
     return [CrexValue(value, method, err)
             for value, err in _power_products(dist, power_lists, t, method)]
 

@@ -16,15 +16,15 @@ Samples round-trip through CSV with header ``cycle,set_size,value``
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SpecParseError, check_count, check_generator, text_lines
+from .distributions import as_distribution
+from .errors import DomainError, SpecParseError, check_array, check_count, check_generator
+from .errors import check_integer, read_csv, write_csv
 
 __all__ = [
     "MinRssuSample",
@@ -53,7 +53,7 @@ class MinRssuSample:
     def __post_init__(self):
         check_count(self.m, "m")
         check_count(self.l, "l")
-        arr = np.asarray(self.values, dtype=float)
+        arr = check_array(self.values, "sample values")
         if arr.shape != (self.l, self.m):
             raise DomainError(
                 f"values must have shape (l, m) = ({self.l}, {self.m}), got {arr.shape}"
@@ -66,7 +66,7 @@ class MinRssuSample:
 
     def set_values(self, i):
         """All recorded minima for set size ``i`` across cycles."""
-        if not 1 <= i <= self.m:
+        if not 1 <= check_integer(i, "set size") <= self.m:
             raise DomainError(f"set size must be in 1..{self.m}, got {i}")
         return self.values[:, i - 1]
 
@@ -74,7 +74,7 @@ class MinRssuSample:
 def draw_srs(dist, n, rng):
     """``n`` i.i.d. draws from ``dist`` using the caller's stream."""
     check_count(n, "sample size")
-    return dist.sample(rng, n)
+    return as_distribution(dist).sample(rng, n)
 
 
 @functools.lru_cache(maxsize=64)
@@ -115,6 +115,7 @@ def draw_minrssu(dist, m, l, rng):
     Consumes exactly ``l * m * (m + 1) / 2`` uniforms from ``rng`` in the
     documented order.
     """
+    dist = as_distribution(dist)
     check_count(m, "m")
     check_count(l, "l")
     check_generator(rng)
@@ -130,36 +131,18 @@ def pooled_order_statistics(sample):
 
 def sample_to_csv(sample, file=None):
     """Write ``cycle,set_size,value`` rows; returns the text if file is None."""
-    own = file is None
-    if own:
-        file = io.StringIO()
-    writer = csv.writer(file, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for j in range(sample.l):
-        for i in range(sample.m):
-            writer.writerow([j + 1, i + 1, repr(float(sample.values[j, i]))])
-    if own:
-        return file.getvalue()
-    return None
+    rows = ([j + 1, i + 1, repr(float(sample.values[j, i]))]
+            for j in range(sample.l) for i in range(sample.m))
+    return write_csv(CSV_HEADER, rows, file)
 
 
 def sample_from_csv(file):
     """Read a sample written by :func:`sample_to_csv`; validates the grid."""
-    reader = csv.reader(text_lines(file, "sample CSV"))
-    try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise SpecParseError("empty sample CSV") from None
-    if header != CSV_HEADER:
-        raise SpecParseError(f"expected header {','.join(CSV_HEADER)}, got {header}")
     entries = {}
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise SpecParseError(f"malformed sample row: {row}")
+    for row in read_csv(file, CSV_HEADER, "sample CSV"):
         try:
-            j, i, value = int(row[0]), int(row[1]), float(row[2])
+            j, i, value = row
+            j, i, value = int(j), int(i), float(value)
         except ValueError:
             raise SpecParseError(f"malformed sample row: {row}") from None
         if not math.isfinite(value):

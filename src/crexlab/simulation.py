@@ -44,10 +44,8 @@ names, in order::
 
 from __future__ import annotations
 
-import csv
 import enum
 import hashlib
-import io
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
@@ -55,9 +53,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distributions import Distribution, parse_distribution
+from .distributions import Distribution, as_distribution
 from .errors import CellError, CrexlabError, DivergenceError, DomainError, SpecParseError
-from .errors import check_count, check_integer, enum_member, text_lines
+from .errors import check_count, check_integer, enum_member, read_csv, write_csv
 # estimate and draw_minrssu are unused here; the benchmark tracer wraps these bindings
 from .estimators import (  # noqa: F401
     EstimatorKind,
@@ -209,8 +207,7 @@ class SimulationConfig:
         def normalize(name, value):
             object.__setattr__(self, name, value)
 
-        if not isinstance(self.distribution, Distribution):
-            normalize("distribution", parse_distribution(self.distribution))
+        normalize("distribution", as_distribution(self.distribution))
         normalize(
             "bias_convention",
             enum_member(BiasConvention, self.bias_convention, "bias convention"),
@@ -650,9 +647,10 @@ def run_cell(
 ):
     """Run one grid cell and summarize bias / RMSE against the true measure.
 
-    ``run_cell`` runs a grid of this one cell: the grid kernel draws and
-    estimates its replications in chunks, and every estimate equals the
-    one from the replication's own :func:`replication_rng` stream,
+    ``dist`` is a law or its spec text, ``estimator`` an EstimatorSpec or
+    its text.  ``run_cell`` runs a grid of this one cell: the grid kernel
+    draws and estimates its replications in chunks, and every estimate
+    equals the one from the replication's own :func:`replication_rng` stream,
     :func:`~crexlab.sampling.draw_minrssu` (``Distribution.sample`` for
     ``vn``) and :func:`~crexlab.estimators.estimate`, bit for bit.
     Errors that do not depend on the drawn values are raised before any
@@ -663,10 +661,7 @@ def run_cell(
     parsed and checked only when ``run_cell`` runs its own cell.
     """
     if _summary is None:
-        if isinstance(dist, str):
-            dist = parse_distribution(dist)
-        if isinstance(estimator, str):
-            estimator = EstimatorSpec.parse(estimator)
+        dist, estimator = as_distribution(dist), EstimatorSpec.coerce(estimator)
         bias_convention = enum_member(BiasConvention, bias_convention, "bias convention")
         replications = check_count(replications, "replications")
         m, l = check_count(m, "m"), check_count(l, "l")
@@ -742,38 +737,18 @@ def run_grid(config, workers=None):
 
 def rows_to_csv(rows, file=None):
     """Serialize rows under the fixed schema; returns text if file is None."""
-    own = file is None
-    if own:
-        file = io.StringIO()
-    writer = csv.writer(file, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
     # csv writes None as an empty field and a float by its repr
-    writer.writerows([getattr(row, name) for name in CSV_HEADER] for row in rows)
-    if own:
-        return file.getvalue()
-    return None
+    lines = ([getattr(row, name) for name in CSV_HEADER] for row in rows)
+    return write_csv(CSV_HEADER, lines, file)
 
 
 def rows_from_csv(file):
     """Read rows written by :func:`rows_to_csv`; '#' comment lines are skipped."""
-    lines = text_lines(file, "results CSV")
-    reader = csv.reader(line for line in lines if not line.startswith("#"))
-    try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise SpecParseError("empty results CSV") from None
-    if header != CSV_HEADER:
-        raise SpecParseError(
-            f"expected header {','.join(CSV_HEADER)}, got {','.join(header)}"
-        )
     rows = []
-    for raw in reader:
-        if not raw:
-            continue
-        if len(raw) != len(CSV_HEADER):
-            raise SpecParseError(f"malformed results row: {raw}")
+    for raw in read_csv(file, CSV_HEADER, "results CSV", comments=True):
         try:
-            rows.append(SimulationRow(*(read(text) for read, text in zip(_FIELD_READERS, raw))))
+            values = (read(text) for read, text in zip(_FIELD_READERS, raw, strict=True))
+            rows.append(SimulationRow(*values))
         except ValueError:
             raise SpecParseError(f"malformed results row: {raw}") from None
     return rows
@@ -787,7 +762,7 @@ def protocol_config(family, replications=5000, base_seed=DEFAULT_SEED, sides=("s
     half (``rn`` + tuned ``rmn``), the order-statistic half (``lstat`` +
     tuned ``lstat_adj``), or both, as a nonempty list.
     """
-    if family not in PROTOCOL_DISTRIBUTIONS:
+    if not isinstance(family, str) or family not in PROTOCOL_DISTRIBUTIONS:
         known = ", ".join(sorted(PROTOCOL_DISTRIBUTIONS))
         raise SpecParseError(f"unknown protocol family {family!r} (known: {known})")
     sides = _sequence(sides, "sides")
@@ -841,9 +816,10 @@ def calibrate_parameter(
 ):
     """Scan candidate distributions for the best match to a target cell.
 
-    ``target`` is the (bias, rmse) pair to reproduce; anything but two
-    finite numbers raises DomainError.  Both bias sign conventions are
-    tried for every candidate; the squared deviation
+    ``candidates`` is a list of laws or their spec texts.  ``target`` is
+    the (bias, rmse) pair to reproduce; anything but two finite numbers
+    raises DomainError.  Both bias sign conventions are tried for every
+    candidate; the squared deviation
     ``(bias - target_bias)**2 + (rmse - target_rmse)**2`` is minimized.
     Returns the best fit together with per-candidate details; a poor
     residual is reported, one that overflows raises DivergenceError.
@@ -854,9 +830,10 @@ def calibrate_parameter(
         raise DomainError(f"calibration target must be (bias, rmse), got {target!r}") from None
     if not np.isfinite([target_bias, target_rmse]).all():
         raise DomainError(f"calibration target must be finite, got {target!r}")
-    candidate_list = [
-        parse_distribution(c) if isinstance(c, str) else c for c in candidates
-    ]
+    try:
+        candidate_list = [as_distribution(c) for c in candidates]
+    except TypeError:
+        raise DomainError(f"calibration candidates must be a list, got {candidates!r}") from None
     if not candidate_list:
         raise DomainError("calibration needs at least one candidate distribution")
     fits, details = [], []

@@ -22,3 +22,20 @@ def test_demo_runs(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+def test_readme_python_block_runs():
+    """The README's python block runs clean against ``src``, warnings as errors."""
+    readme = (ROOT / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert blocks, "README.md has no python block"
+    code = "\n".join(block.split("```", 1)[0] for block in blocks)
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""

@@ -13,7 +13,10 @@ from crexlab import (
     draw_minrssu,
     draw_srs,
     rows_from_csv,
+    rows_to_csv,
     sample_from_csv,
+    sample_to_csv,
+    simulation,
 )
 from crexlab.errors import enum_member, text_lines
 
@@ -98,3 +101,43 @@ class TestDrawAndCsvBoundary:
         text = "cycle,set_size,value\n1,1,0.5\n"
         for source in (text, io.StringIO(text), text.splitlines(keepends=True)):
             assert list(text_lines(source, "CSV")) == text.splitlines(keepends=True)
+
+
+_SAMPLE_TEXT = "cycle,set_size,value\n1,1,0.5\n"
+
+
+class TestSharedCsvCode:
+    # one writer and one reader serve both CSV formats
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: sample_from_csv("a,b\n1,2\n"),
+             "expected header cycle,set_size,value, got a,b"),
+            (lambda: sample_from_csv(_SAMPLE_TEXT + "1,2,a\rb\n"),
+             "malformed sample CSV: new-line character seen in unquoted field"),
+            (lambda: rows_from_csv("a\rb\n"), "malformed results CSV: new-line character"),
+        ],
+        ids=["sample-header", "sample-csv-error", "results-csv-error"],
+    )
+    def test_reader_errors(self, call, message):
+        with pytest.raises(SpecParseError, match=message):
+            call()
+
+    def test_only_the_results_reader_skips_comment_lines(self):
+        with pytest.raises(SpecParseError, match="got # note"):
+            sample_from_csv("# note\n" + _SAMPLE_TEXT)
+        with pytest.raises(SpecParseError, match="malformed sample row"):
+            sample_from_csv(_SAMPLE_TEXT + "# note\n")
+        header = ",".join(simulation.CSV_HEADER)
+        assert rows_from_csv(f"# note\n{header}\n# more\n\n") == []
+
+    @pytest.mark.parametrize("file", ["out.csv", 3, [], None], ids=repr)
+    def test_writer_needs_a_text_file(self, file):
+        sample = draw_minrssu(_EXP, 2, 1, np.random.default_rng(0))
+        if file is None:
+            assert sample_to_csv(sample, file).startswith("cycle,set_size,value\n")
+            return
+        with pytest.raises(SpecParseError, match="CSV output must be a text file"):
+            sample_to_csv(sample, file)
+        with pytest.raises(SpecParseError, match="CSV output must be a text file"):
+            rows_to_csv([], file)
