@@ -11,8 +11,9 @@ and every input that rule rejects raises a :class:`CrexlabError`:
   tuning offset ``w`` are integers: an int or a numpy integer passes,
   while ``2.5``, ``True`` or ``"3"`` raise DomainError (SpecParseError
   from a simulation config; the CLI exits 2) instead of being truncated.
-  :func:`check_integer` is that rule and :func:`check_count` adds ``>= 1``;
-  both return the value as an int;
+  :func:`check_integer` is that rule and :func:`check_count` adds ``>= 1``
+  and no more than the largest float, as the measures use a set size as a
+  float power; both return the value as an int;
 * family parameters, ages and survival powers are real numbers:
   :func:`check_real` passes any ``numbers.Real`` but a bool, and raises
   DomainError for ``"1"`` or None; :func:`check_powers` then requires
@@ -32,6 +33,7 @@ import io
 import math
 import numbers
 import operator
+import sys
 
 import numpy as np
 
@@ -135,10 +137,16 @@ def check_array(values, label):
 
 
 def check_count(value, label):
-    """``value`` as an int; raise DomainError unless it is an integer >= 1."""
+    """``value`` as an int; raise DomainError unless it is an integer from 1 to float max."""
     count = check_integer(value, label)
     if count < 1:
         raise DomainError(f"{label} must be >= 1, got {count}")
+    if count > sys.float_info.max:
+        # such an int may have more digits than str() converts
+        bits = count.bit_length()
+        raise DomainError(
+            f"{label} must be at most {sys.float_info.max:g}, got a {bits}-bit integer"
+        )
     return count
 
 

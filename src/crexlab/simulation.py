@@ -23,14 +23,18 @@ each chunk is one run over its streams' keys and block counts.  Block
 ``b`` of a stream has counter ``(b + 1, 0, 0, 0)``, so the zero words fold
 two of the ten rounds: round 0 is a lookup in a table of the run's
 counter products, and round 1 multiplies the key word ``k0`` once per
-stream.  Wider rows reset numpy's C generator to each stream in turn,
-which is faster once a row spans more than a dozen or so blocks.  Both
-give exactly the stream :func:`replication_rng` builds.  A group's rows
-in a chunk are transformed and sorted at once, spacing cells first; each
-run of whole cells of one estimator kind is one broadcast ``np.vecdot``.
-A grid's estimates are summarized by one set of reductions along the
-replications, against a true value computed once; :func:`run_cell` then
-applies the bias convention to each cell's summary.
+stream.  A run's ufuncs write into a workspace of uint64 rows that each
+thread keeps from run to run: word arrays allocated and freed by every
+run would let glibc hand the top of the heap back to the system and
+fault it in again on every grid.  Wider rows reset numpy's C generator
+to each stream in turn, which is faster once a row spans more than a
+dozen or so blocks.  Both give exactly the stream :func:`replication_rng`
+builds.  A group's rows in a chunk are transformed and sorted at once,
+spacing cells first; each run of whole cells of one estimator kind is
+one broadcast ``np.vecdot``.  A grid's estimates are summarized by one
+set of reductions along the replications, against a true value computed
+once; :func:`run_cell` then applies the bias convention to each cell's
+summary.
 
 Reported cells use the configured bias convention (default: truth minus
 mean estimate); RMSE and |bias| do not depend on the convention.  Squared
@@ -47,6 +51,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import os
+import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
@@ -94,16 +99,18 @@ LSTAT_ADJ_W_GRID = {
     "beta": {m: (-3, -2, -1, 0) for m in (2, 3, 4, 5)},
 }
 # uniforms drawn per chunk of rows: bounds the working memory of a draw.
-# On 2 shared vCPUs a numpy Philox run costs about 0.4 ms plus 0.2 us per
-# block; 2**16 draws an R=20 protocol grid in one run, and in 6 alternating
+# On 2 shared vCPUs a numpy Philox run costs about 0.25 ms plus 0.12-0.16 us
+# per block; 2**16 draws an R=20 protocol grid in one run, and in 6 alternating
 # benchmark pairs beat 2**14 (3 runs) on every pair, 260k vs 240k
-# replications per calibrated second, for 1 MB more peak memory
+# replications per calibrated second, for 1 MB more peak memory.  The run's
+# workspace keeps 96 bytes per block: 0.9 MB for an R=20 protocol grid (9200
+# blocks), at most 6 MB for a chunk of one-uniform rows (a block each)
 _CHUNK_UNIFORMS = 2**16
 # the widest row the numpy Philox draws; wider rows reset numpy's C generator.
-# On 2 shared vCPUs the numpy Philox costs about 0.2 us per block of four
-# uniforms and a reset 2.5-3 us per row: they break even at 56-64 uniforms.
-# Protocol rows hold 6-45 uniforms and large-sample rows 5000 or more, so
-# any limit from 45 to 4999 draws the benchmarks alike
+# On 2 shared vCPUs the numpy Philox costs about 0.12-0.16 us per block of
+# four uniforms and a reset 2.5-3 us per row: they break even at about 60-100
+# uniforms.  Protocol rows hold 6-45 uniforms and large-sample rows 5000 or
+# more, so any limit from 45 to 4999 draws the benchmarks alike
 _NUMPY_PHILOX_MAX_WIDTH = 48
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
@@ -124,6 +131,8 @@ _PHILOX_MULT = tuple(
 )
 _PHILOX_BUMP = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
+# each thread's numpy Philox workspace (_philox_workspace)
+_WORKSPACE = threading.local()
 
 PROTOCOL_DISTRIBUTIONS = {
     "exp": "exp:rate=1",
@@ -370,50 +379,128 @@ def _replication_keys(base_seed, cell_digests, replications):
     return keys
 
 
-def _mulhilo(mult, x):
-    """High and low 64-bit words of ``mult * x``, built from 32-bit halves.
+def _mulhilo(mult, x, hi, lo, scratch):
+    """Write the high and low 64-bit words of ``mult * x`` to ``hi`` and ``lo``.
 
-    ``mult`` is an entry of ``_PHILOX_MULT`` and ``x`` a uint64 array.
+    ``mult`` is an entry of ``_PHILOX_MULT``, ``x`` a uint64 array and
+    ``scratch`` three uint64 rows at least as long.  The high word is
+    built from 32-bit halves.  ``x`` is read last by the low word, so
+    ``lo`` may be ``x`` itself; ``hi`` may not.  Here and in
+    :func:`_philox_uniforms` each ufunc takes its output as its last
+    positional argument, which numpy parses faster than ``out=``.
     """
     m_lo, m_hi, whole = mult
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    x_half, mid, low_mid = scratch[:, : len(x)]
+    np.bitwise_and(x, _LOW32, x_half)
+    np.multiply(m_lo, x_half, mid)
+    np.right_shift(mid, _SHIFT32, mid)
+    np.multiply(m_hi, x_half, x_half)
     # no sum below can pass 2**64 - 2**32
-    mid = m_hi * x_lo + ((m_lo * x_lo) >> _SHIFT32)
-    low_mid = m_lo * x_hi + (mid & _LOW32)
-    return m_hi * x_hi + (mid >> _SHIFT32) + (low_mid >> _SHIFT32), x * whole
+    np.add(x_half, mid, mid)
+    np.right_shift(x, _SHIFT32, x_half)
+    np.multiply(m_lo, x_half, low_mid)
+    np.multiply(m_hi, x_half, hi)
+    np.bitwise_and(mid, _LOW32, x_half)
+    np.add(low_mid, x_half, low_mid)
+    np.right_shift(mid, _SHIFT32, mid)
+    np.add(hi, mid, hi)
+    np.right_shift(low_mid, _SHIFT32, low_mid)
+    np.add(hi, low_mid, hi)
+    np.multiply(x, whole, lo)
+
+
+def _philox_workspace(blocks):
+    """This thread's uint64 workspace for a numpy Philox run of ``blocks`` blocks.
+
+    Row 0 holds the counters ``1, 2, ..., blocks``; the other eleven rows
+    are scratch.  The workspace outlives the run and grows to the largest
+    run the thread has made; a smaller run uses the first ``blocks``
+    columns.
+    """
+    rows = getattr(_WORKSPACE, "rows", None)
+    if rows is None or rows.shape[1] < blocks:
+        rows = np.empty((12, blocks), np.uint64)
+        rows[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+        _WORKSPACE.rows = rows
+    return rows[:, :blocks]
 
 
 def _philox_uniforms(keys, blocks):
     """Uniforms of Philox4x64-10 blocks ``0 .. blocks[s] - 1`` of each stream ``s``, in numpy.
 
     ``keys`` holds one ``(k0, k1)`` key per stream and ``blocks`` an
-    integer array of block counts, one per stream.  numpy's Philox raises
-    its counter before each block, so block ``b`` of a stream is the
-    10-round Philox of counter ``(b + 1, 0, 0, 0)`` under the stream's
-    key; it yields four 64-bit words in order, and a uniform is ``(word >>
-    11) * 2**-53``.  Returns a ``(sum(blocks), 4)`` array, stream by
-    stream.  The zero counter words fold two rounds: round 0 multiplies
-    only ``b + 1``, looked up in a table of the call's counters, and turns
-    the first word into ``k0`` and the second into 0, so round 1's first
-    product is taken once per stream.  Rounds 2-9 run in full; uint64
-    arrays wrap silently, as the C code does.
+    integer array of block counts, one per stream, each at least 1.
+    numpy's Philox raises its counter before each block, so block ``b``
+    of a stream is the 10-round Philox of counter ``(b + 1, 0, 0, 0)``
+    under the stream's key; it yields four 64-bit words in order, and a
+    uniform is ``(word >> 11) * 2**-53``.  Returns a new ``(sum(blocks),
+    4)`` array, stream by stream.  The zero counter words fold two
+    rounds: round 0 multiplies only ``b + 1``, looked up in a table of
+    the run's counters, and turns the first word into ``k0`` and the
+    second into 0, so round 1's first product is taken once per stream.
+    Rounds 2-9 run in full; uint64 arrays wrap silently, as the C code
+    does.
+
+    Every ufunc writes into this thread's :func:`_philox_workspace`, and
+    the four words rotate through their rows rather than being copied.
+    A new array per ufunc, about 330 arrays of one word per block, would
+    free enough at the top of the heap that glibc hands it back to the
+    system and faults it in again on the next run: about 360 minor page
+    faults per protocol grid.  The workspace is per thread, so runs in
+    two threads never share one.
     """
     ends = np.cumsum(blocks)
-    index = np.arange(ends[-1]) - np.repeat(ends - blocks, blocks)
-    hi, lo = _mulhilo(_PHILOX_MULT[0], np.arange(1, blocks.max() + 1, dtype=np.uint64))
-    k0, k1 = np.repeat(keys[:, 0], blocks), np.repeat(keys[:, 1], blocks)
+    total, streams, top = int(ends[-1]), len(keys), int(blocks.max())
+    rows = _philox_workspace(total)
+    counters, stream, k0, k1, c0, c1, c2, c3, hi = rows[:9]
+    scratch = rows[9:]
+    # the stream of each block: the count of stream starts at or before it
+    stream = stream.view(np.intp)
+    stream.fill(0)
+    stream[ends[:-1]] = 1
+    np.cumsum(stream, out=stream)
+    np.take(keys[:, 0], stream, out=k0)
+    np.take(keys[:, 1], stream, out=k1)
+    # the index of each block in its stream, into the table of counter
+    # products: counters[k] - (start of its stream + 1) = k - start
+    index = hi.view(np.intp)
+    np.take(ends - blocks + 1, stream, out=index)
+    np.subtract(counters.view(np.intp), index, index)
+    _mulhilo(_PHILOX_MULT[0], counters[:top], c0[:top], c1[:top], scratch)
     # after round 0 the words are (k0, 0, mulhi(b + 1) ^ k1, mullo(b + 1))
-    c2, c3 = hi[index] ^ k1, lo[index]
-    hi0, lo0 = _mulhilo(_PHILOX_MULT[0], keys[:, 0])
-    k0, k1 = k0 + _PHILOX_BUMP[0], k1 + _PHILOX_BUMP[1]
-    hi1, c1 = _mulhilo(_PHILOX_MULT[1], c2)
-    c0, c2, c3 = hi1 ^ k0, np.repeat(hi0, blocks) ^ c3 ^ k1, np.repeat(lo0, blocks)
+    np.take(c0[:top], index, out=c2)
+    np.bitwise_xor(c2, k1, c2)
+    np.take(c1[:top], index, out=c3)
+    # round 1 takes k0's product once per stream; (k0, 0, c2, c3) becomes
+    # (mulhi(c2) ^ k0, mullo(c2), mulhi(k0) ^ c3 ^ k1, mullo(k0)), in the rows of (c2, c1, c3, c0)
+    key_hi, key_lo = c0[:streams], c1[:streams]
+    _mulhilo(_PHILOX_MULT[0], keys[:, 0], key_hi, key_lo, scratch)
+    np.add(k0, _PHILOX_BUMP[0], k0)
+    np.add(k1, _PHILOX_BUMP[1], k1)
+    np.take(key_hi, stream, out=hi)
+    np.bitwise_xor(hi, c3, c3)
+    np.bitwise_xor(c3, k1, c3)
+    np.take(key_lo, stream, out=c0)
+    _mulhilo(_PHILOX_MULT[1], c2, hi, c1, scratch)
+    np.bitwise_xor(hi, k0, c2)
+    c0, c2, c3 = c2, c3, c0
     for _ in range(2, _PHILOX_ROUNDS):
-        k0, k1 = k0 + _PHILOX_BUMP[0], k1 + _PHILOX_BUMP[1]
-        hi0, lo0 = _mulhilo(_PHILOX_MULT[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_MULT[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return (np.stack((c0, c1, c2, c3), axis=-1) >> _SHIFT11) * 2.0**-53
+        np.add(k0, _PHILOX_BUMP[0], k0)
+        np.add(k1, _PHILOX_BUMP[1], k1)
+        # (c0, c1, c2, c3) becomes (mulhi(c2) ^ c1 ^ k0, mullo(c2), mulhi(c0) ^ c3 ^ k1,
+        # mullo(c0)), each written over a word it replaces: the rows of (c1, c2, c3, c0)
+        _mulhilo(_PHILOX_MULT[0], c0, hi, c0, scratch)
+        np.bitwise_xor(hi, c3, c3)
+        np.bitwise_xor(c3, k1, c3)
+        _mulhilo(_PHILOX_MULT[1], c2, hi, c2, scratch)
+        np.bitwise_xor(hi, c1, c1)
+        np.bitwise_xor(c1, k0, c1)
+        c0, c1, c2, c3 = c1, c2, c3, c0
+    out = np.empty((total, 4))
+    for column, word in zip(out.T, (c0, c1, c2, c3)):
+        np.right_shift(word, _SHIFT11, word)
+        np.multiply(word, 2.0**-53, column)
+    return out
 
 
 def _reset_uniforms():

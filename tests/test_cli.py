@@ -480,6 +480,13 @@ class TestDiscriminate:
         code, out, err = run(capsys, ["discriminate", "--dist", "exp:rate=1"])
         assert (code, out, err) == (2, "", "crexlab: --mode min-vs-parent requires --i\n")
 
+    def test_set_size_past_the_float_range_exits_2(self, capsys):
+        # this printed an OverflowError traceback
+        argv = ["discriminate", "--dist", "exp:rate=1", "--i", str(10**400)]
+        code, out, err = run(capsys, argv)
+        message = "set size must be at most 1.79769e+308, got a 1329-bit integer"
+        assert (code, out, err) == (2, "", f"crexlab: {message}\n")
+
     def test_min_vs_parent_exponential(self, capsys):
         code, out, _ = run(capsys, ["discriminate", "--dist", "exp:rate=1", "--i", "2"])
         assert code == 0

@@ -9,10 +9,11 @@ to change these streams must say why and rewrite the corpus.
 """
 
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from crexlab import protocol_config, rows_to_csv, run_grid
+from crexlab import protocol_config, rows_to_csv, run_grid, simulation
 from crexlab.simulation import SimulationConfig
 
 # (family, base seed, replications) -> sha256 of the protocol grid
@@ -81,3 +82,20 @@ def test_mixed_grid_bytes_are_pinned(law):
         base_seed=2**40 + 3,
     )
     assert _digest(config) == MIXED[law]
+
+
+def test_philox_workspace_grows_and_is_reused():
+    # in a new thread, whose numpy Philox workspace starts empty, runs of
+    # R = 20, 1, 7 and 20: the workspace grows for the first, serves the
+    # smaller runs from its first columns and the last at full size again
+    sequence = [("exp", 1, 20), ("exp", 1, 1), ("exp", 1, 7), ("exp", 1, 20)]
+
+    def grids():
+        for family, seed, reps in sequence:
+            digest = _digest(protocol_config(family, replications=reps, base_seed=seed))
+            yield digest, simulation._WORKSPACE.rows.shape
+
+    with ThreadPoolExecutor(1) as pool:
+        runs = pool.submit(lambda: list(grids())).result(timeout=120)
+    assert [digest for digest, _ in runs] == [PROTOCOL[key] for key in sequence]
+    assert len({shape for _, shape in runs}) == 1

@@ -105,6 +105,14 @@ class TestMinVsParent:
         with pytest.raises(DomainError):
             d_min_vs_parent(Uniform(0.0, 1.0), 0)
 
+    @pytest.mark.parametrize("method", ["closed", "quadrature"])
+    def test_set_size_past_the_float_range_is_a_domain_error(self, method):
+        # 10**400 ended in a bare OverflowError from i + 1.0
+        with pytest.raises(DomainError, match="^set size must be at most 1.79769e\\+308"):
+            d_min_vs_parent(Exponential(1.0), 10**400, method)
+        with pytest.raises(DomainError, match="survival power must be positive and finite"):
+            d_min_vs_parent(Exponential(1.0), 10**308, method)
+
 
 class TestDesigns:
     def test_uniform_m2(self):

@@ -204,6 +204,20 @@ class TestMinOrderStatMeasure:
         values = [float(crex_min_order_stat(Exponential(1.0), i)) for i in range(1, 9)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("method", ["closed", "quadrature"])
+    def test_set_size_past_the_float_range_is_a_domain_error(self, method):
+        # 10**400 and 2**1024 ended in a bare OverflowError from 2.0 * i
+        for i in (10**400, 2**1024):
+            bits = i.bit_length()
+            message = f"^set size must be at most 1.79769e\\+308, got a {bits}-bit integer$"
+            with pytest.raises(DomainError, match=message):
+                crex_min_order_stat(Exponential(1.0), i, method)
+        # a size a float holds but whose power 2i does not
+        with pytest.raises(DomainError, match="survival power must be positive and finite"):
+            crex_min_order_stat(Exponential(1.0), 2**1023, method)
+        with pytest.raises(DomainError, match="^design size must be at most"):
+            crex_minrssu_design(Exponential(1.0), 10**400, method)
+
 
 class TestDesignMeasures:
     def test_uniform_m2(self):

@@ -1,5 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +446,91 @@ class TestBatchedKernel:
         for row, (key, width, rng) in zip(rows, streams):
             assert rng.bit_generator.state["state"]["key"].tolist() == key.tolist()
             assert row.reshape(-1)[:width].tobytes() == rng.random(width).tobytes()
+
+
+class TestPhiloxWorkspace:
+    """The numpy Philox runs in a workspace that each thread keeps between runs."""
+
+    @staticmethod
+    def _at_once(work, args):
+        """``[work(arg) for arg in args]``, each in its own thread, started together."""
+        start = threading.Barrier(len(args), timeout=60)
+
+        def started(arg):
+            start.wait()
+            return work(arg)
+
+        # switch threads as often as the interpreter can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(args)) as pool:
+                futures = [pool.submit(started, arg) for arg in args]
+                return [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_threads_running_grids_at_once_keep_their_workspaces_apart(self, monkeypatch):
+        # two grids of different sizes, three times each in two threads at
+        # once.  Each grid makes one numpy Philox run of 19 _mulhilo calls,
+        # and the two threads make each call in step, so runs that shared
+        # one workspace would overwrite each other's words in every run
+        configs = [protocol_config(family, 20, base_seed=1) for family in ("exp", "beta")]
+        serial = [rows_to_csv(run_grid(config).rows) for config in configs]
+        in_step, mulhilo = threading.Barrier(len(configs), timeout=60), simulation._mulhilo
+
+        def stepped(*args):
+            in_step.wait()
+            mulhilo(*args)
+
+        monkeypatch.setattr(simulation, "_mulhilo", stepped)
+        csvs = self._at_once(
+            lambda config: [rows_to_csv(run_grid(config).rows) for _ in range(3)], configs
+        )
+        assert csvs == [[text] * 3 for text in serial]
+
+    def test_threads_running_philox_at_once_keep_their_workspaces_apart(self):
+        # runs of 2400, 1000 and 600 blocks, 100 each in three threads at once
+        keys = _replication_keys(11, [3, 2**40], 300).reshape(-1, 2)
+        runs = [(keys[:600], np.full(600, 4)), (keys[100:350], np.full(250, 4)),
+                (keys[200:300], np.full(100, 6))]
+        serial = [_philox_uniforms(*run).tobytes() for run in runs]
+        drawn = self._at_once(
+            lambda run: {_philox_uniforms(*run).tobytes() for _ in range(100)}, runs
+        )
+        assert drawn == [{u} for u in serial]
+
+    def test_a_run_keeps_its_uniforms_through_later_runs(self):
+        keys = _replication_keys(3, [5, 2**40], 60).reshape(-1, 2)
+        first = _philox_uniforms(keys[:10], np.full(10, 3))
+        kept = first.copy()
+        # larger, smaller and larger runs again, all after the first
+        for streams, blocks in ((120, 12), (4, 1), (60, 7)):
+            later = _philox_uniforms(keys[:streams], np.full(streams, blocks))
+            assert not np.shares_memory(first, later)
+        assert first.tobytes() == kept.tobytes()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux getrusage")
+    def test_protocol_grids_do_not_fault_the_heap_in_again(self):
+        # counted in a new interpreter, as other tests leave this one's heap
+        # in a state that does not trim; when every run allocated and freed
+        # its own words, each grid here made about 180-240 minor page faults
+        code = (
+            "import resource; from crexlab import protocol_config, run_grid\n"
+            "config = protocol_config('exp', replications=20, base_seed=1)\n"
+            "for _ in range(2): run_grid(config)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(5): run_grid(config)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) / 5 <= 50
 
 
 class TestRunGrid:
