@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
 from ._quadrature import TAIL_MASS
 from .errors import DomainError, DivergenceError, SpecParseError, check_count, split_spec
-from .errors import check_array, check_generator, check_integer, check_powers, check_real
+from .errors import check_array, check_generator, check_integer, check_powers, check_real, shown
 
 __all__ = [
     "Distribution",
@@ -80,7 +81,7 @@ def _on_support(below, above, ends_inside=False):
             lo, hi = self.support
             try:
                 arr = np.asarray(x, dtype=float)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 # the array rule raises its DomainError
                 arr = check_array(x, f"{func.__name__} argument")
             vals = np.atleast_1d(arr)
@@ -118,7 +119,7 @@ def _number_text(value):
 def _require_finite(family, **params):
     for name, value in params.items():
         if not math.isfinite(check_real(value, f"{family} parameter {name}")):
-            raise DomainError(f"{family} parameter {name} must be finite, got {value}")
+            raise DomainError(f"{family} parameter {name} must be finite, got {shown(value)}")
 
 
 class Distribution:
@@ -205,11 +206,15 @@ class Distribution:
         return out
 
     def sample(self, rng, count):
-        """Draw ``count`` i.i.d. values by inverse transform on ``rng``."""
+        """Draw ``count`` i.i.d. values by inverse transform on ``rng``.
+
+        ``count`` is an integer from 0 to ``sys.maxsize``, the largest
+        array size, so a count past it is rejected rather than tried.
+        """
         check_generator(rng)
         count = check_integer(count, "sample count")
-        if count < 0:
-            raise DomainError(f"sample count must be >= 0, got {count}")
+        if not 0 <= count <= sys.maxsize:
+            raise DomainError(f"sample count must be in 0..{sys.maxsize}, got {shown(count)}")
         if count == 0:
             return np.empty(0)
         return self.quantile(rng.random(count))

@@ -14,6 +14,9 @@ and every input that rule rejects raises a :class:`CrexlabError`:
   :func:`check_integer` is that rule and :func:`check_count` adds ``>= 1``
   and no more than the largest float, as the measures use a set size as a
   float power; both return the value as an int;
+* a message shows an argument by :func:`shown`: its repr, but an int past
+  the float range by its bit length, as ``str()`` of an int of more than
+  4300 digits raises ValueError;
 * family parameters, ages and survival powers are real numbers:
   :func:`check_real` passes any ``numbers.Real`` but a bool, and raises
   DomainError for ``"1"`` or None; :func:`check_powers` then requires
@@ -96,6 +99,21 @@ def enum_member(kind, value, what):
         raise SpecParseError(f"unknown {what} {value!r} (known: {known})") from None
 
 
+def shown(value):
+    """``value`` as message text: its repr, or the bit length of an int past the float range.
+
+    A value whose repr fails anyway, such as a list holding an int of
+    more than 4300 digits, shows as its type.
+    """
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        sign = "negative " if value < 0 else ""
+        return f"a {sign}{abs(value).bit_length()}-bit integer"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} too long to print"
+
+
 def check_integer(value, label):
     """``value`` as an int; raise DomainError unless it is an int or numpy integer (not a bool)."""
     if not isinstance(value, bool):
@@ -103,7 +121,7 @@ def check_integer(value, label):
             return operator.index(value)
         except TypeError:
             pass
-    raise DomainError(f"{label} must be an integer, got {value!r}")
+    raise DomainError(f"{label} must be an integer, got {shown(value)}")
 
 
 def check_real(value, label):
@@ -118,7 +136,7 @@ def check_real(value, label):
         except OverflowError:
             # an int past the float range
             return math.inf if value > 0 else -math.inf
-    raise DomainError(f"{label} must be a real number, got {value!r}")
+    raise DomainError(f"{label} must be a real number, got {shown(value)}")
 
 
 def check_powers(powers):
@@ -129,24 +147,23 @@ def check_powers(powers):
 
 
 def check_array(values, label):
-    """``values`` as a float array; raise DomainError when numpy cannot read them as one."""
+    """``values`` as a float array; raise DomainError when numpy cannot read them as one.
+
+    An int past the float range is rejected too.
+    """
     try:
         return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError(f"{label} must be real numbers, got {values!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{label} must be real numbers, got {shown(values)}") from None
 
 
 def check_count(value, label):
     """``value`` as an int; raise DomainError unless it is an integer from 1 to float max."""
     count = check_integer(value, label)
     if count < 1:
-        raise DomainError(f"{label} must be >= 1, got {count}")
+        raise DomainError(f"{label} must be >= 1, got {shown(count)}")
     if count > sys.float_info.max:
-        # such an int may have more digits than str() converts
-        bits = count.bit_length()
-        raise DomainError(
-            f"{label} must be at most {sys.float_info.max:g}, got a {bits}-bit integer"
-        )
+        raise DomainError(f"{label} must be at most {sys.float_info.max:g}, got {shown(count)}")
     return count
 
 

@@ -36,6 +36,7 @@ error exceeds a relative 1e-8 raises DivergenceError (see
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,8 @@ import numpy as np
 from ._quadrature import double_quad_kinked, truncation_point
 from .distributions import as_distribution
 from .errors import DivergenceError, DomainError, ParameterError, SizeError, SpecParseError
-from .errors import check_array, check_count, check_integer, enum_member, split_spec
+from .errors import check_array, check_count, check_integer, check_real, enum_member, shown
+from .errors import split_spec
 from .sampling import MinRssuSample, pooled_order_statistics
 
 __all__ = [
@@ -86,7 +88,9 @@ _NEEDS_W = {EstimatorKind.RMN, EstimatorKind.LSTAT_ADJUSTED}
 class EstimatorSpec:
     """Which estimator to run, its tuning offset w, and its psi family.
 
-    A spec derives its two :meth:`text` forms once, on construction.
+    ``w`` is an integer within the float range, as the weights divide by
+    it as a float.  A spec derives its two :meth:`text` forms once, on
+    construction.
     """
 
     kind: EstimatorKind
@@ -103,7 +107,10 @@ class EstimatorSpec:
             need = "requires" if kind in _NEEDS_W else "does not take"
             raise SpecParseError(f"estimator {kind.value!r} {need} a w value")
         if self.w is not None:
-            object.__setattr__(self, "w", check_integer(self.w, "w"))
+            w = check_integer(self.w, "w")
+            if not math.isfinite(check_real(w, "w")):
+                raise DomainError(f"w must lie in the float range, got {shown(w)}")
+            object.__setattr__(self, "w", w)
         adjusted = kind is EstimatorKind.LSTAT_ADJUSTED
         if (self.psi_family is not None) != adjusted:
             need = "requires" if adjusted else "does not take"
@@ -222,7 +229,7 @@ def row_weights(spacing, n, denoms):
     Spacing weights are ``(1 - k/D)**2`` for k = 1..n-1, order-statistic
     weights ``1 - i/D`` for i = 1..n.
     """
-    denoms = np.asarray(denoms)[:, None]
+    denoms = np.asarray(denoms, dtype=float)[:, None]
     if spacing:
         return (1.0 - np.arange(1, n) / denoms) ** 2
     return 1.0 - np.arange(1, n + 1) / denoms

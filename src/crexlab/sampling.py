@@ -24,7 +24,7 @@ import numpy as np
 
 from .distributions import as_distribution
 from .errors import DomainError, SpecParseError, check_array, check_count, check_generator
-from .errors import check_integer, read_csv, write_csv
+from .errors import check_integer, read_csv, shown, write_csv
 
 __all__ = [
     "MinRssuSample",
@@ -66,8 +66,9 @@ class MinRssuSample:
 
     def set_values(self, i):
         """All recorded minima for set size ``i`` across cycles."""
-        if not 1 <= check_integer(i, "set size") <= self.m:
-            raise DomainError(f"set size must be in 1..{self.m}, got {i}")
+        i = check_integer(i, "set size")
+        if not 1 <= i <= self.m:
+            raise DomainError(f"set size must be in 1..{self.m}, got {shown(i)}")
         return self.values[:, i - 1]
 
 

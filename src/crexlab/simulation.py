@@ -16,25 +16,28 @@ the same size.
 A grid draws for all its cells at once.  The keys of every stream of
 every cell come from one vectorised SeedSequence hash.  Cells that draw
 the same shape, the same ``(m, l)`` and ``vn`` or not, form a group.
+Two generators give exactly the stream :func:`replication_rng` builds,
+under one contract: given one key and one block count per stream, each
+returns the uniforms of every stream's first blocks, four per block.
 Rows of at most ``_NUMPY_PHILOX_MAX_WIDTH`` uniforms come from
-Philox4x64-10 written in numpy: the narrow rows of all groups, in group
-order, are cut into chunks of at most ``_CHUNK_UNIFORMS`` uniforms, and
-each chunk is one run over its streams' keys and block counts.  Block
-``b`` of a stream has counter ``(b + 1, 0, 0, 0)``, so the zero words fold
-two of the ten rounds: round 0 is a lookup in a table of the run's
-counter products, and round 1 multiplies the key word ``k0`` once per
-stream.  A run's ufuncs write into a workspace of uint64 rows that each
-thread keeps from run to run: word arrays allocated and freed by every
-run would let glibc hand the top of the heap back to the system and
-fault it in again on every grid.  Wider rows reset numpy's C generator
-to each stream in turn, which is faster once a row spans more than a
-dozen or so blocks.  Both give exactly the stream :func:`replication_rng`
-builds.  A group's rows in a chunk are transformed and sorted at once,
-spacing cells first; each run of whole cells of one estimator kind is
-one broadcast ``np.vecdot``.  A grid's estimates are summarized by one
-set of reductions along the replications, against a true value computed
-once; :func:`run_cell` then applies the bias convention to each cell's
-summary.
+Philox4x64-10 written in numpy.  Block ``b`` of a stream has counter
+``(b + 1, 0, 0, 0)``, so the zero words fold two of the ten rounds: round
+0 is a lookup in a table of the run's counter products, and round 1
+multiplies the key word ``k0`` once per stream.  Wider rows reset
+numpy's C generator to each stream in turn, which is faster once a row
+spans more than a dozen or so blocks.  The rows each generator draws, of
+all groups in group order, are cut into chunks of at most
+``_CHUNK_UNIFORMS`` uniforms, and each chunk is one draw.  Every draw
+buffer lives in one workspace that each thread keeps from draw to draw,
+and one rule holds for both generators: a draw's uniforms are valid until
+the thread's next draw.  Buffers allocated and freed by every draw would
+let glibc hand the top of the heap back to the system and fault it in
+again on every grid.  A group's rows in a chunk are transformed and
+sorted at once, spacing cells first; each run of whole cells of one
+estimator kind is one broadcast ``np.vecdot``.  A grid's estimates are
+summarized by one set of reductions along the replications, against a
+true value computed once; :func:`run_cell` then applies the bias
+convention to each cell's summary.
 
 Reported cells use the configured bias convention (default: truth minus
 mean estimate); RMSE and |bias| do not depend on the convention.  Squared
@@ -49,6 +52,7 @@ names, in order::
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import os
 import threading
@@ -60,7 +64,7 @@ import numpy as np
 
 from .distributions import Distribution, as_distribution
 from .errors import CellError, CrexlabError, DivergenceError, DomainError, SpecParseError
-from .errors import check_count, check_integer, enum_member, read_csv, write_csv
+from .errors import check_count, check_integer, enum_member, read_csv, shown, write_csv
 # estimate and draw_minrssu are unused here; the benchmark tracer wraps these bindings
 from .estimators import (  # noqa: F401
     EstimatorKind,
@@ -102,9 +106,10 @@ LSTAT_ADJ_W_GRID = {
 # On 2 shared vCPUs a numpy Philox run costs about 0.25 ms plus 0.12-0.16 us
 # per block; 2**16 draws an R=20 protocol grid in one run, and in 6 alternating
 # benchmark pairs beat 2**14 (3 runs) on every pair, 260k vs 240k
-# replications per calibrated second, for 1 MB more peak memory.  The run's
-# workspace keeps 96 bytes per block: 0.9 MB for an R=20 protocol grid (9200
-# blocks), at most 6 MB for a chunk of one-uniform rows (a block each)
+# replications per calibrated second, for 1 MB more peak memory.  A thread's
+# workspace keeps 128 bytes per block, 96 of uint64 rows and 32 of output:
+# 1.2 MB for an R=20 protocol grid (9200 blocks), at most 8.4 MB for a chunk
+# of one-uniform rows (a block each)
 _CHUNK_UNIFORMS = 2**16
 # the widest row the numpy Philox draws; wider rows reset numpy's C generator.
 # On 2 shared vCPUs the numpy Philox costs about 0.12-0.16 us per block of
@@ -131,8 +136,6 @@ _PHILOX_MULT = tuple(
 )
 _PHILOX_BUMP = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
-# each thread's numpy Philox workspace (_philox_workspace)
-_WORKSPACE = threading.local()
 
 PROTOCOL_DISTRIBUTIONS = {
     "exp": "exp:rate=1",
@@ -185,7 +188,7 @@ def _sequence(value, label):
             if items:
                 return items
             raise SpecParseError(f"{label} must not be empty")
-    raise SpecParseError(f"{label} must be a list, got {value!r}")
+    raise SpecParseError(f"{label} must be a list, got {shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -283,7 +286,7 @@ def _check_seed(value, label="base seed"):
     """A seed word ``value`` as an int; a non-integer or negative value raises DomainError."""
     value = check_integer(value, label)
     if value < 0:
-        raise DomainError(f"{label} must be >= 0, got {value}")
+        raise DomainError(f"{label} must be >= 0, got {shown(value)}")
     return value
 
 
@@ -409,20 +412,39 @@ def _mulhilo(mult, x, hi, lo, scratch):
     np.multiply(x, whole, lo)
 
 
-def _philox_workspace(blocks):
-    """This thread's uint64 workspace for a numpy Philox run of ``blocks`` blocks.
+class _Workspace(threading.local):
+    """Every draw buffer of one thread, kept from each draw to the next.
 
-    Row 0 holds the counters ``1, 2, ..., blocks``; the other eleven rows
-    are scratch.  The workspace outlives the run and grows to the largest
-    run the thread has made; a smaller run uses the first ``blocks``
-    columns.
+    ``rows`` are the numpy Philox's twelve uint64 rows, row 0 the counters
+    ``1, 2, ...`` and the others scratch; ``out`` is the ``(blocks, 4)``
+    float output both generators write their uniforms into.  Each grows
+    to the largest draw the thread has made, and a smaller draw uses its
+    first columns.
     """
-    rows = getattr(_WORKSPACE, "rows", None)
-    if rows is None or rows.shape[1] < blocks:
-        rows = np.empty((12, blocks), np.uint64)
-        rows[0] = np.arange(1, blocks + 1, dtype=np.uint64)
-        _WORKSPACE.rows = rows
-    return rows[:, :blocks]
+
+    def __init__(self):
+        self.rows, self.out = np.empty((12, 0), np.uint64), np.empty((0, 4))
+
+    # made on the thread's first reset, so that importing crexlab does not
+    # load numpy.random: about 12 ms and 1.7 MB of resident memory
+    @functools.cached_property
+    def reset(self):
+        """numpy's C Philox, a generator on it and the state dict a reset gives it.
+
+        A new Philox's state, a copy, is counter 0 and an empty buffer;
+        each reset writes a stream's key into it.
+        """
+        bit_generator = np.random.Philox(0)
+        return bit_generator, np.random.Generator(bit_generator), bit_generator.state
+
+    def output(self, blocks):
+        """The ``(blocks, 4)`` output of a draw of ``blocks`` blocks."""
+        if len(self.out) < blocks:
+            self.out = np.empty((blocks, 4))
+        return self.out[:blocks]
+
+
+_WORKSPACE = _Workspace()
 
 
 def _philox_uniforms(keys, blocks):
@@ -433,25 +455,29 @@ def _philox_uniforms(keys, blocks):
     numpy's Philox raises its counter before each block, so block ``b``
     of a stream is the 10-round Philox of counter ``(b + 1, 0, 0, 0)``
     under the stream's key; it yields four 64-bit words in order, and a
-    uniform is ``(word >> 11) * 2**-53``.  Returns a new ``(sum(blocks),
-    4)`` array, stream by stream.  The zero counter words fold two
-    rounds: round 0 multiplies only ``b + 1``, looked up in a table of
-    the run's counters, and turns the first word into ``k0`` and the
-    second into 0, so round 1's first product is taken once per stream.
-    Rounds 2-9 run in full; uint64 arrays wrap silently, as the C code
-    does.
+    uniform is ``(word >> 11) * 2**-53``.  Returns the ``(sum(blocks),
+    4)`` uniforms, stream by stream, in this thread's workspace output:
+    they are valid until the thread's next draw.  The zero counter words
+    fold two rounds: round 0 multiplies only ``b + 1``, looked up in a
+    table of the run's counters, and turns the first word into ``k0`` and
+    the second into 0, so round 1's first product is taken once per
+    stream.  Rounds 2-9 run in full; uint64 arrays wrap silently, as the C
+    code does.
 
-    Every ufunc writes into this thread's :func:`_philox_workspace`, and
-    the four words rotate through their rows rather than being copied.
-    A new array per ufunc, about 330 arrays of one word per block, would
+    Every ufunc writes into the rows of this thread's :class:`_Workspace`,
+    and the four words rotate through them rather than being copied.  A
+    new array per ufunc, about 330 arrays of one word per block, would
     free enough at the top of the heap that glibc hands it back to the
     system and faults it in again on the next run: about 360 minor page
-    faults per protocol grid.  The workspace is per thread, so runs in
-    two threads never share one.
+    faults per protocol grid.
     """
     ends = np.cumsum(blocks)
     total, streams, top = int(ends[-1]), len(keys), int(blocks.max())
-    rows = _philox_workspace(total)
+    workspace = _WORKSPACE
+    if workspace.rows.shape[1] < total:
+        workspace.rows = np.empty((12, total), np.uint64)
+        workspace.rows[0] = np.arange(1, total + 1, dtype=np.uint64)
+    rows = workspace.rows[:, :total]
     counters, stream, k0, k1, c0, c1, c2, c3, hi = rows[:9]
     scratch = rows[9:]
     # the stream of each block: the count of stream starts at or before it
@@ -496,46 +522,29 @@ def _philox_uniforms(keys, blocks):
         np.bitwise_xor(hi, c1, c1)
         np.bitwise_xor(c1, k0, c1)
         c0, c1, c2, c3 = c1, c2, c3, c0
-    out = np.empty((total, 4))
+    out = workspace.output(total)
     for column, word in zip(out.T, (c0, c1, c2, c3)):
         np.right_shift(word, _SHIFT11, word)
         np.multiply(word, 2.0**-53, column)
     return out
 
 
-def _reset_uniforms():
-    """A function drawing ``width`` uniforms per stream from numpy's C Philox.
+def _reset_uniforms(keys, blocks):
+    """The uniforms of :func:`_philox_uniforms`, from numpy's C Philox.
 
-    It resets one generator to each row's stream: counter 0, the row's
-    key and an empty buffer.  Its result is a view of one array that the
-    next call overwrites: an array per call let the heap shrink and grow
-    again with every chunk, in some processes and not in others.
+    It takes the same arguments and returns the same layout in the same
+    output.  This thread's generator is reset to each stream in turn:
+    counter 0, the stream's key and an empty buffer.  A reset costs more
+    than a numpy Philox block but draws a wide row faster.
     """
-    # the seed is a placeholder: each row sets the whole state first
-    bit_generator = np.random.Philox(0)
-    generator = np.random.Generator(bit_generator)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64), "key": None},
-        "buffer": np.zeros(4, np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    out = np.empty(0)
-
-    def uniforms(keys, width):
-        nonlocal out
-        if out.size < len(keys) * width:
-            out = np.empty(len(keys) * width)
-        u = out[: len(keys) * width].reshape(len(keys), width)
-        for row, key in zip(u, keys):
-            state["state"]["key"] = key
-            bit_generator.state = state
-            generator.random(out=row)
-        return u
-
-    return uniforms
+    workspace, ends = _WORKSPACE, np.cumsum(blocks).tolist()
+    out = workspace.output(ends[-1])
+    bit_generator, generator, state = workspace.reset
+    for key, start, stop in zip(keys, [0] + ends, ends):
+        state["state"]["key"] = key
+        bit_generator.state = state
+        generator.random(out=out[start:stop])
+    return out
 
 
 def _cell_summaries(estimates, true_value):
@@ -652,28 +661,27 @@ def _chunks(groups):
 def _draw_groups(dist, groups):
     """Draw and estimate every row of every group.
 
-    The rows of at most ``_NUMPY_PHILOX_MAX_WIDTH`` uniforms, of all the
-    groups, are packed into chunks that each take one
-    :func:`_philox_uniforms` run; wider rows reset numpy's C generator to
-    each stream, in chunks of one group.  Either way row ``r`` of a group
-    reads the stream :func:`replication_rng` builds, from counter 0.
+    The rows of at most ``_NUMPY_PHILOX_MAX_WIDTH`` uniforms come from
+    :func:`_philox_uniforms` and the wider rows from
+    :func:`_reset_uniforms`.  The rows each generator draws, of all the
+    groups, are packed into chunks that each take one draw, and row ``r``
+    of a group reads the stream :func:`replication_rng` builds, from
+    counter 0.  A chunk's uniforms are estimated before the next draw,
+    which writes over them.
     """
     narrow = [g for g in groups if g.width <= _NUMPY_PHILOX_MAX_WIDTH]
-    for chunk in _chunks(narrow):
-        rows = [stop - start for _, start, stop in chunk]
-        blocks = [-(-group.width // 4) for group, _, _ in chunk]
-        keys = np.concatenate([group.keys[start:stop] for group, start, stop in chunk])
-        u = _philox_uniforms(keys, np.repeat(blocks, rows))
-        offset = 0
-        for (group, start, stop), count, row_blocks in zip(chunk, rows, blocks):
-            group_u = u[offset : offset + count * row_blocks].reshape(count, -1)
-            group.add_rows(dist, start, stop, group_u[:, : group.width])
-            offset += count * row_blocks
-    for group in groups:
-        if group.width > _NUMPY_PHILOX_MAX_WIDTH:
-            uniforms = _reset_uniforms()
-            for [(_, start, stop)] in _chunks([group]):
-                group.add_rows(dist, start, stop, uniforms(group.keys[start:stop], group.width))
+    wide = [g for g in groups if g.width > _NUMPY_PHILOX_MAX_WIDTH]
+    for draw, drawn in ((_philox_uniforms, narrow), (_reset_uniforms, wide)):
+        for chunk in _chunks(drawn):
+            rows = [stop - start for _, start, stop in chunk]
+            blocks = [-(-group.width // 4) for group, _, _ in chunk]
+            keys = np.concatenate([group.keys[start:stop] for group, start, stop in chunk])
+            u = draw(keys, np.repeat(blocks, rows))
+            offset = 0
+            for (group, start, stop), count, row_blocks in zip(chunk, rows, blocks):
+                group_u = u[offset : offset + count * row_blocks].reshape(count, -1)
+                group.add_rows(dist, start, stop, group_u[:, : group.width])
+                offset += count * row_blocks
 
 
 def _grid_outcomes(dist, cells, replications, base_seed):
@@ -913,8 +921,8 @@ def calibrate_parameter(
     """
     try:
         target_bias, target_rmse = map(float, target)
-    except (TypeError, ValueError):
-        raise DomainError(f"calibration target must be (bias, rmse), got {target!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"calibration target must be (bias, rmse), got {shown(target)}") from None
     if not np.isfinite([target_bias, target_rmse]).all():
         raise DomainError(f"calibration target must be finite, got {target!r}")
     try:

@@ -85,15 +85,17 @@ def test_mixed_grid_bytes_are_pinned(law):
 
 
 def test_philox_workspace_grows_and_is_reused():
-    # in a new thread, whose numpy Philox workspace starts empty, runs of
-    # R = 20, 1, 7 and 20: the workspace grows for the first, serves the
-    # smaller runs from its first columns and the last at full size again
+    # in a new thread, whose draw workspace starts empty, runs of R = 20, 1,
+    # 7 and 20: the numpy Philox rows and the output grow for the first,
+    # serve the smaller runs from their first columns and the last at full
+    # size again
     sequence = [("exp", 1, 20), ("exp", 1, 1), ("exp", 1, 7), ("exp", 1, 20)]
 
     def grids():
         for family, seed, reps in sequence:
             digest = _digest(protocol_config(family, replications=reps, base_seed=seed))
-            yield digest, simulation._WORKSPACE.rows.shape
+            workspace = simulation._WORKSPACE
+            yield digest, (workspace.rows.shape, workspace.out.shape)
 
     with ThreadPoolExecutor(1) as pool:
         runs = pool.submit(lambda: list(grids())).result(timeout=120)

@@ -540,7 +540,10 @@ class TestSpecStrings:
             (lambda: PowerBeta(None), "powerbeta parameter alpha must be a real number, got None"),
             (lambda: FiniteRange(1, [2]), "finite-range parameter b must be a real number, got \\[2\\]"),
             (lambda: Exponential(True), "exponential parameter rate must be a real number, got True"),
-            (lambda: Exponential(10**400), "exponential parameter rate must be finite, got 1000"),
+            (
+                lambda: Exponential(10**400),
+                "exponential parameter rate must be finite, got a 1329-bit integer$",
+            ),
         ],
         ids=["exp-text", "unif-text", "powerbeta-none", "finite-list", "exp-bool", "exp-huge-int"],
     )

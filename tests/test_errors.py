@@ -5,20 +5,33 @@ import pytest
 
 from crexlab import (
     BiasConvention,
+    CrexlabError,
     DomainError,
     EstimatorKind,
+    EstimatorSpec,
     Exponential,
     PsiFamily,
     SpecParseError,
+    Uniform,
+    calibrate_parameter,
+    crex_min_order_stat,
     draw_minrssu,
     draw_srs,
+    rmn,
     rows_from_csv,
     rows_to_csv,
     sample_from_csv,
     sample_to_csv,
     simulation,
 )
-from crexlab.errors import enum_member, text_lines
+from crexlab.errors import enum_member, shown, text_lines
+
+HUGE = 10**5000
+
+
+def _rng():
+    return np.random.default_rng(0)
+
 
 ENUMS = [
     pytest.param(EstimatorKind, "estimator", id="estimator"),
@@ -141,3 +154,58 @@ class TestSharedCsvCode:
             sample_to_csv(sample, file)
         with pytest.raises(SpecParseError, match="CSV output must be a text file"):
             rows_to_csv([], file)
+
+
+class TestHugeIntegers:
+    """An int past the float range, or too long for ``str()``, ends in a typed error."""
+
+    # each used to end in a bare ValueError (a message formatting an int
+    # of more than 4300 digits, or numpy's array size limit) or OverflowError
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: crex_min_order_stat(Exponential(1.0), -HUGE), id="set-size"),
+            pytest.param(
+                lambda: simulation.run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=-HUGE),
+                id="seed",
+            ),
+            pytest.param(lambda: Exponential(HUGE), id="rate"),
+            pytest.param(lambda: Exponential(-HUGE), id="negative-rate"),
+            pytest.param(lambda: Uniform(-HUGE, 1), id="uniform-end"),
+            pytest.param(lambda: EstimatorSpec("rmn", w=HUGE), id="spec-w"),
+            pytest.param(lambda: rmn([1.0, 2.0, 3.0], -HUGE, m=2), id="rmn-w"),
+            pytest.param(lambda: draw_srs("exp:rate=1", -HUGE, _rng()), id="srs-count"),
+            pytest.param(lambda: Exponential(1.0).sample(_rng(), -HUGE), id="sample-count"),
+            pytest.param(
+                lambda: draw_minrssu(Exponential(1.0), 2, 2, _rng()).set_values(HUGE),
+                id="set-values",
+            ),
+            pytest.param(
+                lambda: simulation.SimulationConfig("exp:rate=1", l_values=(-HUGE,)), id="l-value"
+            ),
+            pytest.param(lambda: Exponential(1.0).survival(HUGE), id="survival"),
+            pytest.param(lambda: Exponential(1.0).quantile(HUGE), id="quantile"),
+            pytest.param(
+                lambda: calibrate_parameter(["exp:rate=1"], "rn", 2, 2, (HUGE, 1.0)),
+                id="calibration-target",
+            ),
+            pytest.param(lambda: Exponential(1.0).sample(_rng(), HUGE), id="huge-sample"),
+            pytest.param(lambda: draw_srs("exp:rate=1", 10**30, _rng()), id="srs-past-intp"),
+        ],
+    )
+    def test_typed_error(self, call):
+        with pytest.raises(CrexlabError) as caught:
+            call()
+        assert len(str(caught.value)) < 200
+
+    def test_shown(self):
+        assert shown(10**400) == "a 1329-bit integer"
+        assert shown(-HUGE) == "a negative 16610-bit integer"
+        assert shown([HUGE]) == "a list too long to print"
+        values = (2**1023, 2.5, "3", None)
+        assert [shown(v) for v in values] == [repr(2**1023), "2.5", "'3'", "None"]
+
+    def test_w_past_int64_gives_float_weights(self):
+        # used to end in a bare TypeError: the weight denominators became an object array
+        sample = [1.0, 2.0, 3.0]
+        assert rmn(sample, 10**20, m=2) == rmn(sample, 10**300, m=2) == -1.0

@@ -52,10 +52,10 @@ from crexlab.simulation import (
 DATA = Path(__file__).parent / "data"
 
 
-def _numpy_uniforms(keys, width):
-    """``width`` uniforms per stream from one numpy Philox run."""
+def _uniforms(draw, keys, width):
+    """A copy of the first ``width`` uniforms of each stream, from one ``draw``."""
     blocks = np.full(len(keys), -(-width // 4))
-    return _philox_uniforms(keys, blocks).reshape(len(keys), -1)[:, :width]
+    return draw(keys, blocks).reshape(len(keys), -1)[:, :width].copy()
 
 
 def _forbid_drawing(monkeypatch):
@@ -244,8 +244,8 @@ class TestBatchedKernel:
         seed, digest, reps = 2**64 + 5, 0xFEDCBA9876543210, 3 if width > 100 else 40
         keys = _replication_keys(seed, [digest], reps)[0]
         expected = np.stack([replication_rng(seed, digest, r).random(width) for r in range(reps)])
-        for uniforms in (_numpy_uniforms, _reset_uniforms()):
-            assert uniforms(keys, width).tobytes() == expected.tobytes()
+        for draw in (_philox_uniforms, _reset_uniforms):
+            assert _uniforms(draw, keys, width).tobytes() == expected.tobytes()
 
     def test_packed_philox_matches_replication_rng(self, monkeypatch):
         # every (m, l) shape of m = 1..5 and l = 1..3, vn and MinRSSU: rows
@@ -271,8 +271,9 @@ class TestBatchedKernel:
             return _philox_uniforms(keys, blocks)
 
         monkeypatch.setattr(simulation, "_philox_uniforms", counted)
+        # a draw's uniforms are valid until the next draw, so the recorder copies them
         monkeypatch.setattr(
-            _Group, "add_rows", lambda group, dist, start, stop, u: drawn[group].append(u)
+            _Group, "add_rows", lambda group, dist, start, stop, u: drawn[group].append(u.copy())
         )
         _draw_groups(Exponential(1.0), groups)
         assert len(runs) == len(chunks)
@@ -413,7 +414,7 @@ class TestBatchedKernel:
         keys = _replication_keys(seed, digests, reps).reshape(-1, 2)
         blocks = np.full(len(keys), 3)
         before = [keys.copy(), blocks.copy()]
-        first, second = _philox_uniforms(keys, blocks), _philox_uniforms(keys, blocks)
+        first, second = _philox_uniforms(keys, blocks).copy(), _philox_uniforms(keys, blocks)
         assert [keys.tobytes(), blocks.tobytes()] == [array.tobytes() for array in before]
         expected = np.stack(
             [replication_rng(seed, d, r).random(12) for d in digests for r in range(reps)]
@@ -449,7 +450,7 @@ class TestBatchedKernel:
 
 
 class TestPhiloxWorkspace:
-    """The numpy Philox runs in a workspace that each thread keeps between runs."""
+    """Both Philox generators draw into a workspace that each thread keeps between draws."""
 
     @staticmethod
     def _at_once(work, args):
@@ -500,15 +501,84 @@ class TestPhiloxWorkspace:
         )
         assert drawn == [{u} for u in serial]
 
-    def test_a_run_keeps_its_uniforms_through_later_runs(self):
+    def test_threads_running_wide_grids_at_once_keep_their_generators_apart(self, monkeypatch):
+        # the large-sample benchmark's grid shape (exp, m = 5, l = 1000, all
+        # five estimators: rows of 5000 and 15000 uniforms, all drawn by
+        # resetting the C generator) on two seeds, three times each in two
+        # threads at once.  The threads draw each chunk in step and estimate
+        # it in step, after both have drawn it, so a generator or output
+        # that the threads shared would hand one thread's uniforms to the
+        # other.  Rows this wide keep both threads' fills running at once:
+        # at l = 100 a shared generator went unseen in some runs
+        configs = [
+            SimulationConfig(
+                "exp:rate=1", m_values=(5,), l_values=(1000,),
+                estimators=("vn", "rn", "rmn", "lstat", "lstat_adj"),
+                w_lists={"rmn": (0,), "lstat_adj": (0,)}, psi_family="exp",
+                replications=12, base_seed=seed,
+            )
+            for seed in (1, 2)
+        ]
+        assert all(width > _NUMPY_PHILOX_MAX_WIDTH for width in (5000, 15000))
+        serial = [rows_to_csv(run_grid(config).rows) for config in configs]
+        in_step = threading.Barrier(len(configs), timeout=60)
+
+        def stepped(work):
+            def in_turn(*args):
+                in_step.wait()
+                return work(*args)
+
+            return in_turn
+
+        monkeypatch.setattr(simulation, "_reset_uniforms", stepped(_reset_uniforms))
+        monkeypatch.setattr(_Group, "add_rows", stepped(_Group.add_rows))
+        csvs = self._at_once(
+            lambda config: [rows_to_csv(run_grid(config).rows) for _ in range(3)], configs
+        )
+        assert csvs == [[text] * 3 for text in serial]
+
+    def test_both_generators_write_one_output(self):
+        # a draw's uniforms are valid until this thread's next draw, by either generator
         keys = _replication_keys(3, [5, 2**40], 60).reshape(-1, 2)
         first = _philox_uniforms(keys[:10], np.full(10, 3))
-        kept = first.copy()
-        # larger, smaller and larger runs again, all after the first
-        for streams, blocks in ((120, 12), (4, 1), (60, 7)):
-            later = _philox_uniforms(keys[:streams], np.full(streams, blocks))
-            assert not np.shares_memory(first, later)
-        assert first.tobytes() == kept.tobytes()
+        later = _reset_uniforms(keys[10:14], np.full(4, 2))
+        assert np.shares_memory(first, later)
+        assert first[: len(later)].tobytes() == later.tobytes()
+        assert later.tobytes() == _uniforms(_philox_uniforms, keys[10:14], 8).tobytes()
+
+    def test_draw_groups_consumes_each_chunk_before_its_next_draw(self, monkeypatch):
+        # narrow and wide rows of several groups, in several chunks of each
+        # generator: every add_rows call reads the latest draw, unchanged
+        # by the calls before it, and the next draw may write over it
+        cfg = SimulationConfig(
+            "exp:rate=1", m_values=(2, 5), l_values=(1, 3, 12),
+            estimators=("lstat", "vn", "rmn", "lstat_adj", "rn"),
+            w_lists={"rmn": (0, 1), "lstat_adj": (0, 1)}, psi_family="beta",
+            replications=37, base_seed=5,
+        )
+        expected = rows_to_csv(run_grid(cfg).rows)
+        monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", 2**10)
+        draws, add_rows = [], _Group.add_rows
+
+        def recorded(draw):
+            def drawn(keys, blocks):
+                u = draw(keys, blocks)
+                draws.append((draw, u, u.copy()))
+                return u
+
+            return drawn
+
+        def checked(group, dist, start, stop, u):
+            _, latest, kept = draws[-1]
+            assert np.shares_memory(u, latest) and latest.tobytes() == kept.tobytes()
+            add_rows(group, dist, start, stop, u)
+
+        for draw in (_philox_uniforms, _reset_uniforms):
+            monkeypatch.setattr(simulation, draw.__name__, recorded(draw))
+        monkeypatch.setattr(_Group, "add_rows", checked)
+        assert rows_to_csv(run_grid(cfg).rows) == expected
+        for draw in (_philox_uniforms, _reset_uniforms):
+            assert sum(d is draw for d, _, _ in draws) > 1
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux getrusage")
     def test_protocol_grids_do_not_fault_the_heap_in_again(self):
@@ -662,21 +732,21 @@ class TestRunGrid:
 
     def test_generator_switch_changes_no_estimate(self, monkeypatch):
         cfg = SimulationConfig(**self.GRIDS[1])
-        widths = {"numpy": set(), "reset": set()}
+        widths = {"_philox_uniforms": set(), "_reset_uniforms": set()}
 
-        # the numpy Philox sees whole blocks: four uniforms per block
-        def numpy_philox(keys, blocks):
-            widths["numpy"].update((4 * blocks).tolist())
-            return _philox_uniforms(keys, blocks)
+        # both generators draw whole blocks: four uniforms per block
+        def recorded(draw):
+            def drawn(keys, blocks):
+                widths[draw.__name__].update((4 * blocks).tolist())
+                return draw(keys, blocks)
 
-        def reset_philox():
-            uniforms = _reset_uniforms()
-            return lambda keys, width: widths["reset"].add(width) or uniforms(keys, width)
+            return drawn
 
-        monkeypatch.setattr(simulation, "_philox_uniforms", numpy_philox)
-        monkeypatch.setattr(simulation, "_reset_uniforms", reset_philox)
+        for name in widths:
+            monkeypatch.setattr(simulation, name, recorded(getattr(simulation, name)))
         expected = run_grid(cfg).rows
-        assert max(widths["numpy"]) <= _NUMPY_PHILOX_MAX_WIDTH < min(widths["reset"])
+        assert max(widths["_philox_uniforms"]) <= _NUMPY_PHILOX_MAX_WIDTH
+        assert min(widths["_reset_uniforms"]) > _NUMPY_PHILOX_MAX_WIDTH
         for width in (0, 10**9):
             monkeypatch.setattr(simulation, "_NUMPY_PHILOX_MAX_WIDTH", width)
             assert run_grid(cfg).rows == expected
