@@ -2,10 +2,12 @@
 
 Each entry is the sha256 of a grid's results CSV followed by a zero byte
 and its failure list, one ``<error type>: <message>`` line per failed
-cell.  The hashes were taken before the numpy Philox kernel folded its
-zero counter words, so they pin that every stream, estimate and failure
-of these grids is unchanged by kernel rewrites.  A change that is meant
-to change these streams must say why and rewrite the corpus.
+cell.  The hashes were taken under stream contract 2, where replication
+``r`` of every cell of one draw shape reads the Philox stream keyed
+``(k0, r)``.  They pin that every stream, estimate and failure of these
+grids is unchanged by kernel rewrites.  A change that is meant to change
+these streams must say why and rewrite the corpus:
+``PYTHONPATH=src python tests/test_corpus.py`` prints it.
 """
 
 import hashlib
@@ -18,40 +20,40 @@ from crexlab.simulation import SimulationConfig
 
 # (family, base seed, replications) -> sha256 of the protocol grid
 PROTOCOL = {
-    ("exp", 1, 20): "6d9cae81d6c7727fae44d442511bd7dd2fd41d7fb73e5be3b68aa30b3eeb7a45",
-    ("exp", 1, 7): "f073abb8051f29f47ba905d2e847ac10f96321a39a3c496848ea980a0012d1c7",
-    ("exp", 1, 1): "68be4bd48e9e28ea00e31d45c282e2e2a732f9ffd17cfffe12e8aa8f9e25a746",
-    ("exp", 2**40 + 3, 20): "fc599d6b77e46a99143c3c2aa3647347799e85fc585d8cd9ae5f8c25de3faff9",
-    ("exp", 2**40 + 3, 7): "2be7623189655a1200a4c39db1cba1771a7eaf1c76cedf73ddc1efe4d24bef39",
-    ("exp", 2**40 + 3, 1): "b37887615b96ce800313e1d6aa4435697bf25cd535789974046f6959a70750e0",
-    ("exp", 99, 20): "75af6d452c543f17e3a53b15eed5a0f69a96ef3a95a58aa61ee538db5f63f635",
-    ("exp", 99, 7): "99a164bc1dc60ef4bc2a2cfe72fedb23ded0202328817aca9a3e8895bc3e9f00",
-    ("exp", 99, 1): "8edd8674ceda2b9cb62ad91a4b11f53e17c541210053a340dbff3f5a6ad99f6f",
-    ("unif", 1, 20): "15759c2fc0553491ec2b4c7ae7029eec8a88a5c0a0941c1965e6a9a5e217e5ae",
-    ("unif", 1, 7): "6d2b33fb145eec152a399de6bc1fe7ccb87ab9510e633fb48cb42ec1604f6601",
-    ("unif", 1, 1): "0ab8c948e96e76bae5bc15c7a403dfe4b7356c0ae14363468fab01b1b62b29d2",
-    ("unif", 2**40 + 3, 20): "94e7d3617a6472845b1f6cca111481688c898938da429c19301d015203909803",
-    ("unif", 2**40 + 3, 7): "149139e075528ee7f1f9959de5e762015ce60a70bd7019381a21d592b0a7b8f8",
-    ("unif", 2**40 + 3, 1): "41546c6f2483378b03fc941700ed0d0a241ef715e2d95930c1e3daa001ad1a41",
-    ("unif", 99, 20): "07e7cb9a72c4576f2ada0f6e8c9bdf61cb6f8356dc40dd85f9648ada33875d47",
-    ("unif", 99, 7): "d2cb034966ba0a990ee0d85941a63ab72d41d02c656d4300fe787cd48afbcd4a",
-    ("unif", 99, 1): "4f3ed55fb416411f851aea43e7c99dd62c5bcac0a1c9e3875bf61e3283e1e792",
-    ("beta", 1, 20): "d85858a1bcbb461e83ed7c5c8c3edaa5f9cfb104539a4b9585e9e80df1c44d2e",
-    ("beta", 1, 7): "d7855fd430ec9a4859e49b3b0b3a1c2e08c5ccc5e383c356d76770b387a06a9c",
-    ("beta", 1, 1): "10618c180006a12d03fe890e097b287de6ae0b7fc84bd289c40ab9269be2095b",
-    ("beta", 2**40 + 3, 20): "2dcc6f328a7be860d75507c63a485f01c6c3ac4954e203353bedae1c8efa6ca5",
-    ("beta", 2**40 + 3, 7): "d455f0da47b6b4030fa6a08ec99583c58c212896bf84eeb9e290a718544c775d",
-    ("beta", 2**40 + 3, 1): "7bd9a01a912e5293e53e253cc5deb42eab4c11f81ead3cb38ca8cf012bf6eb14",
-    ("beta", 99, 20): "a9e8a206a723fbd6d5197aa88b301057724f287dd17994f6cf7ffcd8b0acaa61",
-    ("beta", 99, 7): "2a3656926d4818453af16009070a7c7c50aa16aa414528b5a09a5402106cf4ec",
-    ("beta", 99, 1): "9fcb078d78b12909bd531689e0cc6ecb4d720230eff9bd84a4413df30acf3312",
+    ("exp", 1, 20): "9a3ee4b4b6f456255ed07ada643efe3348f97d765f672cd04a8186971d838fb0",
+    ("exp", 1, 7): "2f396eb4646e96c0f678f1cde571dd58a29f6f810737859a643b34d213b3d271",
+    ("exp", 1, 1): "0c1e80871bbe6728ea71e1294baf93ea35a7df43789a5f3e3c8c5ff615d43404",
+    ("exp", 2**40 + 3, 20): "f44435bd545c456ec347098419a19ef490e1e04eceda2df03bf8a94f39a9f9c4",
+    ("exp", 2**40 + 3, 7): "12f2df6a1c5e7cd5520e7e733177beee3364cb49582ccac0474843790cf32401",
+    ("exp", 2**40 + 3, 1): "eb53c2fa9a2ab807476c221e2ed6e779e88131151d19b0bee9d71086c35ce148",
+    ("exp", 99, 20): "c801dee94633246c3dc2a084b52f4d24a219f72911a92ec30dcce013ada89be8",
+    ("exp", 99, 7): "26851824d7979d82727875d3c5d0ce9a3fb5df1020da0d93c92ef69d13ed1665",
+    ("exp", 99, 1): "32cc55cee56296f24d8bd03ca1517262ba28dc026e265a514c31a57d963849c2",
+    ("unif", 1, 20): "1782b13813eb81dfdcfa71a203aa3f90197748b963405e9826fe28b8d7917254",
+    ("unif", 1, 7): "0fa60ad02deff28d94e5273a87c3cdfcddc5cab9eb508809c83eb883a980aea1",
+    ("unif", 1, 1): "7160ca38535f66d6a978848776d97739369b08e76334f1b2d856dc203340e113",
+    ("unif", 2**40 + 3, 20): "e16708ea279202ca3a111979ac43cb1f121386034af326b825aad511df172820",
+    ("unif", 2**40 + 3, 7): "d708471a29a58e238ef6398eb1cc7d863caebb9c615ed305d00ec1e50b9ce3a3",
+    ("unif", 2**40 + 3, 1): "61e620b7e69422507d18549a61ef1f75e72caa35c6eb9289719387710637affa",
+    ("unif", 99, 20): "4e90a4f395f57f498006cd80ef1dcf385dd164a7f20846cbd6cb0ac0bac14f64",
+    ("unif", 99, 7): "5ea13d353c8d4eaf8c9ea44ba65fc1cf4e8d06accbaa48dace71b4f4a3d5b3c4",
+    ("unif", 99, 1): "8700f8f9785e1030e12347aacba7feec4a9d853285a76be6e2e90dbd22432081",
+    ("beta", 1, 20): "3533e8b541aba53aad0813f8c330052fa19ef5ddd5dea7e1aa4d7f3130278907",
+    ("beta", 1, 7): "f5ef0f0cec370597e08616ad0fad200ff99a69ce387777876373588003624853",
+    ("beta", 1, 1): "c1cbf3205b42152ada489e5c394260329b725bbef3ef42a8afde4719b134a7a3",
+    ("beta", 2**40 + 3, 20): "1a3da3fd71487e770077869632ef99d9de2c862f2ee0d23351534d73f808695b",
+    ("beta", 2**40 + 3, 7): "04b1a737077108089838ef67b8b64823f51cf3cb6ddcb9c5371c13b6424eb11f",
+    ("beta", 2**40 + 3, 1): "75e513bd01dbd1bd08712e8e203484c01b9a89723190bce4cb8c751a3dd741a7",
+    ("beta", 99, 20): "eb192261e33492e1a517620f0c0d61d0fcd2b04ce2a640ecb6e04d9150bb7406",
+    ("beta", 99, 7): "0c93085d685b866d29df39c0dca9bac4875057c71ac56c16bf2455c481871734",
+    ("beta", 99, 1): "58ace2b148b4f92e69c81d899fb897279a894c89b5895ffa7f92bb9b29f2a36b",
 }
 
-# mixed grids of all five estimators, rows of 1 to 195 uniforms, so
-# rows fall on both sides of the numpy Philox width limit
+# mixed grids of all five estimators: vn and MinRSSU shapes, m = 1 and
+# l = 1, rows of 1 to 195 uniforms
 MIXED = {
-    "exp:rate=1": "2f51c11d822c654ef203dc268fc81b959f2162356bae4f8997d2dc8698a7cbbe",
-    "unif:a=2,b=3": "288b6efb8470678442aacc0843dba18eb0eef9312fd894ae1b4be2922f4346a2",
+    "exp:rate=1": "01a3d5503fbd8ac935a693ddd987c45352f84009695d79f1e16d5304c11c7d14",
+    "unif:a=2,b=3": "85f718c18e9003309940f4b1cd648fea89cd8fe997af91fa2ecd70e30f304a2f",
 }
 PSI_FAMILY = {"exp:rate=1": "exp", "unif:a=2,b=3": "unif"}
 
@@ -71,7 +73,11 @@ def test_protocol_grid_bytes_are_pinned(family, seed, reps):
 
 @pytest.mark.parametrize("law", list(MIXED))
 def test_mixed_grid_bytes_are_pinned(law):
-    config = SimulationConfig(
+    assert _digest(_mixed_config(law)) == MIXED[law]
+
+
+def _mixed_config(law):
+    return SimulationConfig(
         law,
         m_values=(1, 2, 3, 4, 5),
         l_values=(1, 2, 3, 13),
@@ -81,23 +87,28 @@ def test_mixed_grid_bytes_are_pinned(law):
         replications=37,
         base_seed=2**40 + 3,
     )
-    assert _digest(config) == MIXED[law]
 
 
 def test_philox_workspace_grows_and_is_reused():
     # in a new thread, whose draw workspace starts empty, runs of R = 20, 1,
-    # 7 and 20: the numpy Philox rows and the output grow for the first,
-    # serve the smaller runs from their first columns and the last at full
-    # size again
+    # 7 and 20: the output grows for the first, serves the smaller runs from
+    # its first entries and the last at full size again
     sequence = [("exp", 1, 20), ("exp", 1, 1), ("exp", 1, 7), ("exp", 1, 20)]
 
     def grids():
         for family, seed, reps in sequence:
             digest = _digest(protocol_config(family, replications=reps, base_seed=seed))
-            workspace = simulation._WORKSPACE
-            yield digest, (workspace.rows.shape, workspace.out.shape)
+            yield digest, simulation._WORKSPACE.out.shape
 
     with ThreadPoolExecutor(1) as pool:
         runs = pool.submit(lambda: list(grids())).result(timeout=120)
     assert [digest for digest, _ in runs] == [PROTOCOL[key] for key in sequence]
     assert len({shape for _, shape in runs}) == 1
+
+
+if __name__ == "__main__":
+    for family, seed, reps in PROTOCOL:
+        config = protocol_config(family, replications=reps, base_seed=seed)
+        print(f"    {(family, seed, reps)!r}: {_digest(config)!r},")
+    for law in MIXED:
+        print(f"    {law!r}: {_digest(_mixed_config(law))!r},")

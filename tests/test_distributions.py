@@ -18,7 +18,7 @@ from crexlab import (
     parse_distribution,
 )
 from crexlab.distributions import _number_text
-from crexlab.simulation import _cell_digest, run_cell
+from crexlab.simulation import _shape_digest, run_cell
 
 ALL_FAMILIES = [
     Exponential(1.0),
@@ -442,7 +442,7 @@ class TestSpecStrings:
             "exp:rate=0.1234568",
         )
         assert repr(first) == "Exponential(rate=0.1234567)"
-        digests = [_cell_digest(law.spec_string(), "rn", 2, 3) for law in (first, second)]
+        digests = [_shape_digest(law.spec_string(), False, 2, 3) for law in (first, second)]
         assert digests[0] != digests[1]
         assert crex(first).value != crex(second).value
         # a law whose :g text reads back keeps its text, and so its digest and streams

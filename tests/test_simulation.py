@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -34,38 +35,35 @@ from crexlab import (
 from crexlab import simulation
 from crexlab.cli import main
 from crexlab.errors import SizeError
-from crexlab.estimators import estimate, psi, row_estimator
+from crexlab.estimators import asymptotic_variance_minrssu, estimate, psi, row_estimator
 from crexlab.simulation import (
     _CHUNK_UNIFORMS,
-    _NUMPY_PHILOX_MAX_WIDTH,
+    LSTAT_ADJ_W_GRID,
+    PROTOCOL_DISTRIBUTIONS,
+    RMN_W_GRID,
     SimulationConfig,
     SimulationRow,
-    _chunks,
-    _draw_groups,
     _Group,
-    _cell_digest,
-    _philox_uniforms,
-    _replication_keys,
     _reset_uniforms,
+    _shape_digest,
+    _stream_key,
 )
 
 DATA = Path(__file__).parent / "data"
 
 
-def _uniforms(draw, keys, width):
-    """A copy of the first ``width`` uniforms of each stream, from one ``draw``."""
-    blocks = np.full(len(keys), -(-width // 4))
-    return draw(keys, blocks).reshape(len(keys), -1)[:, :width].copy()
-
-
 def _forbid_drawing(monkeypatch):
-    """Fail the test if the grid kernel draws any uniform, by either generator."""
+    """Fail the test if the grid kernel draws any uniform."""
 
     def no_draw(*args):
         raise AssertionError("drew uniforms")
 
-    monkeypatch.setattr(simulation, "_philox_uniforms", no_draw)
     monkeypatch.setattr(simulation, "_reset_uniforms", no_draw)
+
+
+def _philox(k0, r):
+    """numpy's C Philox keyed ``(k0, r)``, from counter 0."""
+    return np.random.Generator(np.random.Philox(key=np.array([k0, r], np.uint64)))
 
 
 def _inject_samples(monkeypatch, values):
@@ -110,9 +108,10 @@ class TestRunCell:
             ({"l": 2.5}, DomainError, "l must be an integer, got 2.5"),
             ({"replications": True}, DomainError, "replications must be an integer, got True"),
             ({"base_seed": -1}, DomainError, "base seed must be >= 0, got -1"),
+            ({"base_seed": 2**128}, DomainError, r"base seed must be < 2\*\*128, got 3402"),
             ({"bias_convention": "bogus"}, SpecParseError, "unknown bias convention 'bogus'"),
         ],
-        ids=["m", "l", "replications", "seed", "convention"],
+        ids=["m", "l", "replications", "seed", "large-seed", "convention"],
     )
     def test_direct_call_checks_its_arguments(self, change, error, message, monkeypatch):
         # a grid hands run_cell checked config values; a direct call is checked before drawing
@@ -156,7 +155,7 @@ class TestRunCell:
     def test_mc_se_against_split_half(self):
         row = run_cell("exp:rate=1", "rn", 2, 2, 400, base_seed=13)
         # recompute the per-replication estimates through the public stream API
-        digest = _cell_digest("exp:rate=1", "rn", 2, 2)
+        digest = _shape_digest("exp:rate=1", False, 2, 2)
         spec = EstimatorSpec.parse("rn")
         dist = Exponential(1.0)
         ests = np.empty(400)
@@ -186,7 +185,7 @@ def _reference_estimate(spec, m, data):
 
 
 class TestBatchedKernel:
-    # at a budget of 2**14 uniforms per chunk each shape spans several chunks
+    # at a budget of 2**10 or 2**14 uniforms per chunk each shape spans several chunks
     @pytest.mark.parametrize(
         "dist_text,m,l,reps",
         [
@@ -200,104 +199,92 @@ class TestBatchedKernel:
         "spec_text", ["vn", "rn", "rmn:w=1", "lstat", "lstat_adj:family=beta,w=0"]
     )
     def test_matches_per_replication_route(self, dist_text, m, l, reps, spec_text, monkeypatch):
-        monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", 2**14)
         dist = parse_distribution(dist_text)
         spec = EstimatorSpec.parse(spec_text)
-        seed = 31
-        digest = _cell_digest(dist.spec_string(), spec.text(), m, l)
+        seed, vn = 31, spec_text == "vn"
+        digest = _shape_digest(dist.spec_string(), vn, m, l)
         loop = np.empty(reps)
         for r in range(reps):
             rng = replication_rng(seed, digest, r)
-            if spec_text == "vn":
-                data = dist.sample(rng, m * l)
-            else:
-                data = draw_minrssu(dist, m, l, rng)
+            data = dist.sample(rng, m * l) if vn else draw_minrssu(dist, m, l, rng)
             loop[r] = _reference_estimate(spec, m, data)
             if r % 97 == 0:
                 assert estimate(spec, data) == loop[r]
-        keys = _replication_keys(seed, [digest], reps)
-        group = _Group(spec_text == "vn", m, l, keys, [row_estimator(spec, m, m * l)])
-        assert len(list(_chunks([group]))) > 1
-        _draw_groups(dist, [group])
-        assert group.estimates[0].tobytes() == loop.tobytes()
-        row = run_cell(dist, spec, m, l, reps, base_seed=seed)
-        assert row.bias == row.true_value - float(np.mean(loop, dtype=np.longdouble))
+        for budget in (2**10, 2**14, _CHUNK_UNIFORMS):
+            monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", budget)
+            group = _Group(vn, m, l, _stream_key(seed, digest), [row_estimator(spec, m, m * l)], reps)
+            assert reps * group.width > budget or budget == _CHUNK_UNIFORMS
+            group.draw(dist)
+            assert group.estimates[0].tobytes() == loop.tobytes()
+            row = run_cell(dist, spec, m, l, reps, base_seed=seed)
+            assert row.bias == row.true_value - float(np.mean(loop, dtype=np.longdouble))
 
-    @pytest.mark.parametrize(
-        "seed", [0, 42, 2**32 - 1, 2**32, 2**63 + 11, 2**80 + 9, 2**96 + 5, 2**127 + 3]
-    )
-    @pytest.mark.parametrize("digest", [0, 7, 2**32 - 1, 2**32, 0xFEDCBA9876543210, 2**64 - 1])
-    def test_keys_match_seed_sequence(self, seed, digest):
-        # seeds of 1, 2, 3 and 4 words; digests of 1 word (high word 0) and 2
-        keys = _replication_keys(seed, [digest], 70000)[0]
-        assert keys.shape == (70000, 2) and keys.dtype == np.uint64
-        for r in (0, 1, 2, 65535, 65536, 69999):
-            expected = np.random.SeedSequence([seed, digest, r]).generate_state(2, np.uint64)
-            assert keys[r].tolist() == expected.tolist()
-        rng = replication_rng(seed, digest, 3)
-        assert rng.bit_generator.state["state"]["key"].tolist() == keys[3].tolist()
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 + 3, 2**127 + 3, 2**128 - 1])
+    @pytest.mark.parametrize("digest", [0, 7, 0xFEDCBA9876543210, 2**64 - 1])
+    def test_stream_key_is_k0_and_the_replication_index(self, seed, digest):
+        # k0 is the blake2b digest of the 16-byte seed and 8-byte shape digest
+        data = seed.to_bytes(16, "little") + digest.to_bytes(8, "little")
+        k0 = int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+        assert _stream_key(seed, digest) == k0
+        for r in (0, 1, 2**32, 2**64 - 1):
+            state = replication_rng(seed, digest, r).bit_generator.state
+            assert state["state"]["key"].tolist() == [k0, r]
+            assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
+            assert state["buffer_pos"] == 4
 
-    @pytest.mark.parametrize(
-        "width", [1, 3, 4, 5, _NUMPY_PHILOX_MAX_WIDTH, _NUMPY_PHILOX_MAX_WIDTH + 1, 15000]
-    )
-    def test_both_generators_match_replication_rng(self, width):
-        seed, digest, reps = 2**64 + 5, 0xFEDCBA9876543210, 3 if width > 100 else 40
-        keys = _replication_keys(seed, [digest], reps)[0]
-        expected = np.stack([replication_rng(seed, digest, r).random(width) for r in range(reps)])
-        for draw in (_philox_uniforms, _reset_uniforms):
-            assert _uniforms(draw, keys, width).tobytes() == expected.tobytes()
+    def test_keys_of_nearby_seeds_and_shapes_differ(self):
+        seeds = [0, 1, 2**64, 2**64 + 1, 2**127 + 3]
+        digests = [_shape_digest("exp:rate=1", vn, m, l)
+                   for vn in (False, True) for m in (1, 2) for l in (1, 2)]
+        assert len(set(digests)) == 8
+        assert len({_stream_key(seed, d) for seed in seeds for d in digests}) == 40
 
-    def test_packed_philox_matches_replication_rng(self, monkeypatch):
-        # every (m, l) shape of m = 1..5 and l = 1..3, vn and MinRSSU: rows
-        # of 1 to 45 uniforms; about 2.3 chunks of rows in all, so a chunk
-        # holds rows of several widths and a chunk boundary splits a group
-        seed, reps = 2**40 + 3, _CHUNK_UNIFORMS // 260
-        digests = {}
-        for m in range(1, 6):
-            for l in range(1, 4):
-                for vn in (False, True):
-                    cells = [_cell_digest("exp:rate=1", f"{vn}|{k}", m, l) for k in range(2)]
-                    keys = _replication_keys(seed, cells, reps)
-                    digests[_Group(vn, m, l, keys, [(True, m * l)] * 2)] = cells
-        groups = list(digests)
-        chunks = list(_chunks(groups))
-        assert all(g.width <= _NUMPY_PHILOX_MAX_WIDTH for g in groups)
-        assert any(len({group.width for group, _, _ in chunk}) > 1 for chunk in chunks)
-        assert any(chunk[-1][0] is later[0][0] for chunk, later in zip(chunks, chunks[1:]))
-        runs, drawn = [], {group: [] for group in groups}
+    @pytest.mark.parametrize("width", [1, 3, 4, 5, 48, 49, 15000])
+    def test_reset_uniforms_match_replication_rng(self, width):
+        seed, digest = 2**64 + 5, 0xFEDCBA9876543210
+        k0, (start, stop) = _stream_key(seed, digest), (3, 6) if width > 100 else (5, 45)
+        expected = [replication_rng(seed, digest, r).random(width) for r in range(start, stop)]
+        u = _reset_uniforms(k0, start, stop, width)
+        assert u.shape == (stop - start, width)
+        assert u.tobytes() == np.stack(expected).tobytes()
 
-        def counted(keys, blocks):
-            runs.append(len(keys))
-            return _philox_uniforms(keys, blocks)
+    def test_reset_uniforms_take_every_key_word(self):
+        # key words of 0 and 2**64 - 1, each against numpy's C Philox from counter 0
+        top = 2**64 - 1
+        for k0 in (0, 1, top):
+            for start, stop in ((0, 3), (top - 2, top + 1)):
+                u = _reset_uniforms(k0, start, stop, 13).copy()
+                expected = [_philox(k0, r).random(13) for r in range(start, stop)]
+                assert u.tobytes() == np.stack(expected).tobytes()
 
-        monkeypatch.setattr(simulation, "_philox_uniforms", counted)
-        # a draw's uniforms are valid until the next draw, so the recorder copies them
-        monkeypatch.setattr(
-            _Group, "add_rows", lambda group, dist, start, stop, u: drawn[group].append(u.copy())
+    def test_each_shape_is_drawn_once_for_all_its_cells(self, monkeypatch):
+        # vn and MinRSSU cells of several estimators: one stream per shape and
+        # replication, each row drawn once, whatever the number of cells
+        cfg = SimulationConfig(
+            "exp:rate=1", m_values=(2, 5), l_values=(1, 3, 12),
+            estimators=("lstat", "vn", "rmn", "lstat_adj", "rn"),
+            w_lists={"rmn": (0, 1), "lstat_adj": (0, 1)}, psi_family="beta",
+            replications=37, base_seed=5,
         )
-        _draw_groups(Exponential(1.0), groups)
-        assert len(runs) == len(chunks)
-        for group, cells in digests.items():
-            expected = [
-                replication_rng(seed, digest, r).random(group.width)
-                for digest in cells
-                for r in range(reps)
-            ]
-            assert np.concatenate(drawn[group]).tobytes() == np.stack(expected).tobytes()
+        monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", 2**10)
+        draws = []
 
-    @pytest.mark.parametrize("seed", [0, 42, 2**64 + 3])
-    @pytest.mark.parametrize("reps", [1, 5])
-    def test_grid_keys_match_seed_sequence(self, seed, reps):
-        # digests of one word (high word 0) and of two, interleaved: a grid
-        # hashes the two kinds apart; a seed of 2**64 or more has three
-        # words, so its entropy is longer than the pool
-        digests = [7, 0xFEDCBA9876543210, 0, 2**32, 2**32 - 1, 2**64 - 1]
-        keys = _replication_keys(seed, digests, reps)
-        assert keys.shape == (len(digests), reps, 2) and keys.dtype == np.uint64
-        for cell, digest in enumerate(digests):
-            for r in range(reps):
-                expected = np.random.SeedSequence([seed, digest, r]).generate_state(2, np.uint64)
-                assert keys[cell, r].tolist() == expected.tolist()
+        def recorded(k0, start, stop, width):
+            draws.append((k0, start, stop, width))
+            return _reset_uniforms(k0, start, stop, width)
+
+        monkeypatch.setattr(simulation, "_reset_uniforms", recorded)
+        run_grid(cfg)
+        shapes = {
+            _stream_key(5, _shape_digest("exp:rate=1", vn, m, l)): m * l if vn else l * m * (m + 1) // 2
+            for m in (2, 5) for l in (1, 3, 12) for vn in (False, True)
+        }
+        rows = {}
+        for k0, start, stop, width in draws:
+            assert shapes[k0] == width
+            rows.setdefault(k0, []).extend(range(start, stop))
+        assert rows == {k0: list(range(37)) for k0 in shapes}
+        assert len(draws) > len(shapes)
 
     def test_negative_seed_rejected(self, monkeypatch):
         with pytest.raises(DomainError, match="base seed"):
@@ -312,6 +299,26 @@ class TestBatchedKernel:
             with pytest.raises(DomainError, match="base seed must be an integer"):
                 replication_rng(seed, 0, 0)
 
+    def test_seeds_and_indices_past_their_key_words_rejected(self, monkeypatch):
+        # a seed of 10**5000 ran, and rows_to_csv then ended in a bare ValueError
+        _forbid_drawing(monkeypatch)
+        for seed, shown in ((2**128, "340282366920938463463374607431768211456"),
+                            (10**5000, "a 16610-bit integer")):
+            message = rf"^base seed must be < 2\*\*128, got {shown}$"
+            with pytest.raises(DomainError, match=message):
+                run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=seed)
+            with pytest.raises(DomainError, match=message):
+                replication_rng(seed, 0, 0)
+            with pytest.raises(SpecParseError, match=message):
+                SimulationConfig("exp:rate=1", base_seed=seed)
+        for args, label in (((0, 2**64, 0), "shape digest"), ((0, 0, 2**64), "replication index")):
+            with pytest.raises(DomainError, match=rf"^{label} must be < 2\*\*64, got {2**64}$"):
+                replication_rng(*args)
+        monkeypatch.undo()
+        row = run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=2**128 - 1)
+        assert rows_from_csv(rows_to_csv([row])) == [row]
+        assert replication_rng(2**128 - 1, 2**64 - 1, 2**64 - 1).random() < 1
+
     def test_numpy_integer_seed_accepted(self):
         row = run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=np.uint64(9))
         assert row == run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=9)
@@ -319,7 +326,7 @@ class TestBatchedKernel:
         u = replication_rng(np.int64(9), np.uint64(5), np.int32(1)).random(4)
         assert u.tobytes() == replication_rng(9, 5, 1).random(4).tobytes()
 
-    @pytest.mark.parametrize("position,label", [(1, "cell digest"), (2, "replication index")])
+    @pytest.mark.parametrize("position,label", [(1, "shape digest"), (2, "replication index")])
     def test_replication_rng_checks_digest_and_index(self, position, label):
         # 2.5, True and "3" used to run the stream of int(value); -1 ended in a bare ValueError
         for value in (2.5, True, "3"):
@@ -362,15 +369,15 @@ class TestBatchedKernel:
         with pytest.raises(DomainError):
             run_cell("exp:rate=1", spec, 2, 2, 3)
         assert calls == [(3, 2, 3)]
-        # in one group of both kinds, listed order first, only the
-        # order-statistic cells fail; the spacing cells keep their estimates
+        # the cells of a shape read one sample: it fails every order-statistic
+        # cell of the shape, and the spacing cells keep their estimates
         cfg = SimulationConfig(
             "exp:rate=1", m_values=(2,), l_values=(2,),
             estimators=("lstat", "rn", "lstat_adj", "rmn"),
             w_lists={"rmn": (0, 1), "lstat_adj": (0, 1)}, psi_family="beta", replications=3,
         )
         result = run_grid(cfg)
-        assert calls[1:] == [(18, 2, 3)]
+        assert calls[1:] == [(3, 2, 3)]
         assert [f.coordinates["estimator"] for f in result.failures] == [
             "lstat", "lstat_adj:family=beta,w=0", "lstat_adj:family=beta,w=1"
         ]
@@ -382,8 +389,8 @@ class TestBatchedKernel:
 
     def test_chunk_edges_keep_the_csv(self, monkeypatch):
         # vn and MinRSSU cells of both kinds, narrow and wide rows, and 37
-        # replications: at small budgets partial cells of both kinds fall at
-        # both ends of a chunk
+        # replications: at small budgets a shape is drawn in several chunks,
+        # and rows wider than the budget one row per chunk
         cfg = SimulationConfig(
             "exp:rate=1", m_values=(2, 5), l_values=(1, 3, 12),
             estimators=("lstat", "vn", "rmn", "lstat_adj", "rn"),
@@ -391,66 +398,30 @@ class TestBatchedKernel:
             replications=37, base_seed=5,
         )
         expected = rows_to_csv(run_grid(cfg).rows)
-        add_rows, edges = _Group.add_rows, set()
+        add_rows, chunks = _Group.add_rows, {}
 
-        def recorded(group, dist, start, stop, u):
-            replications = group.estimates.shape[1]
-            split = group.spacing_cells * replications
-            if start % replications:
-                edges.add(("start", start < split))
-            if stop % replications:
-                edges.add(("stop", stop <= split))
-            add_rows(group, dist, start, stop, u)
+        def recorded(group, dist, start, u):
+            chunks.setdefault(group.k0, []).append((start, len(u)))
+            add_rows(group, dist, start, u)
 
         monkeypatch.setattr(_Group, "add_rows", recorded)
-        for budget in (2**8, 2**12):
+        for budget in (2**7, 2**12):
             monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", budget)
-            edges.clear()
+            chunks.clear()
             assert rows_to_csv(run_grid(cfg).rows) == expected
-            assert edges == {(end, kind) for end in ("start", "stop") for kind in (True, False)}
-
-    def test_philox_leaves_its_arguments_unchanged(self):
-        seed, digests, reps = 2**64 + 5, [7, 2**40], 9
-        keys = _replication_keys(seed, digests, reps).reshape(-1, 2)
-        blocks = np.full(len(keys), 3)
-        before = [keys.copy(), blocks.copy()]
-        first, second = _philox_uniforms(keys, blocks).copy(), _philox_uniforms(keys, blocks)
-        assert [keys.tobytes(), blocks.tobytes()] == [array.tobytes() for array in before]
-        expected = np.stack(
-            [replication_rng(seed, d, r).random(12) for d in digests for r in range(reps)]
-        )
-        for u in (first, second):
-            assert u.reshape(len(expected), -1).tobytes() == expected.tobytes()
-
-    def test_philox_oracle_mixes_every_block_count(self):
-        # one run over streams of 1 to 13 blocks in a scrambled order, rows
-        # of 1 to 52 uniforms; keys of replications and keys whose words
-        # are 0 and 2**64 - 1, each against numpy's C Philox from counter 0
-        seed, digest, top = 2**40 + 3, 0xFEDCBA9876543210, 2**64 - 1
-        edge_keys = [(0, 0), (top, top), (0, top), (top, 0)]
-        streams = []
-        for b in (7, 1, 13, 4, 12, 2, 9, 3, 11, 5, 10, 6, 8):
-            for width in (4 * b - 3, 4 * b):
-                r = len(streams) // 2
-                key = _replication_keys(seed, [digest], r + 1)[0, r]
-                streams.append((key, width, replication_rng(seed, digest, r)))
-                key = np.array(edge_keys[r % 4], np.uint64)
-                rng = np.random.Generator(np.random.Philox(key=key))
-                streams.append((key, width, rng))
-        keys = np.stack([key for key, _, _ in streams])
-        blocks = np.array([-(-width // 4) for _, width, _ in streams])
-        before = [keys.copy(), blocks.copy()]
-        u = _philox_uniforms(keys, blocks)
-        assert [keys.tobytes(), blocks.tobytes()] == [array.tobytes() for array in before]
-        assert u.shape == (blocks.sum(), 4) and set(blocks.tolist()) == set(range(1, 14))
-        rows = np.split(u, np.cumsum(blocks)[:-1])
-        for row, (key, width, rng) in zip(rows, streams):
-            assert rng.bit_generator.state["state"]["key"].tolist() == key.tolist()
-            assert row.reshape(-1)[:width].tobytes() == rng.random(width).tobytes()
+            sizes = {size for shape in chunks.values() for _, size in shape}
+            assert any(len(shape) > 1 for shape in chunks.values())
+            # the widest rows, of 180 uniforms, are one row per chunk only at 2**7
+            assert len(sizes) > 2 and (1 in sizes) == (budget < 180)
+            for shape in chunks.values():
+                assert [start for start, _ in shape] == list(
+                    np.cumsum([0] + [size for _, size in shape[:-1]])
+                )
+                assert sum(size for _, size in shape) == 37
 
 
 class TestPhiloxWorkspace:
-    """Both Philox generators draw into a workspace that each thread keeps between draws."""
+    """The C Philox draws into a workspace that each thread keeps between draws."""
 
     @staticmethod
     def _at_once(work, args):
@@ -471,57 +442,10 @@ class TestPhiloxWorkspace:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_threads_running_grids_at_once_keep_their_workspaces_apart(self, monkeypatch):
-        # two grids of different sizes, three times each in two threads at
-        # once.  Each grid makes one numpy Philox run of 19 _mulhilo calls,
-        # and the two threads make each call in step, so runs that shared
-        # one workspace would overwrite each other's words in every run
-        configs = [protocol_config(family, 20, base_seed=1) for family in ("exp", "beta")]
-        serial = [rows_to_csv(run_grid(config).rows) for config in configs]
-        in_step, mulhilo = threading.Barrier(len(configs), timeout=60), simulation._mulhilo
-
-        def stepped(*args):
-            in_step.wait()
-            mulhilo(*args)
-
-        monkeypatch.setattr(simulation, "_mulhilo", stepped)
-        csvs = self._at_once(
-            lambda config: [rows_to_csv(run_grid(config).rows) for _ in range(3)], configs
-        )
-        assert csvs == [[text] * 3 for text in serial]
-
-    def test_threads_running_philox_at_once_keep_their_workspaces_apart(self):
-        # runs of 2400, 1000 and 600 blocks, 100 each in three threads at once
-        keys = _replication_keys(11, [3, 2**40], 300).reshape(-1, 2)
-        runs = [(keys[:600], np.full(600, 4)), (keys[100:350], np.full(250, 4)),
-                (keys[200:300], np.full(100, 6))]
-        serial = [_philox_uniforms(*run).tobytes() for run in runs]
-        drawn = self._at_once(
-            lambda run: {_philox_uniforms(*run).tobytes() for _ in range(100)}, runs
-        )
-        assert drawn == [{u} for u in serial]
-
-    def test_threads_running_wide_grids_at_once_keep_their_generators_apart(self, monkeypatch):
-        # the large-sample benchmark's grid shape (exp, m = 5, l = 1000, all
-        # five estimators: rows of 5000 and 15000 uniforms, all drawn by
-        # resetting the C generator) on two seeds, three times each in two
-        # threads at once.  The threads draw each chunk in step and estimate
-        # it in step, after both have drawn it, so a generator or output
-        # that the threads shared would hand one thread's uniforms to the
-        # other.  Rows this wide keep both threads' fills running at once:
-        # at l = 100 a shared generator went unseen in some runs
-        configs = [
-            SimulationConfig(
-                "exp:rate=1", m_values=(5,), l_values=(1000,),
-                estimators=("vn", "rn", "rmn", "lstat", "lstat_adj"),
-                w_lists={"rmn": (0,), "lstat_adj": (0,)}, psi_family="exp",
-                replications=12, base_seed=seed,
-            )
-            for seed in (1, 2)
-        ]
-        assert all(width > _NUMPY_PHILOX_MAX_WIDTH for width in (5000, 15000))
-        serial = [rows_to_csv(run_grid(config).rows) for config in configs]
-        in_step = threading.Barrier(len(configs), timeout=60)
+    @staticmethod
+    def _in_step(monkeypatch, threads):
+        """Make ``threads`` threads draw each chunk in step and estimate it in step."""
+        in_step = threading.Barrier(threads, timeout=60)
 
         def stepped(work):
             def in_turn(*args):
@@ -532,24 +456,68 @@ class TestPhiloxWorkspace:
 
         monkeypatch.setattr(simulation, "_reset_uniforms", stepped(_reset_uniforms))
         monkeypatch.setattr(_Group, "add_rows", stepped(_Group.add_rows))
+
+    def test_threads_running_grids_at_once_keep_their_workspaces_apart(self, monkeypatch):
+        # two protocol grids, three times each in two threads at once.  Each
+        # grid draws its eight shapes in one chunk each, and the threads draw
+        # and estimate each chunk in step, so grids that shared one workspace
+        # would overwrite each other's uniforms in every chunk
+        configs = [protocol_config(family, 20, base_seed=1) for family in ("exp", "beta")]
+        serial = [rows_to_csv(run_grid(config).rows) for config in configs]
+        self._in_step(monkeypatch, len(configs))
         csvs = self._at_once(
             lambda config: [rows_to_csv(run_grid(config).rows) for _ in range(3)], configs
         )
         assert csvs == [[text] * 3 for text in serial]
 
-    def test_both_generators_write_one_output(self):
-        # a draw's uniforms are valid until this thread's next draw, by either generator
-        keys = _replication_keys(3, [5, 2**40], 60).reshape(-1, 2)
-        first = _philox_uniforms(keys[:10], np.full(10, 3))
-        later = _reset_uniforms(keys[10:14], np.full(4, 2))
-        assert np.shares_memory(first, later)
-        assert first[: len(later)].tobytes() == later.tobytes()
-        assert later.tobytes() == _uniforms(_philox_uniforms, keys[10:14], 8).tobytes()
+    def test_threads_running_philox_at_once_keep_their_workspaces_apart(self):
+        # draws of 150, 60 and 25 rows, 100 each in three threads at once
+        runs = [(_stream_key(11, 3), 0, 150, 16), (_stream_key(11, 2**40), 20, 80, 40),
+                (2**64 - 1, 5, 30, 24)]
+        serial = [_reset_uniforms(*run).tobytes() for run in runs]
+        drawn = self._at_once(
+            lambda run: {_reset_uniforms(*run).tobytes() for _ in range(100)}, runs
+        )
+        assert drawn == [{u} for u in serial]
 
-    def test_draw_groups_consumes_each_chunk_before_its_next_draw(self, monkeypatch):
-        # narrow and wide rows of several groups, in several chunks of each
-        # generator: every add_rows call reads the latest draw, unchanged
-        # by the calls before it, and the next draw may write over it
+    def test_threads_running_wide_grids_at_once_keep_their_generators_apart(self, monkeypatch):
+        # the large-sample benchmark's grid shape (exp, m = 5, l = 1000, all
+        # five estimators: rows of 5000 and 15000 uniforms) on two seeds,
+        # three times each in two threads at once, each chunk drawn and
+        # estimated in step.  A generator or output that the threads shared
+        # would hand one thread's uniforms to the other.  Rows this wide keep
+        # both threads' fills running at once: at l = 100 a shared generator
+        # went unseen in some runs
+        configs = [
+            SimulationConfig(
+                "exp:rate=1", m_values=(5,), l_values=(1000,),
+                estimators=("vn", "rn", "rmn", "lstat", "lstat_adj"),
+                w_lists={"rmn": (0,), "lstat_adj": (0,)}, psi_family="exp",
+                replications=12, base_seed=seed,
+            )
+            for seed in (1, 2)
+        ]
+        serial = [rows_to_csv(run_grid(config).rows) for config in configs]
+        self._in_step(monkeypatch, len(configs))
+        csvs = self._at_once(
+            lambda config: [rows_to_csv(run_grid(config).rows) for _ in range(3)], configs
+        )
+        assert csvs == [[text] * 3 for text in serial]
+
+    def test_draws_write_one_output(self):
+        # a draw's uniforms are valid until this thread's next draw
+        k0 = _stream_key(3, 5)
+        first = _reset_uniforms(k0, 0, 10, 12)
+        later = _reset_uniforms(k0, 10, 14, 8)
+        assert np.shares_memory(first, later)
+        assert first.reshape(-1)[: later.size].tobytes() == later.tobytes()
+        expected = [_philox(k0, r).random(8) for r in range(10, 14)]
+        assert later.tobytes() == np.stack(expected).tobytes()
+
+    def test_each_chunk_is_estimated_before_the_next_draw(self, monkeypatch):
+        # narrow and wide rows of several shapes, in several chunks: every
+        # add_rows call reads the latest draw, unchanged since it was drawn,
+        # and the next draw may write over it
         cfg = SimulationConfig(
             "exp:rate=1", m_values=(2, 5), l_values=(1, 3, 12),
             estimators=("lstat", "vn", "rmn", "lstat_adj", "rn"),
@@ -560,25 +528,20 @@ class TestPhiloxWorkspace:
         monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", 2**10)
         draws, add_rows = [], _Group.add_rows
 
-        def recorded(draw):
-            def drawn(keys, blocks):
-                u = draw(keys, blocks)
-                draws.append((draw, u, u.copy()))
-                return u
+        def recorded(*args):
+            u = _reset_uniforms(*args)
+            draws.append((u, u.copy()))
+            return u
 
-            return drawn
+        def checked(group, dist, start, u):
+            latest, kept = draws[-1]
+            assert u is latest and latest.tobytes() == kept.tobytes()
+            add_rows(group, dist, start, u)
 
-        def checked(group, dist, start, stop, u):
-            _, latest, kept = draws[-1]
-            assert np.shares_memory(u, latest) and latest.tobytes() == kept.tobytes()
-            add_rows(group, dist, start, stop, u)
-
-        for draw in (_philox_uniforms, _reset_uniforms):
-            monkeypatch.setattr(simulation, draw.__name__, recorded(draw))
+        monkeypatch.setattr(simulation, "_reset_uniforms", recorded)
         monkeypatch.setattr(_Group, "add_rows", checked)
         assert rows_to_csv(run_grid(cfg).rows) == expected
-        for draw in (_philox_uniforms, _reset_uniforms):
-            assert sum(d is draw for d, _, _ in draws) > 1
+        assert len(draws) > 12
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux getrusage")
     def test_protocol_grids_do_not_fault_the_heap_in_again(self):
@@ -613,8 +576,7 @@ class TestRunGrid:
             replications=30,
             base_seed=21,
         ),
-        # vn and MinRSSU cells, m = 1 and l = 1, and rows on both sides of
-        # the generator switch: 1 to 280 uniforms per replication
+        # vn and MinRSSU cells, m = 1 and l = 1: rows of 1 to 280 uniforms
         dict(
             distribution="unif:a=2,b=3",
             m_values=(1, 2, 3, 7),
@@ -624,7 +586,7 @@ class TestRunGrid:
             replications=23,
             base_seed=2**70 + 11,
         ),
-        # one group spans several chunks, split inside cells
+        # one shape spans several chunks
         dict(
             distribution="powerbeta:alpha=2",
             m_values=(2,),
@@ -679,18 +641,19 @@ class TestRunGrid:
         ],
         ids=["R=1", "R=2", "rejected-cells"],
     )
-    def test_summaries_match_per_replication_oracle(self, grid):
+    def test_summaries_match_per_replication_oracle(self, grid, monkeypatch):
         cfg = grid if isinstance(grid, SimulationConfig) else SimulationConfig(**grid)
         dist, reps, seed = cfg.distribution, cfg.replications, cfg.base_seed
         true_value = float(crex(dist))
         rows, failures = [], []
         for spec, m, l in cfg.cells():
-            digest = _cell_digest(dist.spec_string(), spec.text(), m, l)
+            vn = spec.kind.value == "vn"
+            digest = _shape_digest(dist.spec_string(), vn, m, l)
             ests = np.empty(reps)
             try:
                 for r in range(reps):
                     rng = replication_rng(seed, digest, r)
-                    if spec.kind.value == "vn":
+                    if vn:
                         data = dist.sample(rng, m * l)
                     else:
                         data = draw_minrssu(dist, m, l, rng)
@@ -714,12 +677,15 @@ class TestRunGrid:
                 rmse=float(np.sqrt(np.mean(dev * dev))),
                 mc_se=mc_se,
             ))
-        result = run_grid(cfg)
-        assert result.rows == rows
-        assert [
-            (f.coordinates["estimator"], f.coordinates["m"], f.coordinates["l"], str(f.cause))
-            for f in result.failures
-        ] == failures
+        # at budgets where some shapes take several chunks and one row each
+        for budget in (2**4, 2**9, _CHUNK_UNIFORMS):
+            monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", budget)
+            result = run_grid(cfg)
+            assert result.rows == rows
+            assert [
+                (f.coordinates["estimator"], f.coordinates["m"], f.coordinates["l"], str(f.cause))
+                for f in result.failures
+            ] == failures
 
     def test_protocol_grid_matches_golden_file(self):
         # the golden files pin each family's CSV and failure list byte for byte
@@ -730,26 +696,29 @@ class TestRunGrid:
             failures = "".join(f"{type(f.cause).__name__}: {f}\n" for f in result.failures)
             assert failures.encode() == (DATA / f"{golden}_failures.txt").read_bytes()
 
-    def test_generator_switch_changes_no_estimate(self, monkeypatch):
-        cfg = SimulationConfig(**self.GRIDS[1])
-        widths = {"_philox_uniforms": set(), "_reset_uniforms": set()}
-
-        # both generators draw whole blocks: four uniforms per block
-        def recorded(draw):
-            def drawn(keys, blocks):
-                widths[draw.__name__].update((4 * blocks).tolist())
-                return draw(keys, blocks)
-
-            return drawn
-
-        for name in widths:
-            monkeypatch.setattr(simulation, name, recorded(getattr(simulation, name)))
-        expected = run_grid(cfg).rows
-        assert max(widths["_philox_uniforms"]) <= _NUMPY_PHILOX_MAX_WIDTH
-        assert min(widths["_reset_uniforms"]) > _NUMPY_PHILOX_MAX_WIDTH
-        for width in (0, 10**9):
-            monkeypatch.setattr(simulation, "_NUMPY_PHILOX_MAX_WIDTH", width)
-            assert run_grid(cfg).rows == expected
+    def test_estimators_of_one_shape_share_their_samples(self):
+        # rn and rmn:w=-m have the same weights, and so do lstat and
+        # lstat_adj:family=beta,w=m (psi = m - w = 0): on common random
+        # numbers each pair gives the same bits
+        cfg = SimulationConfig(
+            "powerbeta:alpha=2", m_values=(2, 3, 5), l_values=(1, 4),
+            estimators=("rn", "rmn", "lstat", "lstat_adj"),
+            w_lists={"rmn": {m: (-m, 0) for m in (2, 3, 5)},
+                     "lstat_adj": {m: (m, 0) for m in (2, 3, 5)}},
+            psi_family="beta", replications=40, base_seed=2**127 + 3,
+        )
+        result = run_grid(cfg)
+        assert result.ok
+        cells = {(row.m, row.l, row.estimator, row.w): row for row in result.rows}
+        for m in (2, 3, 5):
+            for l in (1, 4):
+                pairs = [((m, l, "rn", None), (m, l, "rmn", -m)),
+                         ((m, l, "lstat", None), (m, l, "lstat_adj:family=beta", m))]
+                for first, second in pairs:
+                    same = [(getattr(cells[first], f), getattr(cells[second], f))
+                            for f in ("bias", "rmse", "mc_se")]
+                    assert all(a.hex() == b.hex() for a, b in same), (first, same)
+                assert cells[m, l, "rmn", 0].bias != cells[m, l, "rn", None].bias
 
     def test_protocol_spacing_grid_has_40_rows(self):
         cfg = protocol_config("exp", replications=1, sides=("spacing",))
@@ -891,8 +860,9 @@ class TestConfigValidation:
             ("order", "sides must be a list, got 'order'"),
             ((), "sides must not be empty"),
             (None, "sides must be a list, got None"),
+            ([np.zeros(2)], "unknown side array([0., 0.]) (use spacing/order)"),
         ],
-        ids=["unknown-side", "bare-string", "bare-side", "empty", "none"],
+        ids=["unknown-side", "bare-string", "bare-side", "empty", "none", "array-side"],
     )
     def test_protocol_sides_checked(self, sides, message):
         # these dropped a side, matched by substring, or gave a 0-cell grid
@@ -1130,6 +1100,60 @@ class TestCalibrate:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("crexlab: calibration target must be finite")
+
+
+class TestLimitReferee:
+    """Grid means and variances against the limits they converge to.
+
+    On MinRSSU data the pooled estimators converge to the CREX of the
+    mixture law of the recorded values, whose survival is ``(1/m) sum_i
+    S**i``: ``-(1/2m**2) sum_{i,j<=m} int S**(i+j)``.  The limits do not
+    depend on the streams, so this referees the grid kernel under any
+    stream contract.  The seed, the sizes and every tolerance were fixed
+    before the first run:
+
+    - a mean is within ``K`` Monte Carlo SE plus ``(1 + 2|D - n|) E/n`` of
+      its target, where ``E`` is the mixture mean and ``D`` the weight
+      denominator.  ``E/(2n)`` bounds the bias of ``-1/2 int Shat**2`` and
+      of the L-statistic's discretization, and ``|D - n| E/n`` the shift
+      of weights with a denominator other than n;
+    - the spacing sums start at the sample minimum, the minimum of all
+      ``N = l m (m + 1) / 2`` draws, so their target adds half its
+      expectation, ``int S**N / 2``;
+    - ``n R mc_se**2`` of ``lstat``, n times its variance, is within ``K
+      sqrt(2 / (R - 1))`` relative of ``asymptotic_variance_minrssu``.
+    """
+
+    SEED, REPS, N, K = 7, 400, 3000, 4.0
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("family", ["exp", "unif", "beta"])
+    def test_pooled_estimators_approach_the_mixture_limit(self, family, m):
+        dist = parse_distribution(PROTOCOL_DISTRIBUTIONS[family])
+        spi = dist.survival_power_integral
+        l = self.N // m
+        n = m * l
+        cfg = SimulationConfig(
+            dist, m_values=(m,), l_values=(l,),
+            estimators=("rn", "rmn", "lstat", "lstat_adj"),
+            w_lists={"rmn": RMN_W_GRID[m], "lstat_adj": LSTAT_ADJ_W_GRID[family][m]},
+            psi_family=family, replications=self.REPS, base_seed=self.SEED,
+        )
+        result = run_grid(cfg)
+        assert result.ok and len(result.rows) == 10
+        pairs = range(1, m + 1)
+        limit = -sum(spi(i + j) for i in pairs for j in pairs) / (2 * m * m)
+        mixture_mean = sum(spi(i) for i in pairs) / m
+        first_spacing = spi(l * m * (m + 1) // 2) / 2
+        for (spec, _, _), row in zip(cfg.cells(), result.rows):
+            spacing, denom = row_estimator(spec, m, n)
+            target = limit + (first_spacing if spacing else 0.0)
+            allowance = (1 + 2 * abs(denom - n)) * mixture_mean / n
+            mean = row.true_value - row.bias
+            assert abs(mean - target) <= self.K * row.mc_se + allowance, spec.text()
+        lstat = next(row for row in result.rows if row.estimator == "lstat")
+        ratio = n * self.REPS * lstat.mc_se**2 / asymptotic_variance_minrssu(dist, m)
+        assert abs(ratio - 1) <= self.K * np.sqrt(2 / (self.REPS - 1)), ratio
 
 
 class TestBiasShrinksWithN:
