@@ -219,18 +219,83 @@ class TestBatchedKernel:
             row = run_cell(dist, spec, m, l, reps, base_seed=seed)
             assert row.bias == row.true_value - float(np.mean(loop, dtype=np.longdouble))
 
-    @pytest.mark.parametrize("seed", [0, 42, 2**64 + 3, 2**127 + 3, 2**128 - 1])
+    @pytest.mark.parametrize(
+        "seed", [0, 42, 2**32, 2**63 + 11, 2**64 + 3, 2**127 + 3, 2**128 - 1]
+    )
     @pytest.mark.parametrize("digest", [0, 7, 0xFEDCBA9876543210, 2**64 - 1])
     def test_stream_key_is_k0_and_the_replication_index(self, seed, digest):
         # k0 is the blake2b digest of the 16-byte seed and 8-byte shape digest
         data = seed.to_bytes(16, "little") + digest.to_bytes(8, "little")
         k0 = int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
         assert _stream_key(seed, digest) == k0
-        for r in (0, 1, 2**32, 2**64 - 1):
+        for r in (0, 1, 2**32, 2**63, 2**64 - 1):
             state = replication_rng(seed, digest, r).bit_generator.state
             assert state["state"]["key"].tolist() == [k0, r]
             assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
             assert state["buffer_pos"] == 4
+
+    # seeds and digests at word boundaries; the literals pin stream contract 2
+    @pytest.mark.parametrize(
+        "seed,digest,k0,first",
+        [
+            (0, 0, 0x282047AD06AEB62B, "0x1.2acf23f388640p-2"),
+            (2**32 - 1, 2**32, 0xD8A786E1BFA48663, "0x1.96ef63ec62680p-5"),
+            (2**63 + 11, 7, 0x71EB839E0F4A6F33, "0x1.57c352b3fbdd7p-1"),
+            (2**80 + 9, 0xFEDCBA9876543210, 0x6BAC1BFB30EBFDC5, "0x1.a33a650bcfac0p-4"),
+            (2**96 + 5, 2**64 - 1, 0x7A5241E699A5FBA9, "0x1.de82d4e2ebf67p-1"),
+            (2**128 - 1, 2**32 - 1, 0x955B690E0BC4166B, "0x1.0c82e3469f8bep-1"),
+        ],
+    )
+    def test_stream_key_and_first_uniform_are_pinned(self, seed, digest, k0, first):
+        r = 2**63 + 1
+        assert _stream_key(seed, digest) == k0
+        assert replication_rng(seed, digest, r).random().hex() == first
+        assert _philox(k0, r).random().hex() == first
+        assert _reset_uniforms(k0, r, r + 1, 1)[0, 0].hex() == first
+
+    @pytest.mark.parametrize(
+        "first,second,same",
+        [
+            ("exp:rate=1", "exp:rate=1.0", True),
+            ("unif:a=2,b=3", "unif:b=3,a=2", True),
+            ("powerbeta:alpha=2", "powerbeta:alpha=2.000", True),
+            ("exp:rate=0.3", "exp:rate=0.30000000000000004", False),
+            ("unif:a=0,b=1", "unif:a=0,b=1.0000000000000002", False),
+            ("powerbeta:alpha=2", "powerbeta:alpha=3", False),
+        ],
+    )
+    def test_shape_digest_reads_the_lossless_law_text(self, first, second, same):
+        # two spellings of one law draw one stream; laws one ulp apart do not
+        texts = [parse_distribution(text).spec_string() for text in (first, second)]
+        assert (texts[0] == texts[1]) is same
+        for vn, m, l in ((False, 2, 3), (True, 2, 3), (False, 5, 1)):
+            digests = [_shape_digest(text, vn, m, l) for text in texts]
+            shape = f"{texts[0]}|{'srs' if vn else 'minrssu'}|m={m}|l={l}".encode()
+            expected = int.from_bytes(hashlib.blake2b(shape, digest_size=8).digest(), "big")
+            assert digests[0] == expected
+            assert (digests[0] == digests[1]) is same
+        if same:
+            grids = [
+                run_grid(SimulationConfig(text, m_values=(2,), l_values=(3,),
+                                          estimators=("vn", "rn"), replications=9, base_seed=4))
+                for text in (first, second)
+            ]
+            assert rows_to_csv(grids[0].rows) == rows_to_csv(grids[1].rows)
+
+    @pytest.mark.parametrize("budget", [2**10, 2**14, _CHUNK_UNIFORMS])
+    def test_rows_do_not_depend_on_the_replication_count(self, budget, monkeypatch):
+        # row r reads the stream keyed (k0, r) alone: a shorter run at any
+        # chunk budget gives the first rows of a longer one, bit for bit
+        dist, m, l = parse_distribution("exp:rate=2"), 3, 2
+        k0 = _stream_key(9, _shape_digest(dist.spec_string(), False, m, l))
+        kinds = [row_estimator(EstimatorSpec.parse(text), m, m * l)
+                 for text in ("rn", "rmn:w=1", "lstat")]
+        longer = _Group(False, m, l, k0, kinds, 1000)
+        longer.draw(dist)
+        monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", budget)
+        shorter = _Group(False, m, l, k0, kinds, 700)
+        shorter.draw(dist)
+        assert shorter.estimates.tobytes() == longer.estimates[:, :700].copy().tobytes()
 
     def test_keys_of_nearby_seeds_and_shapes_differ(self):
         seeds = [0, 1, 2**64, 2**64 + 1, 2**127 + 3]
@@ -719,6 +784,25 @@ class TestRunGrid:
                             for f in ("bias", "rmse", "mc_se")]
                     assert all(a.hex() == b.hex() for a, b in same), (first, same)
                 assert cells[m, l, "rmn", 0].bias != cells[m, l, "rn", None].bias
+
+    @pytest.mark.parametrize("estimator", ["vn", "rn", "rmn", "lstat", "lstat_adj"])
+    def test_cell_rows_do_not_depend_on_the_rest_of_the_grid(self, estimator):
+        # each shape's streams are keyed by the shape alone: a one-cell grid
+        # gives the row that cell has in a grid of every estimator and shape
+        w_lists = {"rmn": (-1, 0), "lstat_adj": (0, 1)}
+        common = dict(psi_family="beta", replications=30, base_seed=2**64 + 17)
+        full = run_grid(SimulationConfig(
+            "unif:a=1,b=4", m_values=(2, 3, 5), l_values=(1, 4),
+            estimators=("vn", "rn", "rmn", "lstat", "lstat_adj"), w_lists=w_lists, **common,
+        ))
+        alone = run_grid(SimulationConfig(
+            "unif:a=1,b=4", m_values=(3,), l_values=(4,), estimators=(estimator,),
+            w_lists={k: v for k, v in w_lists.items() if k == estimator}, **common,
+        ))
+        assert full.ok and alone.ok and alone.rows
+        rows = {(row.m, row.l, row.estimator, row.w): row for row in full.rows}
+        for row in alone.rows:
+            assert rows[row.m, row.l, row.estimator, row.w] == row
 
     def test_protocol_spacing_grid_has_40_rows(self):
         cfg = protocol_config("exp", replications=1, sides=("spacing",))
