@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 
 import numpy as np
 
 from ._quadrature import TAIL_MASS
-from .errors import DomainError, DivergenceError, SpecParseError, check_count, split_spec
+from .errors import DomainError, DivergenceError, SpecParseError, allocating, check_count
+from .errors import split_spec
 from .errors import check_array, check_generator, check_integer, check_powers, check_real, shown
 
 __all__ = [
@@ -208,16 +208,17 @@ class Distribution:
     def sample(self, rng, count):
         """Draw ``count`` i.i.d. values by inverse transform on ``rng``.
 
-        ``count`` is an integer from 0 to ``sys.maxsize``, the largest
-        array size, so a count past it is rejected rather than tried.
+        ``count`` is an integer >= 0; a count too large to allocate raises
+        DomainError (:func:`~crexlab.errors.allocating`).
         """
         check_generator(rng)
         count = check_integer(count, "sample count")
-        if not 0 <= count <= sys.maxsize:
-            raise DomainError(f"sample count must be in 0..{sys.maxsize}, got {shown(count)}")
+        if count < 0:
+            raise DomainError(f"sample count must be >= 0, got {shown(count)}")
         if count == 0:
             return np.empty(0)
-        return self.quantile(rng.random(count))
+        with allocating(count, "sample"):
+            return self.quantile(rng.random(count))
 
     # -- moments and survival-power integrals ---------------------------
 

@@ -26,11 +26,13 @@ and every input that rule rejects raises a :class:`CrexlabError`:
 * an estimator kind, psi family or bias convention is its enum member or
   its text, looked up by :func:`enum_member`.
 
-:func:`check_generator` guards every draw.  CSV text goes through one
+:func:`check_generator` guards every draw, and :func:`allocating` every
+array whose size an argument sets.  CSV text goes through one
 writer, :func:`write_csv`, and one reader, :func:`read_csv`, which reads
 its input by :func:`text_lines`.
 """
 
+import contextlib
 import csv
 import io
 import math
@@ -171,6 +173,23 @@ def check_generator(rng):
     """Raise DomainError unless ``rng`` is a ``numpy.random.Generator``."""
     if not isinstance(rng, np.random.Generator):
         raise DomainError(f"random stream must be a numpy.random.Generator, got {rng!r}")
+
+
+@contextlib.contextmanager
+def allocating(count, label):
+    """Run a block that allocates ``count`` floats for ``label``; DomainError if they do not fit.
+
+    A count of more than ``sys.maxsize`` bytes, past the largest array,
+    raises before the block runs, and a MemoryError from the block
+    becomes the error.  Either names the count.
+    """
+    message = f"{label} of {shown(count)} floats is too large to allocate"
+    if count > sys.maxsize // 8:
+        raise DomainError(message)
+    try:
+        yield
+    except MemoryError:
+        raise DomainError(message) from None
 
 
 def text_lines(file, what):

@@ -23,7 +23,9 @@ each call it with one spec.  It takes an EstimatorSpec or its text,
 through :meth:`EstimatorSpec.coerce`.  :func:`row_estimator`,
 :func:`row_weights` and :func:`row_estimates` are the simulation grid
 kernel's: they take the specs, weight rows and sorted samples the kernel
-builds, unchecked, and are not part of ``__all__``.
+builds, unchecked, and are not part of ``__all__``.  :func:`row_estimates`
+takes one block of sorted samples that every weight row of an estimator
+kind shares, and returns one error for the whole block.
 
 The asymptotic variance functionals of the L-statistic route are evaluated
 by tensor quadrature on the triangle ``y >= x``, where the covariance
@@ -44,8 +46,8 @@ import numpy as np
 from ._quadrature import double_quad_kinked, truncation_point
 from .distributions import as_distribution
 from .errors import DivergenceError, DomainError, ParameterError, SizeError, SpecParseError
-from .errors import check_array, check_count, check_integer, check_real, enum_member, shown
-from .errors import split_spec
+from .errors import allocating, check_array, check_count, check_integer, check_real, enum_member
+from .errors import shown, split_spec
 from .sampling import MinRssuSample, pooled_order_statistics
 
 __all__ = [
@@ -227,37 +229,39 @@ def row_weights(spacing, n, denoms):
     """One row of weights per denominator D in ``denoms``, for samples of ``n`` values.
 
     Spacing weights are ``(1 - k/D)**2`` for k = 1..n-1, order-statistic
-    weights ``1 - i/D`` for i = 1..n.
+    weights ``1 - i/D`` for i = 1..n.  Rows too large to allocate raise
+    DomainError.
     """
     denoms = np.asarray(denoms, dtype=float)[:, None]
-    if spacing:
-        return (1.0 - np.arange(1, n) / denoms) ** 2
-    return 1.0 - np.arange(1, n + 1) / denoms
+    with allocating(len(denoms) * n, "weight rows"):
+        if spacing:
+            return (1.0 - np.arange(1, n) / denoms) ** 2
+        return 1.0 - np.arange(1, n + 1) / denoms
 
 
-# one BLAS dot per row, run by np.vecdot: it sums each row as np.dot sums
-# one 1-D pair, where a matrix-vector product sums in another order.  A
-# dot over a strided row is another BLAS call too, so the kernel takes
-# C-contiguous rows, spacings included: the diff of a Fortran-order or
-# strided row keeps its layout.  Both kinds add 0.0, so a zero sum gives
-# 0.0, not -0.0
+# one BLAS dot per row and weight row, run by np.vecdot: it sums each
+# pair as np.dot sums one 1-D pair, where a matrix-vector product sums in
+# another order.  A dot over a strided row is another BLAS call too, so
+# the kernel takes C-contiguous rows, spacings included: the diff of a
+# Fortran-order or strided row keeps its layout.  Both kinds add 0.0, so
+# a zero sum gives 0.0, not -0.0
 def row_estimates(spacing, rows, weights):
-    """The estimates of ``(cells, replications, n)`` rows, cell ``k`` under ``weights[k]``.
+    """The estimates of one ``(replications, n)`` block of rows under each weight row.
 
-    Each row is an ascending sample; a spacing estimator sums its
-    ``np.diff``, an order-statistic estimator the sample itself.  Returns
-    the estimates and a dict from each order-statistic cell with a
-    negative value to its DomainError.
+    Each row is an ascending sample, shared by every weight row; a
+    spacing estimator sums its ``np.diff``, an order-statistic estimator
+    the sample itself.  Returns ``(estimates, error)``: ``estimates[k,
+    r]`` is row ``r`` under ``weights[k]``, and ``error`` a DomainError
+    when an order-statistic estimator meets a negative value, else None.
     """
     if spacing:
         rows = np.ascontiguousarray(np.diff(rows, axis=-1))
-        return -0.5 * np.vecdot(rows, weights[:, None, :]) + 0.0, {}
+        return -0.5 * np.vecdot(rows, weights[:, None, :]) + 0.0, None
     rows = np.ascontiguousarray(rows)
-    first = rows[:, :, 0]
-    negative = np.flatnonzero(first.min(axis=1) < 0).tolist() if first.min() < 0 else ()
-    message = "order-statistic estimator requires nonnegative values"
-    errors = {k: DomainError(message) for k in negative}
-    return -np.vecdot(weights[:, None, :], rows) / rows.shape[2] + 0.0, errors
+    error = None
+    if rows[:, 0].min() < 0:
+        error = DomainError("order-statistic estimator requires nonnegative values")
+    return -np.vecdot(weights[:, None, :], rows) / rows.shape[1] + 0.0, error
 
 
 def estimate(spec, data, *, _m=None):
@@ -291,9 +295,9 @@ def estimate(spec, data, *, _m=None):
     spacing, denom = row_estimator(spec, m, values.size)
     weights = row_weights(spacing, values.size, [denom])
     with np.errstate(over="ignore"):
-        estimates, errors = row_estimates(spacing, values[None, None], weights)
-    if errors:
-        raise errors[0]
+        estimates, error = row_estimates(spacing, values[None], weights)
+    if error:
+        raise error
     if not np.isfinite(estimates).all():
         raise DivergenceError(f"{spec.text()} estimate overflows: {estimates[0, 0]}")
     return float(estimates[0, 0])

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import as_distribution
-from .errors import DomainError, SpecParseError, check_array, check_count, check_generator
-from .errors import check_integer, read_csv, shown, write_csv
+from .errors import DomainError, SpecParseError, allocating, check_array, check_count
+from .errors import check_generator, check_integer, read_csv, shown, write_csv
 
 __all__ = [
     "MinRssuSample",
@@ -114,15 +114,16 @@ def draw_minrssu(dist, m, l, rng):
     """Draw an l-cycle unequal-minima sample of total size ``m * l``.
 
     Consumes exactly ``l * m * (m + 1) / 2`` uniforms from ``rng`` in the
-    documented order.
+    documented order; more than can be allocated raise DomainError.
     """
     dist = as_distribution(dist)
     check_count(m, "m")
     check_count(l, "l")
     check_generator(rng)
     per_cycle = m * (m + 1) // 2
-    u = rng.random(l * per_cycle).reshape(l, per_cycle)
-    return MinRssuSample(m=m, l=l, values=_minrssu_values(dist, m, u))
+    with allocating(l * per_cycle, "MinRSSU draw"):
+        u = rng.random(l * per_cycle).reshape(l, per_cycle)
+        return MinRssuSample(m=m, l=l, values=_minrssu_values(dist, m, u))
 
 
 def pooled_order_statistics(sample):

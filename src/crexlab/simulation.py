@@ -12,17 +12,21 @@ each replication, so estimators are compared on common random numbers;
 results are bit-identical across reruns and execution order, and
 :func:`replication_rng` rebuilds any one stream.
 
-A grid groups its cells by shape.  A group's rows are its replications,
-drawn in chunks of at most ``_CHUNK_UNIFORMS`` uniforms by resetting
-numpy's C Philox to each row's stream; the chunk is transformed and
-sorted once, and each estimator kind is one broadcast ``np.vecdot`` of
-all the group's weight rows against the shared sorted rows.  A draw's
-uniforms live in a workspace each thread keeps from draw to draw, valid
-until the thread's next draw: buffers allocated and freed by every draw
-would let glibc hand the top of the heap back to the system and fault it
-in again on every grid.  A grid's estimates are summarized by one set of
-reductions along the replications, against a true value computed once;
-:func:`run_cell` then applies the bias convention to each cell's summary.
+A grid's kernel is one chunk loop over one estimate matrix, one row per
+cell that draws; the cells are bucketed by shape and by estimator kind,
+spacing or order statistic.  A shape's replications are drawn in chunks
+of at most ``_CHUNK_UNIFORMS`` uniforms, each row by resetting numpy's C
+Philox to its stream; a chunk is transformed and sorted once, and each
+kind writes its cells' rows of the matrix by one broadcast ``np.vecdot``
+of its weight rows against the shared sorted rows.  A draw's uniforms
+live in a workspace each thread keeps from draw to draw, valid until the
+thread's next draw, and one chunk's samples are freed before the next
+chunk is drawn: buffers allocated and freed by every draw, or a chunk's
+samples kept alive across the next draw, let glibc hand the top of the
+heap back to the system and fault it in again on every grid.  One set of
+reductions along the replications summarizes the matrix against a true
+value computed once; :func:`run_cell` then applies the bias convention
+to each cell's summary.
 
 Reported cells use the configured bias convention (default: truth minus
 mean estimate); RMSE and |bias| do not depend on the convention.  Squared
@@ -49,7 +53,7 @@ import numpy as np
 
 from .distributions import Distribution, as_distribution
 from .errors import CellError, CrexlabError, DivergenceError, DomainError, SpecParseError
-from .errors import check_count, check_integer, enum_member, read_csv, shown, write_csv
+from .errors import allocating, check_count, check_integer, enum_member, read_csv, shown, write_csv
 # estimate and draw_minrssu are unused here; the benchmark tracer wraps these bindings
 from .estimators import (  # noqa: F401
     EstimatorKind,
@@ -305,7 +309,8 @@ def _reset_uniforms(k0, start, stop, width):
     """
     workspace, size = _WORKSPACE, (stop - start) * width
     if len(workspace.out) < size:
-        workspace.out = np.empty(size)
+        with allocating(size, "uniform workspace"):
+            workspace.out = np.empty(size)
     out = workspace.out[:size].reshape(-1, width)
     bit_generator, generator, state = workspace.reset
     key = state["state"]["key"]
@@ -336,109 +341,69 @@ def _cell_summaries(estimates, true_value):
     return [(true_value, *cell) for cell in stats]
 
 
-class _Group:
-    """The cells of a grid that draw one shape: the same ``(m, l)``, ``vn`` or not.
-
-    Row ``r`` is replication ``r``, one sample from the stream keyed
-    ``(k0, r)`` that every cell of the group reads.  ``kinds[k]``, spacing
-    cells first, is cell ``k``'s :func:`~crexlab.estimators.row_estimator`
-    pair, and ``estimates[k, r]`` its estimate on row ``r``.
-    """
-
-    def __init__(self, vn, m, l, k0, kinds, replications):
-        self.vn, self.m, self.l, self.k0 = vn, m, l, k0
-        self.width = m * l if vn else l * m * (m + 1) // 2
-        self.estimates = np.zeros((len(kinds), replications))
-        self.errors = [None] * len(kinds)
-        self.error = None
-        spacing_cells = sum(spacing for spacing, _ in kinds)
-        # each kind's cells, and one weight row per cell, in cell order
-        self.cells = {True: slice(0, spacing_cells), False: slice(spacing_cells, len(kinds))}
-        self.weights = {
-            spacing: row_weights(spacing, m * l, [d for s, d in kinds if s == spacing])
-            for spacing in (True, False)
-        }
-
-    def draw(self, dist):
-        """Draw and estimate every row, in chunks of at most ``_CHUNK_UNIFORMS`` uniforms.
-
-        A chunk holds one row when a row is wider.  Each chunk is
-        estimated before the next draw, which writes over its uniforms.
-        """
-        replications = self.estimates.shape[1]
-        step = max(1, _CHUNK_UNIFORMS // self.width)
-        for start in range(0, replications, step):
-            stop = min(start + step, replications)
-            self.add_rows(dist, start, _reset_uniforms(self.k0, start, stop, self.width))
-
-    def add_rows(self, dist, start, u):
-        """Estimate the rows from ``start`` on from their uniforms ``u``, one row each.
-
-        The uniforms become samples in the order
-        :func:`~crexlab.sampling.draw_minrssu` (or, when ``vn``,
-        ``Distribution.sample``) reads a stream, sorted once.  Each kind's
-        cells are one :func:`~crexlab.estimators.row_estimates` call on the
-        shared rows.  A CrexlabError fails the group when the samples raise
-        it, and every cell of a kind when that kind's estimates return it.
-        """
-        if self.error is not None:
-            return
-        try:
-            if self.vn:
-                values = dist.quantile(u)
-            else:
-                values = _minrssu_values(dist, self.m, u.reshape(len(u), self.l, -1))
-                values = values.reshape(len(u), -1)
-        except CrexlabError as exc:
-            self.error = exc
-            return
-        values.sort(axis=1)
-        for spacing, cells in self.cells.items():
-            if cells.start < cells.stop:
-                estimates, errors = row_estimates(spacing, values[None], self.weights[spacing])
-                self.estimates[cells, start : start + len(u)] = estimates
-                if errors:
-                    self.errors[cells] = [errors[0]] * (cells.stop - cells.start)
-
-
 def _grid_outcomes(dist, cells, replications, base_seed):
     """The summary of each ``(spec, m, l)`` cell of a grid on ``dist``.
 
     Each entry is the cell's :func:`_cell_summaries` entry or the
     CrexlabError the cell raised.  The true value is computed once, and
     its error fails every cell.  Errors that do not depend on the drawn
-    values come next and draw nothing.  The other cells of each ``(m, l,
-    vn or not)`` shape are one :class:`_Group`, which draws the shape's
-    rows once.  One :func:`_cell_summaries` call summarizes the estimates
-    of all groups.
+    values come next and draw nothing.  Each other cell owns one row of
+    the estimate matrix, in grid order.  A chunk's uniforms become samples
+    in the order :func:`~crexlab.sampling.draw_minrssu` (or, for ``vn``,
+    ``Distribution.sample``) reads a stream, and each kind's cells are one
+    :func:`~crexlab.estimators.row_estimates` call on them.  A CrexlabError
+    fails every cell of a shape when its samples raise it, and every cell
+    of a kind when that kind's estimates return it.
     """
     try:
         true_value = float(crex(dist))
     except CrexlabError as exc:
         return [exc] * len(cells)
-    outcomes = [None] * len(cells)
-    members = {}
+    outcomes, drawn, shapes = [None] * len(cells), [], {}
     for index, (spec, m, l) in enumerate(cells):
         try:
-            kind = row_estimator(spec, m, m * l)
+            spacing, denom = row_estimator(spec, m, m * l)
         except CrexlabError as exc:
             outcomes[index] = exc
             continue
-        members.setdefault((m, l, spec.kind is EstimatorKind.VN), []).append((index, kind))
-    spec_text, groups = dist.spec_string(), []
-    for (m, l, vn), shape_cells in members.items():
-        # spacing cells first, in grid order
-        shape_cells.sort(key=lambda cell: not cell[1][0])
-        k0 = _stream_key(base_seed, _shape_digest(spec_text, vn, m, l))
-        groups.append(_Group(vn, m, l, k0, [kind for _, kind in shape_cells], replications))
-        groups[-1].draw(dist)
-    if not groups:
+        kinds = shapes.setdefault((m, l, spec.kind is EstimatorKind.VN), {})
+        rows, denoms = kinds.setdefault(spacing, ([], []))
+        rows.append(len(drawn))
+        denoms.append(denom)
+        drawn.append(index)
+    if not drawn:
         return outcomes
-    summaries = iter(_cell_summaries(np.concatenate([g.estimates for g in groups]), true_value))
-    for group, shape_cells in zip(groups, members.values()):
-        for (index, _), error in zip(shape_cells, group.errors):
-            summary = next(summaries)
-            outcomes[index] = group.error or error or summary
+    with allocating(len(drawn) * replications, "estimate matrix"):
+        estimates = np.zeros((len(drawn), replications))
+    errors, spec_text = {}, dist.spec_string()
+    for (m, l, vn), kinds in shapes.items():
+        k0 = _stream_key(base_seed, _shape_digest(spec_text, vn, m, l))
+        width = m * l if vn else l * m * (m + 1) // 2
+        step = max(1, _CHUNK_UNIFORMS // width)
+        try:
+            weights = {spacing: row_weights(spacing, m * l, denoms)
+                       for spacing, (_, denoms) in kinds.items()}
+            for start in range(0, replications, step):
+                stop = min(start + step, replications)
+                u = _reset_uniforms(k0, start, stop, width)
+                if vn:
+                    values = dist.quantile(u)
+                else:
+                    values = _minrssu_values(dist, m, u.reshape(len(u), l, -1)).reshape(len(u), -1)
+                values.sort(axis=1)
+                for spacing, (rows, _) in kinds.items():
+                    block, error = row_estimates(spacing, values, weights[spacing])
+                    estimates[rows, start:stop] = block
+                    if error:
+                        errors.update(dict.fromkeys(rows, error))
+                # one chunk's samples at a time: see the module docstring
+                del values
+        except CrexlabError as exc:
+            for rows, _ in kinds.values():
+                errors.update(dict.fromkeys(rows, exc))
+    summaries = _cell_summaries(estimates, true_value)
+    for row, (index, summary) in enumerate(zip(drawn, summaries)):
+        outcomes[index] = errors.get(row) or summary
     return outcomes
 
 

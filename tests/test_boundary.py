@@ -103,7 +103,8 @@ def _call_and_parameters(name, obj):
 
 
 @pytest.mark.parametrize("name, obj", list(_public_callables()))
-@settings(max_examples=20, deadline=None, database=None)
+# derandomized: the same examples on every run, so a defect fails the change that made it
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_public_callable_returns_or_raises_a_crexlab_error(name, obj, data):
     call, params = _call_and_parameters(name, obj)

@@ -24,6 +24,7 @@ from crexlab import (
     sample_to_csv,
     simulation,
 )
+from crexlab.cli import main
 from crexlab.errors import enum_member, shown, text_lines
 
 HUGE = 10**5000
@@ -209,3 +210,67 @@ class TestHugeIntegers:
         # used to end in a bare TypeError: the weight denominators became an object array
         sample = [1.0, 2.0, 3.0]
         assert rmn(sample, 10**20, m=2) == rmn(sample, 10**300, m=2) == -1.0
+
+
+class TestAllocationsSizedByInput:
+    """An array whose size an argument sets, too large to allocate, is a DomainError naming it.
+
+    Every size here is at least 2**48 bytes, which no allocation is
+    granted, so each case is refused at once.
+    """
+
+    # each used to end in numpy's MemoryError or "array is too big" ValueError
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: Exponential(1.0).sample(_rng(), 2**60),
+                         "sample of 1152921504606846976 floats", id="sample-past-intp"),
+            pytest.param(lambda: Exponential(1.0).sample(_rng(), 2**46),
+                         "sample of 70368744177664 floats", id="sample"),
+            pytest.param(lambda: draw_minrssu("exp:rate=1", 100_000, 100_000, _rng()),
+                         "MinRSSU draw of 500005000000000 floats", id="draw_minrssu"),
+            pytest.param(lambda: simulation.run_cell("exp:rate=1", "rn", 2, 2, 10**15),
+                         "estimate matrix of 1000000000000000 floats", id="estimate-matrix"),
+            pytest.param(lambda: simulation.run_cell("exp:rate=1", "rn", 2, 2, 10**18),
+                         "estimate matrix of 1000000000000000000 floats", id="past-intp"),
+            pytest.param(lambda: simulation.run_cell("exp:rate=1", "rn", 2**23, 2**23, 2),
+                         "weight rows of 70368744177664 floats", id="weight-rows"),
+            pytest.param(lambda: simulation._reset_uniforms(5, 0, 2, 2**46),
+                         "uniform workspace of 140737488355328 floats", id="workspace"),
+        ],
+    )
+    def test_domain_error_names_the_size(self, call, message):
+        with pytest.raises(DomainError, match=f"^{message} is too large to allocate$"):
+            call()
+
+    def test_one_shape_too_large_fails_only_its_cells(self):
+        config = simulation.SimulationConfig(
+            "exp:rate=1", m_values=(1, 2**45), l_values=(1,), estimators=("lstat",),
+            replications=3,
+        )
+        result = simulation.run_grid(config)
+        assert [row.m for row in result.rows] == [1]
+        [failure] = result.failures
+        assert failure.coordinates["m"] == 2**45 and isinstance(failure.cause, DomainError)
+        assert str(failure.cause) == "weight rows of 35184372088832 floats is too large to allocate"
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["simulate", "--dist", "exp:rate=1", "--m", "2", "--l", "2", "--estimators", "rn",
+              "--reps", str(10**15)], 2, "crexlab: estimate matrix of 10"),
+            (["calibrate", "--dist-grid", "exp:rate=1", "--estimator", "rn", "--m", "2", "--l",
+              "2", "--target-bias", "0", "--target-rmse", "1", "--reps", str(10**18)],
+             2, "crexlab: estimate matrix of 10"),
+            (["estimate", "--estimator", "rn", "--draw", "exp:rate=1", "--m", "100000", "--l",
+              "100000"], 2, "crexlab: MinRSSU draw of 500005000000000 floats"),
+            (["simulate", "--dist", "exp:rate=1", "--m", f"1,{2**45}", "--l", "1",
+              "--estimators", "lstat", "--reps", "3"], 4, "cell failed: cell (distribution"),
+        ],
+        ids=["simulate", "calibrate", "estimate", "simulate-cell"],
+    )
+    def test_cli_exits_without_a_traceback(self, capsys, argv, code, message):
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
+        assert "too large to allocate" in err

@@ -672,8 +672,8 @@ def _kernel_rows(spec, m, rows):
     n = rows.shape[-1]
     spacing, denom = row_estimator(spec, m, n)
     weights = row_weights(spacing, n, [denom])
-    estimates, errors = row_estimates(spacing, rows[None], weights)
-    assert errors == {}
+    estimates, error = row_estimates(spacing, rows, weights)
+    assert error is None
     return estimates[0]
 
 
@@ -727,34 +727,32 @@ class TestRowKernel:
     @pytest.mark.parametrize("n,m", SIZES)
     @pytest.mark.parametrize("spacing", [True, False], ids=["spacing", "order"])
     def test_broadcast_over_cells_matches_a_dot_per_row(self, spacing, n, m):
+        # every cell reads the same rows, as the cells of one draw shape do
         specs = [EstimatorSpec.parse(text) for text in self.CELLS[spacing]]
-        reps = 3 if n > 100 else 20
-        rows = self.sorted_rows(n, len(specs) * reps).reshape(len(specs), reps, n)
-        expected = np.stack([_dot_per_row(spec, m, cell) for spec, cell in zip(specs, rows)])
+        rows = self.sorted_rows(n, 3 if n > 100 else 20)
+        expected = np.stack([_dot_per_row(spec, m, rows) for spec in specs])
         kinds = [row_estimator(spec, m, n) for spec in specs]
         assert {kind for kind, _ in kinds} == {spacing}
         weights = row_weights(spacing, n, [denom for _, denom in kinds])
-        estimates, errors = row_estimates(spacing, rows, weights)
-        assert errors == {}
+        estimates, error = row_estimates(spacing, rows, weights)
+        assert error is None
         assert estimates.tobytes() == expected.tobytes()
         # a dot per row, with the weights on either side of the broadcast product
         operand = np.diff(rows, axis=-1) if spacing else rows
-        by_dot = [[np.dot(row, w) for row in cell] for cell, w in zip(operand, weights)]
+        by_dot = [[np.dot(row, w) for row in operand] for w in weights]
         weights = weights[:, None]
         for product in (np.vecdot(operand, weights), np.vecdot(weights, operand)):
             assert product.tobytes() == np.array(by_dot).tobytes()
 
-    def test_negative_value_fails_only_its_own_cell(self):
-        rows = self.sorted_rows(6, 9).reshape(3, 3, 6)
-        rows[1, 2, 0] = -1.0
-        weights = row_weights(False, 6, [6, 7, 8])
-        estimates, errors = row_estimates(False, rows, weights)
-        assert list(errors) == [1] and isinstance(errors[1], DomainError)
+    def test_negative_value_fails_the_whole_block(self):
+        # the cells of one kind share their rows, so one negative value fails them all
+        rows = self.sorted_rows(6, 3)
+        rows[2, 0] = -1.0
+        _, error = row_estimates(False, rows, row_weights(False, 6, [6, 7, 8]))
+        assert isinstance(error, DomainError) and "nonnegative" in str(error)
+        assert row_estimates(True, rows, row_weights(True, 6, [6, 7]))[1] is None
         with pytest.raises(DomainError, match="nonnegative"):
-            estimate(EstimatorSpec(EstimatorKind.LSTAT), rows[1, 2])
-        for k in (0, 2):
-            alone, _ = row_estimates(False, rows[k : k + 1], weights[k : k + 1])
-            assert estimates[k].tobytes() == alone[0].tobytes()
+            estimate(EstimatorSpec(EstimatorKind.LSTAT), rows[2])
 
     @pytest.mark.parametrize(
         "product",
@@ -797,8 +795,8 @@ class TestZeroSumSign:
         # three cells under their own denominators, in one broadcast call
         specs = [EstimatorSpec.parse(text) for text in TestRowKernel.CELLS[spacing][1:4]]
         weights = row_weights(spacing, 4, [row_estimator(spec, 2, 4)[1] for spec in specs])
-        estimates, errors = row_estimates(spacing, np.full((3, 5, 4), value), weights)
-        assert errors == {} and estimates.shape == (3, 5)
+        estimates, error = row_estimates(spacing, np.full((5, 4), value), weights)
+        assert error is None and estimates.shape == (3, 5)
         assert np.all(estimates == 0.0) and not np.signbit(estimates).any()
 
 

@@ -43,7 +43,8 @@ from crexlab.simulation import (
     RMN_W_GRID,
     SimulationConfig,
     SimulationRow,
-    _Group,
+    _cell_summaries,
+    _grid_outcomes,
     _reset_uniforms,
     _shape_digest,
     _stream_key,
@@ -64,6 +65,20 @@ def _forbid_drawing(monkeypatch):
 def _philox(k0, r):
     """numpy's C Philox keyed ``(k0, r)``, from counter 0."""
     return np.random.Generator(np.random.Philox(key=np.array([k0, r], np.uint64)))
+
+
+def _kernel_estimates(monkeypatch, dist, cells, reps, seed):
+    """The grid kernel's estimate matrix on ``cells``, caught on its way to the summaries."""
+    caught = []
+
+    def summaries(estimates, true_value):
+        caught.append(estimates.copy())
+        return _cell_summaries(estimates, true_value)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulation, "_cell_summaries", summaries)
+        _grid_outcomes(dist, cells, reps, seed)
+    return caught[0]
 
 
 def _inject_samples(monkeypatch, values):
@@ -210,12 +225,12 @@ class TestBatchedKernel:
             loop[r] = _reference_estimate(spec, m, data)
             if r % 97 == 0:
                 assert estimate(spec, data) == loop[r]
+        width = m * l if vn else l * m * (m + 1) // 2
         for budget in (2**10, 2**14, _CHUNK_UNIFORMS):
             monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", budget)
-            group = _Group(vn, m, l, _stream_key(seed, digest), [row_estimator(spec, m, m * l)], reps)
-            assert reps * group.width > budget or budget == _CHUNK_UNIFORMS
-            group.draw(dist)
-            assert group.estimates[0].tobytes() == loop.tobytes()
+            assert reps * width > budget or budget == _CHUNK_UNIFORMS
+            estimates = _kernel_estimates(monkeypatch, dist, [(spec, m, l)], reps, seed)
+            assert estimates[0].tobytes() == loop.tobytes()
             row = run_cell(dist, spec, m, l, reps, base_seed=seed)
             assert row.bias == row.true_value - float(np.mean(loop, dtype=np.longdouble))
 
@@ -286,16 +301,12 @@ class TestBatchedKernel:
     def test_rows_do_not_depend_on_the_replication_count(self, budget, monkeypatch):
         # row r reads the stream keyed (k0, r) alone: a shorter run at any
         # chunk budget gives the first rows of a longer one, bit for bit
-        dist, m, l = parse_distribution("exp:rate=2"), 3, 2
-        k0 = _stream_key(9, _shape_digest(dist.spec_string(), False, m, l))
-        kinds = [row_estimator(EstimatorSpec.parse(text), m, m * l)
-                 for text in ("rn", "rmn:w=1", "lstat")]
-        longer = _Group(False, m, l, k0, kinds, 1000)
-        longer.draw(dist)
+        dist = parse_distribution("exp:rate=2")
+        cells = [(EstimatorSpec.parse(text), 3, 2) for text in ("rn", "rmn:w=1", "lstat")]
+        longer = _kernel_estimates(monkeypatch, dist, cells, 1000, 9)
         monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", budget)
-        shorter = _Group(False, m, l, k0, kinds, 700)
-        shorter.draw(dist)
-        assert shorter.estimates.tobytes() == longer.estimates[:, :700].copy().tobytes()
+        shorter = _kernel_estimates(monkeypatch, dist, cells, 700, 9)
+        assert shorter.tobytes() == longer[:, :700].copy().tobytes()
 
     def test_keys_of_nearby_seeds_and_shapes_differ(self):
         seeds = [0, 1, 2**64, 2**64 + 1, 2**127 + 3]
@@ -463,13 +474,13 @@ class TestBatchedKernel:
             replications=37, base_seed=5,
         )
         expected = rows_to_csv(run_grid(cfg).rows)
-        add_rows, chunks = _Group.add_rows, {}
+        chunks = {}
 
-        def recorded(group, dist, start, u):
-            chunks.setdefault(group.k0, []).append((start, len(u)))
-            add_rows(group, dist, start, u)
+        def recorded(k0, start, stop, width):
+            chunks.setdefault(k0, []).append((start, stop - start))
+            return _reset_uniforms(k0, start, stop, width)
 
-        monkeypatch.setattr(_Group, "add_rows", recorded)
+        monkeypatch.setattr(simulation, "_reset_uniforms", recorded)
         for budget in (2**7, 2**12):
             monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", budget)
             chunks.clear()
@@ -520,7 +531,7 @@ class TestPhiloxWorkspace:
             return in_turn
 
         monkeypatch.setattr(simulation, "_reset_uniforms", stepped(_reset_uniforms))
-        monkeypatch.setattr(_Group, "add_rows", stepped(_Group.add_rows))
+        monkeypatch.setattr(simulation, "row_estimates", stepped(simulation.row_estimates))
 
     def test_threads_running_grids_at_once_keep_their_workspaces_apart(self, monkeypatch):
         # two protocol grids, three times each in two threads at once.  Each
@@ -581,8 +592,8 @@ class TestPhiloxWorkspace:
 
     def test_each_chunk_is_estimated_before_the_next_draw(self, monkeypatch):
         # narrow and wide rows of several shapes, in several chunks: every
-        # add_rows call reads the latest draw, unchanged since it was drawn,
-        # and the next draw may write over it
+        # row_estimates call reads the rows of the latest draw, unchanged
+        # since it was drawn, and the next draw may write over it
         cfg = SimulationConfig(
             "exp:rate=1", m_values=(2, 5), l_values=(1, 3, 12),
             estimators=("lstat", "vn", "rmn", "lstat_adj", "rn"),
@@ -591,31 +602,33 @@ class TestPhiloxWorkspace:
         )
         expected = rows_to_csv(run_grid(cfg).rows)
         monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", 2**10)
-        draws, add_rows = [], _Group.add_rows
+        draws, row_estimates = [], simulation.row_estimates
 
         def recorded(*args):
             u = _reset_uniforms(*args)
             draws.append((u, u.copy()))
             return u
 
-        def checked(group, dist, start, u):
+        def checked(spacing, rows, weights):
             latest, kept = draws[-1]
-            assert u is latest and latest.tobytes() == kept.tobytes()
-            add_rows(group, dist, start, u)
+            assert len(rows) == len(latest) and latest.tobytes() == kept.tobytes()
+            return row_estimates(spacing, rows, weights)
 
         monkeypatch.setattr(simulation, "_reset_uniforms", recorded)
-        monkeypatch.setattr(_Group, "add_rows", checked)
+        monkeypatch.setattr(simulation, "row_estimates", checked)
         assert rows_to_csv(run_grid(cfg).rows) == expected
         assert len(draws) > 12
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux getrusage")
-    def test_protocol_grids_do_not_fault_the_heap_in_again(self):
-        # counted in a new interpreter, as other tests leave this one's heap
-        # in a state that does not trim; when every run allocated and freed
-        # its own words, each grid here made about 180-240 minor page faults
+    @staticmethod
+    def _faults_per_pass(config):
+        """Minor page faults per ``run_grid`` pass on ``config``, code text, in a new interpreter.
+
+        Counted in a new interpreter, as other tests leave this one's heap
+        in a state that does not trim: two passes warm up, five are counted.
+        """
         code = (
-            "import resource; from crexlab import protocol_config, run_grid\n"
-            "config = protocol_config('exp', replications=20, base_seed=1)\n"
+            "import resource; from crexlab import *\n"
+            f"config = {config}\n"
             "for _ in range(2): run_grid(config)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "for _ in range(5): run_grid(config)\n"
@@ -628,7 +641,27 @@ class TestPhiloxWorkspace:
             capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
         )
         assert done.returncode == 0, done.stderr
-        assert int(done.stdout) / 5 <= 50
+        return int(done.stdout) / 5
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux getrusage")
+    def test_protocol_grids_do_not_fault_the_heap_in_again(self):
+        # when every run allocated and freed its own words, each grid here
+        # made about 180-240 minor page faults
+        config = "protocol_config('exp', replications=20, base_seed=1)"
+        assert self._faults_per_pass(config) <= 50
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux getrusage")
+    def test_wide_rows_do_not_fault_the_heap_in_again(self):
+        # the large-sample benchmark's shape at R = 80: when a chunk's
+        # samples stayed alive while the next chunk was drawn, glibc trimmed
+        # the heap top and each grid faulted it in again, about 350 times
+        config = (
+            "SimulationConfig('exp:rate=1', m_values=(5,), l_values=(1000,), "
+            "estimators=('vn', 'rn', 'rmn', 'lstat', 'lstat_adj'), "
+            "w_lists={'rmn': (0, 1), 'lstat_adj': (0, 1)}, psi_family='exp', "
+            "replications=80, base_seed=3)"
+        )
+        assert self._faults_per_pass(config) <= 50
 
 
 class TestRunGrid:
@@ -692,7 +725,7 @@ class TestRunGrid:
             protocol_config("unif", replications=1, base_seed=3),
             protocol_config("beta", replications=2, base_seed=2**40 + 3),
             # at m=2 the lstat_adj w=-11 cells fail in row_estimator and
-            # share their groups with live cells
+            # share their shapes with live cells
             dict(
                 distribution="exp:rate=1",
                 m_values=(2, 3),
