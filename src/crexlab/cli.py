@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .discrimination import d_designs, d_min_vs_parent
-from .distributions import parse_distribution
+from .distributions import _number_text, parse_distribution
 from .errors import CrexlabError, DivergenceError, SpecParseError, check_count
 from .estimators import EstimatorSpec, PsiFamily, estimate as run_estimator
 from .measures import (
@@ -79,12 +79,13 @@ def cmd_measure(args):
         if args.t is None:
             rows = [("crex", crex(dist, method=method))]
         else:
-            rows = [(f"dynamic_crex[t={args.t:g}]", dynamic_crex(dist, args.t, method=method))]
+            cv = dynamic_crex(dist, args.t, method=method)
+            rows = [(f"dynamic_crex[t={_number_text(args.t)}]", cv)]
     elif design == "dynamic" or args.t is not None:
         if args.t is None:
             raise SpecParseError("--design dynamic requires --t")
         pair = dynamic_crex_designs(dist, args.m, args.t, method=method)
-        rows = [(f"dynamic_crex[{name},m={args.m},t={args.t:g}]", cv)
+        rows = [(f"dynamic_crex[{name},m={args.m},t={_number_text(args.t)}]", cv)
                 for name, cv in zip(("minrssu", "srs"), pair) if design in ("dynamic", name)]
     elif design == "minrssu":
         rows = [(f"crex[minrssu,m={args.m}]", crex_minrssu_design(dist, args.m, method=method))]

@@ -186,21 +186,22 @@ class Distribution:
         return self._survival(x)
 
     def quantile(self, u):
-        """Generalized inverse ``inf{x : cdf(x) >= u}`` for u in [0, 1]."""
+        """Generalized inverse ``inf{x : cdf(x) >= u}`` for u in [0, 1].
+
+        1 maps to the support end and every other value to the kernel,
+        which maps 0 to the support start.  A nan, or a value outside
+        [0, 1], raises DomainError.  A scalar comes back as a float.
+        """
         arr = check_array(u, "quantile argument")
         vals = np.atleast_1d(arr)
-        if _all_inside(vals, 0.0, 1.0):
-            out = self._quantile(vals)
-        else:
-            if np.any((vals < 0.0) | (vals > 1.0)) or np.any(np.isnan(vals)):
-                raise DomainError(f"quantile argument outside [0, 1]: {u!r}")
-            out = np.empty_like(vals)
-            lo, hi = self.support
-            out[vals == 0.0] = lo
-            out[vals == 1.0] = hi
-            mid = (vals > 0.0) & (vals < 1.0)
-            if np.any(mid):
-                out[mid] = self._quantile(vals[mid])
+        # a nan fails both comparisons
+        if not np.all((vals >= 0.0) & (vals <= 1.0)):
+            raise DomainError(f"quantile argument outside [0, 1]: {u!r}")
+        top = vals == 1.0
+        # the kernel never sees 1, where the exponential's divides by zero;
+        # + 0.0 turns -0.0 into 0.0, which the kernels map to the support start
+        out = self._quantile(np.where(top, 0.0, vals) + 0.0)
+        out[top] = self.support[1]
         if arr.ndim == 0:
             return float(out[0])
         return out
@@ -209,16 +210,15 @@ class Distribution:
         """Draw ``count`` i.i.d. values by inverse transform on ``rng``.
 
         ``count`` is an integer >= 0; a count too large to allocate raises
-        DomainError (:func:`~crexlab.errors.allocating`).
+        DomainError (:func:`~crexlab.errors.allocating`).  A drawn uniform
+        lies in [0, 1), so it goes to the kernel ``_quantile`` unchecked.
         """
         check_generator(rng)
         count = check_integer(count, "sample count")
         if count < 0:
             raise DomainError(f"sample count must be >= 0, got {shown(count)}")
-        if count == 0:
-            return np.empty(0)
         with allocating(count, "sample"):
-            return self.quantile(rng.random(count))
+            return self._quantile(rng.random(count))
 
     # -- moments and survival-power integrals ---------------------------
 

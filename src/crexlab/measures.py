@@ -18,7 +18,8 @@ size ``m`` uses m powers 2; the unequal-minima plan (MinRSSU) uses the
 powers ``2, 4, ..., 2m`` of its set minima.  Products of more than
 ``_LOG_SPACE_THRESHOLD`` factors are accumulated in log space, and a
 product that still over- or underflows raises DivergenceError rather
-than returning inf, nan or -0.
+than returning inf, nan or -0.  So does a survival-power integral that
+computes to 0, which with ``S(t) > 0`` can only be an underflow.
 """
 
 from __future__ import annotations
@@ -114,12 +115,14 @@ def _power_products(dist, power_lists, t, method):
     Each distinct power is integrated once across all lists, by one
     call per route.  Products of more than ``_LOG_SPACE_THRESHOLD``
     factors are accumulated in log space.  A scale ``S(t)**p`` or a
-    product of nonzero factors outside the normal float range raises
-    DivergenceError.  The error bound is ``|value| * sum_p err_p / I_p``
-    over the factors.  The age and the powers are checked here, once,
-    ahead of either route, by the rules ``survival_power_integral`` uses;
-    the closed route then takes each family tail ``_spi_tail`` from the
-    head and start of ``Distribution._head_start``.
+    product outside the normal float range raises DivergenceError, and so
+    does an integral that computes to 0: with ``S(t) > 0`` that is an
+    underflow or an interval the route cannot resolve, never the value.
+    The error bound is ``|value| * sum_p err_p / I_p`` over the factors.
+    The age and the powers are checked here, once, ahead of either route,
+    by the rules ``survival_power_integral`` uses; the closed route then
+    takes each family tail ``_spi_tail`` from the head and start of
+    ``Distribution._head_start``.
     """
     t = check_real(t, "age")
     if not t >= 0.0:
@@ -144,16 +147,16 @@ def _power_products(dist, power_lists, t, method):
         raise DivergenceError(f"survival({t})**{distinct[bad]:g} underflows")
     factor_of, rel_err_of = {}, {}
     for p, scale, (integral, err) in zip(distinct, scales, integrals):
+        if integral == 0.0:
+            # S(t) > 0 makes every integral from t positive: a zero underflowed or went unresolved
+            raise DivergenceError(f"integral of S(x)**{p!r} from t={t!r} underflows to 0")
         factor_of[p] = integral / scale
-        rel_err_of[p] = err / integral if integral > 0.0 else 0.0
+        rel_err_of[p] = err / integral
     return [_product(powers, factor_of, rel_err_of) for powers in power_lists]
 
 
 def _product(powers, factor_of, rel_err_of):
     factors = [factor_of[p] for p in powers]
-    if 0.0 in factors:
-        # a zero factor makes the product exactly zero, not an underflow
-        return 0.0, 0.0
     if len(factors) <= _LOG_SPACE_THRESHOLD:
         prod = math.prod(factors)
     else:

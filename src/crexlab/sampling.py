@@ -10,6 +10,15 @@ fixed so a seed fully determines the sample:
     draw ``r`` of set ``i`` in cycle ``j`` sits at stream position
     ``j * m(m+1)/2 + i(i-1)/2 + r``  (all zero-based).
 
+One transform turns drawn uniforms into a sample of either design, and
+:func:`draw_minrssu` and the simulation grid both draw through it:
+:func:`_draw_width` gives the uniforms one sample reads, and
+:func:`_draw_values` maps rows of them to rows of values.  An SRS sample
+of ``n`` values reads ``n`` uniforms, and each value is the family kernel
+``Distribution._quantile`` of its uniform.  A drawn uniform lies in
+``[0, 1)``, where every kernel is finite and maps 0 to the support
+start, so the uniforms reach the kernel unchecked.
+
 Samples round-trip through CSV with header ``cycle,set_size,value``
 (cycle and set_size are 1-based in the file).
 """
@@ -93,21 +102,31 @@ def _set_index(m):
     return idx
 
 
-def _minrssu_values(dist, m, u):
-    """Recorded values of MinRSSU cycles from their uniforms.
+def _draw_width(m, l, srs):
+    """The uniforms one sample of ``m * l`` values reads, by SRS or by MinRSSU."""
+    return m * l if srs else l * m * (m + 1) // 2
 
-    ``u[..., j, :]`` holds the ``m * (m + 1) / 2`` uniforms of cycle ``j``
-    in stream order; the result has shape ``u.shape[:-1] + (m,)``.  The
-    quantile transform is monotone, so the minimum of each set is taken on
-    the uniforms and transformed once.  Every set minimum comes from one
+
+def _draw_values(dist, m, srs, u):
+    """The samples of the ``(rows, width)`` uniforms ``u``, one ``(rows, m * l)`` row each.
+
+    Each row of ``u`` holds one sample's :func:`_draw_width` uniforms in
+    stream order, and each drawn uniform lies in ``[0, 1)``, where every
+    family's kernel ``dist._quantile`` is finite and maps 0 to the support
+    start.  An SRS row is the kernel of its uniforms.  A MinRSSU row holds
+    its cycles in order, each the minima of sets ``1..m``: the quantile
+    transform is monotone, so the minimum of each set is taken on the
+    uniforms and transformed once.  Every set minimum comes from one
     gather of the stream positions through :func:`_set_index`, into
-    ``(m, m, cycles)``, and one reduction over its first axis; the
-    quantile then runs on the contiguous ``(m, cycles)`` minima.  The
-    result is C-contiguous: the estimators' row-wise BLAS dot sums a
-    strided row in another order.
+    ``(m, m, cycles)``, and one reduction over its first axis; the kernel
+    then runs on the contiguous ``(m, cycles)`` minima.  The result is
+    C-contiguous: the estimators' row-wise BLAS dot sums a strided row in
+    another order.
     """
-    minima = u.reshape(-1, u.shape[-1]).T[_set_index(m)].min(axis=0)
-    return np.ascontiguousarray(dist.quantile(minima).T).reshape(u.shape[:-1] + (m,))
+    if srs:
+        return dist._quantile(u)
+    minima = u.reshape(-1, _draw_width(m, 1, srs=False)).T[_set_index(m)].min(axis=0)
+    return np.ascontiguousarray(dist._quantile(minima).T).reshape(len(u), -1)
 
 
 def draw_minrssu(dist, m, l, rng):
@@ -120,10 +139,10 @@ def draw_minrssu(dist, m, l, rng):
     check_count(m, "m")
     check_count(l, "l")
     check_generator(rng)
-    per_cycle = m * (m + 1) // 2
-    with allocating(l * per_cycle, "MinRSSU draw"):
-        u = rng.random(l * per_cycle).reshape(l, per_cycle)
-        return MinRssuSample(m=m, l=l, values=_minrssu_values(dist, m, u))
+    width = _draw_width(m, l, srs=False)
+    with allocating(width, "MinRSSU draw"):
+        values = _draw_values(dist, m, srs=False, u=rng.random((1, width)))
+        return MinRssuSample(m=m, l=l, values=values.reshape(l, m))
 
 
 def pooled_order_statistics(sample):

@@ -16,17 +16,19 @@ A grid's kernel is one chunk loop over one estimate matrix, one row per
 cell that draws; the cells are bucketed by shape and by estimator kind,
 spacing or order statistic.  A shape's replications are drawn in chunks
 of at most ``_CHUNK_UNIFORMS`` uniforms, each row by resetting numpy's C
-Philox to its stream; a chunk is transformed and sorted once, and each
-kind writes its cells' rows of the matrix by one broadcast ``np.vecdot``
-of its weight rows against the shared sorted rows.  A draw's uniforms
-live in a workspace each thread keeps from draw to draw, valid until the
-thread's next draw, and one chunk's samples are freed before the next
-chunk is drawn: buffers allocated and freed by every draw, or a chunk's
-samples kept alive across the next draw, let glibc hand the top of the
-heap back to the system and fault it in again on every grid.  One set of
+Philox to its stream.  A chunk goes through the one draw transform of
+:mod:`crexlab.sampling` and is sorted once, and each kind writes its
+cells' rows of the matrix by one broadcast ``np.vecdot`` of its weight
+rows against the shared sorted rows.  A draw's uniforms live in a
+workspace each thread keeps from draw to draw, valid until the thread's
+next draw, and one chunk's samples are freed before the next chunk is
+drawn: buffers allocated and freed by every draw, or a chunk's samples
+kept alive across the next draw, let glibc hand the top of the heap back
+to the system and fault it in again on every grid.  One set of
 reductions along the replications summarizes the matrix against a true
 value computed once; :func:`run_cell` then applies the bias convention
-to each cell's summary.
+to each cell's summary, and fails a cell whose bias, RMSE or Monte Carlo
+SE is not finite.
 
 Reported cells use the configured bias convention (default: truth minus
 mean estimate); RMSE and |bias| do not depend on the convention.  Squared
@@ -43,6 +45,7 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
+import math
 import os
 import threading
 from collections.abc import Mapping
@@ -64,7 +67,7 @@ from .estimators import (  # noqa: F401
     row_weights,
 )
 from .measures import crex
-from .sampling import _minrssu_values, draw_minrssu  # noqa: F401
+from .sampling import _draw_values, _draw_width, draw_minrssu  # noqa: F401
 
 __all__ = [
     "BiasConvention",
@@ -326,18 +329,24 @@ def _cell_summaries(estimates, true_value):
     """``(true_value, mean estimate, RMSE, Monte Carlo SE)`` of each row of ``estimates``.
 
     Each row holds one cell's estimates.  The mean and the squared
-    deviations from ``true_value`` are summed in extended precision; the
-    standard error uses ``ddof=1`` and is 0 for a single replication.
+    deviations from ``true_value`` are summed in extended precision, in
+    one extended copy of the matrix, freed before the standard error; the
+    standard error uses ``ddof=1`` and is 0 for a single replication.  A
+    reduction that overflows gives inf without a warning, and
+    :func:`run_cell` fails its cell.
     """
     replications = estimates.shape[1]
-    mean = np.mean(estimates, axis=1, dtype=np.longdouble)
-    dev = estimates.astype(np.longdouble) - true_value
-    rmse = np.sqrt(np.mean(dev * dev, axis=1))
-    if replications > 1:
-        mc_se = np.std(estimates, axis=1, ddof=1) / np.sqrt(replications)
-    else:
-        mc_se = np.zeros(len(estimates))
-    stats = zip(mean.astype(float).tolist(), rmse.astype(float).tolist(), mc_se.tolist())
+    with np.errstate(over="ignore"):
+        mean = np.mean(estimates, axis=1, dtype=np.longdouble)
+        dev = np.subtract(estimates, true_value, dtype=np.longdouble)
+        dev *= dev
+        rmse = np.sqrt(np.mean(dev, axis=1))
+        del dev
+        if replications > 1:
+            mc_se = np.std(estimates, axis=1, ddof=1) / np.sqrt(replications)
+        else:
+            mc_se = np.zeros(len(estimates))
+        stats = zip(mean.astype(float).tolist(), rmse.astype(float).tolist(), mc_se.tolist())
     return [(true_value, *cell) for cell in stats]
 
 
@@ -349,11 +358,12 @@ def _grid_outcomes(dist, cells, replications, base_seed):
     its error fails every cell.  Errors that do not depend on the drawn
     values come next and draw nothing.  Each other cell owns one row of
     the estimate matrix, in grid order.  A chunk's uniforms become samples
-    in the order :func:`~crexlab.sampling.draw_minrssu` (or, for ``vn``,
-    ``Distribution.sample``) reads a stream, and each kind's cells are one
-    :func:`~crexlab.estimators.row_estimates` call on them.  A CrexlabError
-    fails every cell of a shape when its samples raise it, and every cell
-    of a kind when that kind's estimates return it.
+    by :func:`~crexlab.sampling._draw_values`, the transform that
+    :func:`~crexlab.sampling.draw_minrssu` and, for ``vn``,
+    ``Distribution.sample`` apply to a stream, and each kind's cells are
+    one :func:`~crexlab.estimators.row_estimates` call on them.  A
+    CrexlabError fails every cell of a shape when its samples raise it,
+    and every cell of a kind when that kind's estimates return it.
     """
     try:
         true_value = float(crex(dist))
@@ -378,18 +388,14 @@ def _grid_outcomes(dist, cells, replications, base_seed):
     errors, spec_text = {}, dist.spec_string()
     for (m, l, vn), kinds in shapes.items():
         k0 = _stream_key(base_seed, _shape_digest(spec_text, vn, m, l))
-        width = m * l if vn else l * m * (m + 1) // 2
+        width = _draw_width(m, l, vn)
         step = max(1, _CHUNK_UNIFORMS // width)
         try:
             weights = {spacing: row_weights(spacing, m * l, denoms)
                        for spacing, (_, denoms) in kinds.items()}
             for start in range(0, replications, step):
                 stop = min(start + step, replications)
-                u = _reset_uniforms(k0, start, stop, width)
-                if vn:
-                    values = dist.quantile(u)
-                else:
-                    values = _minrssu_values(dist, m, u.reshape(len(u), l, -1)).reshape(len(u), -1)
+                values = _draw_values(dist, m, vn, _reset_uniforms(k0, start, stop, width))
                 values.sort(axis=1)
                 for spacing, (rows, _) in kinds.items():
                     block, error = row_estimates(spacing, values, weights[spacing])
@@ -427,9 +433,10 @@ def run_cell(
     :func:`~crexlab.sampling.draw_minrssu` (``Distribution.sample`` for
     ``vn``) and :func:`~crexlab.estimators.estimate`, bit for bit.
     Errors that do not depend on the drawn values are raised before any
-    drawing.  :func:`run_grid` passes ``_summary``, this cell's entry of
-    the grid kernel: its true value, mean estimate, RMSE and Monte Carlo
-    SE, or its error.  The arguments then come from a frozen
+    drawing, and a bias, RMSE or Monte Carlo SE that is not finite raises
+    DivergenceError.  :func:`run_grid` passes ``_summary``, this cell's
+    entry of the grid kernel: its true value, mean estimate, RMSE and
+    Monte Carlo SE, or its error.  The arguments then come from a frozen
     :class:`SimulationConfig`, which has checked them, so they are
     parsed and checked only when ``run_cell`` runs its own cell.
     """
@@ -447,6 +454,8 @@ def run_cell(
         bias = true_value - mean_est
     else:
         bias = mean_est - true_value
+    if not (math.isfinite(bias) and math.isfinite(rmse) and math.isfinite(mc_se)):
+        raise DivergenceError(f"cell summary overflows: bias={bias}, rmse={rmse}, mc_se={mc_se}")
     return SimulationRow(
         distribution=dist.family,
         params=dist.param_text(),

@@ -87,6 +87,14 @@ class TestMeasure:
             ["estimate", "--estimator", "lstat", "--values", "1.7e308,1.7e308,1.7e308,1.7e308"],
             ["calibrate", "--dist-grid", "exp:rate=1", "--estimator", "rn", "--m", "2", "--l", "2",
              "--target-bias", "1e308", "--target-rmse", "1e308", "--reps", "3"],
+            # a candidate whose Monte Carlo SE overflows
+            ["calibrate", "--dist-grid", "exp:rate=1e-300", "--estimator", "rn", "--m", "2",
+             "--l", "2", "--target-bias", "0", "--target-rmse", "1", "--reps", "3"],
+            # a survival-power integral that underflows to 0, by both routes
+            ["measure", "--dist", "powerbeta:alpha=1e-300"],
+            ["measure", "--dist", "powerbeta:alpha=1e-300", "--method", "quadrature"],
+            ["measure", "--dist", "unif:a=0,b=1", "--design", "dynamic", "--m", "2",
+             "--t", "0.9999999999999999", "--method", "quadrature"],
         ):
             code, out, err = run(capsys, argv)
             assert code == 3, argv
@@ -108,6 +116,18 @@ class TestMeasure:
         )
         assert code == 0
         assert out.splitlines()[1:] == [f"{line}                 0"]
+
+    @pytest.mark.parametrize(
+        "t", ["0.9999999999999999", "0.5", "3", "1e-07", "0.30000000000000004"]
+    )
+    def test_age_label_reads_back_as_the_age(self, capsys, t):
+        for argv, label in (
+            (["--t", t], f"dynamic_crex[t={t}]"),
+            (["--design", "dynamic", "--m", "2", "--t", t], f"dynamic_crex[minrssu,m=2,t={t}]"),
+        ):
+            code, out, _ = run(capsys, ["measure", "--dist", "exp:rate=1", *argv])
+            assert code == 0
+            assert out.splitlines()[1].split()[0] == label
 
     def test_quadrature_method_reports_bound(self, capsys):
         code, out, _ = run(
@@ -330,6 +350,19 @@ class TestSimulate:
         assert code == 4
         assert "cell failed" in err
         assert rows_from_csv(out)  # completed cells still emitted
+
+    @pytest.mark.parametrize(
+        "law", ["exp:rate=1e-300", "powerbeta:alpha=1e-300"], ids=["mc-se-overflows", "truth-underflows"]
+    )
+    def test_cell_that_cannot_be_summarized_fails(self, capsys, law):
+        code, out, err = run(
+            capsys,
+            ["simulate", "--dist", law, "--m", "2", "--l", "2", "--estimators", "rn",
+             "--reps", "3", "--seed", "1"],
+        )
+        assert code == 4
+        assert err.startswith("cell failed:") and err.count("\n") == 1
+        assert rows_from_csv(out) == [] and "inf" not in out
 
     def test_config_file(self, capsys, tmp_path):
         cfg = {

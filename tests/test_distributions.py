@@ -102,6 +102,37 @@ class TestPointValues:
         assert Exponential(1.0).quantile(0.0) == 0.0
         assert Exponential(1.0).quantile(1.0) == math.inf
 
+    @pytest.mark.parametrize(
+        "law",
+        [
+            "exp:rate=1", "exp:rate=1e-300", "exp:rate=3.7",
+            "unif:a=0,b=1", "unif:a=-0,b=2", "unif:a=2,b=3",
+            "finite:a=2,b=3", "finite:a=0.3,b=0.62",
+            "powerbeta:alpha=2", "powerbeta:alpha=0.1", "powerbeta:alpha=1", "powerbeta:alpha=1e300",
+        ],
+    )
+    def test_kernel_maps_zero_to_the_support_start(self, law):
+        # a drawn uniform lies in [0, 1) and goes to the kernel unchecked
+        dist = parse_distribution(law)
+        start = dist._quantile(np.zeros(3))
+        assert start.tobytes() == np.full(3, dist.support[0]).tobytes()
+
+    @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
+    def test_quantile_checks_then_maps_the_ends(self, dist):
+        # 1 is the support end with no warning (warnings are errors under
+        # pytest), 0 and -0 the support start, sign included
+        lo, hi = dist.support
+        ends = dist.quantile(np.array([[0.0, 1.0], [-0.0, 1.0]]))
+        assert ends.tobytes() == np.array([[lo, hi], [lo, hi]]).tobytes()
+        for u, end in ((0.0, lo), (-0.0, lo), (1.0, hi), (np.float64(1.0), hi), (0.5, None)):
+            value = dist.quantile(u)
+            assert type(value) is float
+            assert end is None or _bits(value) == _bits(end)
+        for bad in (-2.0**-1074, 1.0 + 2.0**-52, math.nan, -math.inf, math.inf,
+                    [0.5, math.nan], [[0.2, 1.5]]):
+            with pytest.raises(DomainError, match=r"outside \[0, 1\]"):
+                dist.quantile(bad)
+
 
 class TestSampling:
     def test_zero_count_is_empty(self):

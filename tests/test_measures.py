@@ -104,6 +104,37 @@ class TestCrex:
         with pytest.raises(ValueError):
             CrexValue(0.1, Method.CLOSED_FORM)
 
+    @pytest.mark.parametrize("method", ["closed", "quadrature"])
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-200])
+    def test_integral_that_underflows_to_zero_raises(self, alpha, method):
+        # S > 0 on (0, 1), so int S**2 > 0: a computed 0 is an underflow
+        with pytest.raises(DivergenceError, match="underflows to 0"):
+            crex(PowerBeta(alpha), method)
+
+
+class TestZeroIntegral:
+    """A survival-power integral from t with S(t) > 0 is positive, never 0."""
+
+    def test_route_that_cannot_resolve_raises(self):
+        assert crex(PowerBeta(1e-100)).value == pytest.approx(-1e-200, rel=1e-12)
+        with pytest.raises(DivergenceError, match="underflows to 0"):
+            crex(PowerBeta(1e-100), "quadrature")
+
+    def test_one_ulp_interval_raises_by_quadrature(self):
+        # every gk21 node on [1 - 2**-53, 1] rounds to 1.0, where S is 0
+        t = 1.0 - 2.0**-53
+        minrssu, srs = dynamic_crex_designs(Uniform(0.0, 1.0), 2, t)
+        assert minrssu.value == pytest.approx(-4.11e-34, rel=1e-3)
+        assert srs.value == pytest.approx(-6.85e-34, rel=1e-3)
+        with pytest.raises(DivergenceError, match="underflows to 0"):
+            dynamic_crex_designs(Uniform(0.0, 1.0), 2, t, "quadrature")
+
+    @pytest.mark.parametrize("method", ["closed", "quadrature"])
+    def test_zero_difference_is_a_value(self, method):
+        # a zero disparity is a difference of two positive products, not a factor
+        value = d_min_vs_parent(Exponential(1.0), 1, method).value
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
 
 class TestCumulativeExtropy:
     def test_uniform(self):

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -18,13 +19,15 @@ from crexlab import (
     draw_minrssu,
     draw_srs,
     dynamic_crex_designs,
+    parse_distribution,
     pooled_order_statistics,
     psi,
+    replication_rng,
     run_cell,
     sample_from_csv,
     sample_to_csv,
 )
-from crexlab.sampling import _minrssu_values
+from crexlab.sampling import _draw_values, _draw_width
 
 EXP = Exponential(1.0)
 # every argument that counts sets, draws, cycles or replications, each
@@ -122,14 +125,36 @@ class TestDrawMinrssu:
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 30])
     @pytest.mark.parametrize("lead", [(1,), (6,), (1, 1), (3, 4), (2, 1)])
     def test_set_minima_match_a_per_set_min(self, m, lead):
-        # Uniform(0, 1) has quantile u exactly, so the values are the minima
-        u = np.random.default_rng(m).random(lead + (m * (m + 1) // 2,))
-        values = _minrssu_values(Uniform(0.0, 1.0), m, u)
-        assert values.shape == lead + (m,) and values.flags.c_contiguous
+        # lead is (rows,) or (rows, cycles per row); Uniform(0, 1) has
+        # quantile u exactly, so the values are the minima
+        u = np.random.default_rng(m).random(lead + (_draw_width(m, 1, srs=False),))
+        rows = _draw_values(Uniform(0.0, 1.0), m, False, u.reshape(lead[0], -1))
+        assert rows.shape == (lead[0], math.prod(lead[1:]) * m) and rows.flags.c_contiguous
+        values = rows.reshape(lead + (m,))
         for cycle in np.ndindex(lead):
             draws = u[cycle].tolist()
             expected = [min(draws[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2]) for i in range(m)]
             assert values[cycle].tolist() == expected
+
+    @pytest.mark.parametrize("srs", [True, False], ids=["srs", "minrssu"])
+    @pytest.mark.parametrize(
+        "law", ["exp:rate=3.7", "unif:a=2,b=3", "finite:a=0.3,b=0.62", "powerbeta:alpha=0.1"]
+    )
+    def test_draw_values_match_the_per_stream_route(self, law, srs):
+        # each row is the sample that draw_minrssu, or Distribution.sample
+        # by SRS, draws from the row's replication_rng stream, bit for bit
+        dist, m, l = parse_distribution(law), 3, 2
+        width = _draw_width(m, l, srs)
+        u = np.stack([replication_rng(7, 11, r).random(width) for r in range(5)])
+        values = _draw_values(dist, m, srs, u)
+        assert values.shape == (5, m * l) and values.flags.c_contiguous
+        for r, row in enumerate(values):
+            rng = replication_rng(7, 11, r)
+            route = dist.sample(rng, m * l) if srs else draw_minrssu(dist, m, l, rng).values
+            assert row.tobytes() == route.tobytes()
+        # a uniform of exactly 0 is the support start, sign included
+        start = _draw_values(dist, m, srs, np.zeros((2, width)))
+        assert start.tobytes() == np.full((2, m * l), dist.support[0]).tobytes()
 
     def test_set2_minima_mean(self):
         # min of two unit exponentials is exponential with rate 2

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from crexlab import simulation
 from crexlab.cli import main
 from crexlab.errors import SizeError
 from crexlab.estimators import asymptotic_variance_minrssu, estimate, psi, row_estimator
+from crexlab.sampling import _draw_width
 from crexlab.simulation import (
     _CHUNK_UNIFORMS,
     LSTAT_ADJ_W_GRID,
@@ -82,14 +84,16 @@ def _kernel_estimates(monkeypatch, dist, cells, reps, seed):
 
 
 def _inject_samples(monkeypatch, values):
-    """Make every MinRSSU cycle the kernel draws record ``values``; returns the calls."""
+    """Make every MinRSSU cycle the kernel draws record ``values``; returns the uniforms' shapes."""
     calls = []
 
-    def injected(dist, m, u):
+    def injected(dist, m, srs, u):
+        assert not srs
         calls.append(u.shape)
-        return np.broadcast_to(values, u.shape[:-1] + (m,)).copy()
+        cycles = np.broadcast_to(values, (len(u), u.shape[1] // _draw_width(m, 1, srs), m))
+        return cycles.reshape(len(u), -1).copy()
 
-    monkeypatch.setattr(simulation, "_minrssu_values", injected)
+    monkeypatch.setattr(simulation, "_draw_values", injected)
     return calls
 
 
@@ -112,7 +116,7 @@ class TestRunCell:
             bias_convention=BiasConvention.ESTIMATE_MINUS_TRUTH,
         )
         # one replication of l=2 cycles, three uniforms each
-        assert calls == [(1, 2, 3)]
+        assert calls == [(1, 6)]
         assert row.bias == pytest.approx(0.25, abs=0.0)
         assert row.rmse == pytest.approx(0.25, abs=1e-15)
 
@@ -184,6 +188,30 @@ class TestRunCell:
     def test_estimator_error_propagates(self):
         with pytest.raises(ParameterError):
             run_cell("exp:rate=1", "lstat_adj:family=exp,w=-11", 2, 2, 2)
+
+    def test_summary_that_overflows_fails_the_cell(self):
+        # estimates near 1e300: np.std squares them in float64, so mc_se is
+        # inf, with no numpy warning (warnings are errors under pytest)
+        with pytest.raises(DivergenceError, match="^cell summary overflows: .*mc_se=inf"):
+            run_cell("exp:rate=1e-300", "rn", 2, 2, 3)
+        cfg = SimulationConfig("exp:rate=1e-300", m_values=(2,), l_values=(2,),
+                               estimators=("rn", "rmn"), w_lists={"rmn": (0,)}, replications=3)
+        result = run_grid(cfg)
+        assert result.rows == [] and len(result.failures) == 2
+        assert all(isinstance(f.cause, DivergenceError) for f in result.failures)
+
+    def test_summaries_hold_one_extended_copy(self):
+        # beside the float64 matrix: one 16-byte copy of it (2x its bytes),
+        # freed before np.std makes its float64 temporaries; the summaries'
+        # bits are pinned by test_summaries_match_per_replication_oracle
+        estimates = np.random.default_rng(3).normal(-0.25, 0.1, (72, 5000))
+        tracemalloc.start()
+        try:
+            _cell_summaries(estimates, -0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * estimates.nbytes
 
 
 def _reference_estimate(spec, m, data):
@@ -444,7 +472,7 @@ class TestBatchedKernel:
         calls = _inject_samples(monkeypatch, sample.values)
         with pytest.raises(DomainError):
             run_cell("exp:rate=1", spec, 2, 2, 3)
-        assert calls == [(3, 2, 3)]
+        assert calls == [(3, 6)]
         # the cells of a shape read one sample: it fails every order-statistic
         # cell of the shape, and the spacing cells keep their estimates
         cfg = SimulationConfig(
@@ -453,7 +481,7 @@ class TestBatchedKernel:
             w_lists={"rmn": (0, 1), "lstat_adj": (0, 1)}, psi_family="beta", replications=3,
         )
         result = run_grid(cfg)
-        assert calls[1:] == [(3, 2, 3)]
+        assert calls[1:] == [(3, 6)]
         assert [f.coordinates["estimator"] for f in result.failures] == [
             "lstat", "lstat_adj:family=beta,w=0", "lstat_adj:family=beta,w=1"
         ]
