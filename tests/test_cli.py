@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -545,6 +546,58 @@ class TestCalibrate:
         assert "best fit:" in out
         assert "residual=" in out
         assert "truth-minus-estimate" in out and "estimate-minus-truth" in out
+
+
+README_CALIBRATE = [
+    "calibrate", "--dist-grid", "exp:rate=0.25", "exp:rate=0.5", "exp:rate=1",
+    "--estimator", "rmn:w=-2", "--m", "2", "--l", "2",
+    "--target-bias", "0.321", "--target-rmse", "0.407",
+]
+
+# every value-printing command: each design with and without an age by
+# both routes, both discrimination modes by both routes, both estimate
+# sources and the README calibrate example
+VALUE_CALLS = [
+    *(
+        ["measure", "--dist", "exp:rate=1", "--design", design, "--m", "2", *age,
+         "--method", method]
+        for design in ("single", "srs", "minrssu", "dynamic")
+        for age in ((), ("--t", "0.5"))
+        for method in ("closed", "quadrature")
+    ),
+    ["measure", "--dist", "exp:rate=1", "--design", "dynamic", "--m", "12",
+     "--t", "0.9999999999999999", "--method", "quadrature"],
+    ["measure", "--dist", "unif:a=0,b=1", "--design", "minrssu", "--m", "3", "--raw"],
+    ["estimate", "--estimator", "vn", "--values", "0.3,1.2,0.7,2.5"],
+    ["estimate", "--estimator", "rmn:w=0", "--draw", "exp:rate=1", "--m", "3", "--l", "2"],
+    *(
+        ["discriminate", "--dist", "unif:a=0,b=1", *mode, "--method", method]
+        for mode in (("--mode", "min-vs-parent", "--i", "3"), ("--mode", "designs", "--m", "2"))
+        for method in ("closed", "quadrature")
+    ),
+    README_CALIBRATE,
+    [*README_CALIBRATE, "--raw"],
+]
+
+
+class TestValueReferee:
+    """``tests/data/cli_values.txt`` holds the stdout and exit code of every VALUE_CALLS call."""
+
+    def test_values_match_byte_for_byte(self, capsys):
+        blocks = []
+        for argv in VALUE_CALLS:
+            code, out, _ = run(capsys, argv)
+            blocks.append(f"$ crexlab {shlex.join(argv)}\n{out}[exit {code}]\n")
+        assert "".join(blocks) == (DATA / "cli_values.txt").read_text()
+
+    def test_readme_calibrate_example_is_pinned(self, capsys):
+        # the CI golden step compares the entry point's output with this file
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        command = re.search(r"^crexlab calibrate .*?[^\\]$", readme, re.M | re.S).group()
+        assert shlex.split(command.replace("\\\n", " "))[1:] == README_CALIBRATE
+        code, out, _ = run(capsys, README_CALIBRATE)
+        assert code == 0
+        assert out == (DATA / "calibrate_readme.txt").read_text()
 
 
 class TestHelp:
