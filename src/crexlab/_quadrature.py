@@ -338,17 +338,17 @@ def _integral(fn, lo, hi):
 
 
 def survival_power_quad(dist, powers, lower):
-    """One (value, error_bound) of ``int_t^inf S(x)**p dx`` per ``p`` in ``powers``."""
-    t = max(float(lower), 0.0)
-    head_start = dist._head_start(t)
-    if head_start is None:
-        return [(0.0, 0.0)] * len(powers)
-    head, start = head_start
+    """One (value, error_bound) of ``int_t^inf S(x)**p dx`` per ``p`` in ``powers``.
+
+    The age ``t = lower`` is a float ``>= 0`` with ``S(t) > 0``, as
+    ``measures._power_products`` checks it.
+    """
+    head, start = dist._head_start(lower)
     upper = truncation_point(dist)
     if upper <= start:
         raise DomainError(
             f"quadrature undefined beyond the 1 - {TAIL_MASS:g} quantile {upper:g}: "
-            f"lower limit {t:g}; use the closed route"
+            f"lower limit {lower:g}; use the closed route"
         )
     # the tail beyond ``upper`` is at most mrl(U) * S(U)**p; zero on a bounded support
     s_u, mrl_u = dist._tail_factors

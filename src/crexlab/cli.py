@@ -11,9 +11,10 @@ discriminate  evaluate the design discrimination measures
 calibrate     scan candidate distributions against a target (bias, RMSE)
 
 Exit codes: 0 ok, 2 usage/config error (a file that cannot be opened,
-read or decoded included), 3 numeric divergence, 4 partial grid failure.  ``simulate --threads`` and the environment
-variable ``CREXLAB_THREADS`` are accepted and ignored (cells run one
-after another); a non-integer ``CREXLAB_THREADS`` exits 2.
+read or decoded included), 3 numeric divergence, 4 partial grid
+failure.  ``simulate --threads`` and the environment variable
+``CREXLAB_THREADS`` are accepted and ignored (cells run one after
+another); a non-integer ``CREXLAB_THREADS`` exits 2.
 """
 
 from __future__ import annotations
@@ -62,36 +63,39 @@ def _fmt(value, args):
     return f"{float(value):.{args.precision}g}"
 
 
-def _print_measure_rows(rows, args):
-    print(f"{'measure':<28} {'value':>16} {'method':<12} {'abs_error_bound':>16}")
-    for label, cv in rows:
-        print(
-            f"{label:<28} {_fmt(cv.value, args):>16} {cv.method.value:<12} "
-            f"{_fmt(cv.abs_error_bound, args):>16}"
-        )
+def _print_rows(rows):
+    """Print text rows ``(label, value, *rest)``, a header row included.
+
+    The label is left-aligned in a column as wide as the longest label
+    and never narrower than 28, the value right-aligned in 16, and the
+    rest follow, one space apart.
+    """
+    width = max(28, *(len(row[0]) for row in rows))
+    for label, value, *rest in rows:
+        print(f"{label:<{width}} {value:>16}", *rest)
 
 
 def cmd_measure(args):
-    dist = parse_distribution(args.dist)
-    method = args.method
-    design = args.design
+    dist, design, method = parse_distribution(args.dist), args.design, args.method
+    if design == "dynamic" and args.t is None:
+        raise SpecParseError("--design dynamic requires --t")
+    age = None if args.t is None else f"t={_number_text(args.t)}"
     if design == "single":
-        if args.t is None:
-            rows = [("crex", crex(dist, method=method))]
-        else:
-            cv = dynamic_crex(dist, args.t, method=method)
-            rows = [(f"dynamic_crex[t={_number_text(args.t)}]", cv)]
-    elif design == "dynamic" or args.t is not None:
-        if args.t is None:
-            raise SpecParseError("--design dynamic requires --t")
+        rows = [(f"dynamic_crex[{age}]", dynamic_crex(dist, args.t, method=method)) if age
+                else ("crex", crex(dist, method=method))]
+    elif age:
+        # a design pair at an age, of which --design minrssu or srs keeps one
         pair = dynamic_crex_designs(dist, args.m, args.t, method=method)
-        rows = [(f"dynamic_crex[{name},m={args.m},t={_number_text(args.t)}]", cv)
+        rows = [(f"dynamic_crex[{name},m={args.m},{age}]", cv)
                 for name, cv in zip(("minrssu", "srs"), pair) if design in ("dynamic", name)]
-    elif design == "minrssu":
-        rows = [(f"crex[minrssu,m={args.m}]", crex_minrssu_design(dist, args.m, method=method))]
     else:
-        rows = [(f"crex[srs,m={args.m}]", crex_srs_design(dist, args.m, method=method))]
-    _print_measure_rows(rows, args)
+        measure = crex_minrssu_design if design == "minrssu" else crex_srs_design
+        rows = [(f"crex[{design},m={args.m}]", measure(dist, args.m, method=method))]
+    _print_rows([
+        ("measure", "value", f"{'method':<12}", f"{'abs_error_bound':>16}"),
+        *((label, _fmt(cv.value, args), f"{cv.method.value:<12}",
+           f"{_fmt(cv.abs_error_bound, args):>16}") for label, cv in rows),
+    ])
     return 0
 
 
@@ -126,7 +130,7 @@ def _load_estimate_data(args):
 def cmd_estimate(args):
     spec = EstimatorSpec.parse(args.estimator)
     value = run_estimator(spec, _load_estimate_data(args))
-    print(f"{spec.text():<28} {_fmt(value, args):>16}")
+    _print_rows([(spec.text(), _fmt(value, args))])
     return 0
 
 
@@ -173,11 +177,12 @@ def _config_from_json(path):
 
 
 def _config_from_flags(args):
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     if args.protocol is not None:
         return protocol_config(
             args.protocol,
             replications=args.reps,
-            base_seed=args.seed if args.seed is not None else DEFAULT_SEED,
+            base_seed=seed,
             sides=_parse_list(args.sides, "--sides", str.strip),
         )
     if args.dist is None:
@@ -195,7 +200,7 @@ def _config_from_flags(args):
         w_lists=w_lists,
         psi_family=args.psi_family,
         replications=args.reps,
-        base_seed=args.seed if args.seed is not None else DEFAULT_SEED,
+        base_seed=seed,
         bias_convention=args.bias_convention,
     )
 
@@ -248,7 +253,7 @@ def cmd_discriminate(args):
             raise SpecParseError("--mode designs requires --m")
         dv = d_designs(dist, args.m, method=args.method)
         label = f"d[designs,m={dv.i_or_m}]"
-    print(f"{label:<28} {_fmt(dv.value, args):>16} {dv.method.value}")
+    _print_rows([(label, _fmt(dv.value, args), dv.method.value)])
     return 0
 
 
@@ -261,7 +266,7 @@ def cmd_calibrate(args):
         args.l,
         (args.target_bias, args.target_rmse),
         replications=args.reps,
-        base_seed=args.seed if args.seed is not None else DEFAULT_SEED,
+        base_seed=args.seed,
     )
     print(
         f"target: bias={args.target_bias:g} rmse={args.target_rmse:g} "
@@ -389,7 +394,7 @@ def build_parser():
     p.add_argument("--target-bias", dest="target_bias", type=float, required=True)
     p.add_argument("--target-rmse", dest="target_rmse", type=float, required=True)
     p.add_argument("--reps", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     add_output_flags(p)
     p.set_defaults(handler=cmd_calibrate)
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from ._quadrature import TAIL_MASS
 from .errors import DomainError, DivergenceError, SpecParseError, allocating, check_count
-from .errors import split_spec
+from .errors import check_age, split_spec
 from .errors import check_array, check_generator, check_integer, check_powers, check_real, shown
 
 __all__ = [
@@ -265,8 +265,8 @@ class Distribution:
         return self.survival_power_integral(float(j))
 
     def mean_residual_life(self, t):
-        """Expected remaining lifetime beyond age ``t``."""
-        s = self.survival(check_real(t, "age"))
+        """Expected remaining lifetime beyond age ``t``, a real number >= 0."""
+        s = self.survival(check_age(t))
         if s <= 0.0:
             raise DomainError(f"mean residual life undefined: survival({t}) = 0")
         return self.survival_power_integral(1.0, lower=t) / s
@@ -360,8 +360,7 @@ class Exponential(Distribution):
         return math.exp(-self.rate * p * t) / (self.rate * p)
 
     def mean_residual_life(self, t):
-        if math.isnan(check_real(t, "age")):
-            raise DomainError("mean residual life argument is nan")
+        check_age(t)
         # memoryless: constant in t
         return 1.0 / self.rate
 

@@ -19,8 +19,9 @@ and every input that rule rejects raises a :class:`CrexlabError`:
   4300 digits raises ValueError;
 * family parameters, ages and survival powers are real numbers:
   :func:`check_real` passes any ``numbers.Real`` but a bool, and raises
-  DomainError for ``"1"`` or None; :func:`check_powers` then requires
-  each survival power to be positive and finite;
+  DomainError for ``"1"`` or None; :func:`check_age` then requires an
+  age to be ``>= 0`` and :func:`check_powers` each survival power to be
+  positive and finite;
 * an array argument is whatever ``np.asarray(values, dtype=float)``
   reads; :func:`check_array` raises DomainError for anything else;
 * an estimator kind, psi family or bias convention is its enum member or
@@ -139,6 +140,14 @@ def check_real(value, label):
             # an int past the float range
             return math.inf if value > 0 else -math.inf
     raise DomainError(f"{label} must be a real number, got {shown(value)}")
+
+
+def check_age(value):
+    """``value`` as a float; raise DomainError unless it is a real number >= 0."""
+    t = check_real(value, "age")
+    if not t >= 0.0:
+        raise DomainError(f"age must be >= 0, got {t}")
+    return t
 
 
 def check_powers(powers):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from . import _quadrature as nq
 from .distributions import as_distribution
-from .errors import DivergenceError, DomainError, check_count, check_powers, check_real
+from .errors import DivergenceError, DomainError, check_age, check_count, check_powers, check_real
 
 __all__ = [
     "Method",
@@ -119,14 +119,13 @@ def _power_products(dist, power_lists, t, method):
     does an integral that computes to 0: with ``S(t) > 0`` that is an
     underflow or an interval the route cannot resolve, never the value.
     The error bound is ``|value| * sum_p err_p / I_p`` over the factors.
-    The age and the powers are checked here, once, ahead of either route,
-    by the rules ``survival_power_integral`` uses; the closed route then
-    takes each family tail ``_spi_tail`` from the head and start of
-    ``Distribution._head_start``.
+    The age is checked here by :func:`check_age`, the rule of
+    ``mean_residual_life`` (``survival_power_integral`` clamps its lower
+    limit at 0 instead), and the powers by :func:`check_powers`, once,
+    ahead of either route; the closed route then takes each family tail
+    ``_spi_tail`` from the head and start of ``Distribution._head_start``.
     """
-    t = check_real(t, "age")
-    if not t >= 0.0:
-        raise DomainError(f"age must be >= 0, got {t}")
+    t = check_age(t)
     # age 0 is the unconditioned measure
     s_t = dist.survival(t) if t > 0.0 else 1.0
     if s_t <= 0.0:

@@ -647,6 +647,6 @@ def calibrate_parameter(
                     "residual": residual,
                 }
             )
-            fits.append(CalibrationResult(dist, residual, convention, bias, row.rmse, details))
-    # every fit shares the one details list; min keeps the first of equal residuals
-    return min(fits, key=lambda fit: fit.residual)
+            fits.append((dist, residual, convention, bias, row.rmse))
+    # one result, for the first of equal residuals
+    return CalibrationResult(*min(fits, key=lambda fit: fit[1]), details)

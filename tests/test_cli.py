@@ -66,7 +66,10 @@ class TestMeasure:
         code, _, err = run(
             capsys, ["measure", "--dist", "exp:rate=1", "--design", "dynamic", "--m", "2"]
         )
-        assert code == 2
+        assert (code, err) == (2, "crexlab: --design dynamic requires --t\n")
+        # a bad law is reported before the missing age
+        code, _, err = run(capsys, ["measure", "--dist", "nope:p=1", "--design", "dynamic"])
+        assert code == 2 and "unknown distribution family" in err
 
     def test_divergence_exits_3(self, capsys):
         for argv in (
@@ -117,6 +120,28 @@ class TestMeasure:
         )
         assert code == 0
         assert out.splitlines()[1:] == [f"{line}                 0"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--m", "2", "--t", "0.5"],
+         ["--m", "12", "--t", "0.9999999999999999", "--method", "quadrature"]],
+        ids=["m2", "m12-quadrature"],
+    )
+    def test_columns_line_up_with_the_header(self, capsys, argv):
+        # labels longer than 28 characters pushed their row's fields right
+        code, out, _ = run(
+            capsys, ["measure", "--dist", "exp:rate=1", "--design", "dynamic", *argv]
+        )
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert len(rows) == 2
+        value_end = header.index(" value ") + len(" value")
+        method_start = header.index("method")
+        for row in rows:
+            fields = re.fullmatch(r"(\S+) +(\S+) (\S+) +(\S+)", row)
+            assert fields.end(2) == value_end, row
+            assert fields.start(3) == method_start, row
+            assert fields.end(4) == len(header), row
 
     @pytest.mark.parametrize(
         "t", ["0.9999999999999999", "0.5", "3", "1e-07", "0.30000000000000004"]

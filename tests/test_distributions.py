@@ -179,6 +179,14 @@ class TestInvalidArguments:
             dist.mean_residual_life(math.nan)
 
     @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
+    @pytest.mark.parametrize("t", [-5.0, -1e-300, -math.inf, -2])
+    def test_negative_age_mean_residual_life_rejected(self, dist, t):
+        # Uniform(2, 3) returned 2.5 at -5 where E[X + 5 | X > -5] is 7.5,
+        # and Exponential(1) returned 1.0
+        with pytest.raises(DomainError, match=f"age must be >= 0, got {float(t)}"):
+            dist.mean_residual_life(t)
+
+    @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
     @pytest.mark.parametrize("count", [2.5, True, "3", -1])
     def test_sample_count_must_be_a_nonnegative_integer(self, dist, count):
         with pytest.raises(DomainError, match="sample count must be"):

@@ -1230,6 +1230,29 @@ class TestCalibrate:
         with pytest.raises(DivergenceError, match="calibration residual of exp:rate=1"):
             calibrate_parameter(["exp:rate=1"], "rn", 2, 2, target, replications=3)
 
+    @pytest.mark.parametrize("target_bias", [0.0, 0.2, -0.2])
+    def test_law_listed_twice_returns_the_first_of_equal_residuals(self, target_bias):
+        # at target bias 0 both conventions tie too, so all four residuals are equal
+        first, second = Exponential(1.0), Exponential(1.0)
+        result = calibrate_parameter(
+            [first, second], "rn", 2, 2, (target_bias, 0.3), replications=20
+        )
+        keys = [(d["distribution"], d["bias_convention"]) for d in result.details]
+        conventions = ["truth-minus-estimate", "estimate-minus-truth"]
+        assert keys == [("exp:rate=1", c) for c in conventions] * 2
+        residuals = [d["residual"] for d in result.details]
+        assert residuals[:2] == residuals[2:]
+        best = residuals.index(min(residuals))
+        assert best < 2
+        assert result.distribution is first
+        assert result.bias_convention.value == conventions[best]
+        entry = result.details[best]
+        assert (result.bias, result.rmse, result.residual) == (
+            entry["bias"], entry["rmse"], entry["residual"]
+        )
+        if target_bias == 0.0:
+            assert best == 0
+
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             calibrate_parameter([], "rn", 2, 2, (0.0, 0.0))
