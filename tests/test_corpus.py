@@ -47,6 +47,11 @@ PROTOCOL = {
     ("beta", 99, 20): "eb192261e33492e1a517620f0c0d61d0fcd2b04ce2a640ecb6e04d9150bb7406",
     ("beta", 99, 7): "0c93085d685b866d29df39c0dca9bac4875057c71ac56c16bf2455c481871734",
     ("beta", 99, 1): "58ace2b148b4f92e69c81d899fb897279a894c89b5895ffa7f92bb9b29f2a36b",
+    # the paper's 5000 replications: MinRSSU rows of 30 and 45 uniforms
+    # span 3 and 4 chunks, which no grid above reaches
+    ("exp", 1, 5000): "ea18796770430ff09ff0fd792ae71720b16a6418daf7291dd44c0d47f5d77f06",
+    ("unif", 1, 5000): "6e49062a75cad0bfe51922c186628a986de99dd8aacfb4fd0f8db4c94ddd6347",
+    ("beta", 1, 5000): "1d1aa16c3c8cf5f801f3f32ce73f9408cf57f14c2c0c6b76eb633ecfd2ea2f05",
 }
 
 # mixed grids of all five estimators: vn and MinRSSU shapes, m = 1 and
