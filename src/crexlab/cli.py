@@ -100,7 +100,9 @@ def cmd_measure(args):
 
 
 def _parse_list(text, label, convert=int):
-    """The non-blank entries of a comma list, each converted by ``convert``."""
+    """The non-blank entries of a comma list, each converted by ``convert``; None for None."""
+    if text is None:
+        return None
     try:
         return tuple(convert(v) for v in str(text).split(",") if v.strip() != "")
     except ValueError:
@@ -176,33 +178,56 @@ def _config_from_json(path):
         raise SpecParseError(f"bad config: {exc}") from None
 
 
+def _reject_unread(args, source, dests):
+    """Raise SpecParseError naming each flag of ``dests`` given with ``source``, which ignores it.
+
+    A flag is named by its argparse dest, and a flag left out is None.
+    """
+    given = [f"--{dest.replace('_', '-')}" for dest in dests if getattr(args, dest) is not None]
+    if given:
+        raise SpecParseError(f"{', '.join(given)} cannot be used with {source}")
+
+
+def _given(**fields):
+    """The ``fields`` whose flag was given; the rest keep the library's defaults."""
+    return {name: value for name, value in fields.items() if value is not None}
+
+
 def _config_from_flags(args):
-    seed = DEFAULT_SEED if args.seed is None else args.seed
+    """The grid of ``--config``, ``--protocol`` or ``--dist``, the first given.
+
+    A grid flag its source does not read is a SpecParseError.
+    """
+    # the grid flags that --dist reads and --protocol does not
+    law_flags = ("dist", "m", "l", "estimators", "w_rmn", "w_lstat_adj", "psi_family",
+                 "bias_convention")
+    if args.config is not None:
+        _reject_unread(args, "--config", ("protocol", "sides", *law_flags, "reps", "seed"))
+        return _config_from_json(args.config)
     if args.protocol is not None:
-        return protocol_config(
-            args.protocol,
+        _reject_unread(args, "--protocol", law_flags)
+        return protocol_config(args.protocol, **_given(
             replications=args.reps,
-            base_seed=seed,
+            base_seed=args.seed,
             sides=_parse_list(args.sides, "--sides", str.strip),
-        )
+        ))
     if args.dist is None:
         raise SpecParseError("simulate needs --config, --protocol, or --dist")
+    _reject_unread(args, "--dist", ("sides",))
     w_lists = {}
     if args.w_rmn is not None:
         w_lists["rmn"] = _parse_list(args.w_rmn, "--w-rmn")
     if args.w_lstat_adj is not None:
         w_lists["lstat_adj"] = _parse_list(args.w_lstat_adj, "--w-lstat-adj")
-    return SimulationConfig(
-        distribution=args.dist,
+    return SimulationConfig(args.dist, w_lists=w_lists, **_given(
         m_values=_parse_list(args.m, "--m"),
         l_values=_parse_list(args.l, "--l"),
         estimators=_parse_list(args.estimators, "--estimators", str.strip),
-        w_lists=w_lists,
         psi_family=args.psi_family,
         replications=args.reps,
-        base_seed=seed,
+        base_seed=args.seed,
         bias_convention=args.bias_convention,
-    )
+    ))
 
 
 def _print_rows_summary(rows):
@@ -221,11 +246,7 @@ def cmd_simulate(args):
             rows = rows_from_csv(fh)
         _print_rows_summary(rows)
         return 0
-    if args.config is not None:
-        config = _config_from_json(args.config)
-    else:
-        config = _config_from_flags(args)
-    result = run_grid(config, workers=args.threads)
+    result = run_grid(_config_from_flags(args), workers=args.threads)
     lines = []
     if args.seed is None and args.config is None:
         lines.append(f"# seed defaulted to {DEFAULT_SEED}")
@@ -246,11 +267,15 @@ def cmd_discriminate(args):
     if args.mode == "min-vs-parent":
         if args.i is None:
             raise SpecParseError("--mode min-vs-parent requires --i")
+        if args.m is not None:
+            raise SpecParseError("--m cannot be used with --mode min-vs-parent")
         dv = d_min_vs_parent(dist, args.i, method=args.method)
         label = f"d[min-vs-parent,i={dv.i_or_m}]"
     else:
         if args.m is None:
             raise SpecParseError("--mode designs requires --m")
+        if args.i is not None:
+            raise SpecParseError("--i cannot be used with --mode designs")
         dv = d_designs(dist, args.m, method=args.method)
         label = f"d[designs,m={dv.i_or_m}]"
     _print_rows([(label, _fmt(dv.value, args), dv.method.value)])
@@ -342,27 +367,24 @@ def build_parser():
     p._negative_number_matcher = re.compile(r"^-\d+[\d,.\-]*$")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--protocol", choices=list(PROTOCOL_DISTRIBUTIONS), help="benchmark-table grid")
-    p.add_argument(
-        "--sides",
-        default="spacing,order",
-        help="protocol halves: spacing, order, or both (default)",
-    )
+    # a grid flag left out defaults to None, and its grid takes the library's
+    # default: SimulationConfig's, or protocol_config's under --protocol
+    p.add_argument("--sides", help="protocol halves: spacing, order, or both (default)")
     p.add_argument("--dist", help="distribution spec")
-    p.add_argument("--m", default="2,3,4,5", help="comma list of m values")
-    p.add_argument("--l", default="2,3", help="comma list of l values")
-    p.add_argument("--estimators", default="rn,rmn", help="comma list of estimator kinds")
+    p.add_argument("--m", help="comma list of m values")
+    p.add_argument("--l", help="comma list of l values")
+    p.add_argument("--estimators", help="comma list of estimator kinds")
     p.add_argument("--w-rmn", dest="w_rmn", help="comma list of w values for rmn")
     p.add_argument(
         "--w-lstat-adj", dest="w_lstat_adj", help="comma list of w values for lstat_adj"
     )
     p.add_argument("--psi-family", dest="psi_family", choices=[f.value for f in PsiFamily])
-    p.add_argument("--reps", type=int, default=5000, help="replications per cell")
+    p.add_argument("--reps", type=int, help="replications per cell")
     p.add_argument("--seed", type=int, default=None, help=f"base seed (default {DEFAULT_SEED})")
     p.add_argument(
         "--bias-convention",
         dest="bias_convention",
         choices=[c.value for c in BiasConvention],
-        default=BiasConvention.TRUTH_MINUS_ESTIMATE.value,
     )
     p.add_argument("--threads", type=int, default=None, help="ignored; cells run serially")
     p.add_argument("--out", help="write CSV here instead of stdout")

@@ -192,13 +192,14 @@ def allocating(count, label):
     raises before the block runs, and a MemoryError from the block
     becomes the error.  Either names the count.
     """
-    message = f"{label} of {shown(count)} floats is too large to allocate"
-    if count > sys.maxsize // 8:
-        raise DomainError(message)
-    try:
-        yield
-    except MemoryError:
-        raise DomainError(message) from None
+    if count <= sys.maxsize // 8:
+        try:
+            yield
+            return
+        except MemoryError:
+            pass
+    # the message is built only here: every grid enters this block many times
+    raise DomainError(f"{label} of {shown(count)} floats is too large to allocate") from None
 
 
 def text_lines(file, what):

@@ -293,10 +293,17 @@ class _Workspace(threading.local):
         """numpy's C Philox, a generator on it and the state dict a reset gives it.
 
         A new Philox's state, a copy, is counter 0 and an empty buffer;
-        each reset writes a stream's key into it.
+        each reset writes a stream's key into it.  Its words are Python
+        ints, not the uint64 arrays the state getter returns: the setter
+        reads every word by itself, which takes about half as long from a
+        list of ints as from an array, and a reset is most of a narrow
+        row's cost.
         """
         bit_generator = np.random.Philox(0)
-        return bit_generator, np.random.Generator(bit_generator), bit_generator.state
+        state = bit_generator.state
+        state["state"] = {name: words.tolist() for name, words in state["state"].items()}
+        state["buffer"] = state["buffer"].tolist()
+        return bit_generator, np.random.Generator(bit_generator), state
 
 
 _WORKSPACE = _Workspace()
@@ -307,8 +314,12 @@ def _reset_uniforms(k0, start, stop, width):
 
     This thread's generator is reset to each stream in turn: counter 0,
     the stream's key and an empty buffer, the stream
-    :func:`replication_rng` builds.  The ``(stop - start, width)`` rows
-    live in this thread's workspace and are valid until its next draw.
+    :func:`replication_rng` builds.  A reset writes the key words into
+    the workspace's state dict as Python ints, the form numpy's state
+    setter reads fastest, and sets it; the dict's counter and buffer
+    stay zero, so each row starts its stream afresh.  The ``(stop -
+    start, width)`` rows live in this thread's workspace and are valid
+    until its next draw.
     """
     workspace, size = _WORKSPACE, (stop - start) * width
     if len(workspace.out) < size:

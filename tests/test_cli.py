@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crexlab import BiasConvention, PsiFamily, rows_from_csv, sample_from_csv
-from crexlab.cli import build_parser, main
+from crexlab.cli import _config_from_flags, build_parser, main
 from crexlab.simulation import PROTOCOL_DISTRIBUTIONS
 
 DATA = Path(__file__).parent / "data"
@@ -457,6 +457,67 @@ class TestSimulate:
         code, out, err = run(capsys, ["simulate", *argv, "--reps", "2"])
         assert (code, out, err) == (2, "", f"crexlab: {message}\n")
 
+    # each flag with a value of the kind it takes; --config reads none of them
+    GRID_FLAGS = {
+        "--protocol": "exp", "--sides": "spacing", "--dist": "exp:rate=1", "--m": "2",
+        "--l": "2", "--estimators": "rn", "--w-rmn": "0", "--w-lstat-adj": "0",
+        "--psi-family": "exp", "--reps": "2", "--seed": "1",
+        "--bias-convention": "estimate-minus-truth",
+    }
+
+    @pytest.fixture
+    def config_path(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"distribution": "exp:rate=1", "m": [2], "l": [2],
+                                    "estimators": ["rn"], "replications": 3, "seed": 5}))
+        return str(path)
+
+    @pytest.mark.parametrize("flag", list(GRID_FLAGS))
+    def test_config_rejects_every_grid_flag(self, capsys, config_path, flag):
+        # these were dropped without a word: the config's seed and count ran
+        argv = ["simulate", "--config", config_path, flag, self.GRID_FLAGS[flag]]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", f"crexlab: {flag} cannot be used with --config\n")
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--dist", "--m", "--l", "--estimators", "--w-rmn", "--w-lstat-adj", "--psi-family",
+         "--bias-convention"],
+    )
+    def test_protocol_rejects_the_flags_it_does_not_read(self, capsys, flag):
+        argv = ["simulate", "--protocol", "exp", "--reps", "2", "--seed", "1",
+                flag, self.GRID_FLAGS[flag]]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", f"crexlab: {flag} cannot be used with --protocol\n")
+
+    def test_every_unread_flag_is_named(self, capsys, config_path):
+        code, out, err = run(
+            capsys, ["simulate", "--config", config_path, "--seed", "99", "--reps", "7"]
+        )
+        assert (code, out, err) == (2, "", "crexlab: --reps, --seed cannot be used with --config\n")
+        code, out, err = run(
+            capsys, ["simulate", "--protocol", "exp", "--m", "2", "--bias-convention",
+                     "estimate-minus-truth", "--l", "2", "--reps", "2"]
+        )
+        message = "--m, --l, --bias-convention cannot be used with --protocol"
+        assert (code, out, err) == (2, "", f"crexlab: {message}\n")
+
+    def test_dist_rejects_sides(self, capsys):
+        argv = ["simulate", "--dist", "exp:rate=1", "--sides", "order", "--reps", "2"]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", "crexlab: --sides cannot be used with --dist\n")
+
+    def test_each_source_keeps_the_flags_it_reads(self, capsys, config_path, tmp_path):
+        out_path = tmp_path / "rows.csv"
+        argv = ["simulate", "--config", config_path, "--threads", "2", "--out", str(out_path)]
+        assert run(capsys, argv)[0] == 0
+        assert [(row.reps, row.seed) for row in rows_from_csv(out_path.read_text())] == [(3, 5)]
+        argv = ["simulate", "--protocol", "exp", "--sides", "spacing", "--reps", "2",
+                "--seed", "7", "--threads", "2"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert {(row.reps, row.seed) for row in rows_from_csv(out)} == {(2, 7)}
+
     def test_non_integer_threads_env_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("CREXLAB_THREADS", "many")
         code, out, err = run(capsys, self.BASE + ["--seed", "7"])
@@ -538,6 +599,21 @@ class TestDiscriminate:
     def test_min_vs_parent_without_i_exits_2(self, capsys):
         code, out, err = run(capsys, ["discriminate", "--dist", "exp:rate=1"])
         assert (code, out, err) == (2, "", "crexlab: --mode min-vs-parent requires --i\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--mode", "designs", "--m", "2", "--i", "5"], "--i cannot be used with --mode designs"),
+            (["--i", "2", "--m", "3"], "--m cannot be used with --mode min-vs-parent"),
+            (["--mode", "min-vs-parent", "--i", "2", "--m", "3"],
+             "--m cannot be used with --mode min-vs-parent"),
+        ],
+        ids=["i-under-designs", "m-under-default-mode", "m-under-min-vs-parent"],
+    )
+    def test_flag_of_the_other_mode_exits_2(self, capsys, argv, message):
+        # the flag was not read: --mode designs printed d[designs,m=2]
+        code, out, err = run(capsys, ["discriminate", "--dist", "exp:rate=1", *argv])
+        assert (code, out, err) == (2, "", f"crexlab: {message}\n")
 
     def test_set_size_past_the_float_range_exits_2(self, capsys):
         # this printed an OverflowError traceback
@@ -675,8 +751,12 @@ class TestChoices:
         assert all(repr(value) in err for value in source)
 
     def test_bias_convention_default_is_the_library_default(self):
-        args = build_parser().parse_args(["simulate"])
-        assert BiasConvention(args.bias_convention) is BiasConvention.TRUTH_MINUS_ESTIMATE
+        # the flag defaults to None, so that a given flag can be told from
+        # its default, and the config built without it takes the library's
+        args = build_parser().parse_args(["simulate", "--dist", "exp:rate=1", "--estimators", "rn"])
+        assert args.bias_convention is None
+        config = _config_from_flags(args)
+        assert config.bias_convention is BiasConvention.TRUTH_MINUS_ESTIMATE
 
 
 class TestStartup:

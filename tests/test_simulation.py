@@ -618,6 +618,26 @@ class TestPhiloxWorkspace:
         expected = [_philox(k0, r).random(8) for r in range(10, 14)]
         assert later.tobytes() == np.stack(expected).tobytes()
 
+    def test_alternating_widths_restart_every_stream(self):
+        # in a new thread, rows of 1, 3, 5, 15000 and 7 uniforms, twice over.
+        # An odd width leaves words in the generator's buffer and every row
+        # moves its counter, so each row matches its stream only when the
+        # reused state dict restarts the counter and empties the buffer
+        seed, digest = 9, 0x0123456789ABCDEF
+        k0 = _stream_key(seed, digest)
+        runs = [(width, start) for _ in range(2)
+                for width, start in zip((1, 3, 5, 15000, 7), (0, 4, 17, 2, 30))]
+
+        def draws():
+            return [_reset_uniforms(k0, start, start + 3, width).copy() for width, start in runs]
+
+        with ThreadPoolExecutor(1) as pool:
+            drawn = pool.submit(draws).result(timeout=120)
+        for (width, start), u in zip(runs, drawn):
+            expected = [replication_rng(seed, digest, r).random(width)
+                        for r in range(start, start + 3)]
+            assert u.tobytes() == np.stack(expected).tobytes()
+
     def test_each_chunk_is_estimated_before_the_next_draw(self, monkeypatch):
         # narrow and wide rows of several shapes, in several chunks: every
         # row_estimates call reads the rows of the latest draw, unchanged
