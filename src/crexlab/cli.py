@@ -267,15 +267,13 @@ def cmd_discriminate(args):
     if args.mode == "min-vs-parent":
         if args.i is None:
             raise SpecParseError("--mode min-vs-parent requires --i")
-        if args.m is not None:
-            raise SpecParseError("--m cannot be used with --mode min-vs-parent")
+        _reject_unread(args, "--mode min-vs-parent", ("m",))
         dv = d_min_vs_parent(dist, args.i, method=args.method)
         label = f"d[min-vs-parent,i={dv.i_or_m}]"
     else:
         if args.m is None:
             raise SpecParseError("--mode designs requires --m")
-        if args.i is not None:
-            raise SpecParseError("--i cannot be used with --mode designs")
+        _reject_unread(args, "--mode designs", ("i",))
         dv = d_designs(dist, args.m, method=args.method)
         label = f"d[designs,m={dv.i_or_m}]"
     _print_rows([(label, _fmt(dv.value, args), dv.method.value)])
