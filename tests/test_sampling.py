@@ -141,15 +141,18 @@ class TestDrawMinrssu:
         "law", ["exp:rate=3.7", "unif:a=2,b=3", "finite:a=0.3,b=0.62", "powerbeta:alpha=0.1"]
     )
     def test_draw_values_match_the_per_stream_route(self, law, srs):
-        # each row is the sample that draw_minrssu, or Distribution.sample
-        # by SRS, draws from the row's replication_rng stream, bit for bit
+        # the grid kernel's rows: the heads of consecutive ranges of whole
+        # counter blocks of one stream.  Each is the sample that
+        # draw_minrssu, or Distribution.sample by SRS, draws from its
+        # replication's replication_rng stream, bit for bit
         dist, m, l = parse_distribution(law), 3, 2
         width = _draw_width(m, l, srs)
-        u = np.stack([replication_rng(7, 11, r).random(width) for r in range(5)])
+        blocks = (width + 3) // 4
+        u = replication_rng(7, 11, 0).random(5 * 4 * blocks).reshape(5, -1)[:, :width]
         values = _draw_values(dist, m, srs, u)
         assert values.shape == (5, m * l) and values.flags.c_contiguous
         for r, row in enumerate(values):
-            rng = replication_rng(7, 11, r)
+            rng = replication_rng(7, 11, r * blocks)
             route = dist.sample(rng, m * l) if srs else draw_minrssu(dist, m, l, rng).values
             assert row.tobytes() == route.tobytes()
         # a uniform of exactly 0 is the support start, sign included

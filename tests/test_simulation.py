@@ -64,9 +64,20 @@ def _forbid_drawing(monkeypatch):
     monkeypatch.setattr(simulation, "_reset_uniforms", no_draw)
 
 
-def _philox(k0, r):
-    """numpy's C Philox keyed ``(k0, r)``, from counter 0."""
-    return np.random.Generator(np.random.Philox(key=np.array([k0, r], np.uint64)))
+def _philox(k0, block):
+    """numpy's C Philox keyed ``(k0, 0)``, advanced to counter block ``block``."""
+    philox = np.random.Philox(key=np.array([k0, 0], np.uint64))
+    return np.random.Generator(philox.advance(block))
+
+
+def _blocks(width):
+    """The counter blocks of four uniforms one replication of ``width`` uniforms spans."""
+    return (width + 3) // 4
+
+
+def _replication(seed, digest, r, width):
+    """The stream of replication ``r`` of a shape whose samples read ``width`` uniforms."""
+    return replication_rng(seed, digest, r * _blocks(width))
 
 
 def _kernel_estimates(monkeypatch, dist, cells, reps, seed):
@@ -179,7 +190,7 @@ class TestRunCell:
         dist = Exponential(1.0)
         ests = np.empty(400)
         for r in range(400):
-            rng = replication_rng(13, digest, r)
+            rng = _replication(13, digest, r, 6)
             ests[r] = estimate(spec, draw_minrssu(dist, 2, 2, rng))
         halves = np.array_split(ests, 2)
         split_sd = np.sqrt(np.mean([h.var(ddof=1) for h in halves]))
@@ -246,14 +257,14 @@ class TestBatchedKernel:
         spec = EstimatorSpec.parse(spec_text)
         seed, vn = 31, spec_text == "vn"
         digest = _shape_digest(dist.spec_string(), vn, m, l)
+        width = m * l if vn else l * m * (m + 1) // 2
         loop = np.empty(reps)
         for r in range(reps):
-            rng = replication_rng(seed, digest, r)
+            rng = _replication(seed, digest, r, width)
             data = dist.sample(rng, m * l) if vn else draw_minrssu(dist, m, l, rng)
             loop[r] = _reference_estimate(spec, m, data)
             if r % 97 == 0:
                 assert estimate(spec, data) == loop[r]
-        width = m * l if vn else l * m * (m + 1) // 2
         for budget in (2**10, 2**14, _CHUNK_UNIFORMS):
             monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", budget)
             assert reps * width > budget or budget == _CHUNK_UNIFORMS
@@ -266,27 +277,28 @@ class TestBatchedKernel:
         "seed", [0, 42, 2**32, 2**63 + 11, 2**64 + 3, 2**127 + 3, 2**128 - 1]
     )
     @pytest.mark.parametrize("digest", [0, 7, 0xFEDCBA9876543210, 2**64 - 1])
-    def test_stream_key_is_k0_and_the_replication_index(self, seed, digest):
-        # k0 is the blake2b digest of the 16-byte seed and 8-byte shape digest
+    def test_stream_key_is_k0_and_the_counter_is_the_block(self, seed, digest):
+        # k0 is the blake2b digest of the 16-byte seed and 8-byte shape
+        # digest; the block is spread over counter words 0 and 1
         data = seed.to_bytes(16, "little") + digest.to_bytes(8, "little")
         k0 = int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
         assert _stream_key(seed, digest) == k0
-        for r in (0, 1, 2**32, 2**63, 2**64 - 1):
-            state = replication_rng(seed, digest, r).bit_generator.state
-            assert state["state"]["key"].tolist() == [k0, r]
-            assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
+        for block in (0, 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**127 + 5, 2**128 - 1):
+            state = replication_rng(seed, digest, block).bit_generator.state
+            assert state["state"]["key"].tolist() == [k0, 0]
+            assert state["state"]["counter"].tolist() == [block % 2**64, block >> 64, 0, 0]
             assert state["buffer_pos"] == 4
 
-    # seeds and digests at word boundaries; the literals pin stream contract 2
+    # seeds and digests at word boundaries; the literals pin stream contract 3
     @pytest.mark.parametrize(
         "seed,digest,k0,first",
         [
-            (0, 0, 0x282047AD06AEB62B, "0x1.2acf23f388640p-2"),
-            (2**32 - 1, 2**32, 0xD8A786E1BFA48663, "0x1.96ef63ec62680p-5"),
-            (2**63 + 11, 7, 0x71EB839E0F4A6F33, "0x1.57c352b3fbdd7p-1"),
-            (2**80 + 9, 0xFEDCBA9876543210, 0x6BAC1BFB30EBFDC5, "0x1.a33a650bcfac0p-4"),
-            (2**96 + 5, 2**64 - 1, 0x7A5241E699A5FBA9, "0x1.de82d4e2ebf67p-1"),
-            (2**128 - 1, 2**32 - 1, 0x955B690E0BC4166B, "0x1.0c82e3469f8bep-1"),
+            (0, 0, 0x282047AD06AEB62B, "0x1.b4dec1441ac74p-1"),
+            (2**32 - 1, 2**32, 0xD8A786E1BFA48663, "0x1.93ed9e7ac0e66p-1"),
+            (2**63 + 11, 7, 0x71EB839E0F4A6F33, "0x1.8b0a261d6ac75p-1"),
+            (2**80 + 9, 0xFEDCBA9876543210, 0x6BAC1BFB30EBFDC5, "0x1.bd289159c15c9p-1"),
+            (2**96 + 5, 2**64 - 1, 0x7A5241E699A5FBA9, "0x1.184c0ad2a1580p-8"),
+            (2**128 - 1, 2**32 - 1, 0x955B690E0BC4166B, "0x1.b8bdc6555727cp-1"),
         ],
     )
     def test_stream_key_and_first_uniform_are_pinned(self, seed, digest, k0, first):
@@ -327,7 +339,7 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("budget", [2**10, 2**14, _CHUNK_UNIFORMS])
     def test_rows_do_not_depend_on_the_replication_count(self, budget, monkeypatch):
-        # row r reads the stream keyed (k0, r) alone: a shorter run at any
+        # row r reads its own counter blocks alone: a shorter run at any
         # chunk budget gives the first rows of a longer one, bit for bit
         dist = parse_distribution("exp:rate=2")
         cells = [(EstimatorSpec.parse(text), 3, 2) for text in ("rn", "rmn:w=1", "lstat")]
@@ -343,23 +355,70 @@ class TestBatchedKernel:
         assert len(set(digests)) == 8
         assert len({_stream_key(seed, d) for seed in seeds for d in digests}) == 40
 
-    @pytest.mark.parametrize("width", [1, 3, 4, 5, 48, 49, 15000])
+    @pytest.mark.parametrize("width", [1, 3, 4, 5, 6, 9, 45, 48, 49, 5000, 15000])
     def test_reset_uniforms_match_replication_rng(self, width):
         seed, digest = 2**64 + 5, 0xFEDCBA9876543210
         k0, (start, stop) = _stream_key(seed, digest), (3, 6) if width > 100 else (5, 45)
-        expected = [replication_rng(seed, digest, r).random(width) for r in range(start, stop)]
+        expected = [_replication(seed, digest, r, width).random(width)
+                    for r in range(start, stop)]
         u = _reset_uniforms(k0, start, stop, width)
         assert u.shape == (stop - start, width)
         assert u.tobytes() == np.stack(expected).tobytes()
 
     def test_reset_uniforms_take_every_key_word(self):
-        # key words of 0 and 2**64 - 1, each against numpy's C Philox from counter 0
+        # key words of 0 and 2**64 - 1, each against numpy's C Philox advanced to the row
         top = 2**64 - 1
         for k0 in (0, 1, top):
             for start, stop in ((0, 3), (top - 2, top + 1)):
                 u = _reset_uniforms(k0, start, stop, 13).copy()
-                expected = [_philox(k0, r).random(13) for r in range(start, stop)]
+                expected = [_philox(k0, 4 * r).random(13) for r in range(start, stop)]
                 assert u.tobytes() == np.stack(expected).tobytes()
+
+    @pytest.mark.parametrize("width", [1, 6, 9, 45])
+    def test_chunk_counter_carries_into_word_1(self, width):
+        # a chunk whose counter crosses 2**64 in its one fill (counter word
+        # 0 wraps and word 1 takes the carry), then a chunk set with word 1
+        # at 1, each as the advance oracle reads it
+        k0, blocks = _stream_key(2**40 + 3, 0xFEDCBA9876543210), _blocks(width)
+        start = 2**64 // blocks - 2
+        assert start * blocks < 2**64 < (start + 5) * blocks
+        for first, stop in ((start, start + 5), (start + 5, start + 9)):
+            u = _reset_uniforms(k0, first, stop, width)
+            expected = [_philox(k0, r * blocks).random(width) for r in range(first, stop)]
+            assert u.tobytes() == np.stack(expected).tobytes()
+
+    @pytest.mark.parametrize("width", [6, 9, 45])
+    def test_no_row_reads_another_rows_tail(self, width):
+        # a row of width % 4 != 0 uniforms leaves the rest of its last
+        # counter block unread: the rows are the heads of consecutive
+        # 4 * blocks ranges of one stream, and no other row reads a tail
+        k0, stride = _stream_key(7, 11), 4 * _blocks(width)
+        stream = _philox(k0, 3 * _blocks(width)).random(40 * stride).reshape(40, stride)
+        u = _reset_uniforms(k0, 3, 43, width)
+        assert u.tobytes() == stream[:, :width].copy().tobytes()
+        assert not set(stream[:, width:].ravel()) & set(u.ravel())
+
+    def test_kernel_reads_no_tail(self, monkeypatch):
+        # every tail of the workspace set to NaN after each draw leaves
+        # every estimate of shapes of 6, 9 and 45 uniforms (and a vn shape
+        # of 9) unchanged; a read tail would make its estimates NaN
+        dist = parse_distribution("exp:rate=1")
+        cells = [(EstimatorSpec.parse(text), m, l) for text in ("vn", "rn", "lstat")
+                 for m, l in ((2, 2), (2, 3), (3, 3), (5, 3))]
+        expected = _kernel_estimates(monkeypatch, dist, cells, 300, 21)
+
+        def poisoned(k0, start, stop, width):
+            u = _reset_uniforms(k0, start, stop, width)
+            full = simulation._WORKSPACE.out[: len(u) * 4 * _blocks(width)]
+            full.reshape(len(u), -1)[:, width:] = np.nan
+            return u
+
+        for budget in (2**7, _CHUNK_UNIFORMS):
+            monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", budget)
+            monkeypatch.setattr(simulation, "_reset_uniforms", poisoned)
+            assert _kernel_estimates(monkeypatch, dist, cells, 300, 21).tobytes() == (
+                expected.tobytes()
+            )
 
     def test_each_shape_is_drawn_once_for_all_its_cells(self, monkeypatch):
         # vn and MinRSSU cells of several estimators: one stream per shape and
@@ -415,13 +474,14 @@ class TestBatchedKernel:
                 replication_rng(seed, 0, 0)
             with pytest.raises(SpecParseError, match=message):
                 SimulationConfig("exp:rate=1", base_seed=seed)
-        for args, label in (((0, 2**64, 0), "shape digest"), ((0, 0, 2**64), "replication index")):
-            with pytest.raises(DomainError, match=rf"^{label} must be < 2\*\*64, got {2**64}$"):
+        for args, label, bits in (((0, 2**64, 0), "shape digest", 64),
+                                  ((0, 0, 2**128), "counter block", 128)):
+            with pytest.raises(DomainError, match=rf"^{label} must be < 2\*\*{bits}, got {2**bits}$"):
                 replication_rng(*args)
         monkeypatch.undo()
         row = run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=2**128 - 1)
         assert rows_from_csv(rows_to_csv([row])) == [row]
-        assert replication_rng(2**128 - 1, 2**64 - 1, 2**64 - 1).random() < 1
+        assert replication_rng(2**128 - 1, 2**64 - 1, 2**128 - 1).random() < 1
 
     def test_numpy_integer_seed_accepted(self):
         row = run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=np.uint64(9))
@@ -430,7 +490,7 @@ class TestBatchedKernel:
         u = replication_rng(np.int64(9), np.uint64(5), np.int32(1)).random(4)
         assert u.tobytes() == replication_rng(9, 5, 1).random(4).tobytes()
 
-    @pytest.mark.parametrize("position,label", [(1, "shape digest"), (2, "replication index")])
+    @pytest.mark.parametrize("position,label", [(1, "shape digest"), (2, "counter block")])
     def test_replication_rng_checks_digest_and_index(self, position, label):
         # 2.5, True and "3" used to run the stream of int(value); -1 ended in a bare ValueError
         for value in (2.5, True, "3"):
@@ -615,14 +675,15 @@ class TestPhiloxWorkspace:
         later = _reset_uniforms(k0, 10, 14, 8)
         assert np.shares_memory(first, later)
         assert first.reshape(-1)[: later.size].tobytes() == later.tobytes()
-        expected = [_philox(k0, r).random(8) for r in range(10, 14)]
+        expected = [_philox(k0, 2 * r).random(8) for r in range(10, 14)]
         assert later.tobytes() == np.stack(expected).tobytes()
 
     def test_alternating_widths_restart_every_stream(self):
         # in a new thread, rows of 1, 3, 5, 15000 and 7 uniforms, twice over.
-        # An odd width leaves words in the generator's buffer and every row
-        # moves its counter, so each row matches its stream only when the
-        # reused state dict restarts the counter and empties the buffer
+        # A width that is not a whole number of blocks leaves words in the
+        # generator's buffer and every draw moves its counter, so each row
+        # matches its stream only when each draw's state set moves the
+        # counter to its first row and empties the buffer
         seed, digest = 9, 0x0123456789ABCDEF
         k0 = _stream_key(seed, digest)
         runs = [(width, start) for _ in range(2)
@@ -634,7 +695,7 @@ class TestPhiloxWorkspace:
         with ThreadPoolExecutor(1) as pool:
             drawn = pool.submit(draws).result(timeout=120)
         for (width, start), u in zip(runs, drawn):
-            expected = [replication_rng(seed, digest, r).random(width)
+            expected = [_replication(seed, digest, r, width).random(width)
                         for r in range(start, start + 3)]
             assert u.tobytes() == np.stack(expected).tobytes()
 
@@ -794,11 +855,11 @@ class TestRunGrid:
         rows, failures = [], []
         for spec, m, l in cfg.cells():
             vn = spec.kind.value == "vn"
-            digest = _shape_digest(dist.spec_string(), vn, m, l)
+            digest, width = _shape_digest(dist.spec_string(), vn, m, l), _draw_width(m, l, vn)
             ests = np.empty(reps)
             try:
                 for r in range(reps):
-                    rng = replication_rng(seed, digest, r)
+                    rng = _replication(seed, digest, r, width)
                     if vn:
                         data = dist.sample(rng, m * l)
                     else:
