@@ -111,7 +111,8 @@ def _draw_values(dist, m, srs, u):
     """The samples of the ``(rows, width)`` uniforms ``u``, one ``(rows, m * l)`` row each.
 
     Each row of ``u`` holds one sample's :func:`_draw_width` uniforms in
-    stream order, and each drawn uniform lies in ``[0, 1)``, where every
+    stream order, and may be the head of a wider row (the grid kernel
+    passes such a view); each drawn uniform lies in ``[0, 1)``, where every
     family's kernel ``dist._quantile`` is finite and maps 0 to the support
     start.  An SRS row is the kernel of its uniforms.  A MinRSSU row holds
     its cycles in order, each the minima of sets ``1..m``: the quantile

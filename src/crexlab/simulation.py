@@ -3,28 +3,33 @@
 Each grid cell is one (distribution, m, l, estimator, w) coordinate, and
 each draws one of a few sample shapes: ``n = m * l`` values of a plain
 SRS sample for ``vn``, or an unequal-minima (MinRSSU) sample for the
-spacing and order-statistic estimators.  Replication ``r`` of a shape
-reads one counter-based stream, numpy's Philox with the key ``(k0, r)``
-and its counter from 0.  ``k0`` is a 64-bit blake2b digest of the base
-seed and the shape digest, which hashes the law's text, ``srs`` or
-``minrssu``, m and l.  Every cell of a shape reads the same sample in
-each replication, so estimators are compared on common random numbers;
-results are bit-identical across reruns and execution order, and
-:func:`replication_rng` rebuilds any one stream.
+spacing and order-statistic estimators.  A shape's samples read one
+counter-based stream, numpy's Philox with the key ``(k0, 0)``.  ``k0``
+is a 64-bit blake2b digest of the base seed and the shape digest, which
+hashes the law's text, ``srs`` or ``minrssu``, m and l.  A sample of
+``width`` uniforms spans ``blocks = ceil(width / 4)`` counter blocks of
+four 64-bit words, one double each, and replication ``r`` reads the
+``width`` uniforms that start at counter block ``r * blocks``; the rest
+of its last block is left unread.  Every cell of a shape reads the same
+sample in each replication, so estimators are compared on common random
+numbers; results are bit-identical across reruns and execution order,
+and :func:`replication_rng` rebuilds any one replication's stream.
 
 A grid's kernel is one chunk loop over one estimate matrix, one row per
 cell that draws; the cells are bucketed by shape and by estimator kind,
 spacing or order statistic.  A shape's replications are drawn in chunks
-of at most ``_CHUNK_UNIFORMS`` uniforms, each row by resetting numpy's C
-Philox to its stream.  A chunk goes through the one draw transform of
-:mod:`crexlab.sampling` and is sorted once, and each kind writes its
-cells' rows of the matrix by one broadcast ``np.vecdot`` of its weight
-rows against the shared sorted rows.  A draw's uniforms live in a
-workspace each thread keeps from draw to draw, valid until the thread's
-next draw, and one chunk's samples are freed before the next chunk is
-drawn: buffers allocated and freed by every draw, or a chunk's samples
-kept alive across the next draw, let glibc hand the top of the heap back
-to the system and fault it in again on every grid.  One set of
+of rows of ``4 * blocks`` uniforms, at most ``_CHUNK_UNIFORMS`` a chunk:
+numpy's C Philox is set once per chunk, to its first row's counter, and
+one fill writes the chunk, whose rows the kernel reads through a view of
+their first ``width`` uniforms.  A chunk goes through the one draw
+transform of :mod:`crexlab.sampling` and is sorted once, and each kind
+writes its cells' rows of the matrix by one broadcast ``np.vecdot`` of
+its weight rows against the shared sorted rows.  A draw's uniforms live
+in a workspace each thread keeps from draw to draw, valid until the
+thread's next draw, and one chunk's samples are freed before the next
+chunk is drawn: buffers allocated and freed by every draw, or a chunk's
+samples kept alive across the next draw, let glibc hand the top of the
+heap back to the system and fault it in again on every grid.  One set of
 reductions along the replications summarizes the matrix against a true
 value computed once; :func:`run_cell` then applies the bias convention
 to each cell's summary, and fails a cell whose bias, RMSE or Monte Carlo
@@ -248,7 +253,7 @@ def _shape_digest(dist_spec, vn, m, l):
 def _check_seed(value, label="base seed", bits=128):
     """A seed word ``value`` as an int below ``2**bits``; anything else raises DomainError.
 
-    A base seed has 128 bits, a shape digest and a replication index 64.
+    A base seed and a counter block have 128 bits, a shape digest 64.
     """
     value = check_integer(value, label)
     if value < 0:
@@ -259,21 +264,29 @@ def _check_seed(value, label="base seed", bits=128):
 
 
 def _stream_key(base_seed, shape_digest):
-    """``k0``, the first Philox key word of every stream of one shape: a 64-bit blake2b digest."""
+    """``k0``, the first Philox key word of one shape's stream: a 64-bit blake2b digest."""
     data = base_seed.to_bytes(16, "little") + shape_digest.to_bytes(8, "little")
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
-def replication_rng(base_seed, shape_digest, rep_index):
-    """The stream of replication ``rep_index`` of one shape: Philox keyed ``(k0, rep_index)``.
+def _blocks(width):
+    """The Philox counter blocks, of four uniforms each, that one row of ``width`` spans."""
+    return -(-width // 4)
 
-    Its counter starts at 0.  The base seed is an integer in ``0 ..
-    2**128 - 1``, the shape digest and the index in ``0 .. 2**64 - 1`` (a
-    numpy integer passes); anything else raises DomainError.
+
+def replication_rng(base_seed, shape_digest, block):
+    """The stream of one shape from counter block ``block``: Philox keyed ``(k0, 0)``.
+
+    Replication ``r`` of a shape whose sample reads ``width`` uniforms
+    reads the first ``width`` uniforms of ``replication_rng(base_seed,
+    shape_digest, r * ceil(width / 4))``.  The base seed and the block
+    are integers in ``0 .. 2**128 - 1``, the shape digest in ``0 ..
+    2**64 - 1`` (a numpy integer passes); anything else raises
+    DomainError.
     """
     k0 = _stream_key(_check_seed(base_seed), _check_seed(shape_digest, "shape digest", 64))
-    key = np.array([k0, _check_seed(rep_index, "replication index", 64)], np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    philox = np.random.Philox(key=k0, counter=_check_seed(block, "counter block"))
+    return np.random.Generator(philox)
 
 
 class _Workspace(threading.local):
@@ -289,51 +302,37 @@ class _Workspace(threading.local):
     # made on the thread's first draw, so that importing crexlab does not
     # load numpy.random: about 12 ms and 1.7 MB of resident memory
     @functools.cached_property
-    def reset(self):
-        """numpy's C Philox, a generator on it and the state dict a reset gives it.
-
-        A new Philox's state, a copy, is counter 0 and an empty buffer;
-        each reset writes a stream's key into it.  Its words are Python
-        ints, not the uint64 arrays the state getter returns: the setter
-        reads every word by itself, which takes about half as long from a
-        list of ints as from an array, and a reset is most of a narrow
-        row's cost.
-        """
-        bit_generator = np.random.Philox(0)
-        state = bit_generator.state
-        state["state"] = {name: words.tolist() for name, words in state["state"].items()}
-        state["buffer"] = state["buffer"].tolist()
-        return bit_generator, np.random.Generator(bit_generator), state
+    def generator(self):
+        return np.random.Generator(np.random.Philox(0))
 
 
 _WORKSPACE = _Workspace()
 
 
 def _reset_uniforms(k0, start, stop, width):
-    """The first ``width`` uniforms of streams ``(k0, r)``, r = ``start .. stop - 1``, one row each.
+    """Replications ``start .. stop - 1`` of the stream keyed ``(k0, 0)``, ``width`` uniforms each.
 
-    This thread's generator is reset to each stream in turn: counter 0,
-    the stream's key and an empty buffer, the stream
-    :func:`replication_rng` builds.  A reset writes the key words into
-    the workspace's state dict as Python ints, the form numpy's state
-    setter reads fastest, and sets it; the dict's counter and buffer
-    stay zero, so each row starts its stream afresh.  The ``(stop -
-    start, width)`` rows live in this thread's workspace and are valid
-    until its next draw.
+    Row r reads the ``width`` uniforms from counter block ``r * blocks``,
+    the stream of ``replication_rng(seed, digest, r * blocks)``.  This
+    thread's generator is set once, to the key, counter ``start *
+    blocks`` over counter words 0 and 1 and an empty buffer, and one
+    fill writes rows of stride ``4 * blocks``.  The returned ``(stop -
+    start, width)`` view of them lives in this thread's workspace and is
+    valid until its next draw.
     """
-    workspace, size = _WORKSPACE, (stop - start) * width
+    stride, counter = 4 * _blocks(width), start * _blocks(width)
+    workspace, size = _WORKSPACE, (stop - start) * stride
     if len(workspace.out) < size:
         with allocating(size, "uniform workspace"):
             workspace.out = np.empty(size)
-    out = workspace.out[:size].reshape(-1, width)
-    bit_generator, generator, state = workspace.reset
-    key = state["state"]["key"]
-    key[0] = k0
-    for r, row in zip(range(start, stop), out):
-        key[1] = r
-        bit_generator.state = state
-        generator.random(out=row)
-    return out
+    out, generator = workspace.out[:size], workspace.generator
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [counter % 2**64, counter >> 64, 0, 0], "key": [k0, 0]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    generator.random(out=out)
+    return out.reshape(-1, stride)[:, :width]
 
 
 def _cell_summaries(estimates, true_value):
@@ -400,7 +399,7 @@ def _grid_outcomes(dist, cells, replications, base_seed):
     for (m, l, vn), kinds in shapes.items():
         k0 = _stream_key(base_seed, _shape_digest(spec_text, vn, m, l))
         width = _draw_width(m, l, vn)
-        step = max(1, _CHUNK_UNIFORMS // width)
+        step = max(1, _CHUNK_UNIFORMS // (4 * _blocks(width)))
         try:
             weights = {spacing: row_weights(spacing, m * l, denoms)
                        for spacing, (_, denoms) in kinds.items()}
