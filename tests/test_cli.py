@@ -433,9 +433,9 @@ class TestSimulate:
         assert code == 0
         assert out.splitlines()[1:] == [
             "exp,rate=1,lstat_adj:family=exp,2,2,0,3,1,-0.25,"
-            "-0.5908291054910519,0.6137260555588234,0.11743219187351339",
+            "-0.44785105609437276,0.4540758347926192,0.052982522107620625",
             "exp,rate=1,lstat_adj:family=exp,2,2,1,3,1,-0.25,"
-            "-0.32110366322380274,0.323529820735381,0.027964105289839086",
+            "-0.2623801652333807,0.2642618504106551,0.022259542611734844",
         ]
 
     @pytest.mark.parametrize(
