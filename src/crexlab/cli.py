@@ -77,20 +77,22 @@ def _print_rows(rows):
 
 def cmd_measure(args):
     dist, design, method = parse_distribution(args.dist), args.design, args.method
+    m = 1 if args.m is None else args.m
     if design == "dynamic" and args.t is None:
         raise SpecParseError("--design dynamic requires --t")
     age = None if args.t is None else f"t={_number_text(args.t)}"
     if design == "single":
+        _reject_unread(args, "--design single", ("m",))
         rows = [(f"dynamic_crex[{age}]", dynamic_crex(dist, args.t, method=method)) if age
                 else ("crex", crex(dist, method=method))]
     elif age:
         # a design pair at an age, of which --design minrssu or srs keeps one
-        pair = dynamic_crex_designs(dist, args.m, args.t, method=method)
-        rows = [(f"dynamic_crex[{name},m={args.m},{age}]", cv)
+        pair = dynamic_crex_designs(dist, m, args.t, method=method)
+        rows = [(f"dynamic_crex[{name},m={m},{age}]", cv)
                 for name, cv in zip(("minrssu", "srs"), pair) if design in ("dynamic", name)]
     else:
         measure = crex_minrssu_design if design == "minrssu" else crex_srs_design
-        rows = [(f"crex[{design},m={args.m}]", measure(dist, args.m, method=method))]
+        rows = [(f"crex[{design},m={m}]", measure(dist, m, method=method))]
     _print_rows([
         ("measure", "value", f"{'method':<12}", f"{'abs_error_bound':>16}"),
         *((label, _fmt(cv.value, args), f"{cv.method.value:<12}",
@@ -333,7 +335,8 @@ def build_parser():
         default="single",
         help="evaluation level (default single)",
     )
-    p.add_argument("--m", type=int, default=1, help="design size (default 1)")
+    # left out, --m is None: --design single rejects it, and the designs take 1
+    p.add_argument("--m", type=int, default=None, help="design size (default 1)")
     p.add_argument("--t", type=float, default=None, help="age for residual variants")
     p.add_argument(
         "--method",

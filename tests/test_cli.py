@@ -47,6 +47,18 @@ class TestMeasure:
         assert code == 0
         assert float(out.splitlines()[1].split()[1]) == pytest.approx(-0.25, abs=1e-9)
 
+    @pytest.mark.parametrize("argv", [["--m", "7"], ["--m", "1", "--t", "0.5"],
+                                      ["--design", "single", "--m", "2"]])
+    def test_single_design_rejects_m(self, capsys, argv):
+        # the flag was not read: --m 7 printed crex of the law and exited 0
+        code, out, err = run(capsys, ["measure", "--dist", "exp:rate=1", *argv])
+        assert (code, out, err) == (2, "", "crexlab: --m cannot be used with --design single\n")
+
+    def test_design_size_defaults_to_1(self, capsys):
+        for design in ("srs", "minrssu"):
+            argv = ["measure", "--dist", "exp:rate=1", "--design", design]
+            assert run(capsys, argv) == run(capsys, [*argv, "--m", "1"])
+
     def test_malformed_spec_exits_2(self, capsys):
         code, _, err = run(capsys, ["measure", "--dist", "nope:p=1"])
         assert code == 2
@@ -660,8 +672,8 @@ README_CALIBRATE = [
 # sources and the README calibrate example
 VALUE_CALLS = [
     *(
-        ["measure", "--dist", "exp:rate=1", "--design", design, "--m", "2", *age,
-         "--method", method]
+        ["measure", "--dist", "exp:rate=1", "--design", design,
+         *(() if design == "single" else ("--m", "2")), *age, "--method", method]
         for design in ("single", "srs", "minrssu", "dynamic")
         for age in ((), ("--t", "0.5"))
         for method in ("closed", "quadrature")
