@@ -195,19 +195,23 @@ def _given(**fields):
     return {name: value for name, value in fields.items() if value is not None}
 
 
+# the grid flags that --dist reads and --protocol does not
+_LAW_FLAGS = ("dist", "m", "l", "estimators", "w_rmn", "w_lstat_adj", "psi_family",
+              "bias_convention")
+# the grid flags that --config and --input read none of
+_GRID_FLAGS = ("protocol", "sides", *_LAW_FLAGS, "reps", "seed")
+
+
 def _config_from_flags(args):
     """The grid of ``--config``, ``--protocol`` or ``--dist``, the first given.
 
     A grid flag its source does not read is a SpecParseError.
     """
-    # the grid flags that --dist reads and --protocol does not
-    law_flags = ("dist", "m", "l", "estimators", "w_rmn", "w_lstat_adj", "psi_family",
-                 "bias_convention")
     if args.config is not None:
-        _reject_unread(args, "--config", ("protocol", "sides", *law_flags, "reps", "seed"))
+        _reject_unread(args, "--config", _GRID_FLAGS)
         return _config_from_json(args.config)
     if args.protocol is not None:
-        _reject_unread(args, "--protocol", law_flags)
+        _reject_unread(args, "--protocol", _LAW_FLAGS)
         return protocol_config(args.protocol, **_given(
             replications=args.reps,
             base_seed=args.seed,
@@ -244,6 +248,7 @@ def _print_rows_summary(rows):
 
 def cmd_simulate(args):
     if args.input is not None:
+        _reject_unread(args, "--input", ("config", *_GRID_FLAGS, "out"))
         with open(args.input, newline="") as fh:
             rows = rows_from_csv(fh)
         _print_rows_summary(rows)

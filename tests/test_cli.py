@@ -514,6 +514,25 @@ class TestSimulate:
         message = "--m, --l, --bias-convention cannot be used with --protocol"
         assert (code, out, err) == (2, "", f"crexlab: {message}\n")
 
+    @pytest.mark.parametrize("flag", ["--config", *GRID_FLAGS, "--out"])
+    def test_input_rejects_every_grid_flag_and_out(self, capsys, tmp_path, flag):
+        # --input read none of them and exited 0: a grid flag or --config
+        # was dropped, and --out wrote no file
+        path = tmp_path / "rows.csv"
+        assert run(capsys, self.BASE + ["--seed", "3", "--out", str(path)])[0] == 0
+        value = {"--config": "cfg.json", "--out": "o.csv"}.get(flag) or self.GRID_FLAGS[flag]
+        code, out, err = run(capsys, ["simulate", "--input", str(path), flag, value])
+        assert (code, out, err) == (2, "", f"crexlab: {flag} cannot be used with --input\n")
+
+    def test_input_names_every_unread_flag(self, capsys, tmp_path):
+        path = tmp_path / "rows.csv"
+        assert run(capsys, self.BASE + ["--seed", "3", "--out", str(path)])[0] == 0
+        argv = ["simulate", "--input", str(path), "--seed", "9", "--reps", "7",
+                "--protocol", "exp", "--out", str(tmp_path / "o.csv")]
+        message = "--protocol, --reps, --seed, --out cannot be used with --input"
+        assert run(capsys, argv) == (2, "", f"crexlab: {message}\n")
+        assert not (tmp_path / "o.csv").exists()
+
     def test_dist_rejects_sides(self, capsys):
         argv = ["simulate", "--dist", "exp:rate=1", "--sides", "order", "--reps", "2"]
         code, out, err = run(capsys, argv)
