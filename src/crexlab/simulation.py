@@ -325,14 +325,11 @@ def _reset_uniforms(k0, start, stop, width):
     if len(workspace.out) < size:
         with allocating(size, "uniform workspace"):
             workspace.out = np.empty(size)
-    out, generator = workspace.out[:size], workspace.generator
+    generator = workspace.generator
     generator.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [counter % 2**64, counter >> 64, 0, 0], "key": [k0, 0]},
-        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    generator.random(out=out)
-    return out.reshape(-1, stride)[:, :width]
+        "bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+        "uinteger": 0, "state": {"counter": [counter % 2**64, counter >> 64, 0, 0], "key": [k0, 0]}}
+    return generator.random(out=workspace.out[:size]).reshape(-1, stride)[:, :width]
 
 
 def _cell_summaries(estimates, true_value):

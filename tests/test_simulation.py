@@ -476,7 +476,8 @@ class TestBatchedKernel:
                 SimulationConfig("exp:rate=1", base_seed=seed)
         for args, label, bits in (((0, 2**64, 0), "shape digest", 64),
                                   ((0, 0, 2**128), "counter block", 128)):
-            with pytest.raises(DomainError, match=rf"^{label} must be < 2\*\*{bits}, got {2**bits}$"):
+            message = rf"^{label} must be < 2\*\*{bits}, got {2**bits}$"
+            with pytest.raises(DomainError, match=message):
                 replication_rng(*args)
         monkeypatch.undo()
         row = run_cell("exp:rate=1", "rn", 2, 2, 3, base_seed=2**128 - 1)
