@@ -50,6 +50,13 @@ node, and the support's head and start are worked out once, by the rule
 functional goes through it, both discrimination measures included; only
 the squared density and the squared cdf have integrands of their own.
 
+The three integrands call the family kernels ``_survival``, ``_pdf`` and
+``_cdf`` on the nodes, not the checked ``survival``, ``pdf`` and ``cdf``:
+every gk21 node lies strictly inside its interval, and so inside
+``[start, U]``, which the support contains, and there each kernel is the
+checked evaluator's value.  The checked evaluators are for points from
+outside the package.
+
 The limit variances of the L-statistic are double integrals, kinked along
 ``x == y`` and symmetric in (x, y): twice the triangle ``y >= x`` is mapped
 to a square, ``y = x + v (hi - x)``, and integrated on a tensor grid.
@@ -58,9 +65,12 @@ u**i``, the integrand is smooth:
 
     P(sx) P(sy) [P(sy) - P(sx sy)] = P(sx)/m**2 sum_{i,b<=m} (1 - sx**i) sy**(b+i)
 
-SRS is the case m = 1, ``sx (1 - sx) sy**2``.  S is evaluated once on the
-x-nodes and once on the grid, each ``sy**k``, k = 2..2m, is reduced at once
-to its row integrals, and the rest are sums of n-vectors.  Each axis, x
+SRS is the case m = 1, ``sx (1 - sx) sy**2``.  S is the checked
+``survival``: points of the y-grid round to ``hi`` itself, where a
+family kernel need not be 0, as the checked evaluator is.  S is
+evaluated once on the x-nodes and once on the grid, each ``sy**k``, k =
+2..2m, is reduced at once to its row integrals, and the rest are sums of
+n-vectors.  Each axis, x
 on ``[lo, hi]`` and v on [0, 1], is a Gauss-Legendre rule mapped through
 ``g(u) = u**3 / (u**3 + (1 - u)**3)``, whose nodes crowd at both ends:
 there S may have an infinite slope (``powerbeta`` with alpha < 1 at 0,
@@ -353,7 +363,7 @@ def survival_power_quad(dist, powers, lower):
     # the tail beyond ``upper`` is at most mrl(U) * S(U)**p; zero on a bounded support
     s_u, mrl_u = dist._tail_factors
     column = np.array(powers, dtype=float)[:, None]
-    values, errors = gk21(lambda x: dist.survival(x) ** column, start, upper)
+    values, errors = gk21(lambda x: dist._survival(x) ** column, start, upper)
     return [
         (head + v, err + mrl_u * s_u**p)
         for p, v, err in zip(powers, values.tolist(), errors.tolist())
@@ -364,7 +374,7 @@ def pdf_square_quad(dist):
     """``int f(x)**2 dx`` by quadrature; returns (value, error_bound)."""
     lo_sup, hi_sup = dist.support
     upper = truncation_point(dist)
-    value, err = _integral(lambda x: dist.pdf(x) ** 2, lo_sup, upper)
+    value, err = _integral(lambda x: dist._pdf(x) ** 2, lo_sup, upper)
     tail = 0.0
     if not math.isfinite(hi_sup):
         # density decreasing beyond the truncation point for these families
@@ -378,7 +388,7 @@ def cdf_square_quad(dist):
     if not math.isfinite(hi_sup):
         raise DivergenceError("cdf-squared integral diverges on unbounded support")
     lo = max(0.0, lo_sup)
-    return _integral(lambda x: dist.cdf(x) ** 2, lo, hi_sup)
+    return _integral(lambda x: dist._cdf(x) ** 2, lo, hi_sup)
 
 
 def double_quad_kinked(survival, m, lo, hi):

@@ -50,53 +50,34 @@ __all__ = [
 ]
 
 
-def _all_inside(vals, lo, hi, closed=False):
-    """Whether ``vals`` is non-empty and lies in ``(lo, hi)``, or ``[lo, hi]``.
-
-    A nan fails every comparison, so an array holding one is never inside.
-    """
-    if vals.size == 0:
-        return False
-    low, high = vals.min(), vals.max()
-    if closed:
-        return lo <= low and high <= hi
-    return lo < low and high < hi
-
-
 def _on_support(below, above, ends_inside=False):
     """Evaluate a kernel ``func(self, x)`` inside the support, constants outside.
 
+    This is the checked evaluator, for points from outside the package.
     Left of the support the method returns ``below``, right of it
     ``above``; the support ends count as inside only when ``ends_inside``.
-    ``func`` sees an array of points inside the support only: the whole
-    argument when every point lies inside, else the inside points.  A
-    scalar is a one-element array on the same route and comes back as a
-    float.  An argument that is not real numbers, or holds a nan, raises
-    DomainError.
+    ``func`` sees the inside points only, as one array.  A scalar is a
+    one-element array on the same route and comes back as a float.  An
+    argument that is not real numbers, or holds a nan, raises
+    DomainError.  Points the package makes inside the support, such as
+    the quadrature's nodes, go to the kernel itself.
     """
 
     def decorate(func):
         @functools.wraps(func)
         def method(self, x):
             lo, hi = self.support
-            try:
-                arr = np.asarray(x, dtype=float)
-            except (TypeError, ValueError, OverflowError):
-                # the array rule raises its DomainError
-                arr = check_array(x, f"{func.__name__} argument")
+            arr = check_array(x, f"{func.__name__} argument")
             vals = np.atleast_1d(arr)
-            if _all_inside(vals, lo, hi, ends_inside):
-                out = func(self, vals)
+            if np.isnan(vals).any():
+                raise DomainError(f"{func.__name__} argument contains nan: {x!r}")
+            if ends_inside:
+                inside = (vals >= lo) & (vals <= hi)
             else:
-                if np.isnan(vals).any():
-                    raise DomainError(f"{func.__name__} argument contains nan: {x!r}")
-                if ends_inside:
-                    inside = (vals >= lo) & (vals <= hi)
-                else:
-                    inside = (vals > lo) & (vals < hi)
-                out = np.where(vals <= lo, below, above)
-                if inside.any():
-                    out[inside] = func(self, vals[inside])
+                inside = (vals > lo) & (vals < hi)
+            out = np.where(vals <= lo, below, above)
+            if inside.any():
+                out[inside] = func(self, vals[inside])
             if arr.ndim == 0:
                 return float(out[0])
             return out

@@ -24,7 +24,11 @@ one fill writes the chunk, whose rows the kernel reads through a view of
 their first ``width`` uniforms.  A chunk goes through the one draw
 transform of :mod:`crexlab.sampling` and is sorted once, and each kind
 writes its cells' rows of the matrix by one broadcast ``np.vecdot`` of
-its weight rows against the shared sorted rows.  A draw's uniforms live
+its weight rows against the shared sorted rows.  The kernel checks no
+value it draws: a drawn uniform lies in ``[0, 1)``, every family's
+quantile kernel maps that into its support, and every support starts at
+0 or above, so each sample is finite and nonnegative, as the
+order-statistic estimators require.  A draw's uniforms live
 in a workspace each thread keeps from draw to draw, valid until the
 thread's next draw, and one chunk's samples are freed before the next
 chunk is drawn: buffers allocated and freed by every draw, or a chunk's
@@ -368,9 +372,10 @@ def _grid_outcomes(dist, cells, replications, base_seed):
     by :func:`~crexlab.sampling._draw_values`, the transform that
     :func:`~crexlab.sampling.draw_minrssu` and, for ``vn``,
     ``Distribution.sample`` apply to a stream, and each kind's cells are
-    one :func:`~crexlab.estimators.row_estimates` call on them.  A
-    CrexlabError fails every cell of a shape when its samples raise it,
-    and every cell of a kind when that kind's estimates return it.
+    one :func:`~crexlab.estimators.row_estimates` call on them, unchecked:
+    the samples are the package's own draws, finite and nonnegative.  A
+    CrexlabError fails every cell of a shape when drawing its samples
+    raises it.
     """
     try:
         true_value = float(crex(dist))
@@ -405,10 +410,7 @@ def _grid_outcomes(dist, cells, replications, base_seed):
                 values = _draw_values(dist, m, vn, _reset_uniforms(k0, start, stop, width))
                 values.sort(axis=1)
                 for spacing, (rows, _) in kinds.items():
-                    block, error = row_estimates(spacing, values, weights[spacing])
-                    estimates[rows, start:stop] = block
-                    if error:
-                        errors.update(dict.fromkeys(rows, error))
+                    estimates[rows, start:stop] = row_estimates(spacing, values, weights[spacing])
                 # one chunk's samples at a time: see the module docstring
                 del values
         except CrexlabError as exc:

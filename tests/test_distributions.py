@@ -362,10 +362,11 @@ def _bits(values):
 
 
 class TestWholeArrayPath:
-    """An array wholly inside the support skips the masks, with the same bits.
+    """An array wholly inside the support keeps its shape and its bits.
 
-    Appending one point outside the support sends the same points down
-    the mask route, which hands the kernel only the inside points.
+    Appending one point outside the support changes no other point's
+    bits: the checked evaluators hand the kernel the inside points, in
+    one array, whatever the argument's shape and layout.
     """
 
     @staticmethod
@@ -420,15 +421,6 @@ class TestWholeArrayPath:
                 getattr(dist, name)(x)
         with pytest.raises(DomainError):
             dist.quantile(np.array([[0.2, math.nan], [0.5, 0.7]]))
-
-    def test_kernel_sees_the_whole_array(self, monkeypatch):
-        dist = Exponential(1.0)
-        seen = []
-        kernel = dist._survival
-        monkeypatch.setattr(dist, "_survival", lambda x: seen.append(x.shape) or kernel(x))
-        dist.survival(np.full((4, 5), 0.5))
-        dist.survival(np.array([0.5, -1.0, 0.7]))
-        assert seen == [(4, 5), (2,)]
 
 
 class TestSpecStrings:
@@ -590,3 +582,33 @@ class TestSpecStrings:
         # each of the first four used to end in a bare TypeError
         with pytest.raises(DomainError, match=f"^{message}"):
             build()
+
+
+class TestQuantileKernels:
+    """The proof obligation of the grid, which checks no value it draws.
+
+    A drawn uniform lies in ``[0, 1 - 2**-53]``, and every family's
+    kernel ``_quantile`` maps it to a finite point of the support, which
+    starts at 0 or above: every grid sample is finite and nonnegative, as
+    the order-statistic estimators require.
+    """
+
+    TOP = 1.0 - 2.0**-53
+    UNIFORMS = st.one_of(st.floats(0.0, TOP), st.sampled_from([0.0, 5e-324, 0.5, TOP]))
+
+    @pytest.mark.parametrize("family", list(TestSpecStrings.LAWS))
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_drawn_uniforms_map_into_the_support(self, family, data):
+        try:
+            law = data.draw(TestSpecStrings.LAWS[family])
+            if family == "unif":
+                law = Uniform(*law)
+        except DomainError:
+            return
+        u = np.array(data.draw(st.lists(self.UNIFORMS, min_size=1, max_size=8)))
+        lo, hi = law.support
+        x = law._quantile(u)
+        assert lo >= 0.0
+        assert np.isfinite(x).all()
+        assert ((lo <= x) & (x <= hi)).all(), (law, u[(x < lo) | (x > hi)])

@@ -672,9 +672,7 @@ def _kernel_rows(spec, m, rows):
     n = rows.shape[-1]
     spacing, denom = row_estimator(spec, m, n)
     weights = row_weights(spacing, n, [denom])
-    estimates, error = row_estimates(spacing, rows, weights)
-    assert error is None
-    return estimates[0]
+    return row_estimates(spacing, rows, weights)[0]
 
 
 def _dot_per_row(spec, m, rows):
@@ -734,9 +732,7 @@ class TestRowKernel:
         kinds = [row_estimator(spec, m, n) for spec in specs]
         assert {kind for kind, _ in kinds} == {spacing}
         weights = row_weights(spacing, n, [denom for _, denom in kinds])
-        estimates, error = row_estimates(spacing, rows, weights)
-        assert error is None
-        assert estimates.tobytes() == expected.tobytes()
+        assert row_estimates(spacing, rows, weights).tobytes() == expected.tobytes()
         # a dot per row, with the weights on either side of the broadcast product
         operand = np.diff(rows, axis=-1) if spacing else rows
         by_dot = [[np.dot(row, w) for row in operand] for w in weights]
@@ -744,15 +740,18 @@ class TestRowKernel:
         for product in (np.vecdot(operand, weights), np.vecdot(weights, operand)):
             assert product.tobytes() == np.array(by_dot).tobytes()
 
-    def test_negative_value_fails_the_whole_block(self):
-        # the cells of one kind share their rows, so one negative value fails them all
+    def test_negative_value_fails_estimate(self):
+        # estimate checks data from outside the package, after the checks that
+        # need no values; the row kernel checks nothing, and the spacing
+        # estimators take negative values
         rows = self.sorted_rows(6, 3)
         rows[2, 0] = -1.0
-        _, error = row_estimates(False, rows, row_weights(False, 6, [6, 7, 8]))
-        assert isinstance(error, DomainError) and "nonnegative" in str(error)
-        assert row_estimates(True, rows, row_weights(True, 6, [6, 7]))[1] is None
         with pytest.raises(DomainError, match="nonnegative"):
             estimate(EstimatorSpec(EstimatorKind.LSTAT), rows[2])
+        sample = sample_of(rows[2], 2)
+        with pytest.raises(ParameterError, match="n\\+psi"):
+            estimate("lstat_adj:family=beta,w=9", sample)
+        assert math.isfinite(estimate("rn", sample))
 
     @pytest.mark.parametrize(
         "product",
@@ -795,8 +794,8 @@ class TestZeroSumSign:
         # three cells under their own denominators, in one broadcast call
         specs = [EstimatorSpec.parse(text) for text in TestRowKernel.CELLS[spacing][1:4]]
         weights = row_weights(spacing, 4, [row_estimator(spec, 2, 4)[1] for spec in specs])
-        estimates, error = row_estimates(spacing, np.full((5, 4), value), weights)
-        assert error is None and estimates.shape == (3, 5)
+        estimates = row_estimates(spacing, np.full((5, 4), value), weights)
+        assert estimates.shape == (3, 5)
         assert np.all(estimates == 0.0) and not np.signbit(estimates).any()
 
 

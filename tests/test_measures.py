@@ -443,20 +443,20 @@ SHARING_POWER_LISTS = [[2.0 * i for i in range(1, 11)], [i + 1.0 for i in range(
 class TestQuadratureSharing:
     def test_one_survival_call_per_round(self, monkeypatch):
         calls = []
-        survival = Exponential.survival
+        survival = Exponential._survival
 
         def counted(self, x):
-            calls.append(np.asarray(x, dtype=float))
+            calls.append(np.array(x))
             return survival(self, x)
 
-        monkeypatch.setattr(Exponential, "survival", counted)
+        monkeypatch.setattr(Exponential, "_survival", counted)
         crex_minrssu_design(Exponential(1.0), 30, method="quadrature")
-        # the tail factor S(U) is the one scalar call; then one array call per
-        # round, on the 21 nodes of each interval still open: the four quarters
-        # of the range first, then each interval that failed the round before
-        # split in four
+        # the tail factor S(U) goes through the checked survival, which hands
+        # the kernel a one-element array; then one kernel call per round, on
+        # the 21 nodes of each interval still open: the four quarters of the
+        # range first, then each interval that failed the round before split in four
         tail, *rounds = calls
-        assert tail.ndim == 0
+        assert tail.shape == (1,)
         assert all(x.ndim == 1 and x.size % 21 == 0 for x in rounds)
         intervals = [x.size // 21 for x in rounds]
         assert intervals[0] == 4

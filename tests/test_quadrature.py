@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -135,6 +136,59 @@ class TestKernel:
         hi = np.nextafter(middle, 2.0)
         with pytest.raises(DivergenceError, match="did not converge.*too narrow"):
             gk21(lambda x: np.where(x == middle, 1e20, 0.0), lo, hi)
+
+
+# the measures-sweep laws, a density spike at 0, and two laws whose S at the
+# support end is not 0 in the kernel: FiniteRange(49, 0.5)._survival(1/49) is 1.05e-8
+NODE_LAWS = ["exp:rate=1", "unif:a=0,b=1", "finite:a=2,b=3", "powerbeta:alpha=2",
+             "powerbeta:alpha=0.1", "finite:a=49,b=0.5", "finite:a=0.3,b=0.62"]
+
+
+class TestKernelNodes:
+    """The gk21 integrands call the family kernels unchecked, on nodes inside the support.
+
+    Every node lies strictly inside the support, where each kernel is the
+    checked evaluator's value; for ``_pdf`` the ends count as inside, as
+    for ``pdf``.  A node on an end would meet a kernel value that is not
+    the checked evaluator's constant there.
+    """
+
+    @pytest.mark.parametrize("spec", NODE_LAWS)
+    def test_nodes_lie_inside_the_support(self, monkeypatch, spec):
+        dist = distributions.parse_distribution(spec)
+        seen = {"_survival": [], "_pdf": [], "_cdf": []}
+        for name, points in seen.items():
+            kernel = getattr(type(dist), name)
+
+            def recorded(self, x, kernel=kernel, points=points):
+                points.append(np.array(x))
+                return kernel(self, x)
+
+            monkeypatch.setattr(type(dist), name, recorded)
+        age = float(dist.quantile(0.3))
+        calls = [functools.partial(measures.crex, dist)]
+        for m in (1, 2, 5, 30):
+            calls += [functools.partial(measures.crex_srs_design, dist, m),
+                      functools.partial(measures.crex_minrssu_design, dist, m),
+                      functools.partial(measures.dynamic_crex_designs, dist, m, age)]
+        calls += [functools.partial(measures.extropy, dist),
+                  functools.partial(measures.cumulative_extropy, dist)]
+        for call in calls:
+            try:
+                call(method="quadrature")
+            except DivergenceError:
+                pass
+        lo, hi = dist.support
+        for name, points in seen.items():
+            x = np.concatenate(points) if points else np.empty(0)
+            if name == "_pdf":
+                assert ((lo <= x) & (x <= hi)).all(), name
+            else:
+                assert ((lo < x) & (x < hi)).all(), name
+        # every integrand ran on gk21's nodes: 21 per interval
+        assert any(x.size % 21 == 0 for x in seen["_survival"])
+        assert any(x.size % 21 == 0 for x in seen["_pdf"])
+        assert bool(seen["_cdf"]) == math.isfinite(hi)
 
 
 class TestWynnEpsilon:

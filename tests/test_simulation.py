@@ -525,32 +525,12 @@ class TestBatchedKernel:
         with pytest.raises(error):
             run_cell(dist, spec, m, l, 5)
 
-    def test_negative_sample_fails_like_per_replication_route(self, monkeypatch):
+    def test_negative_sample_fails_estimate(self):
+        # the grid draws no negative value (TestQuantileKernels in
+        # test_distributions.py); data from outside the package meet the check
         sample = MinRssuSample(m=2, l=2, values=np.array([[-1.0, 0.5], [2.0, 0.1]]))
-        spec = EstimatorSpec.parse("lstat")
-        with pytest.raises(DomainError):
-            estimate(spec, sample.values.ravel())
-        calls = _inject_samples(monkeypatch, sample.values)
-        with pytest.raises(DomainError):
-            run_cell("exp:rate=1", spec, 2, 2, 3)
-        assert calls == [(3, 6)]
-        # the cells of a shape read one sample: it fails every order-statistic
-        # cell of the shape, and the spacing cells keep their estimates
-        cfg = SimulationConfig(
-            "exp:rate=1", m_values=(2,), l_values=(2,),
-            estimators=("lstat", "rn", "lstat_adj", "rmn"),
-            w_lists={"rmn": (0, 1), "lstat_adj": (0, 1)}, psi_family="beta", replications=3,
-        )
-        result = run_grid(cfg)
-        assert calls[1:] == [(3, 6)]
-        assert [f.coordinates["estimator"] for f in result.failures] == [
-            "lstat", "lstat_adj:family=beta,w=0", "lstat_adj:family=beta,w=1"
-        ]
-        assert all(isinstance(f.cause, DomainError) for f in result.failures)
-        assert [row.estimator for row in result.rows] == ["rn", "rmn", "rmn"]
-        for row in result.rows:
-            w_spec = EstimatorSpec.parse("rn" if row.w is None else f"rmn:w={row.w}")
-            assert row.bias == row.true_value - estimate(w_spec, sample)
+        with pytest.raises(DomainError, match="nonnegative"):
+            estimate(EstimatorSpec.parse("lstat"), sample.values.ravel())
 
     def test_chunk_edges_keep_the_csv(self, monkeypatch):
         # vn and MinRSSU cells of both kinds, narrow and wide rows, and 37
