@@ -111,20 +111,27 @@ def _parse_list(text, label, convert=int):
         raise SpecParseError(f"bad {label} list: {text!r}") from None
 
 
+# the flags that only --draw reads
+_DRAW_FLAGS = ("m", "l", "seed")
+
+
 def _load_estimate_data(args):
     sources = sum(x is not None for x in (args.input, args.values, args.draw))
     if sources != 1:
         raise SpecParseError("choose exactly one of --input, --values, --draw")
     if args.input is not None:
+        _reject_unread(args, "--input", _DRAW_FLAGS)
         with open(args.input, newline="") as fh:
             sample = sample_from_csv(fh)
     elif args.values is not None:
+        _reject_unread(args, "--values", _DRAW_FLAGS)
         vals = np.array(_parse_list(args.values, "--values", float))
         if vals.size == 0:
             raise SpecParseError("--values is empty")
         sample = MinRssuSample(m=1, l=vals.size, values=vals.reshape(-1, 1))
     else:
-        sample = draw_minrssu(args.draw, args.m, args.l, replication_rng(args.seed, 0, 0))
+        draw = {"m": 2, "l": 2, "seed": DEFAULT_SEED} | _given(m=args.m, l=args.l, seed=args.seed)
+        sample = draw_minrssu(args.draw, draw["m"], draw["l"], replication_rng(draw["seed"], 0, 0))
     if args.save is not None:
         with open(args.save, "w", newline="") as fh:
             sample_to_csv(sample, fh)
@@ -361,9 +368,11 @@ def build_parser():
     p.add_argument("--input", help="sample CSV (header cycle,set_size,value)")
     p.add_argument("--values", help="inline comma-separated values (treated as m=1)")
     p.add_argument("--draw", help="draw a fresh sample from this distribution spec")
-    p.add_argument("--m", type=int, default=2, help="sets per cycle for --draw")
-    p.add_argument("--l", type=int, default=2, help="cycles for --draw")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for --draw")
+    # left out, each is None: --input and --values reject them, and --draw
+    # takes m = 2, l = 2 and DEFAULT_SEED
+    p.add_argument("--m", type=int, default=None, help="sets per cycle for --draw")
+    p.add_argument("--l", type=int, default=None, help="cycles for --draw")
+    p.add_argument("--seed", type=int, default=None, help="seed for --draw")
     p.add_argument("--save", help="write the sample to this CSV file")
     add_output_flags(p)
     p.set_defaults(handler=cmd_estimate)

@@ -168,9 +168,11 @@ class SimulationConfig:
 
     ``w_lists`` maps an estimator kind to either one w sequence (used for
     every m) or a mapping ``m -> sequence``.  Estimator kinds without a
-    tuning value run once per (m, l) cell.  Every list, the m, l and
-    estimator lists and each w list alike, must be a nonempty list, not a
-    string.  A config is frozen: its fields are checked and normalized
+    tuning value run once per (m, l) cell.  A ``w_lists`` key that is not
+    one of ``estimators``, or a ``psi_family`` on a grid without
+    ``lstat_adj``, would be read by no cell and raises SpecParseError.
+    Every list, the m, l and estimator lists and each w list alike, must
+    be a nonempty list, not a string.  A config is frozen: its fields are checked and normalized
     once, on construction, and :func:`run_grid` trusts them.  ``w_lists``
     is kept as read-only mappings of tuples, copied from the caller's.
     """
@@ -216,11 +218,18 @@ class SimulationConfig:
                 for token, w_list in self.w_lists.items()
             }
             normalize("w_lists", MappingProxyType(w_lists))
+            for token in w_lists:
+                if token not in self.estimators:
+                    raise SpecParseError(f"w_lists key {token!r} is not one of the estimators")
+            kinds = [enum_member(EstimatorKind, token, "estimator") for token in self.estimators]
+            if self.psi_family is not None and EstimatorKind.LSTAT_ADJUSTED not in kinds:
+                raise SpecParseError(
+                    f"psi_family {self.psi_family!r} is set, but the grid has no lstat_adj cell"
+                )
             cells = []  # building each EstimatorSpec checks every (estimator, w) pair
             for m in self.m_values:
                 specs = []
-                for token in self.estimators:
-                    kind = enum_member(EstimatorKind, token, "estimator")
+                for token, kind in zip(self.estimators, kinds):
                     family = self.psi_family if kind is EstimatorKind.LSTAT_ADJUSTED else None
                     w_list = w_lists.get(token, (None,))
                     if isinstance(w_list, Mapping):

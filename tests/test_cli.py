@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from crexlab import BiasConvention, PsiFamily, rows_from_csv, sample_from_csv
 from crexlab.cli import _config_from_flags, build_parser, main
-from crexlab.simulation import PROTOCOL_DISTRIBUTIONS
+from crexlab.simulation import DEFAULT_SEED, PROTOCOL_DISTRIBUTIONS
 
 DATA = Path(__file__).parent / "data"
 
@@ -335,6 +335,29 @@ class TestEstimate:
         code, out, err = run(capsys, ["estimate", "--estimator", "vn", "--values", ","])
         assert (code, out, err) == (2, "", "crexlab: --values is empty\n")
 
+    @pytest.mark.parametrize("source", ["--input", "--values"])
+    @pytest.mark.parametrize("flag", ["--m", "--l", "--seed"])
+    def test_draw_flags_rejected_without_draw(self, capsys, tmp_path, source, flag):
+        # these were dropped without a word, and the estimate printed with exit 0
+        path = tmp_path / "sample.csv"
+        assert run(capsys, ["estimate", "--estimator", "rn", "--draw", "exp:rate=1",
+                            "--save", str(path)])[0] == 0
+        value = str(path) if source == "--input" else "1,2,3"
+        argv = ["estimate", "--estimator", "vn", source, value, flag, "3"]
+        assert run(capsys, argv) == (2, "", f"crexlab: {flag} cannot be used with {source}\n")
+
+    def test_every_unread_draw_flag_is_named(self, capsys):
+        argv = ["estimate", "--estimator", "vn", "--values", "1,2,3", "--m", "5", "--l", "9",
+                "--seed", "3"]
+        message = "--m, --l, --seed cannot be used with --values"
+        assert run(capsys, argv) == (2, "", f"crexlab: {message}\n")
+
+    def test_draw_defaults_to_m_2_l_2_and_the_default_seed(self, capsys):
+        default = run(capsys, ["estimate", "--estimator", "rn", "--draw", "exp:rate=1"])
+        argv = ["estimate", "--estimator", "rn", "--draw", "exp:rate=1", "--m", "2", "--l", "2",
+                "--seed", str(DEFAULT_SEED)]
+        assert default[0] == 0 and run(capsys, argv) == default
+
 
 class TestSimulate:
     BASE = [
@@ -430,6 +453,37 @@ class TestSimulate:
         code, _, err = run(capsys, ["simulate", "--config", str(path)])
         assert code == 2
         assert err.startswith("crexlab:")
+        # a per-m w list keyed by text that is not an integer
+        path.write_text(json.dumps({"distribution": "exp:rate=1", "w": {"rmn": {"x": [0]}}}))
+        code, out, err = run(capsys, ["simulate", "--config", str(path)])
+        assert (code, out) == (2, "") and err.startswith("crexlab: bad config:")
+
+    @pytest.mark.parametrize(
+        "source,message",
+        [
+            ({"estimators": ["rn"], "psi_family": "bogus", "w": {"lstat": [5]}},
+             "w_lists key 'lstat' is not one of the estimators"),
+            ({"estimators": ["rn", "lstat"], "psi_family": "exp"},
+             "psi_family 'exp' is set, but the grid has no lstat_adj cell"),
+            (["--estimators", "rn", "--psi-family", "exp", "--w-rmn", "0"],
+             "w_lists key 'rmn' is not one of the estimators"),
+            (["--estimators", "rn,lstat", "--psi-family", "exp"],
+             "psi_family 'exp' is set, but the grid has no lstat_adj cell"),
+            (["--estimators", "rn", "--w-lstat-adj", "0"],
+             "w_lists key 'lstat_adj' is not one of the estimators"),
+        ],
+        ids=["config-w", "config-psi", "dist-w-rmn", "dist-psi", "dist-w-lstat-adj"],
+    )
+    def test_fields_no_cell_reads_exit_2(self, capsys, tmp_path, source, message):
+        # each exited 0: no cell read the psi family or the w list
+        if isinstance(source, dict):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"distribution": "exp:rate=1", **source}))
+            argv = ["simulate", "--config", str(path)]
+        else:
+            argv = ["simulate", "--dist", "exp:rate=1", "--m", "2", "--l", "2", "--reps", "2",
+                    *source]
+        assert run(capsys, argv) == (2, "", f"crexlab: {message}\n")
 
     def test_missing_inputs_exit_2(self, capsys):
         code, _, _ = run(capsys, ["simulate"])

@@ -288,6 +288,9 @@ class TestInvariants:
             assert dist.survival(hi + 1.0) == 0.0
             assert dist.cdf(hi + 1.0) == 1.0
             assert dist.pdf(hi + 1.0) == 0.0
+            # from an age at or past the support end, S is 0 all the way
+            assert dist.survival_power_integral(2.0, lower=hi) == 0.0
+            assert dist.survival_power_integral(2.0, lower=hi + 1.0) == 0.0
 
 
 

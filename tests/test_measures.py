@@ -99,6 +99,8 @@ class TestCrex:
         assert closed.method is Method.CLOSED_FORM
         assert numeric.method is Method.QUADRATURE
         assert abs(closed.value - numeric.value) <= numeric.abs_error_bound + 1e-8
+        # a Method member names its route as its text does
+        assert crex(dist, Method.QUADRATURE) == numeric
 
     def test_value_must_be_nonpositive(self):
         with pytest.raises(ValueError):
@@ -146,6 +148,8 @@ class TestCumulativeExtropy:
     def test_exponential_diverges(self):
         with pytest.raises(DivergenceError):
             cumulative_extropy(Exponential(1.0))
+        with pytest.raises(DivergenceError, match="unbounded support"):
+            cumulative_extropy(Exponential(1.0), method="quadrature")
 
     def test_wide_uniform(self):
         d = Uniform(0.0, 2.0)

@@ -251,6 +251,8 @@ class TestCsvRoundTrip:
             "cycle,set_size,value\n1,1\n",
             "cycle,set_size,value\n0,1,0.5\n",
             "cycle,set_size,value\n1,-1,0.5\n",
+            "cycle,set_size,value\n1,1,nan\n",
+            "cycle,set_size,value\n1,1,-inf\n",
         ],
     )
     def test_malformed_inputs(self, text):

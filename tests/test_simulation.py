@@ -913,14 +913,16 @@ class TestRunGrid:
         # each shape's streams are keyed by the shape alone: a one-cell grid
         # gives the row that cell has in a grid of every estimator and shape
         w_lists = {"rmn": (-1, 0), "lstat_adj": (0, 1)}
-        common = dict(psi_family="beta", replications=30, base_seed=2**64 + 17)
+        common = dict(replications=30, base_seed=2**64 + 17)
         full = run_grid(SimulationConfig(
             "unif:a=1,b=4", m_values=(2, 3, 5), l_values=(1, 4),
-            estimators=("vn", "rn", "rmn", "lstat", "lstat_adj"), w_lists=w_lists, **common,
+            estimators=("vn", "rn", "rmn", "lstat", "lstat_adj"), w_lists=w_lists,
+            psi_family="beta", **common,
         ))
         alone = run_grid(SimulationConfig(
             "unif:a=1,b=4", m_values=(3,), l_values=(4,), estimators=(estimator,),
-            w_lists={k: v for k, v in w_lists.items() if k == estimator}, **common,
+            w_lists={k: v for k, v in w_lists.items() if k == estimator},
+            psi_family="beta" if estimator == "lstat_adj" else None, **common,
         ))
         assert full.ok and alone.ok and alone.rows
         rows = {(row.m, row.l, row.estimator, row.w): row for row in full.rows}
@@ -968,7 +970,6 @@ class TestRunGrid:
             l_values=(2,),
             estimators=("rn", "lstat"),
             replications=1,
-            psi_family="unif",
         )
         rows = run_grid(cfg).rows
         assert [r.w for r in rows] == [None, None]
@@ -1227,13 +1228,34 @@ class TestConfigValidation:
             ("w_lists", {"rmn": (0,), "lstat_adj": "01"},
              "w list of 'lstat_adj' must be a list, got '01'"),
             ("w_lists", {"rmn": {2: (0,), 7: 1}}, "w list of 'rmn' at m=7 must be a list, got 1"),
+            ("w_lists", {"rmn": {3: (0,)}}, "no w list for estimator 'rmn' at m=2"),
         ],
-        ids=["m", "l", "estimators", "w", "per-m-w", "w-of-estimator-not-run", "w-at-m-not-run"],
+        ids=["m", "l", "estimators", "w", "per-m-w", "w-of-estimator-not-run", "w-at-m-not-run",
+             "per-m-w-missing-m"],
     )
     def test_every_list_checked_on_construction(self, field, value, message):
         # an empty list gave a grid without its cells, down to none at all
         with pytest.raises(SpecParseError) as info:
             SimulationConfig(**{**self.VALID, field: value})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"estimators": ("rn",), "w_lists": {}, "psi_family": "bogus"},
+             "psi_family 'bogus' is set, but the grid has no lstat_adj cell"),
+            ({"w_lists": {"rmn": (0,)}, "psi_family": "beta"},
+             "psi_family 'beta' is set, but the grid has no lstat_adj cell"),
+            ({"estimators": ("rn",), "w_lists": {"bogus": (1,)}},
+             "w_lists key 'bogus' is not one of the estimators"),
+            ({"estimators": ("rn",)}, "w_lists key 'rmn' is not one of the estimators"),
+        ],
+        ids=["bogus-psi", "psi-without-lstat-adj", "bogus-w", "w-of-estimator-left-out"],
+    )
+    def test_fields_no_cell_reads_are_rejected(self, fields, message):
+        # each was accepted, and no cell of the grid read it
+        with pytest.raises(SpecParseError) as info:
+            SimulationConfig(**{**self.VALID, **fields})
         assert str(info.value) == message
 
     @pytest.mark.parametrize("w_lists", [[("rmn", (0,))], None, "rmn"])
