@@ -172,9 +172,10 @@ class SimulationConfig:
     one of ``estimators``, or a ``psi_family`` on a grid without
     ``lstat_adj``, would be read by no cell and raises SpecParseError.
     Every list, the m, l and estimator lists and each w list alike, must
-    be a nonempty list, not a string.  A config is frozen: its fields are checked and normalized
-    once, on construction, and :func:`run_grid` trusts them.  ``w_lists``
-    is kept as read-only mappings of tuples, copied from the caller's.
+    be a nonempty list, not a string.  A config is frozen: its fields are
+    checked and normalized once, on construction, and :func:`run_grid`
+    trusts them.  ``w_lists`` is kept as read-only mappings of tuples,
+    copied from the caller's.
     """
 
     distribution: Distribution | str
