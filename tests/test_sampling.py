@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from crexlab import (
     DomainError,
@@ -183,6 +184,39 @@ class TestDrawMinrssu:
             draw_minrssu(Uniform(0.0, 1.0), 0, 1, np.random.default_rng(0))
         with pytest.raises(DomainError):
             draw_minrssu(Uniform(0.0, 1.0), 1, 0, np.random.default_rng(0))
+
+
+class TestSetMinimaLaw:
+    """The law referee of the drawn set minima, whatever the draw route.
+
+    The set-i value of a cycle is the least of i draws, whose survival is
+    ``S**i``.  Seeds and bounds were fixed before the first run.
+    """
+
+    CYCLES = 20000
+
+    @pytest.mark.parametrize(
+        "law,seed",
+        [("exp:rate=1", 101), ("unif:a=2,b=3", 102), ("powerbeta:alpha=2", 103),
+         ("finite:a=2,b=3", 104)],
+    )
+    def test_each_set_follows_the_survival_power(self, law, seed):
+        # a KS test of each set's 20000 values against 1 - S**i; 20 tests at
+        # p > 1e-4 pass on a correct law with probability above 0.998
+        dist = parse_distribution(law)
+        sample = draw_minrssu(dist, 5, self.CYCLES, np.random.default_rng(seed))
+        for i in range(1, 6):
+            result = stats.kstest(sample.set_values(i), lambda x: 1.0 - dist.survival(x) ** i)
+            assert result.pvalue > 1e-4, (law, i, result)
+
+    def test_uniform_set_means_are_one_over_i_plus_1(self):
+        # the least of i Uniform(0, 1) draws has mean 1/(i+1) and variance
+        # i / ((i+1)**2 (i+2)); each set's mean lies within 4 standard errors
+        sample = draw_minrssu(Uniform(0.0, 1.0), 5, self.CYCLES, np.random.default_rng(105))
+        for i in range(1, 6):
+            se = math.sqrt(i / ((i + 1) ** 2 * (i + 2)) / self.CYCLES)
+            z = (sample.set_values(i).mean() - 1.0 / (i + 1)) / se
+            assert abs(z) < 4.0, (i, z)
 
 
 class TestPooledOrderStatistics:

@@ -753,6 +753,17 @@ class TestPhiloxWorkspace:
         )
         assert self._faults_per_pass(config) <= 50
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux getrusage")
+    def test_wide_srs_rows_do_not_fault_the_heap_in_again(self):
+        # the same shape with vn alone: with no MinRSSU temporaries beside
+        # them, chunks of 2**16 uniforms let glibc trim the heap top and
+        # fault it in again, about 1330 times per grid
+        config = (
+            "SimulationConfig('exp:rate=1', m_values=(5,), l_values=(1000,), "
+            "estimators=('vn',), replications=80, base_seed=3)"
+        )
+        assert self._faults_per_pass(config) <= 50
+
 
 class TestRunGrid:
     GRIDS = [
