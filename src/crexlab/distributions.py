@@ -136,6 +136,17 @@ class Distribution:
     def _quantile(self, u):
         raise NotImplementedError
 
+    def _log_survival_quantile(self, ell):
+        """The point ``x`` where ``log S(x) = ell``, for ``ell <= 0``: the draw kernel of set minima.
+
+        A set-i MinRSSU value is the least of i draws, whose survival is
+        ``S**i``: one draw of it is this kernel at ``log1p(-U) / i`` for a
+        uniform U in ``[0, 1)``.  Every family maps such an ``ell`` to a
+        finite point of its support, and ``-0.0``, the image of ``U = 0``,
+        to the support start, never to ``-0.0``.
+        """
+        raise NotImplementedError
+
     def _require_finite_draws(self):
         """Raise DomainError when ``_quantile`` overflows below 1, at construction.
 
@@ -337,6 +348,9 @@ class Exponential(Distribution):
     def _quantile(self, u):
         return -np.log1p(-u) / self.rate
 
+    def _log_survival_quantile(self, ell):
+        return ell / -self.rate
+
     def _spi_tail(self, p, t):
         return math.exp(-self.rate * p * t) / (self.rate * p)
 
@@ -383,6 +397,9 @@ class Uniform(Distribution):
     def _quantile(self, u):
         return self.a + u * (self.b - self.a)
 
+    def _log_survival_quantile(self, ell):
+        return self.a - np.expm1(ell) * (self.b - self.a)
+
     def _spi_tail(self, p, t):
         width = self.b - self.a
         frac = (self.b - t) / width
@@ -422,6 +439,12 @@ class FiniteRange(Distribution):
 
     def _quantile(self, u):
         return (1.0 - (1.0 - u) ** (1.0 / self.b)) / self.a
+
+    def _log_survival_quantile(self, ell):
+        # a shape b below about 2e-307 takes ell / b to -inf, where expm1 is
+        # -1: the support end, the limit of the law
+        with np.errstate(over="ignore"):
+            return -np.expm1(ell / self.b) / self.a
 
     def _spi_tail(self, p, t):
         q = p * self.b
@@ -463,6 +486,9 @@ class PowerBeta(Distribution):
 
     def _quantile(self, u):
         return u ** (1.0 / self.alpha)
+
+    def _log_survival_quantile(self, ell):
+        return (-np.expm1(ell)) ** (1.0 / self.alpha)
 
     def _spi_tail(self, p, t):
         # int_t^1 (1 - x^alpha)^p dx via the incomplete beta function;

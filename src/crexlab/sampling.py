@@ -2,22 +2,25 @@
 
 A MinRSSU dataset records, for each of ``l`` cycles and each set size
 ``i = 1..m``, the minimum of ``i`` fresh draws.  Ranking is exact
-(minima are taken on true values).  One cycle therefore consumes
-``m * (m + 1) / 2`` underlying draws, and the stream-consumption order is
-fixed so a seed fully determines the sample:
+(minima are taken on true values).  The least of ``i`` draws has
+survival ``S**i`` (David & Nagaraja, *Order Statistics*, 2003, 2.1), so
+each recorded value is drawn from that law by one uniform: a cycle
+consumes ``m`` uniforms, and the stream-consumption order is fixed so a
+seed fully determines the sample:
 
-    cycle-major, then set-ascending, then within-set draw order;
-    draw ``r`` of set ``i`` in cycle ``j`` sits at stream position
-    ``j * m(m+1)/2 + i(i-1)/2 + r``  (all zero-based).
+    cycle-major, then set-ascending; the value of set ``i`` in cycle
+    ``j`` reads stream position ``j * m + i - 1`` (``j`` zero-based).
 
 One transform turns drawn uniforms into a sample of either design, and
 :func:`draw_minrssu` and the simulation grid both draw through it:
-:func:`_draw_width` gives the uniforms one sample reads, and
-:func:`_draw_values` maps rows of them to rows of values.  An SRS sample
-of ``n`` values reads ``n`` uniforms, and each value is the family kernel
-``Distribution._quantile`` of its uniform.  A drawn uniform lies in
-``[0, 1)``, where every kernel is finite and maps 0 to the support
-start, so the uniforms reach the kernel unchecked.
+:func:`_draw_width` gives the uniforms one sample reads, ``m * l`` by
+either design, and :func:`_draw_values` maps rows of them to rows of
+values.  An SRS value is the family kernel ``Distribution._quantile`` of
+its uniform U, and a set-i value the kernel
+``Distribution._log_survival_quantile`` of ``log1p(-U) / i``, the point
+where ``log S**i = log(1 - U)``.  A drawn uniform lies in ``[0, 1)``,
+where every kernel is finite and maps 0 to the support start, so the
+uniforms reach the kernels unchecked.
 
 Samples round-trip through CSV with header ``cycle,set_size,value``
 (cycle and set_size are 1-based in the file).
@@ -52,7 +55,8 @@ class MinRssuSample:
     """An l-cycle unequal-minima dataset.
 
     ``values[j, i]`` is the recorded minimum for cycle ``j`` and set size
-    ``i + 1``; the total size is ``n = m * l``.
+    ``i + 1``, a value of law ``S**(i + 1)``; the total size is ``n = m *
+    l``.
     """
 
     m: int
@@ -88,53 +92,45 @@ def draw_srs(dist, n, rng):
 
 
 @functools.lru_cache(maxsize=64)
-def _set_index(m):
-    """``(m, m)`` gather index of a cycle's sets: ``idx[k, i] = start_i + min(k, i)``.
-
-    Row ``k`` holds draw ``k`` of every set, repeating a set's last draw
-    once the set has none left, so a minimum over the rows of a gather
-    is the minimum of each set.
-    """
-    sets = np.arange(m)
-    start = sets * (sets + 1) // 2
-    idx = start[None, :] + np.minimum(sets[:, None], sets[None, :])
-    idx.flags.writeable = False
-    return idx
+def _set_sizes(m, l):
+    """The read-only ``m * l`` set sizes of a MinRSSU row, ``1.0 .. m`` once per cycle."""
+    sizes = np.tile(np.arange(1.0, m + 1), l)
+    sizes.flags.writeable = False
+    return sizes
 
 
 def _draw_width(m, l, srs):
-    """The uniforms one sample of ``m * l`` values reads, by SRS or by MinRSSU."""
-    return m * l if srs else l * m * (m + 1) // 2
+    """The uniforms one sample of ``m * l`` values reads, by SRS and by MinRSSU alike."""
+    return m * l
 
 
 def _draw_values(dist, m, srs, u):
-    """The samples of the ``(rows, width)`` uniforms ``u``, one ``(rows, m * l)`` row each.
+    """The samples of the ``(rows, m * l)`` uniforms ``u``, one ``(rows, m * l)`` row each.
 
     Each row of ``u`` holds one sample's :func:`_draw_width` uniforms in
     stream order, and may be the head of a wider row (the grid kernel
-    passes such a view); each drawn uniform lies in ``[0, 1)``, where every
-    family's kernel ``dist._quantile`` is finite and maps 0 to the support
-    start.  An SRS row is the kernel of its uniforms.  A MinRSSU row holds
-    its cycles in order, each the minima of sets ``1..m``: the quantile
-    transform is monotone, so the minimum of each set is taken on the
-    uniforms and transformed once.  Every set minimum comes from one
-    gather of the stream positions through :func:`_set_index`, into
-    ``(m, m, cycles)``, and one reduction over its first axis; the kernel
-    then runs on the contiguous ``(m, cycles)`` minima.  The result is
-    C-contiguous: the estimators' row-wise BLAS dot sums a strided row in
-    another order.
+    passes such a view); each drawn uniform lies in ``[0, 1)``.  An SRS
+    row is the kernel ``dist._quantile`` of its uniforms.  A MinRSSU row
+    holds its cycles in order, each the values of sets ``1..m``: the
+    value of set i is ``dist._log_survival_quantile(log1p(-U) / i)`` of
+    its own uniform U, one draw from the law ``S**i`` of the least of i
+    draws.  Both kernels are finite on these uniforms and map 0 to the
+    support start.  The result is a new C-contiguous array in the row
+    order of ``u``: the estimators' row-wise BLAS dot sums a strided row
+    in another order.
     """
     if srs:
         return dist._quantile(u)
-    minima = u.reshape(-1, _draw_width(m, 1, srs=False)).T[_set_index(m)].min(axis=0)
-    return np.ascontiguousarray(dist._quantile(minima).T).reshape(len(u), -1)
+    ell = np.log1p(-u)
+    ell /= _set_sizes(m, u.shape[1] // m)
+    return dist._log_survival_quantile(ell)
 
 
 def draw_minrssu(dist, m, l, rng):
     """Draw an l-cycle unequal-minima sample of total size ``m * l``.
 
-    Consumes exactly ``l * m * (m + 1) / 2`` uniforms from ``rng`` in the
-    documented order; more than can be allocated raise DomainError.
+    Consumes exactly ``m * l`` uniforms from ``rng``, one per value, in
+    the documented order; more than can be allocated raise DomainError.
     """
     dist = as_distribution(dist)
     check_count(m, "m")

@@ -104,9 +104,13 @@ LSTAT_ADJ_W_GRID = {
     "beta": {m: (-3, -2, -1, 0) for m in (2, 3, 4, 5)},
 }
 # uniforms drawn per chunk of rows: bounds the working memory of a draw.
-# A whole large-sample MinRSSU shape, 80 rows of 15000 uniforms, would take
-# 9.6 MB; the chunk buffer each thread keeps takes 512 kB
-_CHUNK_UNIFORMS = 2**16
+# A whole large-sample shape, 80 rows of 5000 uniforms, would take 3.2 MB;
+# the chunk buffer each thread keeps takes 128 kB.  A chunk's temporaries
+# (its samples, and a MinRSSU draw's logarithms) are each at most that
+# size, under glibc's default mmap threshold of 128 kB: at 2**16 or 2**15
+# they made glibc trim the heap top and fault it in again on every grid,
+# more than 2000 minor faults per large-sample pass, and at 2**14 none
+_CHUNK_UNIFORMS = 2**14
 
 PROTOCOL_DISTRIBUTIONS = {
     "exp": "exp:rate=1",

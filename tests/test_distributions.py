@@ -590,8 +590,9 @@ class TestSpecStrings:
 class TestQuantileKernels:
     """The proof obligation of the grid, which checks no value it draws.
 
-    A drawn uniform lies in ``[0, 1 - 2**-53]``, and every family's
-    kernel ``_quantile`` maps it to a finite point of the support, which
+    A drawn uniform U lies in ``[0, 1 - 2**-53]``.  Every family's kernel
+    ``_quantile`` maps it, and ``_log_survival_quantile`` maps ``log1p(-U)
+    / i`` for every set size i, to a finite point of the support, which
     starts at 0 or above: every grid sample is finite and nonnegative, as
     the order-statistic estimators require.
     """
@@ -615,3 +616,11 @@ class TestQuantileKernels:
         assert lo >= 0.0
         assert np.isfinite(x).all()
         assert ((lo <= x) & (x <= hi)).all(), (law, u[(x < lo) | (x > hi)])
+        ell = np.log1p(-u)
+        for i in range(1, 31):
+            y = law._log_survival_quantile(ell / i)
+            assert np.isfinite(y).all(), (law, i, u[~np.isfinite(y)])
+            assert ((lo <= y) & (y <= hi)).all(), (law, i, u[(y < lo) | (y > hi)])
+            # a uniform of 0 is the support start, never -0.0
+            start = y[u == 0.0]
+            assert (start == lo).all() and not np.signbit(start).any(), (law, i)

@@ -227,8 +227,8 @@ class TestAllocationsSizedByInput:
                          "sample of 1152921504606846976 floats", id="sample-past-intp"),
             pytest.param(lambda: Exponential(1.0).sample(_rng(), 2**46),
                          "sample of 70368744177664 floats", id="sample"),
-            pytest.param(lambda: draw_minrssu("exp:rate=1", 100_000, 100_000, _rng()),
-                         "MinRSSU draw of 500005000000000 floats", id="draw_minrssu"),
+            pytest.param(lambda: draw_minrssu("exp:rate=1", 2**23, 2**23, _rng()),
+                         "MinRSSU draw of 70368744177664 floats", id="draw_minrssu"),
             pytest.param(lambda: simulation.run_cell("exp:rate=1", "rn", 2, 2, 10**15),
                          "estimate matrix of 1000000000000000 floats", id="estimate-matrix"),
             pytest.param(lambda: simulation.run_cell("exp:rate=1", "rn", 2, 2, 10**18),
@@ -262,8 +262,8 @@ class TestAllocationsSizedByInput:
             (["calibrate", "--dist-grid", "exp:rate=1", "--estimator", "rn", "--m", "2", "--l",
               "2", "--target-bias", "0", "--target-rmse", "1", "--reps", str(10**18)],
              2, "crexlab: estimate matrix of 10"),
-            (["estimate", "--estimator", "rn", "--draw", "exp:rate=1", "--m", "100000", "--l",
-              "100000"], 2, "crexlab: MinRSSU draw of 500005000000000 floats"),
+            (["estimate", "--estimator", "rn", "--draw", "exp:rate=1", "--m", str(2**23), "--l",
+              str(2**23)], 2, "crexlab: MinRSSU draw of 70368744177664 floats"),
             (["simulate", "--dist", "exp:rate=1", "--m", f"1,{2**45}", "--l", "1",
               "--estimators", "lstat", "--reps", "3"], 4, "cell failed: cell (distribution"),
         ],

@@ -101,41 +101,38 @@ class TestDrawMinrssu:
         assert s.n == 6
         assert s.values.shape == (2, 3)
 
-    def test_consumes_exactly_the_documented_draws(self):
-        # after drawing, the stream must sit exactly l*m(m+1)/2 uniforms in
+    def test_consumes_exactly_m_times_l_draws(self):
+        # after drawing, the stream must sit exactly m * l uniforms in
         rng = np.random.default_rng(6)
         draw_minrssu(Uniform(0.0, 1.0), 3, 2, rng)
         fresh = np.random.default_rng(6)
-        fresh.random(2 * 6)
+        fresh.random(3 * 2)
         assert rng.random() == fresh.random()
 
-    def test_draw_order_cycle_major_set_ascending(self):
-        # reconstruct by hand from the raw uniform stream
-        d = Uniform(0.0, 1.0)
-        m, l = 3, 2
-        s = draw_minrssu(d, m, l, np.random.default_rng(7))
-        u = np.random.default_rng(7).random(l * m * (m + 1) // 2).reshape(l, -1)
-        expected = np.empty((l, m))
-        for j in range(l):
-            pos = 0
-            for i in range(1, m + 1):
-                expected[j, i - 1] = d.quantile(np.min(u[j, pos : pos + i]))
-                pos += i
-        np.testing.assert_allclose(s.values, expected, rtol=0, atol=0)
-
+    @pytest.mark.parametrize(
+        "law", ["exp:rate=3.7", "unif:a=2,b=3", "finite:a=0.3,b=0.62", "powerbeta:alpha=0.1"]
+    )
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 30])
     @pytest.mark.parametrize("lead", [(1,), (6,), (1, 1), (3, 4), (2, 1)])
-    def test_set_minima_match_a_per_set_min(self, m, lead):
-        # lead is (rows,) or (rows, cycles per row); Uniform(0, 1) has
-        # quantile u exactly, so the values are the minima
-        u = np.random.default_rng(m).random(lead + (_draw_width(m, 1, srs=False),))
-        rows = _draw_values(Uniform(0.0, 1.0), m, False, u.reshape(lead[0], -1))
+    def test_set_values_are_the_kernel_of_their_own_uniform(self, law, m, lead):
+        # lead is (rows,) or (rows, cycles per row).  Cycle-major, then
+        # set-ascending: value i of cycle j reads uniform U = u[j * m + i]
+        # alone, and is the point where log S = log1p(-U) / (i + 1), bit
+        # for bit, each computed on its own
+        dist = parse_distribution(law)
+        u = np.random.default_rng(m).random(lead + (m,))
+        rows = _draw_values(dist, m, False, u.reshape(lead[0], -1))
         assert rows.shape == (lead[0], math.prod(lead[1:]) * m) and rows.flags.c_contiguous
         values = rows.reshape(lead + (m,))
         for cycle in np.ndindex(lead):
-            draws = u[cycle].tolist()
-            expected = [min(draws[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2]) for i in range(m)]
-            assert values[cycle].tolist() == expected
+            for i in range(m):
+                ell = np.log1p(-u[cycle][i : i + 1]) / (i + 1)
+                assert values[cycle][i].tobytes() == dist._log_survival_quantile(ell).tobytes()
+        sample = draw_minrssu(dist, m, 4, np.random.default_rng(m))
+        stream = np.random.default_rng(m).random(4 * m)
+        for j, i in np.ndindex(4, m):
+            ell = np.log1p(-stream[j * m + i : j * m + i + 1]) / (i + 1)
+            assert sample.values[j, i].tobytes() == dist._log_survival_quantile(ell).tobytes()
 
     @pytest.mark.parametrize("srs", [True, False], ids=["srs", "minrssu"])
     @pytest.mark.parametrize(

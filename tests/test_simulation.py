@@ -126,8 +126,8 @@ class TestRunCell:
             1,
             bias_convention=BiasConvention.ESTIMATE_MINUS_TRUTH,
         )
-        # one replication of l=2 cycles, three uniforms each
-        assert calls == [(1, 6)]
+        # one replication of l=2 cycles, two uniforms each
+        assert calls == [(1, 4)]
         assert row.bias == pytest.approx(0.25, abs=0.0)
         assert row.rmse == pytest.approx(0.25, abs=1e-15)
 
@@ -239,7 +239,7 @@ def _reference_estimate(spec, m, data):
 
 
 class TestBatchedKernel:
-    # at a budget of 2**10 or 2**14 uniforms per chunk each shape spans several chunks
+    # at each budget of uniforms per chunk each shape spans several chunks
     @pytest.mark.parametrize(
         "dist_text,m,l,reps",
         [
@@ -257,7 +257,7 @@ class TestBatchedKernel:
         spec = EstimatorSpec.parse(spec_text)
         seed, vn = 31, spec_text == "vn"
         digest = _shape_digest(dist.spec_string(), vn, m, l)
-        width = m * l if vn else l * m * (m + 1) // 2
+        width = m * l
         loop = np.empty(reps)
         for r in range(reps):
             rng = _replication(seed, digest, r, width)
@@ -265,9 +265,9 @@ class TestBatchedKernel:
             loop[r] = _reference_estimate(spec, m, data)
             if r % 97 == 0:
                 assert estimate(spec, data) == loop[r]
-        for budget in (2**10, 2**14, _CHUNK_UNIFORMS):
+        for budget in (2**10, 2**12, _CHUNK_UNIFORMS):
             monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", budget)
-            assert reps * width > budget or budget == _CHUNK_UNIFORMS
+            assert reps * width > budget
             estimates = _kernel_estimates(monkeypatch, dist, [(spec, m, l)], reps, seed)
             assert estimates[0].tobytes() == loop.tobytes()
             row = run_cell(dist, spec, m, l, reps, base_seed=seed)
@@ -337,7 +337,7 @@ class TestBatchedKernel:
             ]
             assert rows_to_csv(grids[0].rows) == rows_to_csv(grids[1].rows)
 
-    @pytest.mark.parametrize("budget", [2**10, 2**14, _CHUNK_UNIFORMS])
+    @pytest.mark.parametrize("budget", [2**10, 2**12, _CHUNK_UNIFORMS])
     def test_rows_do_not_depend_on_the_replication_count(self, budget, monkeypatch):
         # row r reads its own counter blocks alone: a shorter run at any
         # chunk budget gives the first rows of a longer one, bit for bit
@@ -429,7 +429,7 @@ class TestBatchedKernel:
             w_lists={"rmn": (0, 1), "lstat_adj": (0, 1)}, psi_family="beta",
             replications=37, base_seed=5,
         )
-        monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", 2**10)
+        monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", 2**8)
         draws = []
 
         def recorded(k0, start, stop, width):
@@ -439,7 +439,7 @@ class TestBatchedKernel:
         monkeypatch.setattr(simulation, "_reset_uniforms", recorded)
         run_grid(cfg)
         shapes = {
-            _stream_key(5, _shape_digest("exp:rate=1", vn, m, l)): m * l if vn else l * m * (m + 1) // 2
+            _stream_key(5, _shape_digest("exp:rate=1", vn, m, l)): m * l
             for m in (2, 5) for l in (1, 3, 12) for vn in (False, True)
         }
         rows = {}
@@ -550,14 +550,14 @@ class TestBatchedKernel:
             return _reset_uniforms(k0, start, stop, width)
 
         monkeypatch.setattr(simulation, "_reset_uniforms", recorded)
-        for budget in (2**7, 2**12):
+        for budget in (2**5, 2**10):
             monkeypatch.setattr(simulation, "_CHUNK_UNIFORMS", budget)
             chunks.clear()
             assert rows_to_csv(run_grid(cfg).rows) == expected
             sizes = {size for shape in chunks.values() for _, size in shape}
             assert any(len(shape) > 1 for shape in chunks.values())
-            # the widest rows, of 180 uniforms, are one row per chunk only at 2**7
-            assert len(sizes) > 2 and (1 in sizes) == (budget < 180)
+            # the widest rows, of 60 uniforms, are one row per chunk only at 2**5
+            assert len(sizes) > 2 and (1 in sizes) == (budget < 60)
             for shape in chunks.values():
                 assert [start for start, _ in shape] == list(
                     np.cumsum([0] + [size for _, size in shape[:-1]])
