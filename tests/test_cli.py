@@ -499,9 +499,9 @@ class TestSimulate:
         assert code == 0
         assert out.splitlines()[1:] == [
             "exp,rate=1,lstat_adj:family=exp,2,2,0,3,1,-0.25,"
-            "-0.44785105609437276,0.4540758347926192,0.052982522107620625",
+            "-0.5870635192604079,0.6215517122649185,0.14436577740766093",
             "exp,rate=1,lstat_adj:family=exp,2,2,1,3,1,-0.25,"
-            "-0.2623801652333807,0.2642618504106551,0.022259542611734844",
+            "-0.3290319346497367,0.3330321084763383,0.036389361473148946",
         ]
 
     @pytest.mark.parametrize(

@@ -2,9 +2,10 @@
 
 Each entry is the sha256 of a grid's results CSV followed by a zero byte
 and its failure list, one ``<error type>: <message>`` line per failed
-cell.  The hashes were taken under stream contract 3, where replication
+cell.  The hashes were taken under stream contract 4, where replication
 ``r`` of every cell of one draw shape reads the Philox stream keyed
-``(k0, 0)`` from counter block ``r * ceil(width / 4)``.  They pin that
+``(k0, 0)`` from counter block ``r * ceil(width / 4)``, and a sample of
+``m * l`` values of either design reads ``width = m * l`` uniforms.  They pin that
 every stream, estimate and failure of these grids is unchanged by kernel
 rewrites.  A change that is meant to change these streams must say why
 and rewrite the corpus: ``PYTHONPATH=src python tests/test_corpus.py``
@@ -21,45 +22,45 @@ from crexlab.simulation import SimulationConfig
 
 # (family, base seed, replications) -> sha256 of the protocol grid
 PROTOCOL = {
-    ("exp", 1, 20): "73860f49f700f1ac1c6a2d1956c6bd91cc4eafba4b995edf67aeac4122952e99",
-    ("exp", 1, 7): "f249244c7e0b9176629f98da56fbd20c739bdc89c3937e784ace63ed5b7352c9",
-    ("exp", 1, 1): "0c1e80871bbe6728ea71e1294baf93ea35a7df43789a5f3e3c8c5ff615d43404",
-    ("exp", 2**40 + 3, 20): "d390240db541ee7de0c2403e4cfbdf3beace6d1416711cbb190a7d65b3dde848",
-    ("exp", 2**40 + 3, 7): "186c684e781488cd9e0797194ea86cf15b59b22bdca1a78dfd3c1b23991f8da9",
-    ("exp", 2**40 + 3, 1): "eb53c2fa9a2ab807476c221e2ed6e779e88131151d19b0bee9d71086c35ce148",
-    ("exp", 99, 20): "3cb86ed3232a97e390cb77137c5fa2318d02818649100ec6177a4b78969d3d01",
-    ("exp", 99, 7): "6cb092a3b1f8457ccfdf0dbbbf3c4d5c45ded0cf17860555bffa7e418d45a588",
-    ("exp", 99, 1): "32cc55cee56296f24d8bd03ca1517262ba28dc026e265a514c31a57d963849c2",
-    ("unif", 1, 20): "8254d9db67363f7d14f9d87641111a12e0c71db7ac4f216f460fb65489bd65e1",
-    ("unif", 1, 7): "11ea8ce9db622fca2a6650a929ab289208b21f965dbd144a65c2115b12c2e9d6",
-    ("unif", 1, 1): "7160ca38535f66d6a978848776d97739369b08e76334f1b2d856dc203340e113",
-    ("unif", 2**40 + 3, 20): "5454873f4f6a8248f278647fc21849e80ac2d562033a60b68d8fb0220c5db2b3",
-    ("unif", 2**40 + 3, 7): "46e1bcec22db057bdf4197599a7202eb5983e65ecc7eefe8d0c5b7c78e5c4868",
-    ("unif", 2**40 + 3, 1): "61e620b7e69422507d18549a61ef1f75e72caa35c6eb9289719387710637affa",
-    ("unif", 99, 20): "885662d00ec1217707c80affa47723d41f9edaaf63172207fa2edea09fbe0109",
-    ("unif", 99, 7): "688249f8dae2f0719fd6d9162a2ad26b4d54d86cec8d3b76e14dbe8bf44e5692",
-    ("unif", 99, 1): "8700f8f9785e1030e12347aacba7feec4a9d853285a76be6e2e90dbd22432081",
-    ("beta", 1, 20): "adc46dd7247410aaca3cae901597caaed90ab5c3afdd1304cd8e88d13ad7f98e",
-    ("beta", 1, 7): "ff5ca2bc267f43002867bfe4084fbea18bbd567c2f5a21d6b7e6efd0a5425de3",
-    ("beta", 1, 1): "c1cbf3205b42152ada489e5c394260329b725bbef3ef42a8afde4719b134a7a3",
-    ("beta", 2**40 + 3, 20): "7c8f3dd2d608a1dad0ac0b19e411af07c5eee3ff209aab1b9e56b1bf2b5697e3",
-    ("beta", 2**40 + 3, 7): "c0ffa3f415c507ddabe577b268b655862e2c8d01ac5d20ff1009caead2dade59",
-    ("beta", 2**40 + 3, 1): "75e513bd01dbd1bd08712e8e203484c01b9a89723190bce4cb8c751a3dd741a7",
-    ("beta", 99, 20): "ec46ffdcee5f671bd3d082df2245d00b8ad27e8a71c2fa5b5391d6510a587e5e",
-    ("beta", 99, 7): "0cc72ef431938e25920b9b1669eafd345329e3891c3e055e9f6884cbb6412686",
-    ("beta", 99, 1): "58ace2b148b4f92e69c81d899fb897279a894c89b5895ffa7f92bb9b29f2a36b",
-    # the paper's 5000 replications: MinRSSU rows of 30 and 45 uniforms
-    # span 3 and 4 chunks, which no grid above reaches
-    ("exp", 1, 5000): "7e5ab192d67372647a677f3515c03f75cea1a6eb76ce1c46468fde200498a2d2",
-    ("unif", 1, 5000): "22283f60fc67906f48974715314e35558287cc79c57ff2ee9b9f8c24b3608484",
-    ("beta", 1, 5000): "94a0ddf22cbce76d6727520868f40e011e7825d8118f0f8bb0bf374f89147707",
+    ("exp", 1, 20): "0a8e38b1286861973ece8477edca5a9cb3aa92ce6b5b41e29956a7736377f471",
+    ("exp", 1, 7): "12ad3ed4fb73fc4b47d919bf00816419fbfbbc9ed819d44ef212954d84c3db66",
+    ("exp", 1, 1): "4e082bcbbeb1a0aec7538aa8937b18a05be861f3311e85da797fe4a7265c10e5",
+    ("exp", 2**40 + 3, 20): "b7066e0beb990bf9bdca4171b635b6f9f3058b0574121e458686f2c1fc7b6fe7",
+    ("exp", 2**40 + 3, 7): "e29d63ba43d694e8b5e2c2b0108ffdd60e584d88a61190afd13302396e7f0a6c",
+    ("exp", 2**40 + 3, 1): "e35098163cf12c80b9284eb1ff9c40c47096c0e022317151e588a4a80ac21863",
+    ("exp", 99, 20): "e0cef206a2c9cfa651d25d3cd2f93293798935b4610eb2c84aba41c4fd0da094",
+    ("exp", 99, 7): "028327e017115df861b455a79944a980eb66a74955de8482955c5fcb273150c7",
+    ("exp", 99, 1): "8f2115911c5f0a96efb75623fa218769d21794a8eabc26cfb6ddab6d9a7e5459",
+    ("unif", 1, 20): "0fe30f5adbd15e82821b6840dcd08db936599753595466a333f58191ef614dc6",
+    ("unif", 1, 7): "60a1a1365295bf46ea952dd286f3995a620c9ee5f261d21284e1f3f6eb7a5f90",
+    ("unif", 1, 1): "eecc26f9f213de588e138219e10ac5f0bdf6dbef698769c95f98e8255d8fd8ae",
+    ("unif", 2**40 + 3, 20): "77b2735f17051bda7223a0f56d9eba4d9f90461c823c393d6afe2b316f4aaf37",
+    ("unif", 2**40 + 3, 7): "eb29f6db13a51df32684048c036d901985c5c22cb2b2752c4725369fb4f0f25c",
+    ("unif", 2**40 + 3, 1): "81b771a59e0dbb6756fa0e2b234ddfe56ce5beff3ba71a879f0e68799e72ca76",
+    ("unif", 99, 20): "69efd6bd423f78f2b0885d64455610caa8536067aba391cb07409f74e577cdb3",
+    ("unif", 99, 7): "97b1d7f154b2f45c8231bf76d70abd46bc9b25a8935a01e9585e0c7a7dfe41a2",
+    ("unif", 99, 1): "80b51c3629d1673da984e9fae9f3b5d733f0d8128dfe5ceb5f908c69cde47bef",
+    ("beta", 1, 20): "8b4a25653027a548446cb50a27e05f79821dccfa888867a08352c421595a5b11",
+    ("beta", 1, 7): "c99da5a9bf175df9b94d34fac9c062c21c32ab11a66c5e9ed17840a29dca7c70",
+    ("beta", 1, 1): "d6ead4d215b163d656a076588149357b10ead0de21e56a90541dfa0724e00f71",
+    ("beta", 2**40 + 3, 20): "3293f5c00973089e2d5cbd25e356cc9293df2122bf6cee3a762327c448cd377f",
+    ("beta", 2**40 + 3, 7): "c9de3e76340f4d1cde5ee06d7f01bef29bc2375034f26cc3ba0daf5b3736d37a",
+    ("beta", 2**40 + 3, 1): "efe3511f730a0c3131f37c16bd378df1f22ae6488d8f95826e3cd0fd6a405fb9",
+    ("beta", 99, 20): "e035d2104076c72a9e11ffa756a940fd07528acd86f9ece4c06d1733c1c3dfc1",
+    ("beta", 99, 7): "ea936fa08c212b7d8b3a83171ca1f44b9d2f52c7709e156c0763131ad3fb8cad",
+    ("beta", 99, 1): "5f3e21e2232d745d1ec6034bcfe090dbb3cff54db994f71574431395768da5a2",
+    # the paper's 5000 replications: MinRSSU rows of 10 and 15 uniforms
+    # span 4 and 5 chunks, which no grid above reaches
+    ("exp", 1, 5000): "1570b01a70f1f54fa8d7f8e1a46ee816ad21eb3b0e33e1176adb0bfd7ada972d",
+    ("unif", 1, 5000): "23b6da16cada21df0f123f91f4feadb88775380190534020d89ea091105a362d",
+    ("beta", 1, 5000): "301476ea228b5956351e5c9c2276a2c03a5b23fb347ce1346b418adb7d67b578",
 }
 
 # mixed grids of all five estimators: vn and MinRSSU shapes, m = 1 and
-# l = 1, rows of 1 to 195 uniforms
+# l = 1, rows of 1 to 65 uniforms
 MIXED = {
-    "exp:rate=1": "fff0b16b3c51c76d9ccca84b045421e44773c4bf0bd0f6bbaeb200a11311a2e7",
-    "unif:a=2,b=3": "e41b3235515163c32d399d36ddd91814d5a555e41bfabb5ab99fbd896af04613",
+    "exp:rate=1": "dcc6aeddbbcae0ab1ed7bdf285435f385331746323d6a1432f9d320120e960e8",
+    "unif:a=2,b=3": "7e23b503090a29b98956a8791589b1158b72c415357bfb1f7c22db9a63933414",
 }
 PSI_FAMILY = {"exp:rate=1": "exp", "unif:a=2,b=3": "unif"}
 
