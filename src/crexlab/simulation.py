@@ -4,16 +4,17 @@ Each grid cell is one (distribution, m, l, estimator, w) coordinate, and
 each draws one of a few sample shapes: ``n = m * l`` values of a plain
 SRS sample for ``vn``, or an unequal-minima (MinRSSU) sample for the
 spacing and order-statistic estimators.  A shape's samples read one
-counter-based stream, numpy's Philox with the key ``(k0, 0)``.  ``k0``
-is a 64-bit blake2b digest of the base seed and the shape digest, which
+counter-based stream, numpy's Philox with the key ``(k0, 0)``.  ``k0`` is
+a 64-bit blake2b digest of the base seed and the shape digest, which
 hashes the law's text, ``srs`` or ``minrssu``, m and l.  A sample of
-``width`` uniforms spans ``blocks = ceil(width / 4)`` counter blocks of
-four 64-bit words, one double each, and replication ``r`` reads the
-``width`` uniforms that start at counter block ``r * blocks``; the rest
-of its last block is left unread.  Every cell of a shape reads the same
-sample in each replication, so estimators are compared on common random
-numbers; results are bit-identical across reruns and execution order,
-and :func:`replication_rng` rebuilds any one replication's stream.
+either design reads ``width = m * l`` uniforms, one per value; it spans
+``blocks = ceil(width / 4)`` counter blocks of four 64-bit words, one
+double each, and replication ``r`` reads the ``width`` uniforms that
+start at counter block ``r * blocks``; the rest of its last block is
+left unread.  Every cell of a shape reads the same sample in each
+replication, so estimators are compared on common random numbers;
+results are bit-identical across reruns and execution order, and
+:func:`replication_rng` rebuilds any one replication's stream.
 
 A grid's kernel is one chunk loop over one estimate matrix, one row per
 cell that draws; the cells are bucketed by shape and by estimator kind,
@@ -25,19 +26,22 @@ their first ``width`` uniforms.  A chunk goes through the one draw
 transform of :mod:`crexlab.sampling` and is sorted once, and each kind
 writes its cells' rows of the matrix by one broadcast ``np.vecdot`` of
 its weight rows against the shared sorted rows.  The kernel checks no
-value it draws: a drawn uniform lies in ``[0, 1)``, every family's
-quantile kernel maps that into its support, and every support starts at
-0 or above, so each sample is finite and nonnegative, as the
-order-statistic estimators require.  A draw's uniforms live
-in a workspace each thread keeps from draw to draw, valid until the
-thread's next draw, and one chunk's samples are freed before the next
-chunk is drawn: buffers allocated and freed by every draw, or a chunk's
-samples kept alive across the next draw, let glibc hand the top of the
-heap back to the system and fault it in again on every grid.  One set of
-reductions along the replications summarizes the matrix against a true
-value computed once; :func:`run_cell` then applies the bias convention
-to each cell's summary, and fails a cell whose bias, RMSE or Monte Carlo
-SE is not finite.
+value it draws: a drawn uniform lies in ``[0, 1)``, every family's draw
+kernels map that into its support, and every support starts at 0 or
+above, so each sample is finite and nonnegative, as the order-statistic
+estimators require.  A draw's uniforms live in a workspace each thread
+keeps from draw to draw, valid until the thread's next draw, and one
+chunk's samples are freed before the next chunk is drawn: buffers
+allocated and freed by every draw, or a chunk's samples kept alive
+across the next draw, let glibc hand the top of the heap back to the
+system and fault it in again on every grid.  The chunk budget of 2**14
+uniforms keeps the workspace at 128 kB and each of a chunk's temporaries
+under glibc's default mmap threshold of 128 kB; larger chunks brought
+the same faults back on the large-sample shape.  One set of reductions
+along the replications summarizes the matrix against a true value
+computed once; :func:`run_cell` then applies the bias convention to each
+cell's summary, and fails a cell whose bias, RMSE or Monte Carlo SE is
+not finite.
 
 Reported cells use the configured bias convention (default: truth minus
 mean estimate); RMSE and |bias| do not depend on the convention.  Squared
