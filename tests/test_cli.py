@@ -390,6 +390,14 @@ class TestSimulate:
         assert code == 0
         assert "rmn" in out
 
+    def test_reprint_of_the_exp_golden_is_pinned(self, capsys):
+        # rows_from_csv -> SimulationRow -> summary table; the CI golden
+        # step compares the entry point's output with the same file
+        golden = DATA / "protocol_exp_r20_s1.csv"
+        code, out, _ = run(capsys, ["simulate", "--input", str(golden)])
+        assert code == 0
+        assert out == (DATA / "reprint_exp_r20_s1.txt").read_text()
+
     def test_single_rep_smoke(self, capsys):
         import time
 
