@@ -208,7 +208,7 @@ def row_estimator(spec, m, n):
             raise SizeError(f"order-statistic estimator needs n >= 1, got n={n}")
         denom = n
         if kind is EstimatorKind.LSTAT_ADJUSTED:
-            offset = psi(spec.psi_family, m, spec.w)
+            offset = _psi(spec.psi_family, m, spec.w)
             denom = n + offset
             if denom <= 0:
                 raise ParameterError(
@@ -348,9 +348,20 @@ def psi(family, m, w):
     beta:        ``m - w``
 
     ``m`` is a count and ``w`` an integer; anything else raises DomainError.
+    This is the checked boundary; :func:`_psi` is its kernel.
     """
     family = enum_member(PsiFamily, family, "psi family")
-    m, w = check_count(m, "design size"), check_integer(w, "w")
+    return _psi(family, check_count(m, "design size"), check_integer(w, "w"))
+
+
+def _psi(family, m, w):
+    """:func:`psi` of a PsiFamily ``family``, a count ``m`` and an int ``w``, unchecked.
+
+    The kernel that :func:`row_estimator` calls: an EstimatorSpec checked
+    its family and w, and a config or a sample checked its m.  An
+    exponential or uniform family outside m = 2..5, a value and not a
+    type fault, still raises DomainError.
+    """
     if family is PsiFamily.BETA:
         return m - w
     if m not in _K_EXPONENTIAL:

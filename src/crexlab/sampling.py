@@ -12,10 +12,9 @@ seed fully determines the sample:
     ``j`` reads stream position ``j * m + i - 1`` (``j`` zero-based).
 
 One transform turns drawn uniforms into a sample of either design, and
-:func:`draw_minrssu` and the simulation grid both draw through it:
-:func:`_draw_width` gives the uniforms one sample reads, ``m * l`` by
-either design, and :func:`_draw_values` maps rows of them to rows of
-values.  An SRS value is the family kernel ``Distribution._quantile`` of
+:func:`draw_minrssu` and the simulation grid both draw through it: one
+sample of either design reads ``m * l`` uniforms, one per value, and
+:func:`_draw_values` maps rows of them to rows of values.  An SRS value is the family kernel ``Distribution._quantile`` of
 its uniform U, and a set-i value the kernel
 ``Distribution._log_survival_quantile`` of ``log1p(-U) / i``, the point
 where ``log S**i = log(1 - U)``.  A drawn uniform lies in ``[0, 1)``,
@@ -56,7 +55,8 @@ class MinRssuSample:
 
     ``values[j, i]`` is the recorded minimum for cycle ``j`` and set size
     ``i + 1``, a value of law ``S**(i + 1)``; the total size is ``n = m *
-    l``.
+    l``.  ``m`` and ``l`` are kept as ints, a numpy integer's included, so
+    the estimators take ``m`` unchecked.
     """
 
     m: int
@@ -64,8 +64,8 @@ class MinRssuSample:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        check_count(self.m, "m")
-        check_count(self.l, "l")
+        object.__setattr__(self, "m", check_count(self.m, "m"))
+        object.__setattr__(self, "l", check_count(self.l, "l"))
         arr = check_array(self.values, "sample values")
         if arr.shape != (self.l, self.m):
             raise DomainError(
@@ -99,17 +99,12 @@ def _set_sizes(m, l):
     return sizes
 
 
-def _draw_width(m, l, srs):
-    """The uniforms one sample of ``m * l`` values reads, by SRS and by MinRSSU alike."""
-    return m * l
-
-
 def _draw_values(dist, m, srs, u):
     """The samples of the ``(rows, m * l)`` uniforms ``u``, one ``(rows, m * l)`` row each.
 
-    Each row of ``u`` holds one sample's :func:`_draw_width` uniforms in
-    stream order, and may be the head of a wider row (the grid kernel
-    passes such a view); each drawn uniform lies in ``[0, 1)``.  An SRS
+    Each row of ``u`` holds one sample's ``m * l`` uniforms in stream
+    order, and may be the head of a wider row (the grid kernel passes
+    such a view); each drawn uniform lies in ``[0, 1)``.  An SRS
     row is the kernel ``dist._quantile`` of its uniforms.  A MinRSSU row
     holds its cycles in order, each the values of sets ``1..m``: the
     value of set i is ``dist._log_survival_quantile(log1p(-U) / i)`` of
@@ -136,7 +131,7 @@ def draw_minrssu(dist, m, l, rng):
     check_count(m, "m")
     check_count(l, "l")
     check_generator(rng)
-    width = _draw_width(m, l, srs=False)
+    width = m * l
     with allocating(width, "MinRSSU draw"):
         values = _draw_values(dist, m, srs=False, u=rng.random((1, width)))
         return MinRssuSample(m=m, l=l, values=values.reshape(l, m))

@@ -47,8 +47,8 @@ Reported cells use the configured bias convention (default: truth minus
 mean estimate); RMSE and |bias| do not depend on the convention.  Squared
 deviations are accumulated in extended precision.
 
-Rows serialize to CSV under a header of the :class:`SimulationRow` field
-names, in order::
+Rows are :class:`SimulationRow` named tuples, and serialize to CSV under
+a header of their field names, in order::
 
     distribution,params,estimator,m,l,w,reps,seed,true_value,bias,rmse,mc_se
 """
@@ -61,8 +61,9 @@ import hashlib
 import math
 import os
 import threading
+import typing
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -80,7 +81,7 @@ from .estimators import (  # noqa: F401
     row_weights,
 )
 from .measures import crex
-from .sampling import _draw_values, _draw_width, draw_minrssu  # noqa: F401
+from .sampling import _draw_values, draw_minrssu  # noqa: F401
 
 __all__ = [
     "BiasConvention",
@@ -128,9 +129,12 @@ class BiasConvention(enum.Enum):
     ESTIMATE_MINUS_TRUTH = "estimate-minus-truth"
 
 
-@dataclass(frozen=True)
-class SimulationRow:
-    """One completed grid cell."""
+class SimulationRow(typing.NamedTuple):
+    """One completed grid cell: an immutable, hashable tuple of its CSV columns.
+
+    Fields are read by name or by position; ``_replace`` gives a changed
+    copy.  As a tuple, a row equals the plain tuple of its values.
+    """
 
     distribution: str
     params: str
@@ -146,10 +150,12 @@ class SimulationRow:
     mc_se: float
 
 
-# the results CSV has one column per SimulationRow field, read back by its annotation
-CSV_HEADER = tuple(f.name for f in fields(SimulationRow))
-_FROM_TEXT = {"str": str, "int": int, "float": float, "int | None": lambda t: int(t) if t else None}
-_FIELD_READERS = tuple(_FROM_TEXT[f.type] for f in fields(SimulationRow))
+# the results CSV has one column per SimulationRow field, read back by its
+# type; get_type_hints resolves the annotations, which NamedTuple keeps as
+# forward references under postponed evaluation
+CSV_HEADER = SimulationRow._fields
+_FROM_TEXT = {str: str, int: int, float: float, int | None: lambda t: int(t) if t else None}
+_FIELD_READERS = tuple(_FROM_TEXT[t] for t in typing.get_type_hints(SimulationRow).values())
 
 
 def _sequence(value, label):
@@ -418,7 +424,7 @@ def _grid_outcomes(dist, cells, replications, base_seed):
     errors, spec_text = {}, dist.spec_string()
     for (m, l, vn), kinds in shapes.items():
         k0 = _stream_key(base_seed, _shape_digest(spec_text, vn, m, l))
-        width = _draw_width(m, l, vn)
+        width = m * l
         step = max(1, _CHUNK_UNIFORMS // (4 * _blocks(width)))
         try:
             weights = {spacing: row_weights(spacing, m * l, denoms)
@@ -465,7 +471,10 @@ def run_cell(
     entry of the grid kernel: its true value, mean estimate, RMSE and
     Monte Carlo SE, or its error.  The arguments then come from a frozen
     :class:`SimulationConfig`, which has checked them, so they are
-    parsed and checked only when ``run_cell`` runs its own cell.
+    parsed and checked only when ``run_cell`` runs its own cell; the grid
+    passes them by position, and the row is built by position.  The grid
+    calls ``run_cell`` once per cell, through this module's binding, so
+    that a tracer that wraps it sees every cell.
     """
     if _summary is None:
         dist, estimator = as_distribution(dist), EstimatorSpec.coerce(estimator)
@@ -484,18 +493,8 @@ def run_cell(
     if not (math.isfinite(bias) and math.isfinite(rmse) and math.isfinite(mc_se)):
         raise DivergenceError(f"cell summary overflows: bias={bias}, rmse={rmse}, mc_se={mc_se}")
     return SimulationRow(
-        distribution=dist.family,
-        params=dist.param_text(),
-        estimator=estimator.text(with_w=False),
-        m=m,
-        l=l,
-        w=estimator.w,
-        reps=replications,
-        seed=base_seed,
-        true_value=true_value,
-        bias=bias,
-        rmse=rmse,
-        mc_se=mc_se,
+        dist.family, dist.param_text(), estimator.text(False), m, l, estimator.w,
+        replications, base_seed, true_value, bias, rmse, mc_se,
     )
 
 
@@ -514,30 +513,20 @@ def run_grid(config, workers=None):
     Rows come back in deterministic (m, l, estimator, w) order.  Failed
     cells are collected as :class:`~crexlab.errors.CellError` and do not
     stop the rest.  The grid kernel draws and estimates every cell first;
-    then :func:`run_cell` summarizes each cell in that order.  Cells run
-    in this one thread: ``workers`` and the ``CREXLAB_THREADS``
+    then :func:`run_cell` summarizes each cell in that order, called by
+    position once per cell with the settings read once per grid.  Cells
+    run in this one thread: ``workers`` and the ``CREXLAB_THREADS``
     environment variable are accepted for compatibility and change
     nothing (a non-integer ``CREXLAB_THREADS`` is still a SpecParseError).
     """
     _check_threads_env()
-    dist = config.distribution
-    cells = config._cells
-    outcomes = _grid_outcomes(dist, cells, config.replications, config.base_seed)
+    dist, cells = config.distribution, config._cells
+    reps, seed, convention = config.replications, config.base_seed, config.bias_convention
+    outcomes = _grid_outcomes(dist, cells, reps, seed)
     rows, failures = [], []
     for (spec, m, l), outcome in zip(cells, outcomes):
         try:
-            rows.append(
-                run_cell(
-                    dist,
-                    spec,
-                    m,
-                    l,
-                    config.replications,
-                    base_seed=config.base_seed,
-                    bias_convention=config.bias_convention,
-                    _summary=outcome,
-                )
-            )
+            rows.append(run_cell(dist, spec, m, l, reps, seed, convention, _summary=outcome))
         except CrexlabError as exc:
             coords = {"distribution": dist.spec_string(), "estimator": spec.text(), "m": m, "l": l}
             failures.append(CellError(coords, exc))
@@ -546,9 +535,8 @@ def run_grid(config, workers=None):
 
 def rows_to_csv(rows, file=None):
     """Serialize rows under the fixed schema; returns text if file is None."""
-    # csv writes None as an empty field and a float by its repr
-    lines = ([getattr(row, name) for name in CSV_HEADER] for row in rows)
-    return write_csv(CSV_HEADER, lines, file)
+    # each row is its own CSV line: csv writes None as an empty field and a float by its repr
+    return write_csv(CSV_HEADER, rows, file)
 
 
 def rows_from_csv(file):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from crexlab import (
+    CellError,
     DivergenceError,
     DomainError,
     EmpiricalSurvival,
@@ -18,6 +19,7 @@ from crexlab import (
     ParameterError,
     PowerBeta,
     PsiFamily,
+    SimulationConfig,
     SizeError,
     SpecParseError,
     Uniform,
@@ -33,10 +35,12 @@ from crexlab import (
     rmn,
     rn,
     run_cell,
+    run_grid,
     vn,
 )
 from crexlab._quadrature import double_quad_kinked, truncation_point
-from crexlab.estimators import estimate, row_estimates, row_estimator, row_weights
+from crexlab.estimators import _psi, estimate, row_estimates, row_estimator, row_weights
+from crexlab.simulation import LSTAT_ADJ_W_GRID
 
 # exact rationals for the limit variances, derived by hand via the
 # substitution u = S(x) and polynomial integration; the quadrature
@@ -233,6 +237,38 @@ class TestPsi:
         assert psi(family, np.int64(3), np.int32(1)) == psi(family, 3, 1)
         assert type(psi(family, np.int64(3), np.int32(1))) is int
         assert lstat_adjusted(s, family, np.int64(1)) == lstat_adjusted(s, family, 1)
+
+    @pytest.mark.parametrize("family", list(PsiFamily))
+    def test_kernel_matches_the_checked_psi(self, family):
+        # every w a protocol grid tunes at m, under every family
+        for m in (2, 3, 4, 5):
+            for w in sorted({w for grid in LSTAT_ADJ_W_GRID.values() for w in grid[m]}):
+                assert _psi(family, m, w) == psi(family, m, w)
+
+    def test_sample_keeps_a_numpy_m_as_an_int(self):
+        # the estimators take a sample's m unchecked: a numpy m overflowed
+        # the C long of n + m + w, or of psi, for a w past 2**63
+        s = MinRssuSample(m=np.int64(2), l=np.int32(2), values=np.ones((2, 2)))
+        assert type(s.m) is int and type(s.l) is int
+        assert rmn(s, 10**30) == rmn(MinRssuSample(2, 2, np.ones((2, 2))), 10**30)
+        assert lstat_adjusted(s, "exp", 10**30) == -1.0
+
+    @pytest.mark.parametrize("family", ["exp", "unif"])
+    def test_grid_cell_outside_the_m_range_fails_with_the_psi_message(self, family):
+        # the grid calls the unchecked kernel, which keeps psi's m-range error
+        cfg = SimulationConfig(
+            distribution="exp:rate=1", m_values=(2, 6), l_values=(2,),
+            estimators=("lstat_adj",), w_lists={"lstat_adj": (0,)}, psi_family=family,
+            replications=3, base_seed=1,
+        )
+        result = run_grid(cfg)
+        assert [row.m for row in result.rows] == [2]
+        [failure] = result.failures
+        assert isinstance(failure, CellError) and failure.coordinates["m"] == 6
+        with pytest.raises(DomainError) as info:
+            psi(family, 6, 0)
+        assert type(failure.cause) is DomainError and str(failure.cause) == str(info.value)
+        assert str(info.value) == f"psi family {family!r} is defined for m = 2..5, got 6"
 
 
 class TestLstatAdjusted:

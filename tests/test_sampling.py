@@ -28,7 +28,7 @@ from crexlab import (
     sample_from_csv,
     sample_to_csv,
 )
-from crexlab.sampling import _draw_values, _draw_width
+from crexlab.sampling import _draw_values
 
 EXP = Exponential(1.0)
 # every argument that counts sets, draws, cycles or replications, each
@@ -144,7 +144,7 @@ class TestDrawMinrssu:
         # draw_minrssu, or Distribution.sample by SRS, draws from its
         # replication's replication_rng stream, bit for bit
         dist, m, l = parse_distribution(law), 3, 2
-        width = _draw_width(m, l, srs)
+        width = m * l
         blocks = (width + 3) // 4
         u = replication_rng(7, 11, 0).random(5 * 4 * blocks).reshape(5, -1)[:, :width]
         values = _draw_values(dist, m, srs, u)

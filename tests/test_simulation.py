@@ -37,9 +37,9 @@ from crexlab import simulation
 from crexlab.cli import main
 from crexlab.errors import SizeError
 from crexlab.estimators import asymptotic_variance_minrssu, estimate, psi, row_estimator
-from crexlab.sampling import _draw_width
 from crexlab.simulation import (
     _CHUNK_UNIFORMS,
+    CSV_HEADER,
     LSTAT_ADJ_W_GRID,
     PROTOCOL_DISTRIBUTIONS,
     RMN_W_GRID,
@@ -101,7 +101,7 @@ def _inject_samples(monkeypatch, values):
     def injected(dist, m, srs, u):
         assert not srs
         calls.append(u.shape)
-        cycles = np.broadcast_to(values, (len(u), u.shape[1] // _draw_width(m, 1, srs), m))
+        cycles = np.broadcast_to(values, (len(u), u.shape[1] // m, m))
         return cycles.reshape(len(u), -1).copy()
 
     monkeypatch.setattr(simulation, "_draw_values", injected)
@@ -847,7 +847,7 @@ class TestRunGrid:
         rows, failures = [], []
         for spec, m, l in cfg.cells():
             vn = spec.kind.value == "vn"
-            digest, width = _shape_digest(dist.spec_string(), vn, m, l), _draw_width(m, l, vn)
+            digest, width = _shape_digest(dist.spec_string(), vn, m, l), m * l
             ests = np.empty(reps)
             try:
                 for r in range(reps):
@@ -1068,6 +1068,33 @@ class TestCsv:
         broken = good + "exp,rate=1,rn,2,2,,x,1,0,0,0,0\n"
         with pytest.raises(SpecParseError):
             rows_from_csv(broken)
+
+    @pytest.mark.parametrize("family", ["exp", "unif", "beta"])
+    def test_goldens_round_trip_byte_for_byte(self, family):
+        text = (DATA / f"protocol_{family}_r20_s1.csv").read_text()
+        assert rows_to_csv(rows_from_csv(text)) == text
+
+    def test_rows_are_immutable_and_hash_by_value(self):
+        row = run_cell("exp:rate=1", "rmn:w=0", 2, 2, 5, base_seed=3)
+        with pytest.raises(AttributeError):
+            row.bias = 0.0
+        twin = run_cell("exp:rate=1", "rmn:w=0", 2, 2, 5, base_seed=3)
+        assert twin is not row and twin == row and hash(twin) == hash(row)
+        assert len({row, twin}) == 1
+        # a named tuple: a changed copy by _replace, and equal to its plain tuple
+        assert row._replace(bias=0.0).bias == 0.0 and row.bias != 0.0
+        assert row == tuple(getattr(row, name) for name in CSV_HEADER)
+
+    def test_header_is_the_field_names(self):
+        assert CSV_HEADER == SimulationRow._fields
+
+    def test_read_rows_carry_their_field_types(self):
+        rows = rows_from_csv((DATA / "protocol_exp_r20_s1.csv").read_text())
+        assert {row.w is None for row in rows} == {True, False}
+        for row in rows:
+            assert row.w is None or type(row.w) is int
+            assert {type(v) for v in (row.m, row.l, row.reps, row.seed)} == {int}
+            assert {type(v) for v in (row.true_value, row.bias, row.rmse, row.mc_se)} == {float}
 
 
 class TestConfigValidation:
