@@ -14,8 +14,9 @@ seed fully determines the sample:
 One transform turns drawn uniforms into a sample of either design, and
 :func:`draw_minrssu` and the simulation grid both draw through it: one
 sample of either design reads ``m * l`` uniforms, one per value, and
-:func:`_draw_values` maps rows of them to rows of values.  An SRS value is the family kernel ``Distribution._quantile`` of
-its uniform U, and a set-i value the kernel
+:func:`_draw_values` maps rows of them to rows of values.  An SRS value
+is the family kernel ``Distribution._quantile`` of its uniform U, and a
+set-i value the kernel
 ``Distribution._log_survival_quantile`` of ``log1p(-U) / i``, the point
 where ``log S**i = log(1 - U)``.  A drawn uniform lies in ``[0, 1)``,
 where every kernel is finite and maps 0 to the support start, so the
@@ -55,7 +56,7 @@ class MinRssuSample:
 
     ``values[j, i]`` is the recorded minimum for cycle ``j`` and set size
     ``i + 1``, a value of law ``S**(i + 1)``; the total size is ``n = m *
-    l``.  ``m`` and ``l`` are kept as ints, a numpy integer's included, so
+    l``.  ``m`` and ``l`` are stored as ints, a numpy integer converted, so
     the estimators take ``m`` unchecked.
     """
 

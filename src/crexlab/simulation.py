@@ -427,7 +427,7 @@ def _grid_outcomes(dist, cells, replications, base_seed):
         width = m * l
         step = max(1, _CHUNK_UNIFORMS // (4 * _blocks(width)))
         try:
-            weights = {spacing: row_weights(spacing, m * l, denoms)
+            weights = {spacing: row_weights(spacing, width, denoms)
                        for spacing, (_, denoms) in kinds.items()}
             for start in range(0, replications, step):
                 stop = min(start + step, replications)
