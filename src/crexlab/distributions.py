@@ -6,6 +6,10 @@ quantile, inverse-transform sampling, and the survival-power integrals
     ``int_t^inf  S(x)**p dx``        (``survival_power_integral``)
 
 that drive every cumulative-residual measure in :mod:`crexlab.measures`.
+They are elementary functions, apart from powerbeta's: from 0 at an
+integer power up to ``_EXACT_POWER_CAP`` it is a ratio of Python
+integers, rounded once, and elsewhere the (incomplete) beta function,
+the one use of ``scipy.special``, imported on first use.
 
 Distributions can be built from a compact spec string (used by the CLI and
 by config files).  Distribution and estimator specs share one
@@ -48,6 +52,11 @@ __all__ = [
     "parse_distribution",
     "as_distribution",
 ]
+
+
+# the largest integer power whose powerbeta integral from 0 is computed exactly;
+# the cost of the exact product grows with its square
+_EXACT_POWER_CAP = 64
 
 
 def _on_support(below, above, ends_inside=False):
@@ -221,7 +230,7 @@ class Distribution:
         contributes its length.  Subclasses implement `_spi_tail` for the
         part inside the support.
         """
-        check_real(p, "survival power")
+        p = check_real(p, "survival power")
         check_powers([p])
         t = check_real(lower, "survival-power lower limit")
         if math.isnan(t):
@@ -491,11 +500,22 @@ class PowerBeta(Distribution):
         return (-np.expm1(ell)) ** (1.0 / self.alpha)
 
     def _spi_tail(self, p, t):
-        # int_t^1 (1 - x^alpha)^p dx via the incomplete beta function;
-        # scipy.special is imported on first use, to keep the import fast
+        # int_t^1 (1 - x^alpha)^p dx.  From 0 at an integer power p it is
+        # p! / prod_{k=1..p} (k + 1/alpha); with the float 1/alpha = num/den
+        # that is p! den**p / prod (k den + num), a ratio of ints that true
+        # division rounds once.  scipy's beta is off by up to about 200 ulps.
+        # Past the cap the ints cost too much, and an alpha below about
+        # 5.6e-309 has no finite 1/alpha
+        inv = 1.0 / self.alpha
+        if t <= 0.0 and p <= _EXACT_POWER_CAP and p.is_integer() and math.isfinite(inv):
+            num, den = inv.as_integer_ratio()
+            p = int(p)
+            return math.factorial(p) * den**p / math.prod(range(den + num, p * den + num + 1, den))
+        # elsewhere the (incomplete) beta function; scipy.special is imported
+        # on first use, to keep the import fast.  At t > 0 the integer-power
+        # recurrence would lose digits like S(t)**-p
         from scipy import special
 
-        inv = 1.0 / self.alpha
         full = inv * special.beta(inv, p + 1.0)
         if t <= 0.0:
             return full

@@ -868,9 +868,26 @@ class TestStartup:
         return done.stdout.strip().splitlines()[-1]
 
     def test_import_leaves_scipy_unloaded(self):
-        # scipy is most of the import time; it loads on the first
-        # incomplete-beta call
+        # scipy is most of the import time; it loads on the first powerbeta
+        # integral that the exact integer-power route does not cover
         assert self.modules_after("import crexlab") == "[]"
+
+    def test_beta_protocol_grid_leaves_scipy_unloaded(self):
+        # Beta(2, 1) at age 0 and integer powers is the exact closed form
+        code = "from crexlab import protocol_config, run_grid; run_grid(protocol_config('beta', 2))"
+        assert self.modules_after(code) == "[]"
+
+    def test_closed_powerbeta_measure_leaves_scipy_unloaded(self):
+        argv = ["measure", "--dist", "powerbeta:alpha=2", "--design", "minrssu", "--m", "5"]
+        code = f"from crexlab.cli import main; assert main({argv!r}) == 0"
+        assert self.modules_after(code) == "[]"
+
+    def test_powerbeta_measure_at_an_age_loads_scipy_special(self):
+        # past age 0 the tail is the incomplete beta function
+        argv = ["measure", "--dist", "powerbeta:alpha=2", "--design", "minrssu", "--m", "5",
+                "--t", "0.5"]
+        code = f"from crexlab.cli import main; assert main({argv!r}) == 0"
+        assert "'scipy.special'" in self.modules_after(code)
 
     def test_import_leaves_numpy_random_unloaded(self):
         # every draw resets numpy's C Philox; each thread makes its generator

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,6 +170,12 @@ class TestInvalidArguments:
             dist.survival_power_integral(p)
 
     @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
+    def test_int_power_is_its_float(self, dist):
+        # an int power reaches each family's tail as a float
+        for lower in (0.0, 0.25):
+            assert dist.survival_power_integral(3, lower) == dist.survival_power_integral(3.0, lower)
+
+    @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
     def test_nan_lower_limit_rejected(self, dist):
         with pytest.raises(DomainError, match="lower limit is nan"):
             dist.survival_power_integral(2.0, lower=math.nan)
@@ -312,6 +319,16 @@ class TestPowerBetaTail:
         exact = (1.0 - t) ** (p + 1) / (p + 1)
         tail = PowerBeta(1.0).survival_power_integral(p, lower=t)
         assert tail == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [2.0, 0.5, 1.0, 3.0, 0.3, 5.0, 0.1, 1e-300, 1e300])
+    def test_integer_powers_from_zero_are_correctly_rounded(self, alpha):
+        # p! / prod_{k=1..p} (k + 1/alpha) for the float 1/alpha, rounded once
+        dist, inv = PowerBeta(alpha), Fraction(1.0 / alpha)
+        for p in range(1, 65):
+            exact = math.factorial(p) / math.prod(k + inv for k in range(1, p + 1))
+            assert dist.survival_power_integral(p) == float(exact), p
+        assert dist.mean() == float(1 / (1 + inv))
+
 
 def points(dist):
     """Points inside, at the ends of and outside the support of ``dist``."""

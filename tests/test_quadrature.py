@@ -429,9 +429,9 @@ CLOSED_DISCRIMINATION_BITS = {
     ("finite:a=2,b=3", 5): ("0x1.8101b901bee03p-25", "0x1.4dccb68bf3d48p-8"),
     ("finite:a=2,b=3", 30): ("0x1.4cab941c52db3p-193", "0x1.4f1d385d2ae1ep-10"),
     ("powerbeta:alpha=2", 1): ("0x0.0p+0", "0x0.0p+0"),
-    ("powerbeta:alpha=2", 2): ("0x1.bbd779334ef10p-7", "0x1.a01a01a01a018p-6"),
-    ("powerbeta:alpha=2", 5): ("0x1.a9ccdf4ec0ba1p-9", "0x1.21b80aee46210p-5"),
-    ("powerbeta:alpha=2", 30): ("0x1.de2385f1a350ep-65", "0x1.64f73c6fb52d4p-6"),
+    ("powerbeta:alpha=2", 2): ("0x1.bbd779334ef08p-7", "0x1.a01a01a01a018p-6"),
+    ("powerbeta:alpha=2", 5): ("0x1.a9ccdf4ec0ba5p-9", "0x1.21b80aee46210p-5"),
+    ("powerbeta:alpha=2", 30): ("0x1.de2385f1a350ep-65", "0x1.64f73c6fb52dap-6"),
 }
 
 
