@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -328,6 +329,91 @@ class TestPowerBetaTail:
             exact = math.factorial(p) / math.prod(k + inv for k in range(1, p + 1))
             assert dist.survival_power_integral(p) == float(exact), p
         assert dist.mean() == float(1 / (1 + inv))
+
+    @pytest.mark.parametrize("alpha", [2, 3, 5])
+    def test_integer_powers_at_an_age_match_exact_values(self, alpha):
+        dist = PowerBeta(alpha)
+        inv = Fraction(1, alpha)
+        for t in AGES:
+            for p, tail in enumerate(_exact_tails(alpha, t, 60), start=1):
+                full = math.factorial(p) / math.prod(k + inv for k in range(1, p + 1))
+                got = dist.survival_power_integral(p, lower=t)
+                allowed = _tail_allowance(alpha, p, t, float(tail), float(full))
+                assert abs(Fraction(got) - tail) <= allowed, (t, p)
+
+    # non-integer powers, and integer powers past _EXACT_POWER_CAP (64)
+    @pytest.mark.parametrize("p", [1.5, 7.5, 20.25, 63.5, 65.0, 66.0, 100.5])
+    @pytest.mark.parametrize("alpha", [2.0, 0.5, 3.0, 0.3])
+    def test_other_powers_keep_the_recurrence(self, alpha, p):
+        # integration by parts: (1 + alpha p) J_p = alpha p J_{p-1} - t S(t)**p
+        dist = PowerBeta(alpha)
+        for t in [0.0] + AGES[::3]:
+            j, j_less = (dist.survival_power_integral(q, lower=t) for q in (p, p - 1.0))
+            full, full_less = (dist.survival_power_integral(q) for q in (p, p - 1.0))
+            v = t**alpha
+            s = 1.0 - v
+            boundary = t * s**p
+            # p roundings of S(t) in S(t)**p, and one of the power
+            boundary_allowed = boundary * (p * (math.ulp(s) / 2 + math.ulp(v)) / s + EPS)
+            allowed = (
+                (1.0 + alpha * p) * _tail_allowance(alpha, p, t, j, full)
+                + alpha * p * _tail_allowance(alpha, p - 1.0, t, j_less, full_less)
+                + boundary_allowed
+                # the three products and two sums of the check itself
+                + 3 * EPS * alpha * p * j_less
+            )
+            assert abs((1.0 + alpha * p) * j + boundary - alpha * p * j_less) <= allowed, t
+
+
+EPS = sys.float_info.epsilon
+AGES = [k / 20 for k in range(1, 20)]
+
+
+def _exact_tails(alpha, t, top):
+    """``int_t^1 (1 - x**alpha)**p dx`` at the float ``t`` for p = 1..top, as Fractions.
+
+    The binomial expansion ``sum_k C(p, k) (-1)**k (1 - t**(alpha k + 1)) /
+    (alpha k + 1)`` over one common denominator, for an integer alpha.
+    """
+    num, den = t.as_integer_ratio()
+    exps = [alpha * k + 1 for k in range(top + 1)]
+    lcm = math.lcm(*exps)
+    last = exps[-1]
+    # term k over the denominator den**last * lcm
+    terms = [(den**e - num**e) * den ** (last - e) * (lcm // e) for e in exps]
+    return [
+        Fraction(sum((-1) ** k * math.comb(p, k) * terms[k] for k in range(p + 1)), den**last * lcm)
+        for p in range(1, top + 1)
+    ]
+
+
+def _tail_allowance(alpha, p, t, tail, full):
+    """How far a route may miss ``tail = int_t^1 (1 - x**alpha)**p dx``; ``full`` is its value from 0.
+
+    Two terms, derived from where the roundings enter:
+    - The age enters through the float S(t) = 1 - t**alpha, off by at most
+      half an ulp of S plus an ulp of t**alpha, and the tail moves by
+      ``dJ/dS = t S**p / (alpha t**alpha)`` per unit of S.  Where the tail
+      is about S**(p + 1), this is p + 1 roundings of S.
+    - c (p + 2) eps of the scale, c = 4: p + 1 roundings of a route's own
+      S(t) raised to the power p + 1, one of the power, and a few more for
+      the beta function or continued fraction and the products around it.
+      The scale is the tail, except past S = (p + 2) / (p + 1/alpha + 3),
+      where the continued fraction of the tail converges slowly
+      (Numerical Recipes 6.4, DiDonato & Morris 1992): there a route
+      takes the full integral less the head, and rounds on the scale of
+      their sum, ``full + (full - tail)``.
+
+    Below the smallest normal float a value has lost digits, whatever the
+    route: that float is added to the allowance.
+    """
+    if t == 0.0:
+        return 4 * (p + 2) * EPS * tail + sys.float_info.min
+    v = t**alpha
+    s = 1.0 - v
+    shift = t * s**p / (alpha * v) * (math.ulp(s) / 2 + math.ulp(v))
+    scale = tail if s < (p + 2) / (p + 1 / alpha + 3) else 2 * full - tail
+    return shift + 4 * (p + 2) * EPS * scale + sys.float_info.min
 
 
 def points(dist):
