@@ -6,10 +6,11 @@ quantile, inverse-transform sampling, and the survival-power integrals
     ``int_t^inf  S(x)**p dx``        (``survival_power_integral``)
 
 that drive every cumulative-residual measure in :mod:`crexlab.measures`.
-They are elementary functions, apart from powerbeta's: from 0 at an
-integer power up to ``_EXACT_POWER_CAP`` it is a ratio of Python
-integers, rounded once, and elsewhere the (incomplete) beta function,
-the one use of ``scipy.special``, imported on first use.
+They are elementary functions, apart from powerbeta's, an incomplete
+beta function computed in Python floats: from 0 at an integer power up
+to ``_EXACT_POWER_CAP`` it is a ratio of Python integers, rounded once;
+at other powers a ratio of Gamma functions; past age 0 Lentz's
+continued fraction.
 
 Distributions can be built from a compact spec string (used by the CLI and
 by config files).  Distribution and estimator specs share one
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -57,6 +59,13 @@ __all__ = [
 # the largest integer power whose powerbeta integral from 0 is computed exactly;
 # the cost of the exact product grows with its square
 _EXACT_POWER_CAP = 64
+# from this argument on, four terms of Stirling's series give a log Gamma
+# ratio to double precision: the next term is below 1e-19 there
+_STIRLING_START = 64.0
+# the most steps of the incomplete beta continued fraction.  On the side of
+# its switch point that the caller keeps to it takes up to 40 at alpha 2 to
+# 5 and powers up to 60, and a few hundred with p or 1/alpha near 1e6
+_FRACTION_MAX_STEPS = 10_000
 
 
 def _on_support(below, above, ends_inside=False):
@@ -482,6 +491,10 @@ class PowerBeta(Distribution):
         if alpha <= 0:
             raise DomainError(f"powerbeta requires alpha > 0, got {alpha}")
         self.alpha = float(alpha)
+        # below about 5.6e-309 the law is a point mass at 0 in floats: its
+        # survival is 0 at every normal age and its quantile 0 below 1
+        if math.isinf(1.0 / self.alpha):
+            raise DomainError(f"powerbeta requires a finite 1/alpha, got alpha={alpha}")
         self.support = (0.0, 1.0)
 
     def _pdf(self, x):
@@ -500,28 +513,41 @@ class PowerBeta(Distribution):
         return (-np.expm1(ell)) ** (1.0 / self.alpha)
 
     def _spi_tail(self, p, t):
-        # int_t^1 (1 - x^alpha)^p dx.  From 0 at an integer power p it is
-        # p! / prod_{k=1..p} (k + 1/alpha); with the float 1/alpha = num/den
-        # that is p! den**p / prod (k den + num), a ratio of ints that true
-        # division rounds once.  scipy's beta is off by up to about 200 ulps.
-        # Past the cap the ints cost too much, and an alpha below about
-        # 5.6e-309 has no finite 1/alpha
+        # int_t^1 (1 - x^alpha)^p dx = b B(b, a) I_S(a, b), an incomplete beta
+        # function with a = p + 1, b = 1/alpha and S = S(t) = 1 - t^alpha
         inv = 1.0 / self.alpha
-        if t <= 0.0 and p <= _EXACT_POWER_CAP and p.is_integer() and math.isfinite(inv):
-            num, den = inv.as_integer_ratio()
-            p = int(p)
-            return math.factorial(p) * den**p / math.prod(range(den + num, p * den + num + 1, den))
-        # elsewhere the (incomplete) beta function; scipy.special is imported
-        # on first use, to keep the import fast.  At t > 0 the integer-power
-        # recurrence would lose digits like S(t)**-p
-        from scipy import special
-
-        full = inv * special.beta(inv, p + 1.0)
         if t <= 0.0:
-            return full
-        # the complement I_{1-u}(p+1, 1/alpha) of I_u(1/alpha, p+1), not 1 - I_u: that
-        # difference cancels to a few digits, or to 0.0, once S(t)**p is small
-        return full * special.betainc(p + 1.0, inv, 1.0 - t**self.alpha)
+            return _power_beta_integral(p, inv)
+        a = p + 1.0
+        v = t**self.alpha
+        # -expm1 keeps the digits of S(t) that 1 - t^alpha loses near t = 1.
+        # Where S(t) is near 1, S^p comes from log1p(-v), exact to an ulp or
+        # two, where the power would raise the rounding of S(t) to p
+        s = -math.expm1(self.alpha * math.log(t))
+        s_p = math.exp(p * math.log1p(-v)) if v < 0.5 else s**p
+        if s_p == 0.0:
+            # the integral is below (1 - t) S^p
+            return 0.0
+        # the fraction of I_S(a, b) converges fast below S = (a + 1) / (a + b +
+        # 2); the smaller of S and v has all its digits to test that on
+        if v < 0.5:
+            direct = v > (inv + 1.0) / (a + inv + 2.0)
+        else:
+            direct = s < (a + 1.0) / (a + inv + 2.0)
+        if direct:
+            # b t S^a / a times that fraction; no Beta function.  Here b S < a
+            # + 1, and b S S^p keeps a tiny S^a from underflowing
+            return inv * s * s_p * t / a * _beta_fraction(a, inv, s)
+        # past the switch point take the integral from 0 less int_0^t, which
+        # is t S^a times the fraction of I_v(b, a).  A tiny alpha puts v within
+        # a few ulps of 1, where that fraction has lost the digits of S(t)
+        if v < 1.0:
+            value = _power_beta_integral(p, inv) - t * s * s_p * _beta_fraction(inv, a, v)
+            if value >= 0.0:
+                return value
+        raise DivergenceError(
+            f"powerbeta alpha={self.alpha} integral of S**{p} from {t} lost its digits"
+        )
 
     def pdf_square_integral(self):
         if self.alpha <= 0.5:
@@ -532,6 +558,92 @@ class PowerBeta(Distribution):
 
     def cdf_square_integral(self):
         return 1.0 / (2.0 * self.alpha + 1.0)
+
+
+def _power_beta_integral(p, inv):
+    """``int_0^1 (1 - x**alpha)**p dx = Gamma(1 + p) Gamma(1 + inv) / Gamma(1 + p + inv)``, ``inv = 1/alpha``.
+
+    At an integer power up to ``_EXACT_POWER_CAP`` it is ``p! / prod_{k=1..p}
+    (k + inv)``; with the float ``inv = num/den`` that is ``p! den**p / prod
+    (k den + num)``, a ratio of ints that true division rounds once.  The
+    value is symmetric in p and inv; once the larger of them reaches
+    ``_STIRLING_START`` it is a log Gamma ratio.  Below, with ``p = n + f``,
+    it is the value at ``f < 1`` from ``math.gamma``, times ``prod_{k=1..n}
+    (k + f) / (k + f + inv)``.
+    """
+    if p <= _EXACT_POWER_CAP and p.is_integer():
+        num, den = inv.as_integer_ratio()
+        n = int(p)
+        return math.factorial(n) * den**n / math.prod(range(den + num, n * den + num + 1, den))
+    small, large = sorted((p, inv))
+    if small > 550.0:
+        # it is at most 1 / C(2 small, small) <= 2 sqrt(small) / 4**small, which
+        # underflows; lgamma itself would overflow past about 2.5e305
+        return 0.0
+    if large >= _STIRLING_START:
+        return math.exp(math.lgamma(1.0 + small) - _log_gamma_ratio(1.0 + large, small))
+    n = math.floor(p)
+    f = p - n
+    value = math.gamma(1.0 + inv) * math.gamma(1.0 + f) / math.gamma(1.0 + f + inv)
+    for k in range(1, n + 1):
+        value *= (k + f) / (k + f + inv)
+    return value
+
+
+def _log_gamma_ratio(z, h):
+    """``ln Gamma(z + h) - ln Gamma(z)`` for ``z >= _STIRLING_START`` and ``h >= 0``.
+
+    Stirling's series: ``(z - 1/2) log1p(h / z) + h ln(z + h) - h`` plus the
+    difference at ``z + h`` and ``z`` of ``1/(12 x) - 1/(360 x**3) +
+    1/(1260 x**5) - 1/(1680 x**7)``.
+    """
+
+    def series(x):
+        x2 = x * x
+        return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * x2)) / x2) / x2) / x
+
+    return (z - 0.5) * math.log1p(h / z) + h * math.log(z + h) - h + (series(z + h) - series(z))
+
+
+def _beta_fraction(a, b, x):
+    """The continued fraction of the incomplete beta function, by Lentz's method.
+
+    ``I_x(a, b) = x**a (1 - x)**b / (a B(a, b))`` times the fraction
+    ``1 / (1 + d_1 / (1 + d_2 / (1 + ...)))`` with ``d_{2m+1} = -(a + m) (a
+    + b + m) x / ((a + 2m) (a + 2m + 1))`` and ``d_{2m} = m (b - m) x / ((a
+    + 2m - 1) (a + 2m))`` (DiDonato & Morris, ACM TOMS 18, 1992; Lentz,
+    Appl. Opt. 15, 1976).  It converges fast for ``x < (a + 1) / (a + b +
+    2)``, the side the caller keeps to; a fraction that has not converged
+    after ``_FRACTION_MAX_STEPS`` steps raises DivergenceError.
+    """
+    # g = 1 + d_1 / (1 + ...) as the product of the ratios c d of its
+    # convergents, the first of which is 1 + d_1.  The coefficients are
+    # products of ratios, which overflow at no float a or b
+    c = g = 1.0 - (a + b) / (a + 1.0) * x
+    d = 1.0
+    try:
+        for m in range(1, _FRACTION_MAX_STEPS):
+            a2m = a + 2.0 * m
+            coef = m / (a2m - 1.0) * ((b - m) / a2m) * x
+            d = 1.0 / (1.0 + coef * d)
+            c = 1.0 + coef / c
+            g *= c * d
+            coef = -(a + m) / a2m * ((a + b + m) / (a2m + 1.0)) * x
+            d = 1.0 / (1.0 + coef * d)
+            c = 1.0 + coef / c
+            step = c * d
+            g *= step
+            # d_{2m} is 0 where b is the integer m: test after d_{2m+1} only
+            if abs(step - 1.0) <= sys.float_info.epsilon:
+                return 1.0 / g
+    except ZeroDivisionError:
+        # a zero denominator, which Lentz's method would step over with a
+        # tiny one: reported as a fraction that did not converge
+        pass
+    raise DivergenceError(
+        f"incomplete beta fraction at a={a}, b={b}, x={x} did not converge in "
+        f"{_FRACTION_MAX_STEPS} steps"
+    )
 
 
 _FAMILIES = {cls.family: cls for cls in (Exponential, Uniform, FiniteRange, PowerBeta)}

@@ -64,6 +64,12 @@ class TestMeasure:
         assert code == 2
         assert "unknown distribution family" in err
 
+    def test_powerbeta_whose_inverse_overflows_exits_2(self, capsys):
+        # its mean was nan, with a RuntimeWarning, and the command exited 3
+        code, out, err = run(capsys, ["measure", "--dist", "powerbeta:alpha=5e-324"])
+        assert (code, out) == (2, "")
+        assert "finite 1/alpha" in err
+
     def test_dynamic_pair(self, capsys):
         code, out, _ = run(
             capsys,
@@ -868,8 +874,7 @@ class TestStartup:
         return done.stdout.strip().splitlines()[-1]
 
     def test_import_leaves_scipy_unloaded(self):
-        # scipy is most of the import time; it loads on the first powerbeta
-        # integral that the exact integer-power route does not cover
+        # scipy is a test dependency only; it would be most of the import time
         assert self.modules_after("import crexlab") == "[]"
 
     def test_beta_protocol_grid_leaves_scipy_unloaded(self):
@@ -882,12 +887,21 @@ class TestStartup:
         code = f"from crexlab.cli import main; assert main({argv!r}) == 0"
         assert self.modules_after(code) == "[]"
 
-    def test_powerbeta_measure_at_an_age_loads_scipy_special(self):
-        # past age 0 the tail is the incomplete beta function
-        argv = ["measure", "--dist", "powerbeta:alpha=2", "--design", "minrssu", "--m", "5",
-                "--t", "0.5"]
-        code = f"from crexlab.cli import main; assert main({argv!r}) == 0"
-        assert "'scipy.special'" in self.modules_after(code)
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "from crexlab.cli import main; assert main(['measure', '--dist', 'powerbeta:alpha=2',"
+            " '--design', 'minrssu', '--m', '5', '--t', '0.5']) == 0",
+            # a non-integer power also reads the Gamma ratio, at age 0 and past it
+            "from crexlab import PowerBeta; [PowerBeta(0.7).survival_power_integral(7.5, t)"
+            " for t in (0.0, 0.5)]",
+        ],
+        ids=["measure", "non-integer-power"],
+    )
+    def test_powerbeta_measure_at_an_age_leaves_scipy_unloaded(self, code):
+        # past age 0 the tail is an incomplete beta function, computed by a
+        # continued fraction in Python floats
+        assert self.modules_after(code) == "[]"
 
     def test_import_leaves_numpy_random_unloaded(self):
         # every draw resets numpy's C Philox; each thread makes its generator

@@ -342,7 +342,7 @@ class TestPowerBetaTail:
                 assert abs(Fraction(got) - tail) <= allowed, (t, p)
 
     # non-integer powers, and integer powers past _EXACT_POWER_CAP (64)
-    @pytest.mark.parametrize("p", [1.5, 7.5, 20.25, 63.5, 65.0, 66.0, 100.5])
+    @pytest.mark.parametrize("p", [1.5, 7.5, 20.25, 63.5, 65.0, 66.0, 100.5, 300.0, 1000.0])
     @pytest.mark.parametrize("alpha", [2.0, 0.5, 3.0, 0.3])
     def test_other_powers_keep_the_recurrence(self, alpha, p):
         # integration by parts: (1 + alpha p) J_p = alpha p J_{p-1} - t S(t)**p
@@ -668,6 +668,21 @@ class TestSpecStrings:
             FiniteRange(-1.0, 2.0)
         with pytest.raises(DomainError):
             PowerBeta(0.0)
+
+    @pytest.mark.parametrize("alpha", [5e-324, 5.5e-309])
+    def test_powerbeta_whose_inverse_overflows_is_a_domain_error(self, alpha):
+        # 1/alpha is inf: the mean was nan, with a RuntimeWarning
+        with pytest.raises(DomainError, match="finite 1/alpha"):
+            PowerBeta(alpha)
+        with pytest.raises(SpecParseError, match="finite 1/alpha"):
+            parse_distribution(f"powerbeta:alpha={alpha!r}")
+        # the least alpha with a finite 1/alpha keeps its mean alpha / (1 + alpha)
+        least = 5.56268464626801e-309
+        assert math.isinf(1.0 / math.nextafter(least, 0.0))
+        assert PowerBeta(least).mean() == least
+        # int_t^1 (1 - x**alpha) dx is alpha int_t^1 -ln x dx to first order
+        tail = PowerBeta(least).survival_power_integral(1.0, lower=0.5)
+        assert tail == pytest.approx(least * (0.5 - 0.5 * math.log(2.0)), rel=1e-12)
 
     @pytest.mark.parametrize(
         "build,message",
