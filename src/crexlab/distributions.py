@@ -528,15 +528,10 @@ class PowerBeta(Distribution):
         if s_p == 0.0:
             # the integral is below (1 - t) S^p
             return 0.0
-        # the fraction of I_S(a, b) converges fast below S = (a + 1) / (a + b +
-        # 2); the smaller of S and v has all its digits to test that on
-        if v < 0.5:
-            direct = v > (inv + 1.0) / (a + inv + 2.0)
-        else:
-            direct = s < (a + 1.0) / (a + inv + 2.0)
-        if direct:
-            # b t S^a / a times that fraction; no Beta function.  Here b S < a
-            # + 1, and b S S^p keeps a tiny S^a from underflowing
+        if s < (a + 1.0) / (a + inv + 2.0):
+            # b t S^a / a times the fraction of I_S(a, b), which converges fast
+            # here; no Beta function.  Here b S < a + 1, and b S S^p keeps a
+            # tiny S^a from underflowing
             return inv * s * s_p * t / a * _beta_fraction(a, inv, s)
         # past the switch point take the integral from 0 less int_0^t, which
         # is t S^a times the fraction of I_v(b, a).  A tiny alpha puts v within
