@@ -1,8 +1,11 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from crexlab import (
@@ -28,7 +31,7 @@ from crexlab import (
 )
 from crexlab import _quadrature as nq
 from crexlab._quadrature import ABS_TOL, truncation_point
-from crexlab.measures import _power_products
+from crexlab.measures import _power_products, _product
 
 ALL_FAMILIES = [
     Exponential(1.0),
@@ -335,20 +338,18 @@ class TestDesignMeasures:
             crex_minrssu_design(Uniform(0.0, 2.0), m)
         )
 
-    def test_log_space_product_matches_direct(self):
-        # m > 20 switches to log-space accumulation; results must agree
+    def test_long_products_keep_math_prod_bits(self):
+        # every partial product here is normal, so each step rounds as math.prod's does
         for dist in (Uniform(0.0, 1.0), Exponential(0.25)):
-            for m in (21, 25, 30):
+            for m in (20, 21, 25, 30):
                 factors = [dist.survival_power_integral(2.0 * i) for i in range(1, m + 1)]
                 direct = -0.5 * math.prod(factors)
-                assert float(crex_minrssu_design(dist, m)) == pytest.approx(
-                    direct, rel=1e-12
-                )
+                assert crex_minrssu_design(dist, m).value.hex() == direct.hex()
                 direct_d = -0.5 * (
                     math.prod(dist.min_order_stat_mean(2 * i) for i in range(1, m + 1))
                     - math.prod(dist.min_order_stat_mean(i + 1) for i in range(1, m + 1))
                 )
-                assert float(d_designs(dist, m)) == pytest.approx(direct_d, rel=1e-12)
+                assert d_designs(dist, m).value.hex() == direct_d.hex()
 
     def test_design_scale_rule(self):
         """Scaling x by a > 0 scales the m-plan values by a**m.
@@ -624,6 +625,120 @@ class TestExactRationals:
             )
             got = float(crex_minrssu_design(Exponential(1.0), m))
             assert got == pytest.approx(float(expected), abs=1e-15)
+
+
+# law -> (its exact integral of S**p from 0 at an integer power p, the
+# roundings of its closed value); unif with a > 0 adds its head in a second
+EXACT_INTEGRALS = {
+    "exp:rate=1": (lambda p: Fraction(1, p), 1),
+    "exp:rate=3": (lambda p: Fraction(1, 3 * p), 1),
+    "unif:a=0,b=1": (lambda p: Fraction(1, p + 1), 1),
+    "unif:a=2,b=3": (lambda p: 2 + Fraction(1, p + 1), 2),
+    "finite:a=2,b=3": (lambda p: Fraction(1, 2 * (3 * p + 1)), 1),
+    "powerbeta:alpha=2": (
+        lambda p: math.factorial(p) / math.prod(Fraction(2 * k + 1, 2) for k in range(1, p + 1)), 1
+    ),
+}
+
+
+def _gamma(k):
+    """Higham's ``gamma_k = k u / (1 - k u)``, ``u = 2**-53``: the relative error of k roundings."""
+    return Fraction(k, 2**53 - k)
+
+
+def _exact_measure(law, powers):
+    """``-(1/2) prod_p I(p)`` in exact rationals, and its allowance.
+
+    Each closed factor is its exact integral rounded once per rounding of
+    its law, and the product rounds once per multiplication.  So the
+    allowance is ``gamma_k`` of the value with ``k = r n + n - 1`` for n
+    factors of r roundings each (Higham 2002, §3.1).
+    """
+    integral, roundings = EXACT_INTEGRALS[law]
+    value = -Fraction(1, 2) * math.prod(integral(p) for p in powers)
+    n = len(powers)
+    return value, _gamma(roundings * n + n - 1) * abs(value)
+
+
+def _ulps(got, exact):
+    return float(abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact))))
+
+
+class TestProductsAgainstExactRationals:
+    """Closed design and discrimination values at age 0 against exact rationals.
+
+    The powers stay within ``_EXACT_POWER_CAP``, so every powerbeta factor
+    is rounded once: 2, 4, ..., 2m for the MinRSSU design and ``d_designs``
+    up to m = 32, and 2 for the SRS design up to m = 100.
+    """
+
+    @pytest.mark.parametrize("law", EXACT_INTEGRALS)
+    @pytest.mark.parametrize(
+        "design, sizes, powers",
+        [
+            (crex_minrssu_design, range(1, 33), lambda m: [2 * i for i in range(1, m + 1)]),
+            (crex_srs_design, range(1, 101), lambda m: [2] * m),
+        ],
+        ids=["minrssu", "srs"],
+    )
+    def test_designs(self, law, design, sizes, powers):
+        misses = []
+        for m in sizes:
+            exact, allowance = _exact_measure(law, powers(m))
+            got = design(law, m).value
+            if abs(Fraction(got) - exact) > allowance:
+                misses.append((m, got, _ulps(got, exact)))
+        assert misses == []
+
+    @pytest.mark.parametrize("law", EXACT_INTEGRALS)
+    def test_d_designs(self, law):
+        misses = []
+        for m in range(1, 33):
+            minima, minima_allowance = _exact_measure(law, [2 * i for i in range(1, m + 1)])
+            parent, parent_allowance = _exact_measure(law, [i + 1 for i in range(1, m + 1)])
+            got = d_designs(law, m).value
+            # the difference of the two computed products rounds once more
+            allowance = minima_allowance + parent_allowance + _gamma(1) * abs(Fraction(got))
+            if abs(Fraction(got) - (minima - parent)) > allowance:
+                misses.append((m, got))
+        assert misses == []
+
+
+def _product_value(factors):
+    """The value ``-(1/2) prod factors`` of ``measures._product``, one power per factor."""
+    keys = range(len(factors))
+    value, _ = _product(keys, dict(zip(keys, factors)), dict.fromkeys(keys, 0.0))
+    return value
+
+
+class TestProductRounding:
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                    min_size=1, max_size=60))
+    def test_math_prod_bits_where_its_partial_products_are_normal(self, raw):
+        # keep the factors that leave math.prod's running product normal
+        factors, running = [], 1.0
+        for factor in raw:
+            if sys.float_info.min <= running * factor < math.inf:
+                factors.append(factor)
+                running *= factor
+        if factors:
+            assert _product_value(factors).hex() == (-0.5 * math.prod(factors)).hex()
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(st.floats(0.5, 1.0, exclude_max=True), st.integers(300, 990),
+                              st.integers(-30, 30)), min_size=4, max_size=12),
+           st.booleans())
+    def test_in_range_value_where_math_prod_leaves_the_range_midway(self, parts, overflow):
+        # the large factors take math.prod past the float range (the small
+        # ones, mirrored, below it); the rest bring the true product back
+        sign = 1 if overflow else -1
+        factors = ([math.ldexp(mant, sign * e) for mant, e, _ in parts]
+                   + [math.ldexp(mant, d - sign * e) for mant, e, d in parts])
+        assert math.prod(factors) in (math.inf, 0.0)
+        exact = -Fraction(1, 2) * math.prod(map(Fraction, factors))
+        error = abs(Fraction(_product_value(factors)) - exact)
+        assert error <= _gamma(len(factors) - 1) * abs(exact)
 
 
 @pytest.mark.parametrize(
