@@ -15,11 +15,11 @@ power list by ``_measures``; the public functions, the discrimination
 measures included, only choose the power lists and the age ``t``.  CREX
 is the product with one power 2.  The independent draw plan (SRS) of
 size ``m`` uses m powers 2; the unequal-minima plan (MinRSSU) uses the
-powers ``2, 4, ..., 2m`` of its set minima.  Products of more than
-``_LOG_SPACE_THRESHOLD`` factors are accumulated in log space, and a
-product that still over- or underflows raises DivergenceError rather
-than returning inf, nan or -0.  So does a survival-power integral that
-computes to 0, which with ``S(t) > 0`` can only be an underflow.
+powers ``2, 4, ..., 2m`` of its set minima.  A product rounds once per
+factor, with no partial product leaving the float range, and a product
+outside the normal range raises DivergenceError rather than returning
+inf, nan or -0.  So does a survival-power integral that computes to 0,
+which with ``S(t) > 0`` can only be an underflow.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ __all__ = [
     "dynamic_crex_designs",
 ]
 
-# switch products of this many factors to log-space accumulation
-_LOG_SPACE_THRESHOLD = 20
 # smallest normal float: products and scales below it have lost digits
 _TINY = sys.float_info.min
 
@@ -113,8 +111,9 @@ def _power_products(dist, power_lists, t, method):
     """(value, error bound) of ``-(1/2) prod_p int_t [S(x)/S(t)]**p dx`` per power list.
 
     Each distinct power is integrated once across all lists, by one
-    call per route.  Products of more than ``_LOG_SPACE_THRESHOLD``
-    factors are accumulated in log space.  A scale ``S(t)**p`` or a
+    call per route.  Each product rounds once per factor, as
+    ``math.prod`` does wherever its partial products are normal, and never
+    over- or underflows midway.  A scale ``S(t)**p`` or a
     product outside the normal float range raises DivergenceError, and so
     does an integral that computes to 0: with ``S(t) > 0`` that is an
     underflow or an interval the route cannot resolve, never the value.
@@ -155,17 +154,17 @@ def _power_products(dist, power_lists, t, method):
 
 
 def _product(powers, factor_of, rel_err_of):
-    factors = [factor_of[p] for p in powers]
-    if len(factors) <= _LOG_SPACE_THRESHOLD:
-        prod = math.prod(factors)
-    else:
-        try:
-            prod = math.exp(sum(map(math.log, factors)))
-        except OverflowError:
-            prod = math.inf
+    # the product is mant * 2**exp, each mantissa in [0.5, 1): a step multiplies
+    # two mantissas, which rounds as the product at its own exponent does
+    mant, exp = 1.0, 0
+    for p in powers:
+        factor, factor_exp = math.frexp(factor_of[p])
+        mant, step_exp = math.frexp(mant * factor)
+        exp += factor_exp + step_exp
+    prod = math.ldexp(mant, exp) if exp <= sys.float_info.max_exp else math.inf
     if not _TINY <= prod < math.inf:
         what = "overflows" if prod > 1.0 else "underflows"
-        raise DivergenceError(f"product of {len(factors)} survival-power integrals {what}")
+        raise DivergenceError(f"product of {len(powers)} survival-power integrals {what}")
     value = -0.5 * prod
     return value, -value * sum(map(rel_err_of.__getitem__, powers))
 

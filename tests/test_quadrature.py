@@ -321,11 +321,11 @@ MEASURE_BITS = {
     ("exp:rate=1", 5, "d_designs"): "0x1.27d27d27d27d0p-11",
     ("exp:rate=1", 5, "d_min_vs_parent"): "0x1.111111111110fp-5",
     ("exp:rate=1", 30, "min_order_stat"): ("-0x1.111111111110fp-7", "0x1.ab8ba1f70f723p-54"),
-    ("exp:rate=1", 30, "srs"): ("-0x1.0000000000034p-31", "0x1.944ff38895135p-73"),
-    ("exp:rate=1", 30, "minrssu"): ("-0x1.3932c5047d5e8p-139", "0x1.db1d297a795e4p-181"),
-    ("exp:rate=1", 30, "dynamic minrssu"): ("-0x1.3932c5047d7bdp-139", "0x1.b16b3a0c77f77p-156"),
-    ("exp:rate=1", 30, "dynamic srs"): ("-0x1.0000000000034p-31", "0x1.9403e685bbcb4p-73"),
-    ("exp:rate=1", 30, "d_designs"): "0x1.434d2ddba5fa9p-114",
+    ("exp:rate=1", 30, "srs"): ("-0x1.0000000000000p-31", "0x1.944ff388950e3p-73"),
+    ("exp:rate=1", 30, "minrssu"): ("-0x1.3932c5047d5f2p-139", "0x1.db1d297a795f4p-181"),
+    ("exp:rate=1", 30, "dynamic minrssu"): ("-0x1.3932c5047d755p-139", "0x1.b16b3a0c77ee8p-156"),
+    ("exp:rate=1", 30, "dynamic srs"): ("-0x1.0000000000000p-31", "0x1.9403e685bbc62p-73"),
+    ("exp:rate=1", 30, "d_designs"): "0x1.434d2ddba5f70p-114",
     ("exp:rate=1", 30, "d_min_vs_parent"): "0x1.fee61fee61feep-8",
     ("unif:a=0,b=1", 1, "min_order_stat"): ("-0x1.5555555555556p-3", "0x1.0aaaaaaaaaaacp-49"),
     ("unif:a=0,b=1", 1, "srs"): ("-0x1.5555555555556p-3", "0x1.0aaaaaaaaaaacp-49"),
@@ -349,11 +349,11 @@ MEASURE_BITS = {
     ("unif:a=0,b=1", 5, "d_designs"): "0x1.3b3a7d5a423f5p-13",
     ("unif:a=0,b=1", 5, "d_min_vs_parent"): "0x1.a98ef606a63c0p-6",
     ("unif:a=0,b=1", 30, "min_order_stat"): ("-0x1.0c9714fbcda3ap-7", "0x1.3ebbd59608268p-38"),
-    ("unif:a=0,b=1", 30, "srs"): ("-0x1.5dfaa697ec6c8p-49", "0x1.0055150445a98p-90"),
-    ("unif:a=0,b=1", 30, "minrssu"): ("-0x1.906d9c10fce7cp-142", "0x1.ed7520aca0a77p-172"),
-    ("unif:a=0,b=1", 30, "dynamic minrssu"): ("-0x1.fb9a5e412c49ep-152", "0x1.38c1c275fb9ffp-181"),
-    ("unif:a=0,b=1", 30, "dynamic srs"): ("-0x1.bba6b67a90292p-59", "0x1.44f09aa6c4961p-100"),
-    ("unif:a=0,b=1", 30, "d_designs"): "0x1.434d2ce7d1c36p-118",
+    ("unif:a=0,b=1", 30, "srs"): ("-0x1.5dfaa697ec70ap-49", "0x1.0055150445ac9p-90"),
+    ("unif:a=0,b=1", 30, "minrssu"): ("-0x1.906d9c10fce88p-142", "0x1.ed7520aca0a86p-172"),
+    ("unif:a=0,b=1", 30, "dynamic minrssu"): ("-0x1.fb9a5e412c4b1p-152", "0x1.38c1c275fba0bp-181"),
+    ("unif:a=0,b=1", 30, "dynamic srs"): ("-0x1.bba6b67a901f8p-59", "0x1.44f09aa6c48f0p-100"),
+    ("unif:a=0,b=1", 30, "d_designs"): "0x1.434d2ce7d1bfbp-118",
     ("unif:a=0,b=1", 30, "d_min_vs_parent"): "0x1.e6d1d60864b8ap-8",
     ("finite:a=2,b=3", 1, "min_order_stat"): ("-0x1.2492492492493p-5", "0x1.c924924924925p-52"),
     ("finite:a=2,b=3", 1, "srs"): ("-0x1.2492492492493p-5", "0x1.c924924924925p-52"),
@@ -377,11 +377,11 @@ MEASURE_BITS = {
     ("finite:a=2,b=3", 5, "d_designs"): "0x1.8101b901bee02p-25",
     ("finite:a=2,b=3", 5, "d_min_vs_parent"): "0x1.4dccb68bf3d48p-8",
     ("finite:a=2,b=3", 30, "min_order_stat"): ("-0x1.6a13cd153729bp-10", "0x1.dc44fec10abcap-46"),
-    ("finite:a=2,b=3", 30, "srs"): ("-0x1.b7636186742c1p-116", "0x1.41d149edfa163p-157"),
-    ("finite:a=2,b=3", 30, "minrssu"): ("-0x1.c13efb27ec558p-218", "0x1.436e7e4ad77d8p-252"),
-    ("finite:a=2,b=3", 30, "dynamic minrssu"): ("-0x1.a0905d3b215e4p-240", "0x1.32d6df6d46175p-248"),
-    ("finite:a=2,b=3", 30, "dynamic srs"): ("-0x1.976c5a55e3d2cp-138", "0x1.2a67dc29e85cdp-179"),
-    ("finite:a=2,b=3", 30, "d_designs"): "0x1.4cab941c52e59p-193",
+    ("finite:a=2,b=3", 30, "srs"): ("-0x1.b763618674128p-116", "0x1.41d149edfa038p-157"),
+    ("finite:a=2,b=3", 30, "minrssu"): ("-0x1.c13efb27ec4aap-218", "0x1.436e7e4ad775bp-252"),
+    ("finite:a=2,b=3", 30, "dynamic minrssu"): ("-0x1.a0905d3b21688p-240", "0x1.32d6df6d461eep-248"),
+    ("finite:a=2,b=3", 30, "dynamic srs"): ("-0x1.976c5a55e3e51p-138", "0x1.2a67dc29e86a4p-179"),
+    ("finite:a=2,b=3", 30, "d_designs"): "0x1.4cab941c52e65p-193",
     ("finite:a=2,b=3", 30, "d_min_vs_parent"): "0x1.4f1d385d2ae16p-10",
     ("powerbeta:alpha=2", 1, "min_order_stat"): ("-0x1.1111111111111p-2", "0x1.aaaaaaaaaaaabp-49"),
     ("powerbeta:alpha=2", 1, "srs"): ("-0x1.1111111111111p-2", "0x1.aaaaaaaaaaaabp-49"),
@@ -405,11 +405,11 @@ MEASURE_BITS = {
     ("powerbeta:alpha=2", 5, "d_designs"): "0x1.a9ccdf4ec0ba5p-9",
     ("powerbeta:alpha=2", 5, "d_min_vs_parent"): "0x1.21b80aee46210p-5",
     ("powerbeta:alpha=2", 30, "min_order_stat"): ("-0x1.d1b9b2b9c614bp-5", "0x1.60930e187652ap-48"),
-    ("powerbeta:alpha=2", 30, "srs"): ("-0x1.bba6b67a90253p-29", "0x1.44f09aa6c4934p-70"),
-    ("powerbeta:alpha=2", 30, "minrssu"): ("-0x1.de14ebecb1ed1p-77", "0x1.044d501a82defp-117"),
-    ("powerbeta:alpha=2", 30, "dynamic minrssu"): ("-0x1.4041277eb7f7ep-116", "0x1.d62187778efb0p-158"),
-    ("powerbeta:alpha=2", 30, "dynamic srs"): ("-0x1.958178aef8286p-45", "0x1.290053e426c18p-86"),
-    ("powerbeta:alpha=2", 30, "d_designs"): "0x1.de2385f1a354ap-65",
+    ("powerbeta:alpha=2", 30, "srs"): ("-0x1.bba6b67a90226p-29", "0x1.44f09aa6c4913p-70"),
+    ("powerbeta:alpha=2", 30, "minrssu"): ("-0x1.de14ebecb1e51p-77", "0x1.044d501a82da9p-117"),
+    ("powerbeta:alpha=2", 30, "dynamic minrssu"): ("-0x1.4041277eb8001p-116", "0x1.d62187778f070p-158"),
+    ("powerbeta:alpha=2", 30, "dynamic srs"): ("-0x1.958178aef8314p-45", "0x1.290053e426c80p-86"),
+    ("powerbeta:alpha=2", 30, "d_designs"): "0x1.de2385f1a354fp-65",
     ("powerbeta:alpha=2", 30, "d_min_vs_parent"): "0x1.64f73c6fb52d6p-6",
 }
 
@@ -419,19 +419,19 @@ CLOSED_DISCRIMINATION_BITS = {
     ("exp:rate=1", 1): ("0x0.0p+0", "0x0.0p+0"),
     ("exp:rate=1", 2): ("0x1.5555555555554p-6", "0x1.5555555555554p-5"),
     ("exp:rate=1", 5): ("0x1.27d27d27d27d2p-11", "0x1.1111111111110p-5"),
-    ("exp:rate=1", 30): ("0x1.434d2ddba5fa9p-114", "0x1.fee61fee61feep-8"),
+    ("exp:rate=1", 30): ("0x1.434d2ddba5f93p-114", "0x1.fee61fee61feep-8"),
     ("unif:a=0,b=1", 1): ("0x0.0p+0", "0x0.0p+0"),
     ("unif:a=0,b=1", 2): ("0x1.1111111111110p-7", "0x1.9999999999998p-6"),
     ("unif:a=0,b=1", 5): ("0x1.3b3a7d5a423f4p-13", "0x1.a98ef606a63bcp-6"),
-    ("unif:a=0,b=1", 30): ("0x1.434d2ce7d1be5p-118", "0x1.e6d1d60864b8ap-8"),
+    ("unif:a=0,b=1", 30): ("0x1.434d2ce7d1bfap-118", "0x1.e6d1d60864b8ap-8"),
     ("finite:a=2,b=3", 1): ("0x0.0p+0", "0x0.0p+0"),
     ("finite:a=2,b=3", 2): ("0x1.b01b01b01b018p-12", "0x1.7a17a17a17a18p-8"),
     ("finite:a=2,b=3", 5): ("0x1.8101b901bee03p-25", "0x1.4dccb68bf3d48p-8"),
-    ("finite:a=2,b=3", 30): ("0x1.4cab941c52db3p-193", "0x1.4f1d385d2ae1ep-10"),
+    ("finite:a=2,b=3", 30): ("0x1.4cab941c52e52p-193", "0x1.4f1d385d2ae1ep-10"),
     ("powerbeta:alpha=2", 1): ("0x0.0p+0", "0x0.0p+0"),
     ("powerbeta:alpha=2", 2): ("0x1.bbd779334ef08p-7", "0x1.a01a01a01a018p-6"),
     ("powerbeta:alpha=2", 5): ("0x1.a9ccdf4ec0ba5p-9", "0x1.21b80aee46210p-5"),
-    ("powerbeta:alpha=2", 30): ("0x1.de2385f1a350ep-65", "0x1.64f73c6fb52dap-6"),
+    ("powerbeta:alpha=2", 30): ("0x1.de2385f1a3545p-65", "0x1.64f73c6fb52dap-6"),
 }
 
 
