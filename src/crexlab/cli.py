@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .discrimination import d_designs, d_min_vs_parent
 from .distributions import _number_text, parse_distribution
-from .errors import CrexlabError, DivergenceError, SpecParseError, check_count
+from .errors import CrexlabError, DivergenceError, DomainError, SpecParseError, check_count
 from .estimators import EstimatorSpec, PsiFamily, estimate as run_estimator
 from .measures import (
     crex,
@@ -449,6 +449,9 @@ def main(argv=None):
         return USAGE_EXIT
     try:
         if hasattr(args, "precision"):
+            # a format spec reads its precision as a C int
+            if args.precision > 2**31 - 1:
+                raise DomainError(f"--precision must be at most {2**31 - 1}, got {args.precision}")
             check_count(args.precision, "--precision")
         return args.handler(args)
     except DivergenceError as exc:

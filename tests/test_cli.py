@@ -203,10 +203,14 @@ class TestMeasure:
     ],
     ids=["measure", "estimate", "discriminate", "calibrate"],
 )
-@pytest.mark.parametrize("precision", ["-1", "0"])
-def test_precision_below_1_exits_2(capsys, argv, precision):
+@pytest.mark.parametrize(
+    "precision, rule",
+    [("-1", ">= 1"), ("0", ">= 1"), ("2147483648", "at most 2147483647"),
+     (str(10**20), "at most 2147483647")],
+)
+def test_precision_out_of_range_exits_2(capsys, argv, precision, rule):
     code, out, err = run(capsys, argv + [f"--precision={precision}"])
-    assert (code, out, err) == (2, "", f"crexlab: --precision must be >= 1, got {precision}\n")
+    assert (code, out, err) == (2, "", f"crexlab: --precision must be {rule}, got {precision}\n")
 
 
 @pytest.mark.parametrize(
