@@ -143,22 +143,23 @@ def _power_products(dist, power_lists, t, method):
         integrals = nq.survival_power_quad(dist, run, t)
     if bad < len(distinct):
         raise DivergenceError(f"survival({t})**{distinct[bad]:g} underflows")
-    factor_of, rel_err_of = {}, {}
+    split_of, rel_err_of = {}, {}
     for p, scale, (integral, err) in zip(distinct, scales, integrals):
         if integral == 0.0:
             # S(t) > 0 makes every integral from t positive: a zero underflowed or went unresolved
             raise DivergenceError(f"integral of S(x)**{p!r} from t={t!r} underflows to 0")
-        factor_of[p] = integral / scale
+        # each factor as its mantissa in [0.5, 1) and binary exponent, split once
+        split_of[p] = math.frexp(integral / scale)
         rel_err_of[p] = err / integral
-    return [_product(powers, factor_of, rel_err_of) for powers in power_lists]
+    return [_product(powers, split_of, rel_err_of) for powers in power_lists]
 
 
-def _product(powers, factor_of, rel_err_of):
-    # the product is mant * 2**exp, each mantissa in [0.5, 1): a step multiplies
-    # two mantissas, which rounds as the product at its own exponent does
+def _product(powers, split_of, rel_err_of):
+    # the product is mant * 2**exp: a step multiplies two mantissas in [0.5, 1),
+    # which rounds as the product at its own exponent does and stays normal
     mant, exp = 1.0, 0
     for p in powers:
-        factor, factor_exp = math.frexp(factor_of[p])
+        factor, factor_exp = split_of[p]
         mant, step_exp = math.frexp(mant * factor)
         exp += factor_exp + step_exp
     prod = math.ldexp(mant, exp) if exp <= sys.float_info.max_exp else math.inf

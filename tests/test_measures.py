@@ -642,7 +642,7 @@ EXACT_INTEGRALS = {
 
 
 def _gamma(k):
-    """Higham's ``gamma_k = k u / (1 - k u)``, ``u = 2**-53``: the relative error of k roundings."""
+    """Higham's ``gamma_k = k u / (1 - k u)``, ``u = 2**-53``: the error of k roundings."""
     return Fraction(k, 2**53 - k)
 
 
@@ -707,7 +707,7 @@ class TestProductsAgainstExactRationals:
 def _product_value(factors):
     """The value ``-(1/2) prod factors`` of ``measures._product``, one power per factor."""
     keys = range(len(factors))
-    value, _ = _product(keys, dict(zip(keys, factors)), dict.fromkeys(keys, 0.0))
+    value, _ = _product(keys, dict(zip(keys, map(math.frexp, factors))), dict.fromkeys(keys, 0.0))
     return value
 
 
